@@ -1,12 +1,21 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-smoke bench-batch chaos overload overload-aware dist-smoke dist-chaos optimize
+.PHONY: build test flake race vet bench bench-smoke bench-batch chaos overload overload-aware dist-smoke dist-chaos optimize
 
 build:
 	$(GO) build ./...
 
+# bench/ is a module of its own, which ./... does not reach: its tests run
+# every workload at smoke size in both modes and compare the match sets.
 test:
 	$(GO) test ./...
+	cd bench && $(GO) test ./...
+
+# The two root tests whose outcome once depended on goroutine scheduling
+# (recall lower bound, pattern-aware vs oldest-first), repeated until a
+# one-in-ten flake would show.
+flake:
+	$(GO) test -count=50 -run 'TestRecallEstimateLowerBound|TestPatternAware' .
 
 race:
 	$(GO) test -race ./...

@@ -382,26 +382,26 @@ func (j *windowJoin) paneDeadline(idx event.Time) event.Time {
 	return idx*j.spec.Slide + j.spec.Window - 1
 }
 
-// dupFactor bounds emissions per joined pair: one per covering window
-// unless this stage dedups (§3.1.4).
-func (j *windowJoin) dupFactor() float64 {
-	if j.seen != nil {
-		return 1
-	}
+// coveringWindows is the number of slide-aligned windows covering a pane:
+// what a lost pair is charged. A root join emits a pair once per covering
+// window (§3.1.4). A deduplicating intermediate stage emits it once, but
+// every downstream extension of the pair is lost with it, so it is charged
+// the same multiple rather than 1.
+func (j *windowJoin) coveringWindows() float64 {
 	return float64((j.spec.Window + j.spec.Slide - 1) / j.spec.Slide)
 }
 
 // paneLoss bounds the matches dropped with pane p of one key group: each
 // dropped record could have joined every live opposite-side record of
 // its group plus the expected opposite-side arrivals before the pane's
-// deadline, emitted once per covering window. liveL/liveR count the
+// deadline, times coveringWindows. liveL/liveR count the
 // group's buffered records including p itself. Over-counting is safe —
 // it only lowers the reported recall estimate; under-counting is not.
 func (j *windowJoin) paneLoss(p *joinPane, idx event.Time, liveL, liveR int) float64 {
 	timeLeft := clampTimeLeft(j.paneDeadline(idx) - j.maxTS)
 	loss := float64(len(p.left))*partnerBound(liveR, j.rRate.perTimeUnit(), timeLeft) +
 		float64(len(p.right))*partnerBound(liveL, j.lRate.perTimeUnit(), timeLeft)
-	return loss * j.dupFactor()
+	return loss * j.coveringWindows()
 }
 
 // groupCounts sums a key group's buffered records per side.

@@ -152,11 +152,18 @@ func (m *Machine) score(stage int, firstTS event.Time) float64 {
 	timeLeft := int64(m.prog.Window) - int64(m.curTS-firstTS)
 	var rate float64
 	if transLeft > 0 {
-		if r := m.rates[m.prog.Stages[stage+1].Type]; r != nil {
-			rate = r.PerTimeUnit()
-		}
+		rate, _ = m.stageRate(stage + 1)
 	}
 	return overload.CompletionValue(transLeft, timeLeft, int64(m.prog.Window), rate)
+}
+
+// stageRate returns the live arrival rate of the type stage j accepts; ok
+// is false while its estimator has not yet seen two arrivals.
+func (m *Machine) stageRate(j int) (rate float64, ok bool) {
+	if r := m.rates[m.prog.Stages[j].Type]; r != nil {
+		rate = r.PerTimeUnit()
+	}
+	return rate, rate > 0
 }
 
 // lossBound bounds the matches a unit at the given stage could still have
@@ -166,7 +173,10 @@ func (m *Machine) score(stage int, firstTS event.Time) float64 {
 // stage) — padded by the LossSafety factor and floored at 1. Over-counting
 // is safe — it only lowers the recall estimate — but the expectation-based
 // form stays finite on dense streams, where compounding per-stage safety
-// pads would drown the estimate in noise.
+// pads would drown the estimate in noise. A remaining stage whose rate is
+// still unobserved says nothing about how many of its events will come
+// (a source that simply has not been read yet looks the same as a silent
+// one), so it charges overload.UnknownLoss instead of a rate of zero.
 func (m *Machine) lossBound(stage int, firstTS event.Time) float64 {
 	timeLeft := int64(m.prog.Window) - int64(m.curTS-firstTS)
 	if timeLeft < 0 {
@@ -174,9 +184,9 @@ func (m *Machine) lossBound(stage int, firstTS event.Time) float64 {
 	}
 	bound := float64(overload.LossSafety)
 	for j := stage + 1; j < len(m.prog.Stages); j++ {
-		var rate float64
-		if r := m.rates[m.prog.Stages[j].Type]; r != nil {
-			rate = r.PerTimeUnit()
+		rate, ok := m.stageRate(j)
+		if !ok {
+			return overload.UnknownLoss
 		}
 		bound *= rate * float64(timeLeft) / float64(j-stage)
 	}
@@ -189,7 +199,8 @@ func (m *Machine) lossBound(stage int, firstTS event.Time) float64 {
 // LostEventBound bounds the matches a dropped raw input event could still
 // have participated in: for every stage the event's type can fill, the
 // product over the other stages of the expected qualifying arrivals in a
-// full window. Grossly conservative — safe, since over-counting only
+// full window (overload.UnknownLoss while any of their rates is
+// unobserved). Grossly conservative — safe, since over-counting only
 // lowers the recall estimate.
 func (m *Machine) LostEventBound(e event.Event) float64 {
 	var bound float64
@@ -199,13 +210,13 @@ func (m *Machine) LostEventBound(e event.Event) float64 {
 			continue
 		}
 		b := 1.0
-		for i, other := range m.prog.Stages {
+		for i := range m.prog.Stages {
 			if i == j {
 				continue
 			}
-			var rate float64
-			if r := m.rates[other.Type]; r != nil {
-				rate = r.PerTimeUnit()
+			rate, ok := m.stageRate(i)
+			if !ok {
+				return overload.UnknownLoss
 			}
 			b *= overload.ExpectedArrivals(rate, w)
 		}

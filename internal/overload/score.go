@@ -151,6 +151,13 @@ func CompletionValue(transitionsLeft int, timeLeft, window int64, rate float64) 
 // expectation by this factor to cover bursts the EWMA smooths away.
 const LossSafety = 4
 
+// UnknownLoss is the loss charged for evicted state whose completion
+// depends on an arrival rate nobody has observed yet: large enough to pull
+// the recall estimate to ~0 (an unknown loss supports no recall claim),
+// finite because the bound is exported through encoding/json, which rejects
+// +Inf, and because accounts holding it are still added to and subtracted.
+const UnknownLoss = 1e15
+
 // ExpectedArrivals bounds the number of qualifying events expected within
 // timeLeft at the observed rate, padded by LossSafety and floored at 1
 // (an evicted unit could always have completed with a single arrival).

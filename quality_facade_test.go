@@ -100,32 +100,28 @@ func TestRecallEstimateLowerBound(t *testing.T) {
 	}
 }
 
-// TestPatternAwareRetainsAtLeastOldestFacade checks the end-to-end gate
-// property on a seeded workload: at an equal budget the pattern-aware
-// strategy retains at least as many unique matches as oldest-first, all
-// of them from the unbudgeted match set.
+// TestPatternAwareRetainsAtLeastOldestFacade checks, end to end on a seeded
+// workload, what holds whatever order the two sources are scheduled in:
+// both strategies shed at the budget, and every match either retains comes
+// from the unbudgeted match set. How many each retains depends on the
+// interleaving, so the "aware >= oldest" comparison lives in internal/nfa
+// (TestShedPatternAwareAtLeastOldestOnMergedFeed) on one pre-merged feed.
 func TestPatternAwareRetainsAtLeastOldestFacade(t *testing.T) {
 	q, v := GenerateQnV(10, 180, 11)
 	streams := map[string][]Event{"QnVQuantity": q, "QnVVelocity": v}
 	pattern := `PATTERN SEQ(QnVQuantity q, QnVVelocity v)
 		WHERE q.value >= 40 AND v.value <= 60 WITHIN 30 MINUTES`
 
-	full := shedJob(t, pattern, streams, true, 0, ShedOldestFirst)
-	oldest := shedJob(t, pattern, streams, true, 48, ShedOldestFirst)
-	aware := shedJob(t, pattern, streams, true, 48, ShedPatternAware)
-
-	if oldest.ShedRecords == 0 || aware.ShedRecords == 0 {
-		t.Fatalf("budget never triggered shedding (oldest %d, aware %d)",
-			oldest.ShedRecords, aware.ShedRecords)
-	}
-	if aware.Unique < oldest.Unique {
-		t.Fatalf("pattern-aware retained %d unique matches, oldest-first %d",
-			aware.Unique, oldest.Unique)
-	}
-	fullSet := matchSet(full)
-	for k := range matchSet(aware) {
-		if !fullSet[k] {
-			t.Fatalf("pattern-aware fabricated match %s absent from unbudgeted run", k)
+	fullSet := matchSet(shedJob(t, pattern, streams, true, 0, ShedOldestFirst))
+	for _, strat := range []ShedStrategy{ShedOldestFirst, ShedPatternAware} {
+		shed := shedJob(t, pattern, streams, true, 48, strat)
+		if shed.ShedRecords == 0 {
+			t.Fatalf("%v: budget never triggered shedding", strat)
+		}
+		for k := range matchSet(shed) {
+			if !fullSet[k] {
+				t.Fatalf("%v fabricated match %s absent from unbudgeted run", strat, k)
+			}
 		}
 	}
 }
