@@ -607,16 +607,16 @@ func (env *Environment) Execute(ctx context.Context) error {
 			for _, e := range n.inEdges {
 				// Channels hold batches, so len(chan) no longer measures
 				// records; senders and receivers maintain a shared record
-				// counter instead. It may dip below zero transiently (the
-				// receiver can drain a batch before the sender's post-send
-				// increment lands), hence the clamp.
+				// counter instead. Both updates trail their channel operation,
+				// so it may transiently dip below zero (a batch drained before
+				// its sender's increment lands) or pass the capacity (a batch
+				// sent before the receiver's decrement for the previous one
+				// lands), hence the clamps.
 				e.queued = rts[i].queued
 				q := rts[i].queued
-				e.obs = reg.Edge(e.from.name, to, chanCap*env.cfg.BatchSize*len(e.chans), func() int {
-					if v := q.Load(); v > 0 {
-						return int(v)
-					}
-					return 0
+				capacity := chanCap * env.cfg.BatchSize * len(e.chans)
+				e.obs = reg.Edge(e.from.name, to, capacity, func() int {
+					return min(max(int(q.Load()), 0), capacity)
 				})
 			}
 		}

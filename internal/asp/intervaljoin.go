@@ -1,6 +1,8 @@
 package asp
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"unsafe"
 
@@ -29,7 +31,10 @@ type IntervalJoinSpec struct {
 // NewIntervalJoin returns the operator factory for Stream.Connect2.
 func NewIntervalJoin(spec IntervalJoinSpec) func(int) Operator {
 	return func(int) Operator {
-		j := &intervalJoin{spec: spec, pred: spec.Predicate, state: make(map[int64]*ijGroup)}
+		j := &intervalJoin{
+			spec: spec, pred: spec.Predicate,
+			state: make(map[int64]*ijGroup), nextDeath: event.MaxWatermark,
+		}
 		if spec.NewPredicate != nil {
 			j.pred = spec.NewPredicate()
 		}
@@ -37,23 +42,36 @@ func NewIntervalJoin(spec IntervalJoinSpec) func(int) Operator {
 	}
 }
 
-type ijGroup struct {
-	left  []Record // sorted by TS
-	right []Record // sorted by TS
+// ijSide is one input's buffer within a key group: recs[head:] are the
+// buffered records, sorted by TS. Eviction advances head instead of moving
+// the survivors down; the slots before head are reclaimed when the buffer
+// empties or an insert finds the array full.
+type ijSide struct {
+	recs []Record
+	head int
 }
+
+func (s *ijSide) live() []Record { return s.recs[s.head:] }
+
+// ijGroup holds the two sides of one key, indexed by input port (0 = left).
+type ijGroup [2]ijSide
 
 type intervalJoin struct {
 	spec  IntervalJoinSpec
 	pred  JoinPredicate
 	state map[int64]*ijGroup
 	elems int64 // records buffered across groups (mirrors AddState)
-	// Shedding statistics: per-side arrival rates and the max event time
+	// nextDeath is the earliest deathTime of any buffered record: lowered
+	// on insert, recomputed from the group heads by every pass over the
+	// groups (sweep, shed, restore). A watermark below it evicts nothing
+	// and returns at once.
+	nextDeath event.Time
+	// Shedding statistics: per-port arrival rates and the max event time
 	// seen, feeding completion scores and lost-match bounds.
-	lRate, rRate arrivalRate
-	maxTS        event.Time
-	scratchL     []event.Event
-	scratchR     []event.Event
-	freeRecs     [][]Record // recycled group buffers
+	rate     [2]arrivalRate
+	maxTS    event.Time
+	scratch  [2][]event.Event // constituents of the pair under test, per port
+	freeRecs [][]Record       // recycled group buffers
 }
 
 // DropsLateRecords implements LateDropper: OnWatermark evicts buffered
@@ -63,111 +81,133 @@ type intervalJoin struct {
 func (j *intervalJoin) DropsLateRecords() {}
 
 func (j *intervalJoin) key(port int, r Record) int64 {
-	k := j.spec.LeftKey
-	if port == 1 {
-		k = j.spec.RightKey
+	if k := [2]KeyFn{j.spec.LeftKey, j.spec.RightKey}[port]; k != nil {
+		return k(r)
 	}
-	if k == nil {
-		return 0
-	}
-	return k(r)
+	return 0
 }
 
-func insertByTS(buf []Record, r Record) []Record {
-	i := sort.Search(len(buf), func(k int) bool { return buf[k].TS > r.TS })
-	buf = append(buf, Record{})
-	copy(buf[i+1:], buf[i:])
-	buf[i] = r
-	return buf
+// partnerRange returns the exclusive bounds (lo, hi) on the timestamps of
+// the opposite-side records that a record at ts on the given port joins
+// with. Both bounds are monotone in ts, so in a TS-sorted buffer a record's
+// partners are contiguous and the records no future arrival can partner
+// are a prefix. Probe, eviction and the shedders all take their bounds from
+// here.
+func (j *intervalJoin) partnerRange(ts event.Time, port int) (lo, hi event.Time) {
+	if port == 0 {
+		return ts + j.spec.Lower, ts + j.spec.Upper
+	}
+	return ts - j.spec.Upper, ts - j.spec.Lower
+}
+
+// deathTime is the last timestamp that can still partner a record at ts.
+// Future arrivals lie above the watermark, so the record is dead once the
+// watermark reaches it.
+func (j *intervalJoin) deathTime(ts event.Time, port int) event.Time {
+	_, hi := j.partnerRange(ts, port)
+	return hi - 1
+}
+
+// firstAfter returns the index of the first record of a TS-sorted buffer
+// whose timestamp exceeds ts.
+func firstAfter(buf []Record, ts event.Time) int {
+	return sort.Search(len(buf), func(k int) bool { return buf[k].TS > ts })
+}
+
+// insert places r by timestamp, behind buffered records of the same TS.
+func (s *ijSide) insert(r Record) {
+	if s.head > 0 && len(s.recs) == cap(s.recs) {
+		s.recs = s.recs[:copy(s.recs, s.live())]
+		s.head = 0
+	}
+	i := s.head + firstAfter(s.live(), r.TS)
+	s.recs = append(s.recs, Record{})
+	copy(s.recs[i+1:], s.recs[i:])
+	s.recs[i] = r
 }
 
 func (j *intervalJoin) OnRecord(port int, r Record, out *Collector) {
 	key := j.key(port, r)
 	g := j.state[key]
 	if g == nil {
-		g = &ijGroup{left: takeSlice(&j.freeRecs), right: takeSlice(&j.freeRecs)}
+		g = &ijGroup{{recs: takeSlice(&j.freeRecs)}, {recs: takeSlice(&j.freeRecs)}}
 		j.state[key] = g
 	}
-	if port == 0 {
-		// Probe buffered rights with TS in (l.TS+Lower, l.TS+Upper).
-		j.scratchL = r.Constituents(j.scratchL[:0])
-		lo, hi := r.TS+j.spec.Lower, r.TS+j.spec.Upper
-		from := sort.Search(len(g.right), func(k int) bool { return g.right[k].TS > lo })
-		for i := from; i < len(g.right) && g.right[i].TS < hi; i++ {
-			j.emit(r, g.right[i], out)
-		}
-		g.left = insertByTS(g.left, r)
-	} else {
-		// Probe buffered lefts with l.TS in (r.TS-Upper, r.TS-Lower).
-		lo, hi := r.TS-j.spec.Upper, r.TS-j.spec.Lower
-		from := sort.Search(len(g.left), func(k int) bool { return g.left[k].TS > lo })
-		for i := from; i < len(g.left) && g.left[i].TS < hi; i++ {
-			j.emit(g.left[i], r, out)
-		}
-		g.right = insertByTS(g.right, r)
+	// The arriving record's constituents are gathered once; each partner's
+	// are gathered into the other scratch buffer as the probe reaches it.
+	opp := 1 - port
+	j.scratch[port] = r.Constituents(j.scratch[port][:0])
+	lo, hi := j.partnerRange(r.TS, port)
+	partners := g[opp].live()
+	for i := firstAfter(partners, lo); i < len(partners) && partners[i].TS < hi; i++ {
+		j.scratch[opp] = partners[i].Constituents(j.scratch[opp][:0])
+		j.emit(max(r.TS, partners[i].TS), out)
 	}
-	if port == 0 {
-		j.lRate.observe(r.TS)
-	} else {
-		j.rRate.observe(r.TS)
-	}
-	if r.TS > j.maxTS {
-		j.maxTS = r.TS
-	}
+	g[port].insert(r)
+	j.nextDeath = min(j.nextDeath, j.deathTime(r.TS, port))
+	j.rate[port].observe(r.TS)
+	j.maxTS = max(j.maxTS, r.TS)
 	j.elems++
 	out.AddState(1)
 }
 
-func (j *intervalJoin) emit(l, r Record, out *Collector) {
-	j.scratchL = l.Constituents(j.scratchL[:0])
-	j.scratchR = r.Constituents(j.scratchR[:0])
-	if j.pred != nil && !j.pred(j.scratchL, j.scratchR) {
+// emit joins the pair whose constituents sit in the two scratch buffers.
+func (j *intervalJoin) emit(ts event.Time, out *Collector) {
+	l, r := j.scratch[0], j.scratch[1]
+	if j.pred != nil && !j.pred(l, r) {
 		return
 	}
-	ts := l.TS
-	if r.TS > ts {
-		ts = r.TS
+	// The match takes ownership of the new slice (one allocation instead of
+	// the intermediate matches Concat would build).
+	evs := make([]event.Event, 0, len(l)+len(r))
+	out.EmitMatch(ts, event.WrapMatch(append(append(evs, l...), r...)))
+}
+
+// evictDead drops the records of one side that are dead at wm and returns
+// their number. They are a prefix: a live head means nothing died and the
+// side is not touched; otherwise the cut is found by binary search.
+func (j *intervalJoin) evictDead(s *ijSide, port int, wm event.Time) int {
+	live := s.live()
+	if len(live) == 0 || j.deathTime(live[0].TS, port) > wm {
+		return 0
 	}
-	// Assemble constituents directly from the probe scratch buffers; the
-	// match takes ownership of the new slice (one allocation instead of the
-	// intermediate matches Concat would build).
-	evs := make([]event.Event, 0, len(j.scratchL)+len(j.scratchR))
-	evs = append(evs, j.scratchL...)
-	evs = append(evs, j.scratchR...)
-	out.EmitMatch(ts, event.WrapMatch(evs))
+	dead := sort.Search(len(live), func(k int) bool { return j.deathTime(live[k].TS, port) > wm })
+	if s.head += dead; s.head == len(s.recs) {
+		s.recs, s.head = s.recs[:0], 0
+	}
+	return dead
 }
 
 func (j *intervalJoin) OnWatermark(wm event.Time, out *Collector) {
+	if wm < j.nextDeath {
+		return
+	}
+	var evicted int64
+	j.nextDeath = event.MaxWatermark
 	for key, g := range j.state {
-		// A left l is dead once every future right (TS > wm) lies at or
-		// beyond the exclusive upper bound: wm >= l.TS+Upper-1.
-		nl := 0
-		for _, l := range g.left {
-			if l.TS+j.spec.Upper-1 > wm {
-				g.left[nl] = l
-				nl++
-			}
+		for port := range g {
+			evicted += int64(j.evictDead(&g[port], port, wm))
 		}
-		j.elems -= int64(len(g.left) - nl)
-		out.AddState(-int64(len(g.left) - nl))
-		g.left = g.left[:nl]
-		// A right r is dead once every future left (TS > wm) lies at or
-		// beyond r's exclusive lower bound: wm >= r.TS-Lower-1.
-		nr := 0
-		for _, r := range g.right {
-			if r.TS-j.spec.Lower-1 > wm {
-				g.right[nr] = r
-				nr++
-			}
+		j.closeGroup(key, g)
+	}
+	j.elems -= evicted
+	out.AddState(-evicted)
+}
+
+// closeGroup ends a pass over one key group: an emptied group is deleted
+// and its buffers recycled, a surviving one lowers nextDeath to its heads.
+func (j *intervalJoin) closeGroup(key int64, g *ijGroup) {
+	empty := true
+	for port := range g {
+		if live := g[port].live(); len(live) > 0 {
+			empty = false
+			j.nextDeath = min(j.nextDeath, j.deathTime(live[0].TS, port))
 		}
-		j.elems -= int64(len(g.right) - nr)
-		out.AddState(-int64(len(g.right) - nr))
-		g.right = g.right[:nr]
-		if len(g.left) == 0 && len(g.right) == 0 {
-			stashSlice(&j.freeRecs, g.left)
-			stashSlice(&j.freeRecs, g.right)
-			delete(j.state, key)
-		}
+	}
+	if empty {
+		stashSlice(&j.freeRecs, g[0].recs)
+		stashSlice(&j.freeRecs, g[1].recs)
+		delete(j.state, key)
 	}
 }
 
@@ -186,7 +226,7 @@ type ijGroupState struct {
 func (j *intervalJoin) SnapshotState() ([]byte, error) {
 	st := ijState{Groups: make(map[int64]*ijGroupState, len(j.state))}
 	for key, g := range j.state {
-		st.Groups[key] = &ijGroupState{Left: g.left, Right: g.right}
+		st.Groups[key] = &ijGroupState{Left: g[0].live(), Right: g[1].live()}
 	}
 	return gobEncode(st)
 }
@@ -199,9 +239,12 @@ func (j *intervalJoin) RestoreState(data []byte) error {
 	}
 	j.state = make(map[int64]*ijGroup, len(st.Groups))
 	j.elems = 0
-	for key, g := range st.Groups {
-		j.state[key] = &ijGroup{left: g.Left, right: g.Right}
-		j.elems += int64(len(g.Left) + len(g.Right))
+	j.nextDeath = event.MaxWatermark
+	for key, gs := range st.Groups {
+		g := &ijGroup{{recs: gs.Left}, {recs: gs.Right}}
+		j.state[key] = g
+		j.elems += int64(len(gs.Left) + len(gs.Right))
+		j.closeGroup(key, g)
 	}
 	return nil
 }
@@ -210,7 +253,7 @@ func (j *intervalJoin) RestoreState(data []byte) error {
 func (j *intervalJoin) BufferedState() int64 {
 	var n int64
 	for _, g := range j.state {
-		n += int64(len(g.left) + len(g.right))
+		n += int64(len(g[0].live()) + len(g[1].live()))
 	}
 	return n
 }
@@ -221,150 +264,85 @@ func (j *intervalJoin) StateStats() StateStats {
 }
 
 // recordLife is the event time a buffered record can still join across:
-// a left l pairs with rights in (l.TS+Lower, l.TS+Upper), a right r with
-// lefts in (r.TS-Upper, r.TS-Lower), so their content-based windows
-// close at l.TS+Upper-1 and r.TS-Lower-1 respectively.
-func (j *intervalJoin) recordLife(r Record, isLeft bool) int64 {
-	if isLeft {
-		return clampTimeLeft(r.TS + j.spec.Upper - 1 - j.maxTS)
-	}
-	return clampTimeLeft(r.TS - j.spec.Lower - 1 - j.maxTS)
+// until its deathTime.
+func (j *intervalJoin) recordLife(r Record, port int) int64 {
+	return clampTimeLeft(j.deathTime(r.TS, port) - j.maxTS)
 }
 
 // recordLoss bounds the matches a dropped buffered record could still
 // have produced. The interval join emits at insertion time, so a
 // buffered record's only future value is joining opposite-side records
 // that have not arrived yet: the expected arrivals within its remaining
-// content-based window (padded by overload.LossSafety, floored at 1).
+// partner range (padded by overload.LossSafety, floored at 1).
 // Over-counting is safe; under-counting is not.
-func (j *intervalJoin) recordLoss(r Record, isLeft bool) float64 {
-	rate := j.rRate.perTimeUnit()
-	if !isLeft {
-		rate = j.lRate.perTimeUnit()
-	}
-	return overload.ExpectedArrivals(rate, j.recordLife(r, isLeft))
+func (j *intervalJoin) recordLoss(r Record, port int) float64 {
+	return overload.ExpectedArrivals(j.rate[1-port].perTimeUnit(), j.recordLife(r, port))
 }
 
 // recordScore is the completion probability of a buffered record: at
-// least one opposite-side arrival within its remaining content-based
-// window, under the observed opposite-side rate.
-func (j *intervalJoin) recordScore(r Record, isLeft bool) float64 {
-	rate := j.rRate.perTimeUnit()
-	if !isLeft {
-		rate = j.lRate.perTimeUnit()
-	}
-	return overload.CompletionValue(1, j.recordLife(r, isLeft), int64(j.spec.Upper-j.spec.Lower), rate)
+// least one opposite-side arrival within its remaining partner range,
+// under the observed opposite-side rate.
+func (j *intervalJoin) recordScore(r Record, port int) float64 {
+	lo, hi := j.partnerRange(r.TS, port)
+	return overload.CompletionValue(1, j.recordLife(r, port), int64(hi-lo), j.rate[1-port].perTimeUnit())
 }
 
-// ShedOldest implements Shedder: the globally oldest buffered elements
-// (across both sides of every key group) are dropped first until at most
-// target remain. Dropping buffered elements only removes potential join
-// partners, so the shed run's matches are a subset of the unshed run's.
-// Every dropped element charges its lost-match bound.
-func (j *intervalJoin) ShedOldest(target int64, out *Collector) int64 {
+// shedByRank drops the buffered records ranked lowest until at most target
+// remain: the excess-th smallest rank is the cutoff and everything at or
+// below it goes (ties shed together), each record charging its lost-match
+// bound. Nothing is reordered, so the buffers stay TS-sorted. Dropping
+// buffered elements only removes potential join partners, so the shed run's
+// matches are a subset of the unshed run's.
+func shedByRank[T cmp.Ordered](j *intervalJoin, target int64, rank func(r Record, port int) T, out *Collector) int64 {
 	excess := j.elems - target
 	if excess <= 0 {
 		return 0
 	}
-	// The per-group buffers are TS-sorted but the groups are not aligned:
-	// find the global age cutoff by collecting every buffered timestamp.
-	ts := make([]event.Time, 0, j.elems)
+	ranks := make([]T, 0, j.elems)
 	for _, g := range j.state {
-		for _, r := range g.left {
-			ts = append(ts, r.TS)
-		}
-		for _, r := range g.right {
-			ts = append(ts, r.TS)
+		for port := range g {
+			for _, r := range g[port].live() {
+				ranks = append(ranks, rank(r, port))
+			}
 		}
 	}
-	sort.Slice(ts, func(a, b int) bool { return ts[a] < ts[b] })
-	if excess > int64(len(ts)) {
-		excess = int64(len(ts))
-	}
-	cutoff := ts[excess-1] // drop everything at or below (ties shed together)
+	slices.Sort(ranks)
+	cutoff := ranks[min(excess, int64(len(ranks)))-1]
 	var lost float64
-	trim := func(buf []Record, isLeft bool) ([]Record, int64) {
-		i := sort.Search(len(buf), func(k int) bool { return buf[k].TS > cutoff })
-		if i == 0 {
-			return buf, 0
-		}
-		for k := 0; k < i; k++ {
-			lost += j.recordLoss(buf[k], isLeft)
-		}
-		n := copy(buf, buf[i:])
-		return buf[:n], int64(i)
-	}
-	var dropped int64
+	before := j.elems
+	j.nextDeath = event.MaxWatermark
 	for key, g := range j.state {
-		var dl, dr int64
-		g.left, dl = trim(g.left, true)
-		g.right, dr = trim(g.right, false)
-		dropped += dl + dr
-		if len(g.left) == 0 && len(g.right) == 0 {
-			stashSlice(&j.freeRecs, g.left)
-			stashSlice(&j.freeRecs, g.right)
-			delete(j.state, key)
+		for port := range g {
+			s := &g[port]
+			kept := s.recs[:0]
+			for _, r := range s.live() {
+				if rank(r, port) <= cutoff {
+					lost += j.recordLoss(r, port)
+					j.elems--
+				} else {
+					kept = append(kept, r)
+				}
+			}
+			s.recs, s.head = kept, 0
 		}
+		j.closeGroup(key, g)
 	}
-	j.elems -= dropped
-	out.AddState(-dropped)
+	out.AddState(j.elems - before)
 	out.AddLostMatches(lost)
-	return dropped
+	return before - j.elems
+}
+
+// ShedOldest implements Shedder: the globally oldest buffered elements
+// (across both sides of every key group) are dropped first.
+func (j *intervalJoin) ShedOldest(target int64, out *Collector) int64 {
+	return shedByRank(j, target, func(r Record, _ int) event.Time { return r.TS }, out)
 }
 
 // ShedLowestValue implements ValueShedder: buffered elements are dropped
 // in order of ascending completion score instead of age. With symmetric
 // arrival rates this degenerates to oldest-first (older records have
 // less life left), but under side-asymmetric rates it keeps the records
-// whose missing partner is actually likely to arrive. Mirrors the
-// cutoff idiom of ShedOldest: collect every score, take the excess-th
-// smallest as the cutoff, and trim everything at or below it (ties shed
-// together). Filtering preserves each buffer's TS order.
+// whose missing partner is actually likely to arrive.
 func (j *intervalJoin) ShedLowestValue(target int64, out *Collector) int64 {
-	excess := j.elems - target
-	if excess <= 0 {
-		return 0
-	}
-	scores := make([]float64, 0, j.elems)
-	for _, g := range j.state {
-		for _, r := range g.left {
-			scores = append(scores, j.recordScore(r, true))
-		}
-		for _, r := range g.right {
-			scores = append(scores, j.recordScore(r, false))
-		}
-	}
-	sort.Float64s(scores)
-	if excess > int64(len(scores)) {
-		excess = int64(len(scores))
-	}
-	cutoff := scores[excess-1]
-	var dropped int64
-	var lost float64
-	trim := func(buf []Record, isLeft bool) []Record {
-		n := 0
-		for _, r := range buf {
-			if j.recordScore(r, isLeft) <= cutoff {
-				lost += j.recordLoss(r, isLeft)
-				dropped++
-				continue
-			}
-			buf[n] = r
-			n++
-		}
-		return buf[:n]
-	}
-	for key, g := range j.state {
-		g.left = trim(g.left, true)
-		g.right = trim(g.right, false)
-		if len(g.left) == 0 && len(g.right) == 0 {
-			stashSlice(&j.freeRecs, g.left)
-			stashSlice(&j.freeRecs, g.right)
-			delete(j.state, key)
-		}
-	}
-	j.elems -= dropped
-	out.AddState(-dropped)
-	out.AddLostMatches(lost)
-	return dropped
+	return shedByRank(j, target, j.recordScore, out)
 }

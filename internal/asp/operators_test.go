@@ -25,20 +25,6 @@ func TestWindowJoinStateEvicted(t *testing.T) {
 	}
 }
 
-func TestIntervalJoinStateEvicted(t *testing.T) {
-	env := NewEnvironment(Config{WatermarkInterval: 1})
-	res := NewResults(false, false)
-	left := env.Source("q", mkEvents(tQ, 1, []int64{0, 10, 20, 30}, nil), false)
-	right := env.Source("v", mkEvents(tV, 1, []int64{5, 15, 25}, nil), false)
-	left.Connect2("join", right, 1, nil, nil, NewIntervalJoin(IntervalJoinSpec{
-		Lower: 0, Upper: 5 * event.Minute,
-	})).Sink("sink", res.Operator())
-	run(t, env)
-	if got := env.StateSize(); got != 0 {
-		t.Fatalf("state after completion = %d, want 0 (buffers evicted)", got)
-	}
-}
-
 func TestNextOccurrenceStateEvicted(t *testing.T) {
 	env := NewEnvironment(Config{WatermarkInterval: 1})
 	res := NewResults(false, false)
