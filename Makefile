@@ -26,7 +26,8 @@ vet:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Fails if the no-metrics-registry fast path regressed >5% vs the recorded
+# Fails if the no-metrics-registry fast path regressed more than
+# BENCH_SMOKE_LIMIT percent (default 5) vs the recorded
 # baseline (results/bench_baseline.txt; delete it to re-record), or if edge
 # batching stops delivering its throughput win on the fig5 SEQ workload.
 bench-smoke:

@@ -3,6 +3,7 @@ package cep2asp
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -168,5 +169,40 @@ func TestBatchedChaosMatchesUnfailed(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// The pushed-down selections of a plan must not allocate per event: 99.9 %
+// of both streams die in their filter, and what is left of the run's
+// allocations (set-up, batch buffers, the few matches) stays far below one
+// per ten events. Parallelism 2 runs the keyed join on two instances.
+func TestScanFiltersDoNotAllocatePerEvent(t *testing.T) {
+	pattern, err := Parse(`PATTERN SEQ(QnVQuantity q, QnVVelocity v)
+		WHERE q.id == v.id AND q.value >= 99.9 AND v.value <= 0.1
+		WITHIN 15 MINUTES SLIDE 1 MINUTE`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, v := GenerateQnV(100, 1000, 7)
+	events := len(q) + len(v)
+	if events < 200_000 {
+		t.Fatalf("only %d events generated", events)
+	}
+	for _, par := range []int{1, 2} {
+		t.Run(fmt.Sprintf("parallelism=%d", par), func(t *testing.T) {
+			job := NewJob(pattern).AddStream("QnVQuantity", q).AddStream("QnVVelocity", v).
+				WithOptions(Options{UsePartitioning: true, Parallelism: par}).DiscardMatches()
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			if _, err := job.Run(context.Background()); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			runtime.ReadMemStats(&m1)
+			allocs := m1.Mallocs - m0.Mallocs
+			if perEvent := float64(allocs) / float64(events); perEvent > 0.1 {
+				t.Fatalf("%.3f allocations per event (%d over %d events), want <= 0.1", perEvent, allocs, events)
+			}
+			t.Logf("%.4f allocations per event", float64(allocs)/float64(events))
+		})
 	}
 }

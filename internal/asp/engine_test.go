@@ -258,7 +258,7 @@ func TestNextOccurrenceBlockerPredicate(t *testing.T) {
 	a.Union("union", b).
 		Process("nseq", 1, nil, NewNextOccurrence(NextOccurrenceSpec{
 			T1: tQ, T2: tV, Window: 5 * event.Minute,
-			Blocker: func(_, e2 event.Event) bool { return e2.Value > 10 },
+			Blocker: func(pair []event.Event) bool { return pair[1].Value > 10 },
 		})).
 		Sink("sink", res.Operator())
 	run(t, env)

@@ -43,6 +43,12 @@ type Collector struct {
 	// only read by guard on the same goroutine after a panic.
 	cur    *Record
 	curSet bool
+	// in/out count this instance's data records since the last settle, so
+	// the node-shared NodeMetrics atomics are paid per batch, not per
+	// record. handoffs counts batch transfers: a full-speed source re-reads
+	// its ingest clock after each, since a hand-off may have blocked.
+	in, out  int64
+	handoffs int
 	// batch is the edge batch size (Config.BatchSize); pool recycles the
 	// batch buffers carrying records across channels.
 	batch int
@@ -76,6 +82,9 @@ type edgeSender struct {
 	// transferred whole when it reaches Config.BatchSize, when a barrier or
 	// EOS marker is appended, and on idle/timer flushes.
 	pending [][]Record
+	// scratch is the one-constituent slice a fused edge filter is evaluated
+	// on: owned by the sending instance, never by the shared predicate.
+	scratch [1]event.Event
 }
 
 // Obs returns the instance's observability handle, or nil when no metrics
@@ -88,7 +97,7 @@ func (c *Collector) Emit(r Record) {
 	if c.aborted {
 		return
 	}
-	c.metrics.Out.Add(1)
+	c.out++
 	if c.obsOp != nil {
 		c.obsOp.Out.Add(1)
 	}
@@ -97,21 +106,36 @@ func (c *Collector) Emit(r Record) {
 	}
 	for i := range c.senders {
 		s := &c.senders[i]
-		if s.e.filter != nil && r.Kind == KindEvent && !s.e.filter(r.Event) {
-			continue // chained selection: dropped before the channel hop
+		if s.e.filter != nil && r.Kind == KindEvent {
+			s.scratch[0] = r.Event
+			if !s.e.filter(s.scratch[:]) {
+				continue // chained selection: dropped before the channel hop
+			}
 		}
-		out := r
-		out.Port = s.e.port
-		out.Src = s.srcID
-		var target int
-		if s.e.partition == nil {
-			target = s.forwardTo
-		} else {
-			target = s.e.partition(out, len(s.e.chans))
+		// r is this call's own copy: it is addressed per edge in place and
+		// copied once more, into the batch.
+		r.Port, r.Src = s.e.port, s.srcID
+		target := s.forwardTo
+		if s.e.partition != nil {
+			target = s.e.partition(r, len(s.e.chans))
 		}
-		if !c.push(s, target, out) {
+		if !c.push(s, target, &r) {
 			return
 		}
+	}
+}
+
+// settle adds the instance-local record counts to the node's shared
+// counters: at every batch hand-off, after every consumed batch and when
+// the instance exits, however it exits.
+func (c *Collector) settle() {
+	if c.in != 0 {
+		c.metrics.In.Add(c.in)
+		c.in = 0
+	}
+	if c.out != 0 {
+		c.metrics.Out.Add(c.out)
+		c.out = 0
 	}
 }
 
@@ -171,16 +195,16 @@ func traceIDOf(r *Record) uint64 {
 // a batch coalesce to the newer (= maximum, per-sender watermarks are
 // monotonic) one: no record sits between them, so the collapsed watermark
 // carries exactly the same information downstream.
-func (c *Collector) push(s *edgeSender, target int, r Record) bool {
+func (c *Collector) push(s *edgeSender, target int, r *Record) bool {
 	b := s.pending[target]
 	if r.Kind == KindWatermark && len(b) > 0 && b[len(b)-1].Kind == KindWatermark {
-		b[len(b)-1] = r
+		b[len(b)-1] = *r
 		return true
 	}
 	if b == nil {
 		b = c.pool.get()
 	}
-	b = append(b, r)
+	b = append(b, *r)
 	s.pending[target] = b
 	if len(b) >= c.batch {
 		return c.flushTarget(s, target)
@@ -237,7 +261,7 @@ func (c *Collector) forwardWatermark(wm event.Time) {
 		s := &c.senders[i]
 		r := Record{Kind: KindWatermark, TS: wm, Port: s.e.port, Src: s.srcID}
 		for t := range s.e.chans {
-			if !c.push(s, t, r) {
+			if !c.push(s, t, &r) {
 				return
 			}
 		}
@@ -262,7 +286,7 @@ func (c *Collector) forwardBarrier(id int64) {
 		for t := range s.e.chans {
 			// Barriers flush immediately: alignment downstream must not
 			// wait for a batch to fill.
-			if !c.push(s, t, r) || !c.flushTarget(s, t) {
+			if !c.push(s, t, &r) || !c.flushTarget(s, t) {
 				return
 			}
 		}
@@ -280,7 +304,7 @@ func (c *Collector) eos() {
 		for t := range s.e.chans {
 			// EOS flushes: any pending records and watermarks precede the
 			// marker in the batch, preserving per-sender order.
-			if !c.push(s, t, r) || !c.flushTarget(s, t) {
+			if !c.push(s, t, &r) || !c.flushTarget(s, t) {
 				return
 			}
 		}
@@ -296,37 +320,34 @@ func (c *Collector) send(ch chan []Record, b []Record, s *edgeSender) bool {
 	n := int64(len(b))
 	select {
 	case ch <- b:
-		if em != nil {
-			em.Sent.Add(n)
-			em.Batch.Record(n)
-			s.e.queued.Add(n)
-		}
-		return true
 	default:
+		// Slow path: the channel is full, so the sender blocks — the engine's
+		// backpressure signal. The stall is accounted on the edge when a
+		// metrics registry is attached.
+		var t0 time.Time
+		if em != nil {
+			t0 = time.Now()
+		}
+		select {
+		case ch <- b:
+		case <-c.done:
+			c.aborted = true
+		}
+		if em != nil {
+			em.BlockedNanos.Add(time.Since(t0).Nanoseconds())
+		}
+		if c.aborted {
+			return false
+		}
 	}
-	// Slow path: the channel is full, so the sender blocks — the engine's
-	// backpressure signal. The stall is accounted on the edge when a
-	// metrics registry is attached.
-	var t0 time.Time
+	c.handoffs++
+	c.settle()
 	if em != nil {
-		t0 = time.Now()
+		em.Sent.Add(n)
+		em.Batch.Record(n)
+		s.e.queued.Add(n)
 	}
-	select {
-	case ch <- b:
-		if em != nil {
-			em.BlockedNanos.Add(time.Since(t0).Nanoseconds())
-			em.Sent.Add(n)
-			em.Batch.Record(n)
-			s.e.queued.Add(n)
-		}
-		return true
-	case <-c.done:
-		if em != nil {
-			em.BlockedNanos.Add(time.Since(t0).Nanoseconds())
-		}
-		c.aborted = true
-		return false
-	}
+	return true
 }
 
 // AddState accounts a change in the number of buffered elements held by the
@@ -777,6 +798,7 @@ func (env *Environment) Execute(ctx context.Context) error {
 					defer ir.done.Store(true)
 					col := mkCol(inst)
 					defer guard(env, n, inst, true, col)
+					defer col.settle()
 					runSource(env, n, inst, col)
 				}(n, inst, ir)
 			} else {
@@ -785,6 +807,7 @@ func (env *Environment) Execute(ctx context.Context) error {
 					defer ir.done.Store(true)
 					col := mkCol(inst)
 					defer guard(env, n, inst, false, col)
+					defer col.settle()
 					runInstance(env, n, inst, in, nSrc, nq, col, done)
 				}(n, inst, rt.in[inst], rt.nSrc, rt.queued, ir)
 			}
@@ -1032,13 +1055,20 @@ func runSource(env *Environment, n *node, inst int, col *Collector) {
 	// pointer comparisons.
 	pt := env.cfg.Chaos.Point(n.name, inst)
 	qkeys := env.cfg.Quarantine.keysFor(n.name)
+	// stamp is the ingest time given to emitted events, from the source's
+	// last clock reading. A paced source reads the clock for every event
+	// anyway (and again after it slept); a full-speed source reads it after
+	// every batch hand-off — which may have blocked on backpressure — and at
+	// least every BatchSize events.
+	var stamp int64
 	var pace func(i int)
 	if rate := n.source.ratePerSec; rate > 0 {
 		startAt := time.Now()
 		perEvent := float64(time.Second) / rate
 		pace = func(i int) {
 			due := startAt.Add(time.Duration(float64(i) * perEvent))
-			if d := time.Until(due); d > 0 {
+			now := time.Now()
+			if d := due.Sub(now); d > 0 {
 				// Idle flush: a paced source must not sit on a partial
 				// batch while downstream waits for it.
 				if !col.flush() {
@@ -1046,16 +1076,21 @@ func runSource(env *Environment, n *node, inst int, col *Collector) {
 				}
 				select {
 				case <-time.After(d):
+					now = time.Now()
 				case <-col.done:
 					col.aborted = true
 				}
 			}
+			stamp = now.UnixNano()
 		}
 	}
 	// gate is the overload admission switch (Pause policy / heap
 	// controller); nil on ordinary runs — one pointer comparison per event.
 	gate := env.gate
 	emitted := 0
+	// readHandoffs/readAt are col.handoffs and emitted at the last clock
+	// reading of a full-speed source; -1 forces a reading.
+	readHandoffs, readAt := -1, 0
 	// rec is hoisted so panic attribution can point at it without copying
 	// the record on every emit.
 	var rec Record
@@ -1071,6 +1106,7 @@ func runSource(env *Environment, n *node, inst int, col *Collector) {
 			}
 			select {
 			case <-time.After(time.Millisecond):
+				readHandoffs = -1
 			case <-col.done:
 				col.aborted = true
 				return
@@ -1089,18 +1125,23 @@ func runSource(env *Environment, n *node, inst int, col *Collector) {
 				}
 			}
 		}
-		e := events[i]
+		// Filled field by field: a whole-Record assignment goes through a
+		// temporary, one more copy per event.
+		rec.Event = events[i]
+		e := &rec.Event
+		rec.TS, rec.TraceNs = e.TS, 0
 		if pace != nil {
 			pace(emitted)
 			if col.aborted {
 				return
 			}
+		} else if n.source.stampIngest && (col.handoffs != readHandoffs || emitted-readAt >= col.batch) {
+			stamp, readHandoffs, readAt = time.Now().UnixNano(), col.handoffs, emitted
 		}
 		emitted++
 		if n.source.stampIngest {
-			e.Ingest = time.Now().UnixNano()
+			e.Ingest = stamp
 		}
-		rec = EventRecord(e)
 		if qkeys != nil {
 			// Quarantined records leave the stream here, before they can
 			// advance the watermark — the replayed run behaves as if the
@@ -1122,7 +1163,7 @@ func runSource(env *Environment, n *node, inst int, col *Collector) {
 		if tr := col.tracer; tr != nil {
 			// Deterministic sampling decision: the same event is sampled in
 			// every run and on every worker, so traces stay reproducible.
-			if id, ok := tr.Sample(e); ok {
+			if id, ok := tr.Sample(*e); ok {
 				rec.TraceNs = time.Now().UnixNano()
 				tr.Add(trace.Span{
 					Trace: id, Kind: trace.KindSource,
@@ -1509,7 +1550,7 @@ func runInstance(env *Environment, n *node, inst int, in chan []Record, nSrc int
 				}
 				pt.Hit(k)
 			}
-			n.metrics.In.Add(1)
+			col.in++
 			om := col.obsOp
 			late := r.TS <= curWM
 			if om != nil {
@@ -1564,12 +1605,11 @@ func runInstance(env *Environment, n *node, inst int, in chan []Record, nSrc int
 		return !col.aborted
 	}
 
-	// r is hoisted so process can take its address without a per-iteration
-	// heap allocation. Batches are unpacked record by record (stashing
-	// copies records out, so the buffer can be recycled immediately after
-	// the loop); the flush timer bounds how long this instance's own
-	// partial output batches can age while input keeps arriving.
-	var r Record
+	// Records are processed in place in the batch buffer: stashing copies
+	// them out and panic attribution (col.cur) reads its record before the
+	// goroutine unwinds, so the buffer can be recycled right after the loop.
+	// The flush timer bounds how long this instance's own partial output
+	// batches can age while input keeps arriving.
 	flushEvery := env.cfg.FlushTimeout
 	var lastFlush time.Time
 	if flushEvery > 0 {
@@ -1596,12 +1636,12 @@ func runInstance(env *Environment, n *node, inst int, in chan []Record, nSrc int
 			nq.Add(-int64(len(batch)))
 		}
 		for bi := range batch {
-			r = batch[bi]
+			r := &batch[bi]
 			if alignID != 0 && alignGot[r.Src] {
-				stash = append(stash, r)
+				stash = append(stash, *r)
 				continue
 			}
-			if !process(&r) {
+			if !process(r) {
 				return
 			}
 			// Replay stashed records once the alignment completed. A
@@ -1623,6 +1663,7 @@ func runInstance(env *Environment, n *node, inst int, in chan []Record, nSrc int
 				}
 			}
 		}
+		col.settle()
 		col.pool.put(batch)
 		if flushEvery > 0 && time.Since(lastFlush) >= flushEvery {
 			if !col.flush() {

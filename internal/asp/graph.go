@@ -340,8 +340,10 @@ func NewEnvironment(cfg Config) *Environment {
 	return env
 }
 
-// NodeMetrics exposes per-node record counters, readable while running.
-// The Ckpt* counters accumulate checkpoint overhead across this node's
+// NodeMetrics exposes per-node record counters, readable while running. In
+// and Out are settled once per batch by each instance (Collector.settle):
+// exact once Execute has returned, at most a batch per instance behind
+// before. The Ckpt* counters accumulate checkpoint overhead across this node's
 // instances: snapshots taken, serialized bytes, and time spent capturing
 // state.
 type NodeMetrics struct {
@@ -375,8 +377,9 @@ type edge struct {
 	// filter, when set, drops single-event records failing the predicate
 	// before they cross the channel — operator chaining in the style of
 	// Flink's chained tasks: the selection executes inside the upstream
-	// instance, saving one channel hop per event.
-	filter func(event.Event) bool
+	// instance, saving one channel hop per event. It sees the event as a
+	// one-constituent slice owned by the sending instance.
+	filter func([]event.Event) bool
 	// Filled at execution time:
 	chans   []chan []Record
 	srcBase int
@@ -414,7 +417,7 @@ type Stream struct {
 	node *node
 	// edgeFilter is applied on the edges this stream handle creates
 	// (FilterFused); nil passes everything.
-	edgeFilter func(event.Event) bool
+	edgeFilter func([]event.Event) bool
 }
 
 // Metrics returns the record counters of the stream's producing node.
@@ -464,12 +467,14 @@ func (env *Environment) connectFrom(s *Stream, to *node, port uint8, part Partit
 // FilterFused attaches a selection to the stream's future edges instead of
 // creating a filter node: the predicate runs inside the upstream operator
 // instance (operator chaining), eliminating one channel hop per event.
-// Semantically identical to Filter; composes with an existing fused filter.
-func (s *Stream) FilterFused(pred func(event.Event) bool) *Stream {
+// Semantically identical to FilterMatch over single events; composes with an
+// existing fused filter. pred is shared by every sending instance, so it
+// must keep no state of its own.
+func (s *Stream) FilterFused(pred func([]event.Event) bool) *Stream {
 	prev := s.edgeFilter
 	combined := pred
 	if prev != nil {
-		combined = func(e event.Event) bool { return prev(e) && pred(e) }
+		combined = func(es []event.Event) bool { return prev(es) && pred(es) }
 	}
 	return &Stream{env: s.env, node: s.node, edgeFilter: combined}
 }
@@ -533,15 +538,15 @@ func (env *Environment) ParallelSource(name string, perInstance [][]event.Event,
 // Filter appends a selection operator (stateless, same parallelism,
 // forward-connected).
 func (s *Stream) Filter(name string, pred func(event.Event) bool) *Stream {
-	return s.chainStateless(name, func(int) Operator {
-		return &filterOperator{pred: pred}
-	})
+	return s.FilterMatch(name, func(es []event.Event) bool { return pred(es[0]) })
 }
 
-// FilterMatch appends a residual predicate over composite constituents.
+// FilterMatch appends a predicate over a record's constituents: one for a
+// single event, all of them for a composite. Each instance evaluates pred on
+// a slice it owns, so pred itself is shared and must keep no state.
 func (s *Stream) FilterMatch(name string, pred func([]event.Event) bool) *Stream {
 	return s.chainStateless(name, func(int) Operator {
-		return &matchFilterOperator{pred: pred}
+		return &filterOperator{pred: pred}
 	})
 }
 

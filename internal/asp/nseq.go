@@ -28,8 +28,10 @@ type NextOccurrenceSpec struct {
 	// of keyed patterns.
 	Key KeyFn
 	// Blocker decides whether a T2 candidate voids e1 (per-event
-	// thresholds on e2 plus equi correlations with e1); nil accepts all.
-	Blocker func(e1, e2 event.Event) bool
+	// thresholds on e2 plus equi correlations with e1), given the pair
+	// [e1, e2] in a slice the evaluating instance owns; nil accepts all. It
+	// is shared by every parallel instance and must keep no state.
+	Blocker func(pair []event.Event) bool
 }
 
 // NewNextOccurrence returns the operator factory for Stream.Process.
@@ -55,6 +57,7 @@ type nextOccurrence struct {
 	maxTS   event.Time
 	hold    event.Time
 	freeEvs [][]event.Event // recycled group buffers
+	pair    [2]event.Event  // the slice Blocker is evaluated on
 }
 
 // DropsLateRecords implements LateDropper: a late T1 would move the
@@ -168,7 +171,11 @@ func (n *nextOccurrence) earliestBlocker(g *noGroup, e1 event.Event) (event.Even
 		if e2.TS >= e1.TS+n.spec.Window {
 			break
 		}
-		if n.spec.Blocker == nil || n.spec.Blocker(e1, e2) {
+		if n.spec.Blocker == nil {
+			return e2, true
+		}
+		n.pair[0], n.pair[1] = e1, e2
+		if n.spec.Blocker(n.pair[:]) {
 			return e2, true
 		}
 	}

@@ -71,39 +71,17 @@ func (BaseOperator) OnWatermark(event.Time, *Collector) {}
 // OnClose implements Operator.
 func (BaseOperator) OnClose(*Collector) {}
 
-// filterOperator drops records whose predicate fails. It corresponds to the
-// selection σ_θ of §2 and is the target of filter pushdown.
+// filterOperator drops records whose constituents fail the predicate:
+// the selection σ_θ of §2, the target of filter pushdown (one constituent)
+// and the residual multi-alias predicate after a join (all of them). The
+// constituent slice is the instance's own, so evaluating allocates nothing.
 type filterOperator struct {
-	BaseOperator
-	pred    func(event.Event) bool
-	scratch []event.Event
-}
-
-func (f *filterOperator) OnRecord(_ int, r Record, out *Collector) {
-	if r.Kind == KindEvent {
-		if f.pred(r.Event) {
-			out.Emit(r)
-		}
-		return
-	}
-	// Filters over composites are rare (post-join residual predicates use
-	// matchFilterOperator); apply to the first constituent for symmetry.
-	f.scratch = r.Constituents(f.scratch[:0])
-	if len(f.scratch) > 0 && f.pred(f.scratch[0]) {
-		out.Emit(r)
-	}
-}
-
-// matchFilterOperator applies a compiled predicate over all constituents of
-// a composite; the translator uses it for residual (multi-alias) predicates
-// that could not be pushed into a join.
-type matchFilterOperator struct {
 	BaseOperator
 	pred    func([]event.Event) bool
 	scratch []event.Event
 }
 
-func (f *matchFilterOperator) OnRecord(_ int, r Record, out *Collector) {
+func (f *filterOperator) OnRecord(_ int, r Record, out *Collector) {
 	f.scratch = r.Constituents(f.scratch[:0])
 	if f.pred(f.scratch) {
 		out.Emit(r)

@@ -10,11 +10,11 @@ import (
 
 func TestFilterFusedEquivalentToFilterNode(t *testing.T) {
 	events := mkEvents(tQ, 1, []int64{0, 1, 2, 3, 4, 5}, []float64{5, 50, 7, 70, 9, 90})
-	pred := func(e event.Event) bool { return e.Value >= 10 }
+	pred := func(es []event.Event) bool { return es[0].Value >= 10 }
 
 	viaNode := NewResults(false, true)
 	env1 := NewEnvironment(Config{})
-	env1.Source("src", events, false).Filter("f", pred).Sink("sink", viaNode.Operator())
+	env1.Source("src", events, false).FilterMatch("f", pred).Sink("sink", viaNode.Operator())
 	run(t, env1)
 
 	viaEdge := NewResults(false, true)
@@ -35,8 +35,8 @@ func TestFilterFusedComposes(t *testing.T) {
 	res := NewResults(false, true)
 	env := NewEnvironment(Config{})
 	env.Source("src", events, false).
-		FilterFused(func(e event.Event) bool { return e.Value >= 10 }).
-		FilterFused(func(e event.Event) bool { return e.Value <= 30 }).
+		FilterFused(func(es []event.Event) bool { return es[0].Value >= 10 }).
+		FilterFused(func(es []event.Event) bool { return es[0].Value <= 30 }).
 		Sink("sink", res.Operator())
 	run(t, env)
 	if res.Total() != 2 { // 15 and 25
@@ -50,7 +50,7 @@ func TestFilterFusedPassesWatermarksAndMatches(t *testing.T) {
 	env := NewEnvironment(Config{WatermarkInterval: 1})
 	res := NewResults(true, true)
 	left := env.Source("q", mkEvents(tQ, 1, []int64{0, 1}, []float64{1, 99}), false).
-		FilterFused(func(e event.Event) bool { return e.Value > 50 })
+		FilterFused(func(es []event.Event) bool { return es[0].Value > 50 })
 	right := env.Source("v", mkEvents(tV, 1, []int64{2}, nil), false)
 	left.Connect2("join", right, 1, nil, nil, NewWindowJoin(WindowJoinSpec{
 		Window: 5 * event.Minute,

@@ -190,13 +190,12 @@ func (b *builder) scan(v *ScanPlan) (*asp.Stream, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: compiling filters of %s: %w", v.Alias, err)
 	}
-	filter := func(e event.Event) bool {
-		return pred([]event.Event{e})
-	}
+	// pred is shared by every parallel instance; each evaluates it on a
+	// one-constituent slice of its own.
 	if b.bc.ChainOperators {
-		return s.FilterFused(filter), nil
+		return s.FilterFused(pred), nil
 	}
-	return s.Filter(b.name("σ:"+v.Alias), filter), nil
+	return s.FilterMatch(b.name("σ:"+v.Alias), pred), nil
 }
 
 // attrKey converts an attribute value to a partition key: integral IDs map
@@ -412,13 +411,12 @@ func (b *builder) nextOccurrence(v *NextOccurrencePlan) (*asp.Stream, []string, 
 		return nil, nil, err
 	}
 
-	var blocker func(e1, e2 event.Event) bool
+	var blocker func(pair []event.Event) bool
 	if len(v.EquiT1) > 0 {
-		pred, err := sea.CompileBool(sea.Conjoin(v.EquiT1), sea.Layout{v.T1.Alias: 0, v.NegAlias: 1})
+		blocker, err = sea.CompileBool(sea.Conjoin(v.EquiT1), sea.Layout{v.T1.Alias: 0, v.NegAlias: 1})
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: compiling blocker correlation: %w", err)
 		}
-		blocker = func(e1, e2 event.Event) bool { return pred([]event.Event{e1, e2}) }
 	}
 
 	// Key the UDF by the correlated attribute when partitioning: equal

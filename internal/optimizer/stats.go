@@ -54,8 +54,9 @@ func Measure(p *sea.Pattern, data map[event.Type][]event.Event) (map[string]core
 			}
 			filtered = true
 			pass := 0
-			for _, e := range events {
-				if pred([]event.Event{e}) {
+			for i := range events {
+				// The stream itself is the one-constituent slice.
+				if pred(events[i : i+1]) {
 					pass++
 				}
 			}
