@@ -43,12 +43,16 @@ type Collector struct {
 	// only read by guard on the same goroutine after a panic.
 	cur    *Record
 	curSet bool
-	// in/out count this instance's data records since the last settle, so
-	// the node-shared NodeMetrics atomics are paid per batch, not per
-	// record. handoffs counts batch transfers: a full-speed source re-reads
-	// its ingest clock after each, since a hand-off may have blocked.
-	in, out  int64
-	handoffs int
+	// in/out/late/matches count this instance's data records (late ones,
+	// matches delivered to a sink) since the last settle, so the shared
+	// atomics of NodeMetrics, the registry and the environment are paid per
+	// batch, not per record. reached counts the records handed to OnRecord
+	// under a registry since the batch timer last read it. handoffs counts
+	// batch transfers: a full-speed source re-reads its ingest clock after
+	// each, since a hand-off may have blocked.
+	in, out, late, matches int64
+	reached                int64
+	handoffs               int
 	// batch is the edge batch size (Config.BatchSize); pool recycles the
 	// batch buffers carrying records across channels.
 	batch int
@@ -98,9 +102,6 @@ func (c *Collector) Emit(r Record) {
 		return
 	}
 	c.out++
-	if c.obsOp != nil {
-		c.obsOp.Out.Add(1)
-	}
 	if c.tracer != nil {
 		c.traceEmit(&r)
 	}
@@ -125,17 +126,34 @@ func (c *Collector) Emit(r Record) {
 	}
 }
 
-// settle adds the instance-local record counts to the node's shared
-// counters: at every batch hand-off, after every consumed batch and when
-// the instance exits, however it exits.
+// settle adds the instance-local record counts to the shared counters — the
+// node's, the registry's when one is attached, the environment's match
+// count: at every batch hand-off, after every consumed batch and when the
+// instance exits, however it exits. It is the only writer of In, Out and
+// Late on either side, so NodeMetrics and the registry cannot disagree.
 func (c *Collector) settle() {
+	om := c.obsOp
 	if c.in != 0 {
 		c.metrics.In.Add(c.in)
+		if om != nil {
+			om.In.Add(c.in)
+		}
 		c.in = 0
 	}
 	if c.out != 0 {
 		c.metrics.Out.Add(c.out)
+		if om != nil {
+			om.Out.Add(c.out)
+		}
 		c.out = 0
+	}
+	if c.late != 0 {
+		om.Late.Add(c.late) // only tallied under a registry
+		c.late = 0
+	}
+	if c.matches != 0 {
+		c.env.matchesEmitted.Add(c.matches)
+		c.matches = 0
 	}
 }
 
@@ -1368,6 +1386,12 @@ func runInstance(env *Environment, n *node, inst int, in chan []Record, nSrc int
 	finished := make([]bool, maxIntExec(nSrc, 1))
 	remaining := nSrc
 	curWM := event.MinWatermark
+	// om is nil without a metrics registry. With one, the instance reads the
+	// clock around each consumed batch and around each OnWatermark call —
+	// never around a record: wmNs is the OnWatermark time inside the batch
+	// under way, which the batch's data time excludes.
+	om := col.obsOp
+	var wmNs int64
 
 	advance := func(src uint16, wm event.Time) {
 		if wm <= wms[src] {
@@ -1382,17 +1406,23 @@ func runInstance(env *Environment, n *node, inst int, in chan []Record, nSrc int
 		}
 		if min > curWM {
 			curWM = min
-			op.OnWatermark(curWM, col)
+			if om != nil {
+				t0 := time.Now()
+				op.OnWatermark(curWM, col)
+				wmNs += time.Since(t0).Nanoseconds()
+			} else {
+				op.OnWatermark(curWM, col)
+			}
 			if checkState != nil {
 				checkState()
 			}
-			if acct != nil && col.obsOp != nil {
+			if acct != nil && om != nil {
 				// Publish the state gauges on watermark cadence: often
 				// enough for /debug/topology to show hotspots, cheap
 				// enough to stay off the per-record path.
 				st := acct.StateStats()
-				col.obsOp.Partials.Store(st.Records)
-				col.obsOp.StateBytes.Store(st.Bytes)
+				om.Partials.Store(st.Records)
+				om.StateBytes.Store(st.Bytes)
 			}
 			fw := curWM
 			if holder != nil {
@@ -1551,15 +1581,11 @@ func runInstance(env *Environment, n *node, inst int, in chan []Record, nSrc int
 				pt.Hit(k)
 			}
 			col.in++
-			om := col.obsOp
 			late := r.TS <= curWM
-			if om != nil {
-				om.In.Add(1)
-				if late {
-					// Arrived at or below the merged watermark: over-
-					// disordered input (or a restore/replay race).
-					om.Late.Add(1)
-				}
+			if late && col.obsOp != nil {
+				// Arrived at or below the merged watermark: over-disordered
+				// input (or a restore/replay race).
+				col.late++
 			}
 			if late && dropLate {
 				// A late data record would move the operator's window
@@ -1572,28 +1598,27 @@ func runInstance(env *Environment, n *node, inst int, in chan []Record, nSrc int
 			if r.Kind == KindMatch && len(col.senders) == 0 {
 				// A match reaching a terminal node is a detected match;
 				// the count feeds the live recall estimate.
-				env.matchesEmitted.Add(1)
+				col.matches++
 			}
-			traced := col.tracer != nil && r.TraceNs != 0
-			if om != nil || traced {
+			if col.obsOp != nil {
+				col.reached++
+			}
+			if col.tracer != nil && r.TraceNs != 0 {
+				// A sampled record keeps a clock pair of its own for its span;
+				// its time is part of the batch's like any other record's.
 				t0 := time.Now()
 				op.OnRecord(int(r.Port), *r, col)
 				d := time.Since(t0).Nanoseconds()
-				if om != nil {
-					om.Proc.Record(d)
+				start := t0.UnixNano()
+				q := start - r.TraceNs
+				if q < 0 {
+					q = 0
 				}
-				if traced {
-					start := t0.UnixNano()
-					q := start - r.TraceNs
-					if q < 0 {
-						q = 0
-					}
-					col.tracer.Add(trace.Span{
-						Trace: traceIDOf(r), Kind: trace.KindOp,
-						Name: n.name, Instance: inst,
-						StartNs: start, DurNs: d, QueueNs: q,
-					})
-				}
+				col.tracer.Add(trace.Span{
+					Trace: traceIDOf(r), Kind: trace.KindOp,
+					Name: n.name, Instance: inst,
+					StartNs: start, DurNs: d, QueueNs: q,
+				})
 			} else {
 				op.OnRecord(int(r.Port), *r, col)
 			}
@@ -1635,14 +1660,20 @@ func runInstance(env *Environment, n *node, inst int, in chan []Record, nSrc int
 		if nq != nil {
 			nq.Add(-int64(len(batch)))
 		}
+		var t0 time.Time
+		if om != nil {
+			t0 = time.Now()
+		}
+		more := true
+	records:
 		for bi := range batch {
 			r := &batch[bi]
 			if alignID != 0 && alignGot[r.Src] {
 				stash = append(stash, *r)
 				continue
 			}
-			if !process(r) {
-				return
+			if more = process(r); !more {
+				break
 			}
 			// Replay stashed records once the alignment completed. A
 			// stashed barrier may start the next alignment mid-replay, in
@@ -1657,14 +1688,30 @@ func runInstance(env *Environment, n *node, inst int, in chan []Record, nSrc int
 						stash = append(stash, *rr)
 						continue
 					}
-					if !process(rr) {
-						return
+					if more = process(rr); !more {
+						break records
 					}
 				}
 			}
 		}
+		if om != nil {
+			// The batch's data time — its wall time less its OnWatermark
+			// calls — goes to the records that reached OnRecord in it, at
+			// their mean.
+			if k := col.reached; k > 0 {
+				om.Proc.RecordN((time.Since(t0).Nanoseconds()-wmNs)/k, k)
+				col.reached = 0
+			}
+			if wmNs != 0 {
+				om.WatermarkNanos.Add(wmNs)
+				wmNs = 0
+			}
+		}
 		col.settle()
 		col.pool.put(batch)
+		if !more {
+			return
+		}
 		if flushEvery > 0 && time.Since(lastFlush) >= flushEvery {
 			if !col.flush() {
 				return

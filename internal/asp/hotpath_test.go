@@ -11,12 +11,15 @@ import (
 
 	"cep2asp/internal/chaos"
 	"cep2asp/internal/event"
+	"cep2asp/internal/obs"
 )
 
 // Record-path contract tests: what a source -> filter hop may allocate, what
 // an ingest stamp means now that a full-speed source reads the clock per
-// batch hand-off, and that the batch-settled node counters are exact however
-// an instance exits.
+// batch hand-off, that the batch-settled counters — the node's and an attached
+// registry's — are exact however an instance exits and at most a batch behind
+// while it runs, and that what the registry exports does not depend on the
+// batch size.
 
 // hopEvents builds n minute-spaced events whose Value cycles 0..999, so
 // "Value < k" passes k/1000 of them.
@@ -35,6 +38,37 @@ func firstMinutes(n int) []int64 {
 		out[i] = int64(i)
 	}
 	return out
+}
+
+// lateEvery is the spacing of the stale events in minutesWithLate.
+const lateEvery = 100
+
+// minutesWithLate is firstMinutes with every lateEvery-th stamp, from index
+// from on, replaced by minute 1: by then every watermark a receiver merges
+// has passed it, whatever the batch size, so exactly those records are late.
+func minutesWithLate(n, from int) []int64 {
+	out := firstMinutes(n)
+	for i := from; i < n; i++ {
+		if i%lateEvery == lateEvery-1 {
+			out[i] = 1
+		}
+	}
+	return out
+}
+
+// lateAmong is how many of the first k events of minutesWithLate(_, from)
+// are late.
+func lateAmong(k int64, from int) int64 {
+	return max(k/lateEvery-int64(from/lateEvery), 0)
+}
+
+// opSnapshots indexes a registry snapshot by "node/instance".
+func opSnapshots(reg *obs.Registry) map[string]obs.OperatorSnapshot {
+	by := map[string]obs.OperatorSnapshot{}
+	for _, o := range reg.Snapshot().Operators {
+		by[fmt.Sprintf("%s/%d", o.Node, o.Instance)] = o
+	}
+	return by
 }
 
 // mallocsDuring returns the heap allocations made while f runs (process
@@ -170,17 +204,21 @@ func TestPacedIngestStampNotBeforeDueTime(t *testing.T) {
 
 func TestNodeStatsExactOnEveryExit(t *testing.T) {
 	const n = 1003 // not a multiple of the batch size: EOS flushes a partial batch
-	events := mkEvents(tQ, 1, firstMinutes(n), nil)
+	// Every hundredth event is stale, so Late has something to count.
+	events := mkEvents(tQ, 1, minutesWithLate(n, 0), nil)
 
-	// build wires src -> stage -> sink; stage and sink count their own calls,
-	// the figures NodeStats is held to. stage runs hook on every record.
+	// build wires src -> stage -> sink under a registry; stage and sink count
+	// their own calls, the figures NodeStats and the registry are held to.
+	// stage runs hook on every record.
 	type graph struct {
 		env               *Environment
+		reg               *obs.Registry
 		stageCalls, sinkN atomic.Int64
 	}
 	build := func(cfg Config, hook func(call int64)) *graph {
 		cfg.BatchSize, cfg.ChannelCapacity = 8, 16
-		g := &graph{env: NewEnvironment(cfg)}
+		cfg.Metrics = obs.NewRegistry()
+		g := &graph{env: NewEnvironment(cfg), reg: cfg.Metrics}
 		g.env.Source("src", events, false).
 			Apply("stage", func(_ int, r Record, out *Collector) {
 				if c := g.stageCalls.Add(1); hook != nil {
@@ -199,6 +237,33 @@ func TestNodeStatsExactOnEveryExit(t *testing.T) {
 			by[m.Name] = m
 		}
 		return by["src"], by["stage"], by["sink"]
+	}
+	// The registry is fed by the same settle as NodeStats: on every exit it
+	// holds the same In and Out, the late records among those taken in, and
+	// one Proc sample per record handed to OnRecord — all of them when the
+	// instance ran to its end, no more than In otherwise.
+	checkRegistry := func(t *testing.T, g *graph, finished bool) {
+		t.Helper()
+		src, stage, sink := stats(g)
+		ops := opSnapshots(g.reg)
+		if got := ops["src/0"].Out; got != src.Out.Load() {
+			t.Errorf("registry src Out = %d, NodeStats %d", got, src.Out.Load())
+		}
+		for _, c := range []struct {
+			name string
+			node *NodeMetrics
+		}{{"stage/0", stage}, {"sink/0", sink}} {
+			o, in := ops[c.name], c.node.In.Load()
+			if o.In != in || o.Out != c.node.Out.Load() {
+				t.Errorf("registry %s In/Out = %d/%d, NodeStats %d/%d", c.name, o.In, o.Out, in, c.node.Out.Load())
+			}
+			if want := lateAmong(in, 0); o.Late != want {
+				t.Errorf("registry %s Late = %d, want %d of %d records", c.name, o.Late, want, in)
+			}
+			if o.ProcCount > in || (finished && o.ProcCount != in) {
+				t.Errorf("registry %s ProcCount = %d with In = %d (finished: %v)", c.name, o.ProcCount, in, finished)
+			}
+		}
 	}
 	// An interrupted run: In is exact; Out counts the emits made before the
 	// abort, so it lies between what the next node took in and the calls.
@@ -233,6 +298,7 @@ func TestNodeStatsExactOnEveryExit(t *testing.T) {
 				t.Errorf("%s = %d, want %d", c.name, c.got, n)
 			}
 		}
+		checkRegistry(t, g, true)
 	})
 
 	t.Run("cancelled", func(t *testing.T) {
@@ -253,6 +319,7 @@ func TestNodeStatsExactOnEveryExit(t *testing.T) {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}
 		checkInterrupted(t, g)
+		checkRegistry(t, g, false)
 	})
 
 	t.Run("chaos-killed", func(t *testing.T) {
@@ -271,35 +338,168 @@ func TestNodeStatsExactOnEveryExit(t *testing.T) {
 		if in, out := stage.In.Load(), stage.Out.Load(); in != at-1 || out != at-1 {
 			t.Fatalf("killed stage In/Out = %d/%d, want %d/%d", in, out, at-1, at-1)
 		}
+		checkRegistry(t, g, false)
 	})
 }
 
+// exportedCounts is what the registry holds of one instance that may not
+// depend on how its input was cut into batches.
+type exportedCounts struct{ in, out, late, procCount int64 }
+
+func TestRegistryCountsDoNotDependOnBatchSize(t *testing.T) {
+	const n = 3000
+	// One source instance feeds everything, so every receiver sees one
+	// order; the stale events start late enough to be late on both join
+	// ports at either batch size.
+	minutes := minutesWithLate(n, n/3)
+	events := make([]event.Event, n)
+	for i, m := range minutes {
+		events[i] = event.Event{Type: tQ, ID: int64(i % 4), TS: m * event.Minute, Value: float64(i % 10)}
+	}
+	byKey := func(r Record) int64 { return r.Event.ID }
+	runAt := func(batch int) map[string]exportedCounts {
+		reg := obs.NewRegistry()
+		env := NewEnvironment(Config{BatchSize: batch, Metrics: reg})
+		res := NewResults(false, false)
+		kept := env.Source("src", events, false).
+			FilterMatch("σ", func(es []event.Event) bool { return es[0].Value >= 5 })
+		kept.Connect2("join", kept, 2, byKey, byKey, NewWindowJoin(WindowJoinSpec{
+			Window:    8 * event.Minute,
+			Slide:     event.Minute,
+			Predicate: func(l, r []event.Event) bool { return l[0].TS < r[0].TS },
+		})).Sink("sink", res.Operator())
+		t0 := time.Now()
+		run(t, env)
+		wall := time.Since(t0).Nanoseconds()
+
+		got := map[string]exportedCounts{}
+		for name, o := range opSnapshots(reg) {
+			got[name] = exportedCounts{o.In, o.Out, o.Late, o.ProcCount}
+			if o.ProcSum+o.WatermarkNanos > wall {
+				t.Errorf("batch %d: %s spent %d ns on records and %d ns on watermarks in a run of %d ns",
+					batch, name, o.ProcSum, o.WatermarkNanos, wall)
+			}
+		}
+		if got["sink/0"].in != res.Total() || res.Total() == 0 {
+			t.Fatalf("batch %d: registry sink In = %d, the sink saw %d", batch, got["sink/0"].in, res.Total())
+		}
+		return got
+	}
+	one, many := runAt(1), runAt(64)
+	if len(one) != 5 || len(many) != len(one) {
+		t.Fatalf("instances exported: %d and %d, want 5 (src, σ, join x 2, sink)", len(one), len(many))
+	}
+	for name, a := range one {
+		if b := many[name]; a != b {
+			t.Errorf("%s: in/out/late/procCount %+v at batch 1, %+v at batch 64", name, a, b)
+		}
+	}
+	// The stale events all pass the filter, which counts them and hands them
+	// on; each then reaches one join instance, once per port, and is dropped
+	// at its input: counted in In and Late there, not in Proc.
+	stale := lateAmong(n, n/3)
+	if f := one["σ/0"]; f.late != stale || f.procCount != f.in {
+		t.Errorf("σ: late %d of %d records, %d reached OnRecord; want %d late, all reaching", f.late, f.in, f.procCount, stale)
+	}
+	j0, j1 := one["join/0"], one["join/1"]
+	if j0.late+j1.late != 2*stale {
+		t.Errorf("join: late %d + %d, want %d", j0.late, j1.late, 2*stale)
+	}
+	for _, j := range []exportedCounts{j0, j1} {
+		if j.procCount != j.in-j.late {
+			t.Errorf("join: ProcCount = %d, want In - Late = %d", j.procCount, j.in-j.late)
+		}
+	}
+}
+
+func TestSnapshotWhileRunningLagsByAtMostOneBatch(t *testing.T) {
+	const (
+		n      = 2000
+		batch  = 8
+		holdAt = 100
+	)
+	reg := obs.NewRegistry()
+	env := NewEnvironment(Config{BatchSize: batch, ChannelCapacity: 16, Metrics: reg})
+	var stageCalls, sinkCalls atomic.Int64
+	entered, release := make(chan struct{}), make(chan struct{})
+	env.Source("src", mkEvents(tQ, 1, firstMinutes(n), nil), false).
+		Apply("stage", func(_ int, r Record, out *Collector) {
+			stageCalls.Add(1)
+			out.Emit(r)
+		}).
+		Sink("sink", func(int) Operator {
+			return &funcOperator{fn: func(int, Record, *Collector) {
+				if sinkCalls.Add(1) == holdAt {
+					close(entered)
+					<-release
+				}
+			}}
+		})
+	errc := make(chan error, 1)
+	go func() { errc <- env.Execute(context.Background()) }()
+
+	<-entered
+	// The sink sits inside its holdAt-th call; the stage may still be moving.
+	// Calls read before the snapshot bound it from below, calls read after
+	// it from above: every batch consumed to its end is in the snapshot.
+	stageBefore := stageCalls.Load()
+	ops := opSnapshots(reg)
+	for _, c := range []struct {
+		name          string
+		before, after int64
+	}{
+		{"stage/0", stageBefore, stageCalls.Load()},
+		{"sink/0", holdAt, holdAt},
+	} {
+		if in := ops[c.name].In; in < c.before-batch || in > c.after {
+			t.Errorf("%s In = %d in a snapshot taken between %d and %d calls, batches of %d", c.name, in, c.before, c.after, batch)
+		}
+		if pc := ops[c.name].ProcCount; pc < c.before-batch || pc > c.after {
+			t.Errorf("%s ProcCount = %d in a snapshot taken between %d and %d calls", c.name, pc, c.before, c.after)
+		}
+	}
+	close(release)
+	if err := <-errc; err != nil {
+		t.Fatalf("Execute: %v", err)
+	}
+	if in := opSnapshots(reg)["sink/0"].In; in != n {
+		t.Fatalf("sink In = %d after the run, want %d", in, n)
+	}
+}
+
 // BenchmarkSourceFilterHop measures the source -> edge -> filter hop alone:
-// the filter discards all but 0.1 % of the events, or none, and records
-// cross one at a time or in the default batches of 64.
+// the filter discards all but 0.1 % of the events, or none, records cross one
+// at a time or in the default batches of 64, and a metrics registry is
+// attached or not — the pair scripts/bench_smoke.sh holds together.
 func BenchmarkSourceFilterHop(b *testing.B) {
 	const n = 100_000
 	events := hopEvents(n)
 	for _, pass := range []float64{1, 1000} {
 		for _, batch := range []int{1, 64} {
-			b.Run(fmt.Sprintf("pass=%g%%/batch=%d", pass/10, batch), func(b *testing.B) {
-				var allocs uint64
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					env := NewEnvironment(Config{BatchSize: batch})
-					res := NewResults(false, false)
-					env.Source("src", events, true).
-						FilterMatch("σ", func(es []event.Event) bool { return es[0].Value < pass }).
-						Sink("sink", res.Operator())
-					allocs += mallocsDuring(func() {
-						if err := env.Execute(context.Background()); err != nil {
-							b.Fatal(err)
+			for _, registry := range []string{"off", "on"} {
+				b.Run(fmt.Sprintf("pass=%g%%/batch=%d/registry=%s", pass/10, batch, registry), func(b *testing.B) {
+					var allocs uint64
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						cfg := Config{BatchSize: batch}
+						if registry == "on" {
+							cfg.Metrics = obs.NewRegistry()
 						}
-					})
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/event")
-				b.ReportMetric(float64(allocs)/float64(b.N)/n, "allocs/event")
-			})
+						env := NewEnvironment(cfg)
+						res := NewResults(false, false)
+						env.Source("src", events, true).
+							FilterMatch("σ", func(es []event.Event) bool { return es[0].Value < pass }).
+							Sink("sink", res.Operator())
+						allocs += mallocsDuring(func() {
+							if err := env.Execute(context.Background()); err != nil {
+								b.Fatal(err)
+							}
+						})
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/event")
+					b.ReportMetric(float64(allocs)/float64(b.N)/n, "allocs/event")
+				})
+			}
 		}
 	}
 }

@@ -114,7 +114,11 @@ func (p *promWriter) snapshot(s Snapshot) {
 	for _, o := range s.Operators {
 		p.line("cep2asp_operator_shed_records_total", opLabels(o), d(o.Shed))
 	}
-	p.header("cep2asp_operator_proc_seconds", "summary", "Per-record processing time inside OnRecord.")
+	p.header("cep2asp_operator_watermark_seconds_sum", "counter", "Time the instance spent inside OnWatermark.")
+	for _, o := range s.Operators {
+		p.line("cep2asp_operator_watermark_seconds_sum", opLabels(o), g(secs(o.WatermarkNanos)))
+	}
+	p.header("cep2asp_operator_proc_seconds", "summary", "Per-record processing time: each record carries the mean of the batch it was consumed in.")
 	for _, o := range s.Operators {
 		l := opLabels(o)
 		p.line("cep2asp_operator_proc_seconds", l+`,quantile="0.5"`, g(secs(o.ProcP50)))
@@ -288,6 +292,7 @@ type topoNode struct {
 	StateBytes  int64              `json:"state_bytes"`
 	Shed        int64              `json:"shed"`
 	ProcP99     int64              `json:"proc_p99_ns"`
+	WmNanos     int64              `json:"wm_ns"`
 	Instances   []OperatorSnapshot `json:"instances"`
 }
 
@@ -315,6 +320,7 @@ func Topology(s Snapshot) any {
 		n.Partials += o.Partials
 		n.StateBytes += o.StateBytes
 		n.Shed += o.Shed
+		n.WmNanos += o.WatermarkNanos
 		if o.WatermarkValid && (!n.WmValid || o.Watermark < n.Watermark) {
 			n.Watermark, n.WmValid = o.Watermark, true
 		}

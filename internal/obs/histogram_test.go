@@ -212,3 +212,32 @@ func TestHistogramMergeAccumulates(t *testing.T) {
 		t.Fatalf("after two merges: count %d sum %d max %d, want 3/50/20", a.Count(), a.Sum(), a.Max())
 	}
 }
+
+// TestHistogramRecordNEqualsRepeatedRecord holds RecordN(v, n) to n calls of
+// Record(v): same count, sum, maximum and quantiles, and nothing for n <= 0.
+func TestHistogramRecordNEqualsRepeatedRecord(t *testing.T) {
+	var batched, single Histogram
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 500; i++ {
+		v := int64(math.Exp(rng.Float64() * math.Log(1e9)))
+		if i%50 == 0 {
+			v = 0
+		}
+		n := int64(rng.Intn(65)) // includes 0
+		batched.RecordN(v, n)
+		for k := int64(0); k < n; k++ {
+			single.Record(v)
+		}
+	}
+	batched.RecordN(1<<40, 0)
+	batched.RecordN(1<<40, -3)
+	if batched.Count() != single.Count() || batched.Sum() != single.Sum() || batched.Max() != single.Max() {
+		t.Fatalf("count/sum/max = %d/%d/%d batched, %d/%d/%d one by one",
+			batched.Count(), batched.Sum(), batched.Max(), single.Count(), single.Sum(), single.Max())
+	}
+	for q := 0.0; q <= 1; q += 0.01 {
+		if b, s := batched.Quantile(q), single.Quantile(q); b != s {
+			t.Fatalf("q%.2f = %d batched, %d one by one", q, b, s)
+		}
+	}
+}

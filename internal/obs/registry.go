@@ -325,11 +325,18 @@ type OperatorMetrics struct {
 	// In / Out count data records (events and composites) entering and
 	// leaving the instance; Late counts data records arriving with an event
 	// time at or below the instance's current watermark — candidates for
-	// dropping by window operators downstream of the merge.
+	// dropping by window operators downstream of the merge. The instance
+	// adds its own tallies at every batch hand-off, after every consumed
+	// batch and when it exits: a reader is at most one batch behind.
 	In, Out, Late atomic.Int64
-	// Proc is the per-record processing-time histogram (nanoseconds spent
-	// inside OnRecord).
+	// Proc is the processing-time histogram, one sample per data record
+	// that reached OnRecord: the mean per-record time of the consumed batch
+	// the record arrived in (wall time of the batch minus its OnWatermark
+	// calls). Count and sum are per record; the quantiles are those of
+	// record-weighted batch means, per-record times at a batch size of 1.
 	Proc Histogram
+	// WatermarkNanos accumulates the time spent inside OnWatermark.
+	WatermarkNanos atomic.Int64
 	// Watermark is the instance's current output watermark (event-time ms).
 	Watermark atomic.Int64
 	// Partials gauges retained state in accounting units: partial matches
@@ -460,7 +467,9 @@ type OperatorSnapshot struct {
 	Partials       int64 `json:"partials"`
 	StateBytes     int64 `json:"state_bytes"`
 	Shed           int64 `json:"shed"`
-	// Per-record processing time, nanoseconds.
+	// WatermarkNanos is the time spent inside OnWatermark so far.
+	WatermarkNanos int64 `json:"wm_ns"`
+	// Per-record processing time, nanoseconds (see OperatorMetrics.Proc).
 	ProcCount int64 `json:"proc_count"`
 	ProcSum   int64 `json:"proc_sum_ns"`
 	ProcP50   int64 `json:"proc_p50_ns"`
@@ -586,8 +595,8 @@ func (r *Registry) Snapshot() Snapshot {
 			Watermark: wm, WatermarkValid: wm != unset,
 			Partials:   m.Partials.Load(),
 			StateBytes: m.StateBytes.Load(),
-			Shed:       m.Shed.Load(),
-			ProcCount:  m.Proc.Count(), ProcSum: m.Proc.Sum(),
+			Shed:       m.Shed.Load(), WatermarkNanos: m.WatermarkNanos.Load(),
+			ProcCount: m.Proc.Count(), ProcSum: m.Proc.Sum(),
 			ProcP50: m.Proc.Quantile(0.50), ProcP90: m.Proc.Quantile(0.90),
 			ProcP99: m.Proc.Quantile(0.99), ProcMax: m.Proc.Max(),
 		}

@@ -118,6 +118,7 @@ func TestPrometheusAndTopologyEndpoints(t *testing.T) {
 	op.In.Add(5)
 	op.Out.Add(3)
 	op.Watermark.Store(1234)
+	op.WatermarkNanos.Add(2_500_000)
 	r.ObserveEventTime(2000)
 	depth := 7
 	r.Edge("src:\"QnV\"", "σ:q#1", 128, func() int { return depth })
@@ -142,6 +143,7 @@ func TestPrometheusAndTopologyEndpoints(t *testing.T) {
 		`cep2asp_operator_records_in_total{node="σ:q#1",instance="0"} 5`,
 		`cep2asp_operator_watermark_ms{node="σ:q#1",instance="0"} 1234`,
 		`cep2asp_operator_watermark_lag_ms{node="σ:q#1",instance="0"} 766`,
+		`cep2asp_operator_watermark_seconds_sum{node="σ:q#1",instance="0"} 0.0025`,
 		`cep2asp_edge_queue_depth{from="src:\"QnV\"",to="σ:q#1"} 7`,
 		`cep2asp_stream_max_event_time_ms 2000`,
 		`cep2asp_sink_detection_latency_seconds{quantile="0.99"}`,
@@ -189,6 +191,7 @@ func TestTopologyAggregatesInstances(t *testing.T) {
 		op := r.Operator("join", i)
 		op.In.Add(int64(i + 1))
 		op.Watermark.Store(int64(100 * (i + 1)))
+		op.WatermarkNanos.Add(10)
 	}
 	r.ObserveEventTime(1000)
 	topo := Topology(r.Snapshot()).(topology)
@@ -196,7 +199,7 @@ func TestTopologyAggregatesInstances(t *testing.T) {
 		t.Fatalf("nodes = %d", len(topo.Nodes))
 	}
 	n := topo.Nodes[0]
-	if n.Parallelism != 3 || n.In != 6 {
+	if n.Parallelism != 3 || n.In != 6 || n.WmNanos != 30 {
 		t.Fatalf("aggregate mismatch: %+v", n)
 	}
 	if n.Watermark != 100 { // min over instances

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # bench_smoke.sh — performance smoke gates.
 #
-# Two gates, selected by the optional mode argument (default: all):
+# Three gates, selected by the optional mode argument (default: all):
 #
 #   pipeline  BenchmarkPipelineNoRegistry (a full source -> filter -> sink
 #             run with no metrics registry attached, where every
@@ -14,12 +14,19 @@
 #             must be at least BENCH_BATCH_MIN_GAIN percent faster,
 #             best-of-N on both sides. The measured pair is refreshed in
 #             results/bench_baseline.txt for the record.
+#   observed  BenchmarkSourceFilterHop at the default batch size with a
+#             metrics registry attached vs. without one, both measured in
+#             this invocation (a commit against itself, not against another
+#             machine's baseline): best-of-N registry=on may be at most
+#             BENCH_OBS_LIMIT percent (default 15) slower than registry=off,
+#             at a 0.1 % and at a 100 % filter pass rate.
 #
-#   make bench-smoke            # both gates
+#   make bench-smoke            # all gates
 #   make bench-batch            # batching gate only
 #   BENCH_SMOKE_COUNT=10 ...    # more repetitions (default 5, best wins)
 #   BENCH_SMOKE_LIMIT=15 ...    # relax the pipeline bar (default 5%)
 #   BENCH_BATCH_MIN_GAIN=10 ... # relax the batching bar (default 20%)
+#   BENCH_OBS_LIMIT=25 ...      # relax the registry bar (default 15%)
 #   rm results/bench_baseline.txt && make bench-smoke   # re-record
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -110,15 +117,50 @@ batch_gate() {
 	echo "bench-batch: OK (recorded in $baseline_file)"
 }
 
+observed_gate() {
+	local bench=BenchmarkSourceFilterHop
+	local runs="${BENCH_SMOKE_COUNT:-5}"
+	local limit="${BENCH_OBS_LIMIT:-15}"
+
+	local out
+	out=$(go test ./internal/asp/ -run '^$' -bench "^${bench}\$/pass=/batch=64\$/registry=" \
+		-count="$runs" -benchtime=20x)
+	echo "$out"
+
+	# Best ns/op per sub-benchmark, then registry=on against registry=off
+	# within each pass rate.
+	echo "$out" | awk -v b="$bench" -v l="$limit" '
+		$1 ~ "^"b"/" {
+			split($1, part, "/")
+			pass = part[2]; reg = part[4]; sub(/-[0-9]+$/, "", reg)
+			k = pass SUBSEP reg
+			if (!(k in best) || $3 < best[k]) best[k] = $3
+			seen[pass] = 1
+		}
+		END {
+			for (pass in seen) {
+				off = best[pass SUBSEP "registry=off"]; on = best[pass SUBSEP "registry=on"]
+				if (off == "" || on == "") { print "bench-observed: missing results for " pass > "/dev/stderr"; bad = 1; continue }
+				n++
+				printf "bench-observed: %s: registry=off %d ns/op, registry=on %d ns/op: %+.1f%% (limit +%s%%)\n", pass, off, on, (on / off - 1) * 100, l
+				if (on > off * (1 + l / 100)) bad = 1
+			}
+			if (n == 0 || bad) { print "bench-observed: FAIL — an attached registry costs more than " l "% on the source -> filter hop" > "/dev/stderr"; exit 1 }
+			print "bench-observed: OK"
+		}'
+}
+
 case "$mode" in
 all)
 	pipeline_gate
 	batch_gate
+	observed_gate
 	;;
 pipeline) pipeline_gate ;;
 batch) batch_gate ;;
+observed) observed_gate ;;
 *)
-	echo "usage: $0 [all|pipeline|batch]" >&2
+	echo "usage: $0 [all|pipeline|batch|observed]" >&2
 	exit 2
 	;;
 esac
