@@ -29,9 +29,10 @@ bench:
 # Fails if the no-metrics-registry fast path regressed more than
 # BENCH_SMOKE_LIMIT percent (default 5) vs the recorded
 # baseline (results/bench_baseline.txt; delete it to re-record), if edge
-# batching stops delivering its throughput win on the fig5 SEQ workload, or
-# if attaching a metrics registry slows the source -> filter hop by more than
-# BENCH_OBS_LIMIT percent (default 15) at the default batch size.
+# batching stops delivering its throughput win on the fig5 SEQ workload, if
+# attaching a metrics registry slows the source -> filter hop by more than
+# BENCH_OBS_LIMIT percent (default 15) at the default batch size, or if the
+# FCEP automaton allocates more than once per event on the ITER4 program.
 bench-smoke:
 	./scripts/bench_smoke.sh
 

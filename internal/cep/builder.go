@@ -112,21 +112,15 @@ func (b *Builder) Where(pred func(e event.Event) bool) *Builder {
 	if b.pendingNeg != nil {
 		neg := b.pendingNeg
 		prev := neg.Pred
-		neg.Pred = func(match []event.Event, blocker event.Event) bool {
-			if prev != nil && !prev(match, blocker) {
-				return false
-			}
-			return pred(blocker)
+		neg.Pred = func(es []event.Event) bool {
+			return (prev == nil || prev(es)) && pred(es[len(es)-1])
 		}
 		return b
 	}
 	s := &b.prog.Stages[len(b.prog.Stages)-1]
 	prev := s.Pred
-	s.Pred = func(prefix []event.Event, e event.Event) bool {
-		if prev != nil && !prev(prefix, e) {
-			return false
-		}
-		return pred(e)
+	s.Pred = func(es []event.Event) bool {
+		return (prev == nil || prev(es)) && pred(es[len(es)-1])
 	}
 	return b
 }
@@ -143,14 +137,12 @@ func (b *Builder) WherePrev(pred func(prev, e event.Event) bool) *Builder {
 	}
 	s := &b.prog.Stages[len(b.prog.Stages)-1]
 	prevPred := s.Pred
-	s.Pred = func(prefix []event.Event, e event.Event) bool {
-		if prevPred != nil && !prevPred(prefix, e) {
+	s.Pred = func(es []event.Event) bool {
+		if prevPred != nil && !prevPred(es) {
 			return false
 		}
-		if len(prefix) == 0 {
-			return true
-		}
-		return pred(prefix[len(prefix)-1], e)
+		n := len(es)
+		return n < 2 || pred(es[n-2], es[n-1])
 	}
 	return b
 }

@@ -132,7 +132,14 @@ func TestBuilderTimesAndNegation(t *testing.T) {
 // union all sources, then the single operator — the paper's FCEP topology.
 func runFCEP(t *testing.T, pat *sea.Pattern, streams map[string][]event.Event) []*event.Match {
 	t.Helper()
-	prog, err := Compile(pat, nfa.SkipTillAnyMatch, nil)
+	return runFCEPAt(t, pat, nil, 1, streams)
+}
+
+// runFCEPAt runs the pattern's operator over the union of the streams with
+// a watermark every interval records per source.
+func runFCEPAt(t *testing.T, pat *sea.Pattern, key func(event.Event) int64, interval int, streams map[string][]event.Event) []*event.Match {
+	t.Helper()
+	prog, err := Compile(pat, nfa.SkipTillAnyMatch, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +147,7 @@ func runFCEP(t *testing.T, pat *sea.Pattern, streams map[string][]event.Event) [
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := asp.NewEnvironment(asp.Config{WatermarkInterval: 1})
+	env := asp.NewEnvironment(asp.Config{WatermarkInterval: interval})
 	var sources []*asp.Stream
 	for name, evs := range streams {
 		sources = append(sources, env.Source(name, evs, false))

@@ -109,9 +109,8 @@ func Compile(p *sea.Pattern, policy nfa.Policy, key func(event.Event) int64) (*n
 			for a, info := range aliases {
 				layout[a] = info.first
 			}
-			blockerSlot := len(prog.Stages)
 			for a := range negAlias {
-				layout[a] = blockerSlot
+				layout[a] = len(prog.Stages)
 			}
 			pred, err := sea.CompileBool(conj, layout)
 			if err != nil {
@@ -119,16 +118,11 @@ func Compile(p *sea.Pattern, policy nfa.Policy, key func(event.Event) int64) (*n
 			}
 			neg := &prog.Negations[ni]
 			prev := neg.Pred
-			// No shared scratch: one Program serves every parallel keyed
-			// instance, so predicate closures must be reentrant.
-			neg.Pred = func(match []event.Event, blocker event.Event) bool {
-				if prev != nil && !prev(match, blocker) {
-					return false
-				}
-				es := make([]event.Event, 0, blockerSlot+1)
-				es = append(es, match...)
-				es = append(es, blocker)
-				return pred(es)
+			// One Program serves every parallel keyed instance and the
+			// candidate is the calling machine's scratch: predicates must
+			// not retain the slice.
+			neg.Pred = func(es []event.Event) bool {
+				return (prev == nil || prev(es)) && pred(es)
 			}
 			continue
 		}
@@ -142,14 +136,15 @@ func Compile(p *sea.Pattern, policy nfa.Policy, key func(event.Event) int64) (*n
 			if info == nil || !info.iter {
 				return nil, fmt.Errorf("cep: indexed predicate %s on non-iteration alias", conj)
 			}
-			pair, err := sea.CompilePair(conj, alias)
+			pair, err := sea.CompileAdjacent(conj, alias)
 			if err != nil {
 				return nil, fmt.Errorf("cep: compiling pairwise predicate %s: %w", conj, err)
 			}
 			for s := info.first + 1; s <= info.last; s++ {
 				prevIdx := s - 1
+				// The candidate ends {previous constituent, event under test}.
 				stagePreds[s] = append(stagePreds[s], func(es []event.Event) bool {
-					return pair(es[prevIdx], es[len(es)-1])
+					return pair(es[prevIdx:])
 				})
 			}
 			continue
@@ -172,13 +167,7 @@ func Compile(p *sea.Pattern, policy nfa.Policy, key func(event.Event) int64) (*n
 		if len(preds) == 0 {
 			continue
 		}
-		stageLen := s + 1
-		prog.Stages[s].Pred = func(prefix []event.Event, e event.Event) bool {
-			// No shared scratch: one Program serves every parallel keyed
-			// instance, so predicate closures must be reentrant.
-			es := make([]event.Event, 0, stageLen)
-			es = append(es, prefix...)
-			es = append(es, e)
+		prog.Stages[s].Pred = func(es []event.Event) bool {
 			for _, pr := range preds {
 				if !pr(es) {
 					return false

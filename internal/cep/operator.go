@@ -2,7 +2,6 @@ package cep
 
 import (
 	"bytes"
-	"container/heap"
 	"encoding/gob"
 	"unsafe"
 
@@ -29,22 +28,79 @@ func NewOperator(prog *nfa.Program) (func(int) asp.Operator, error) {
 	}
 	return func(int) asp.Operator {
 		m, _ := nfa.NewMachine(prog)
-		return &cepOperator{machine: m}
+		o := &cepOperator{machine: m}
+		o.emit = func(m *event.Match) { o.out.EmitMatch(m.TsE, m) }
+		return o
 	}, nil
 }
 
+// eventHeap is the reorder buffer: a binary min-heap by timestamp over the
+// events themselves, so a push or pop moves events inside one slice and
+// allocates only when the slice grows. Like any binary heap it is not
+// stable: events of equal timestamp pop in no particular order.
 type eventHeap []event.Event
 
-func (h eventHeap) Len() int           { return len(h) }
-func (h eventHeap) Less(i, j int) bool { return h[i].TS < h[j].TS }
-func (h eventHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)        { *h = append(*h, x.(event.Event)) }
-func (h *eventHeap) Pop() any          { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-func (h eventHeap) peekTS() event.Time { return h[0].TS }
+func (h *eventHeap) push(e event.Event) {
+	s := append(*h, e)
+	*h = s
+	i := len(s) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if s[parent].TS <= e.TS {
+			break
+		}
+		s[i] = s[parent]
+		i = parent
+	}
+	s[i] = e
+}
+
+// pop removes and returns the earliest event.
+func (h *eventHeap) pop() event.Event {
+	s := *h
+	n := len(s) - 1
+	top := s[0]
+	*h = s[:n]
+	if n > 0 {
+		s[:n].down(0, s[n])
+	}
+	return top
+}
+
+// down sinks e from the hole at i to its place among the heap's children.
+func (h eventHeap) down(i int, e event.Event) {
+	n := len(h)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].TS < h[c].TS {
+			c = r
+		}
+		if h[c].TS >= e.TS {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = e
+}
+
+// init establishes the heap order over an arbitrarily ordered slice.
+func (h eventHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i, h[i])
+	}
+}
 
 type cepOperator struct {
-	machine   *nfa.Machine
-	buffer    eventHeap
+	machine *nfa.Machine
+	buffer  eventHeap
+	// emit forwards a match to out, the collector of the call in progress;
+	// built once so a watermark does not allocate a closure.
+	emit      nfa.Emit
+	out       *asp.Collector
 	lastState int64
 	// bufLost bounds matches lost to reorder-buffer drops; lastLost is the
 	// portion of the combined (machine + buffer) loss bound already flushed
@@ -57,18 +113,23 @@ func (o *cepOperator) OnRecord(_ int, r asp.Record, out *asp.Collector) {
 	if r.Kind != asp.KindEvent {
 		return // the CEP operator consumes plain events only
 	}
-	heap.Push(&o.buffer, r.Event)
+	o.buffer.push(r.Event)
+	// Charged at once, not netted per watermark: the budget is enforced
+	// between watermarks on this count.
 	out.AddState(1)
 }
 
 func (o *cepOperator) OnWatermark(wm event.Time, out *asp.Collector) {
-	emit := func(m *event.Match) { out.EmitMatch(m.TsE, m) }
-	for o.buffer.Len() > 0 && o.buffer.peekTS() <= wm {
-		e := heap.Pop(&o.buffer).(event.Event)
-		out.AddState(-1)
-		o.machine.OnEvent(e, emit)
+	o.out = out
+	var fed int64
+	for len(o.buffer) > 0 && o.buffer[0].TS <= wm {
+		o.machine.OnEvent(o.buffer.pop(), o.emit)
+		fed++
 	}
-	o.machine.OnWatermark(wm, emit)
+	if fed > 0 {
+		out.AddState(-fed)
+	}
+	o.machine.OnWatermark(wm, o.emit)
 	o.reportState(out)
 }
 
@@ -104,7 +165,7 @@ func (o *cepOperator) RestoreState(data []byte) error {
 		return err
 	}
 	o.buffer = st.Buffer
-	heap.Init(&o.buffer)
+	o.buffer.init()
 	o.lastState = o.machine.StateSize()
 	return nil
 }
@@ -121,6 +182,9 @@ func (o *cepOperator) Hold() event.Time { return o.machine.Hold() }
 
 func (o *cepOperator) reportState(out *asp.Collector) {
 	cur := o.machine.StateSize()
+	if cur == o.lastState && o.machine.LostMatchBound()+o.bufLost == o.lastLost {
+		return
+	}
 	if delta := cur - o.lastState; delta != 0 {
 		out.AddState(delta)
 		o.lastState = cur
@@ -192,8 +256,7 @@ func (o *cepOperator) shed(target int64, out *asp.Collector, shedMachine func(in
 	}
 	if !o.machine.Negated() {
 		for int64(len(o.buffer))+o.machine.StateSize() > target && len(o.buffer) > 0 {
-			e := heap.Pop(&o.buffer).(event.Event) // min-heap by TS: pops the oldest event
-			o.bufLost += o.machine.LostEventBound(e)
+			o.bufLost += o.machine.LostEventBound(o.buffer.pop()) // the oldest event
 			out.AddState(-1)
 			dropped++
 		}

@@ -2,6 +2,7 @@ package nfa
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"cep2asp/internal/event"
@@ -29,6 +30,18 @@ type Machine struct {
 	stateCount int64
 	elems      int64 // constituent events across all buffered units
 
+	// scratch holds the one candidate (prefix + event, or match + blocker)
+	// under test; predicates read it and must not retain it, and only an
+	// accepted candidate is copied out into the unit that owns it.
+	scratch []event.Event
+	// nextDue is a lower bound on the watermark that expires a live partial
+	// (min firstTS + Window - 1, kept per group in group.due): lowered when
+	// a partial starts, recomputed by every sweep, so a watermark below it
+	// has nothing to do. hold is the same for pendings (min lastTS - 1); a
+	// shed pending may leave it low until the next sweep, which only holds
+	// the watermark back longer.
+	nextDue, hold event.Time
+
 	// Insertion-time state cap (SetBudget). capFn/lowFn are consulted
 	// before every partial/pending insert so the embedding operator can
 	// share one budget between its own buffers and the machine.
@@ -54,10 +67,11 @@ type partial struct {
 	// (advancing copies into a new partial, it never mutates this one).
 	stage int
 	item  *overload.HeapItem
-	// dead marks a unit shed under state pressure. Tombstoning instead of
-	// slice surgery keeps shedTo safe to call mid-OnEvent, while that call
-	// still iterates the stage slices; compaction happens lazily at the
-	// next OnEvent/OnWatermark pass.
+	// dead marks a unit that left the automaton: shed under state pressure,
+	// consumed, broken or expired. Tombstoning instead of slice surgery
+	// keeps shedTo safe to call mid-OnEvent, while that call still iterates
+	// the stage slices; a pass that meets a tombstone compacts its group
+	// once it has stopped iterating.
 	dead bool
 }
 
@@ -75,6 +89,8 @@ type group struct {
 	pending  []*pendingMatch
 	// blockers per negation index, sorted by timestamp.
 	blockers [][]event.Event
+	// due is the group's share of Machine.nextDue.
+	due event.Time
 }
 
 // NewMachine compiles the program into an executable machine.
@@ -88,7 +104,10 @@ func NewMachine(prog *Program) (*Machine, error) {
 			rates[st.Type] = overload.NewRate(0)
 		}
 	}
-	return &Machine{prog: prog, groups: make(map[int64]*group), rates: rates}, nil
+	return &Machine{
+		prog: prog, groups: make(map[int64]*group), rates: rates,
+		nextDue: event.MaxWatermark, hold: event.MaxWatermark,
+	}, nil
 }
 
 // SetPatternAware switches shed-victim selection between oldest-first and
@@ -253,13 +272,29 @@ func (m *Machine) shedPending(pm *pendingMatch) {
 	m.addState(-1)
 }
 
-// detach removes a unit's heap presence on its normal death paths
-// (expiry, consumption, resolution) — no loss is charged there.
-func (m *Machine) detachPartial(p *partial) {
+// dropPartial tombstones a partial on its normal death paths (expiry,
+// consumption, broken contiguity) — no loss is charged there.
+func (m *Machine) dropPartial(p *partial) {
 	if p.item != nil {
 		m.heap.Remove(p.item)
 		p.item = nil
 	}
+	p.dead = true
+	m.elems -= int64(len(p.events))
+	m.addState(-1)
+}
+
+// compact drops the tombstones from ps in place.
+func compact(ps []*partial) []*partial {
+	n := 0
+	for _, p := range ps {
+		if !p.dead {
+			ps[n] = p
+			n++
+		}
+	}
+	clear(ps[n:])
+	return ps[:n]
 }
 
 func (m *Machine) detachPending(pm *pendingMatch) {
@@ -443,16 +478,15 @@ func (m *Machine) shedLowestValue(target int64) int64 {
 	return dropped
 }
 
-func (m *Machine) group(e event.Event) *group {
-	var key int64
-	if m.prog.Key != nil {
-		key = m.prog.Key(e)
-	}
-	g := m.groups[key]
+// ensureGroup returns the key's group, creating it on first use: only an
+// event the automaton keeps (a blocker, an admitted partial or pending) may
+// create one, so a rejected event of a new key costs a map miss.
+func (m *Machine) ensureGroup(key int64, g *group) *group {
 	if g == nil {
 		g = &group{
 			partials: make([][]*partial, len(m.prog.Stages)),
 			blockers: make([][]event.Event, len(m.prog.Negations)),
+			due:      event.MaxWatermark,
 		}
 		m.groups[key] = g
 	}
@@ -469,126 +503,131 @@ func (m *Machine) OnEvent(e event.Event, emit Emit) {
 			r.Observe(int64(e.TS))
 		}
 	}
-	g := m.group(e)
+	var key int64
+	if m.prog.Key != nil {
+		key = m.prog.Key(e)
+	}
+	g := m.groups[key]
 
 	// Record potential blockers for retrospective negation evaluation.
-	for i, neg := range m.prog.Negations {
-		if e.Type == neg.Type {
+	for i := range m.prog.Negations {
+		if e.Type == m.prog.Negations[i].Type {
+			g = m.ensureGroup(key, g)
 			g.blockers[i] = insertSorted(g.blockers[i], e)
 			m.addState(1)
 			m.elems++
 		}
 	}
 
-	advanced := make(map[*partial]bool)
+	// tombs: a tombstone was met or made. admit() may shed from inside the
+	// loops below and walks every stage slice, so nothing is compacted
+	// before they end.
+	tombs := false
 	lastStage := len(m.prog.Stages) - 1
-
-	for k, stage := range m.prog.Stages {
+	for k := range m.prog.Stages {
+		stage := &m.prog.Stages[k]
 		if e.Type != stage.Type {
 			continue
 		}
 		if k == 0 {
-			if stage.Pred == nil || stage.Pred(nil, e) {
-				if lastStage == 0 {
-					m.complete(g, []event.Event{e}, emit)
-				} else if m.admit() {
-					p := &partial{events: []event.Event{e}, firstTS: e.TS}
-					if m.patternAware {
-						p.item = m.heap.Push(m.score(0, e.TS), p)
-					}
-					g.partials[0] = append(g.partials[0], p)
-					m.addState(1)
-					m.elems++
-				} else {
-					m.lost += m.lossBound(0, e.TS)
+			m.scratch = append(m.scratch[:0], e)
+			if stage.Pred != nil && !stage.Pred(m.scratch) {
+				continue
+			}
+			if lastStage == 0 {
+				g = m.complete(key, g, emit)
+			} else if m.admit() {
+				g = m.ensureGroup(key, g)
+				p := &partial{events: []event.Event{e}, firstTS: e.TS}
+				if m.patternAware {
+					p.item = m.heap.Push(m.score(0, e.TS), p)
 				}
+				g.partials[0] = append(g.partials[0], p)
+				due := e.TS + m.prog.Window - 1
+				g.due, m.nextDue = min(g.due, due), min(m.nextDue, due)
+				m.addState(1)
+				m.elems++
+			} else {
+				m.lost += m.lossBound(0, e.TS)
 			}
 			continue
 		}
-		prev := g.partials[k-1]
-		var kept []*partial
-		for _, p := range prev {
+		if g == nil {
+			continue
+		}
+		for _, p := range g.partials[k-1] {
 			if p.dead {
-				continue // shed earlier in this call; compact lazily
-			}
-			last := p.events[len(p.events)-1]
-			ok := e.TS > last.TS &&
-				e.TS-p.firstTS < m.prog.Window &&
-				(stage.Pred == nil || stage.Pred(p.events, e))
-			if !ok {
-				kept = append(kept, p)
+				tombs = true
 				continue
 			}
-			events := make([]event.Event, len(p.events)+1)
-			copy(events, p.events)
-			events[len(p.events)] = e
+			if e.TS <= p.events[len(p.events)-1].TS || e.TS-p.firstTS >= m.prog.Window {
+				continue
+			}
+			m.scratch = append(append(m.scratch[:0], p.events...), e)
+			if stage.Pred != nil && !stage.Pred(m.scratch) {
+				continue
+			}
 			if k == lastStage {
-				m.complete(g, events, emit)
+				m.complete(key, g, emit)
 			} else if m.admit() {
-				adv := &partial{events: events, firstTS: p.firstTS, stage: k}
+				adv := &partial{events: slices.Clone(m.scratch), firstTS: p.firstTS, stage: k}
 				if m.patternAware {
 					adv.item = m.heap.Push(m.score(k, p.firstTS), adv)
 				}
 				g.partials[k] = append(g.partials[k], adv)
 				m.addState(1)
-				m.elems += int64(len(events))
+				m.elems += int64(k + 1)
 			} else {
 				m.lost += m.lossBound(k, p.firstTS)
 			}
-			// admit/complete may have shed p itself; only account the
-			// consumption of a still-live partial.
-			switch {
-			case p.dead:
-			case m.prog.Policy == SkipTillAnyMatch:
-				// Branch: the original partial survives and may combine
-				// with later events — the exponential behaviour.
-				kept = append(kept, p)
-			default:
-				// SkipTillNextMatch / StrictContiguity: the partial is
-				// consumed by its next relevant event.
-				advanced[p] = true
-				m.detachPartial(p)
-				m.addState(-1)
-				m.elems -= int64(len(p.events))
+			// Under SkipTillAnyMatch the original partial survives and may
+			// combine with later events — the exponential behaviour. Under
+			// SkipTillNextMatch / StrictContiguity its next relevant event
+			// consumes it, unless admit/complete shed it just now.
+			if m.prog.Policy != SkipTillAnyMatch && !p.dead {
+				m.dropPartial(p)
 			}
+			tombs = tombs || p.dead
 		}
-		g.partials[k-1] = kept
+	}
+	if g == nil {
+		return
 	}
 
 	// Strict contiguity: any event that did not advance a partial of the
 	// same key kills it.
 	if m.prog.Policy == StrictContiguity {
 		for k := range g.partials {
-			var kept []*partial
 			for _, p := range g.partials[k] {
-				if p.dead {
-					continue
+				if !p.dead && p.events[len(p.events)-1].TS != e.TS {
+					m.dropPartial(p)
 				}
-				if advanced[p] || p.events[len(p.events)-1].TS == e.TS {
-					kept = append(kept, p)
-				} else {
-					m.detachPartial(p)
-					m.addState(-1)
-					m.elems -= int64(len(p.events))
-				}
+				tombs = tombs || p.dead
 			}
-			g.partials[k] = kept
+		}
+	}
+	if tombs {
+		for k := range g.partials {
+			g.partials[k] = compact(g.partials[k])
 		}
 	}
 }
 
-// complete handles a fully matched constituent list: with negations it is
-// parked until the watermark confirms all potential blockers were seen;
-// otherwise it is emitted immediately.
-func (m *Machine) complete(g *group, events []event.Event, emit Emit) {
+// complete handles the fully matched candidate in m.scratch: with negations
+// a copy is parked in the key's group until the watermark confirms all
+// potential blockers were seen; otherwise a copy is emitted immediately.
+// It returns the group, which parking may have created.
+func (m *Machine) complete(key int64, g *group, emit Emit) *group {
 	if len(m.prog.Negations) == 0 {
-		emit(event.NewMatch(events...))
-		return
+		emit(event.NewMatch(slices.Clone(m.scratch)...))
+		return g
 	}
 	if !m.admit() {
 		m.lost++ // shed: the would-be match is dropped, never fabricated
-		return
+		return g
 	}
+	g = m.ensureGroup(key, g)
+	events := slices.Clone(m.scratch)
 	pm := &pendingMatch{
 		events: events,
 		lastTS: events[len(events)-1].TS,
@@ -597,42 +636,61 @@ func (m *Machine) complete(g *group, events []event.Event, emit Emit) {
 		pm.item = m.heap.Push(pendingScore, pm)
 	}
 	g.pending = append(g.pending, pm)
+	m.hold = min(m.hold, pm.lastTS-1)
 	m.addState(1)
 	m.elems += int64(len(events))
+	return g
 }
 
 // OnWatermark prunes expired partials, resolves pending negated matches,
-// and evicts dead blockers.
+// and evicts dead blockers. Without negations a watermark below nextDue
+// returns at once; with them every watermark sweeps, because the bound at
+// which a blocker becomes evictable is not as cheap to keep.
 func (m *Machine) OnWatermark(wm event.Time, emit Emit) {
 	if wm > m.curTS {
 		m.curTS = wm
 	}
+	negated := len(m.prog.Negations) > 0
+	if wm < m.nextDue && !negated {
+		return
+	}
+	m.nextDue, m.hold = event.MaxWatermark, event.MaxWatermark
 	for key, g := range m.groups {
+		if wm < g.due && !negated {
+			m.nextDue = min(m.nextDue, g.due)
+			continue
+		}
+		g.due = event.MaxWatermark
 		// Partials that can no longer complete within the window.
-		for k := range g.partials {
-			var kept []*partial
-			for _, p := range g.partials[k] {
+		for k, ps := range g.partials {
+			n := 0
+			for _, p := range ps {
 				if p.dead {
 					continue
 				}
-				if p.firstTS+m.prog.Window-1 > wm {
-					kept = append(kept, p)
-				} else {
-					m.detachPartial(p)
-					m.addState(-1)
-					m.elems -= int64(len(p.events))
+				due := p.firstTS + m.prog.Window - 1
+				if due <= wm {
+					m.dropPartial(p)
+					continue
 				}
+				g.due = min(g.due, due)
+				ps[n] = p
+				n++
 			}
-			g.partials[k] = kept
+			clear(ps[n:])
+			g.partials[k] = ps[:n]
 		}
+		m.nextDue = min(m.nextDue, g.due)
 		// Pending matches whose blocker intervals are fully observed.
-		var still []*pendingMatch
+		n := 0
 		for _, pm := range g.pending {
 			if pm.dead {
 				continue
 			}
 			if pm.lastTS-1 > wm {
-				still = append(still, pm)
+				m.hold = min(m.hold, pm.lastTS-1)
+				g.pending[n] = pm
+				n++
 				continue
 			}
 			m.detachPending(pm)
@@ -642,7 +700,8 @@ func (m *Machine) OnWatermark(wm event.Time, emit Emit) {
 				emit(event.NewMatch(pm.events...))
 			}
 		}
-		g.pending = still
+		clear(g.pending[n:])
+		g.pending = g.pending[:n]
 		m.evictBlockers(g, wm)
 		if m.groupEmpty(g) {
 			delete(m.groups, key)
@@ -657,7 +716,11 @@ func (m *Machine) survivesNegations(g *group, events []event.Event) bool {
 		bs := g.blockers[i]
 		from := sort.Search(len(bs), func(k int) bool { return bs[k].TS > after })
 		for j := from; j < len(bs) && bs[j].TS < before; j++ {
-			if neg.Pred == nil || neg.Pred(events, bs[j]) {
+			if neg.Pred == nil {
+				return false
+			}
+			m.scratch = append(append(m.scratch[:0], events...), bs[j])
+			if neg.Pred(m.scratch) {
 				return false
 			}
 		}
@@ -716,17 +779,7 @@ func (m *Machine) groupEmpty(g *group) bool {
 
 // Hold returns the watermark hold required by pending negated matches: they
 // will be emitted with their last constituent's (past) timestamp.
-func (m *Machine) Hold() event.Time {
-	h := event.MaxWatermark
-	for _, g := range m.groups {
-		for _, pm := range g.pending {
-			if !pm.dead && pm.lastTS-1 < h {
-				h = pm.lastTS - 1
-			}
-		}
-	}
-	return h
-}
+func (m *Machine) Hold() event.Time { return m.hold }
 
 func insertSorted(buf []event.Event, e event.Event) []event.Event {
 	i := len(buf)

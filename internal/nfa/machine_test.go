@@ -106,9 +106,9 @@ func TestPartialPrunedOnWatermark(t *testing.T) {
 
 func TestStatePredicate(t *testing.T) {
 	prog := seqAB(SkipTillAnyMatch)
-	prog.Stages[0].Pred = func(_ []event.Event, e event.Event) bool { return e.Value > 10 }
-	prog.Stages[1].Pred = func(prefix []event.Event, e event.Event) bool {
-		return e.Value > prefix[0].Value
+	prog.Stages[0].Pred = func(es []event.Event) bool { return es[len(es)-1].Value > 10 }
+	prog.Stages[1].Pred = func(es []event.Event) bool {
+		return es[1].Value > es[0].Value
 	}
 	events := []event.Event{
 		ev(tA, 0, 5),  // fails stage-0 pred
@@ -182,7 +182,7 @@ func TestNegationPredicate(t *testing.T) {
 		Stages: []Stage{{Type: tA}, {Type: tC}},
 		Negations: []Negation{{
 			Type: tB, After: 0,
-			Pred: func(_ []event.Event, blocker event.Event) bool { return blocker.Value > 10 },
+			Pred: func(es []event.Event) bool { return es[len(es)-1].Value > 10 },
 		}},
 		Window: 10 * event.Minute,
 		Policy: SkipTillAnyMatch,

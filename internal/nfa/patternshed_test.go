@@ -192,8 +192,8 @@ func TestShedPatternAwareAtLeastOldestOnMergedFeed(t *testing.T) {
 	prog := &Program{
 		Name: "seqQV",
 		Stages: []Stage{
-			{Name: "q", Type: workload.TypeQuantity, Pred: func(_ []event.Event, e event.Event) bool { return e.Value >= 40 }},
-			{Name: "v", Type: workload.TypeVelocity, Pred: func(_ []event.Event, e event.Event) bool { return e.Value <= 60 }},
+			{Name: "q", Type: workload.TypeQuantity, Pred: func(es []event.Event) bool { return es[len(es)-1].Value >= 40 }},
+			{Name: "v", Type: workload.TypeVelocity, Pred: func(es []event.Event) bool { return es[len(es)-1].Value <= 60 }},
 		},
 		Window: 30 * event.Minute,
 		Policy: SkipTillAnyMatch,

@@ -11,7 +11,7 @@ import (
 
 func TestSkipTillNextWithPredicates(t *testing.T) {
 	prog := seqAB(SkipTillNextMatch)
-	prog.Stages[1].Pred = func(_ []event.Event, e event.Event) bool { return e.Value > 10 }
+	prog.Stages[1].Pred = func(es []event.Event) bool { return es[len(es)-1].Value > 10 }
 	// The first B fails the predicate; stnm skips irrelevant events (an
 	// event failing its predicate is irrelevant) until the next relevant
 	// one.
@@ -29,7 +29,7 @@ func TestStrictContiguityRelevantBreaks(t *testing.T) {
 	// Under strict contiguity even a same-type event that fails the
 	// predicate breaks the partial.
 	prog := seqAB(StrictContiguity)
-	prog.Stages[1].Pred = func(_ []event.Event, e event.Event) bool { return e.Value > 10 }
+	prog.Stages[1].Pred = func(es []event.Event) bool { return es[len(es)-1].Value > 10 }
 	events := []event.Event{ev(tA, 0, 1), ev(tB, 1, 5), ev(tB, 2, 20)}
 	got := collect(t, prog, events)
 	if len(got) != 0 {

@@ -13,6 +13,14 @@
 // with selectivity, window size and pattern length, and negation forces
 // full matches to be buffered until the watermark — which is precisely what
 // the paper measures FlinkCEP doing.
+//
+// What it does not do is pay for events it does not keep. The Machine
+// assembles each candidate (accepted prefix + event, or match + blocker) in
+// a scratch slice it owns, hands that to the predicates (see StagePred for
+// the contract), and allocates only for what it stores: a partial and its
+// events when a candidate is accepted, a key group when the first unit of a
+// key is stored. A watermark that expires nothing returns at once
+// (Machine.nextDue), and Hold is a field read.
 package nfa
 
 import (
@@ -51,11 +59,18 @@ func (p Policy) String() string {
 	return "unknown-policy"
 }
 
-// StagePred evaluates a stage's predicates incrementally: prefix holds the
-// constituents accepted so far (in stage order) and e is the candidate.
-// Compilers bind each WHERE conjunct to the earliest stage at which all its
-// aliases are available.
-type StagePred func(prefix []event.Event, e event.Event) bool
+// StagePred evaluates a stage's predicates incrementally on the assembled
+// candidate: the constituents accepted so far (in stage order) followed by
+// the event under test, so stage k sees k+1 events. Compilers bind each
+// WHERE conjunct to the earliest stage at which all its aliases are
+// available.
+//
+// The slice is the machine's scratch: the machine builds one candidate at a
+// time, after the order and window checks, and copies it only when every
+// predicate accepted it. A predicate must therefore not retain or modify
+// the slice; it may be shared by every parallel instance of a Program,
+// since each Machine owns its own scratch.
+type StagePred func(candidate []event.Event) bool
 
 // Stage is one positive state transition of the automaton. Bounded
 // iterations are expanded into consecutive stages of the same type, which
@@ -73,8 +88,9 @@ type Negation struct {
 	Type event.Type
 	// After is the index of the positive stage preceding the negation.
 	After int
-	// Pred receives the full candidate match and the potential blocker.
-	Pred func(match []event.Event, blocker event.Event) bool
+	// Pred receives the full candidate match followed by the potential
+	// blocker in the final slot, under the StagePred contract.
+	Pred StagePred
 }
 
 // Program is a compiled pattern ready for execution by a Machine.

@@ -78,6 +78,7 @@ func (m *Machine) Restore(data []byte) error {
 	}
 	groups := make(map[int64]*group, len(st.Groups))
 	var count, elems int64
+	nextDue, hold := event.MaxWatermark, event.MaxWatermark
 	for key, gs := range st.Groups {
 		if len(gs.Partials) != len(m.prog.Stages) || len(gs.Blockers) != len(m.prog.Negations) {
 			return fmt.Errorf("nfa: snapshot shape (%d stages, %d negations) does not match program (%d stages, %d negations)",
@@ -87,6 +88,7 @@ func (m *Machine) Restore(data []byte) error {
 			partials: make([][]*partial, len(gs.Partials)),
 			pending:  make([]*pendingMatch, len(gs.Pending)),
 			blockers: gs.Blockers,
+			due:      event.MaxWatermark,
 		}
 		if g.blockers == nil {
 			g.blockers = make([][]event.Event, len(m.prog.Negations))
@@ -95,6 +97,7 @@ func (m *Machine) Restore(data []byte) error {
 			in := make([]*partial, len(ps))
 			for i, p := range ps {
 				in[i] = &partial{events: p.Events, firstTS: p.FirstTS, stage: k}
+				g.due = min(g.due, p.FirstTS+m.prog.Window-1)
 				count++
 				elems += int64(len(p.Events))
 			}
@@ -102,6 +105,7 @@ func (m *Machine) Restore(data []byte) error {
 		}
 		for i, pm := range gs.Pending {
 			g.pending[i] = &pendingMatch{events: pm.Events, lastTS: pm.LastTS}
+			hold = min(hold, pm.LastTS-1)
 			count++
 			elems += int64(len(pm.Events))
 		}
@@ -109,11 +113,13 @@ func (m *Machine) Restore(data []byte) error {
 			count += int64(len(bs))
 			elems += int64(len(bs))
 		}
+		nextDue = min(nextDue, g.due)
 		groups[key] = g
 	}
 	m.groups = groups
 	m.stateCount = count
 	m.elems = elems
+	m.nextDue, m.hold = nextDue, hold
 	if m.patternAware {
 		// Rebuild the score heap over the restored state.
 		m.patternAware = false

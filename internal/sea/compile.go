@@ -139,13 +139,20 @@ func compileNum(e NumExpr, layout Layout) (numFn, error) {
 // references are rejected; mix per-event thresholds and pairwise constraints
 // as separate conjuncts instead.
 func CompilePair(e BoolExpr, alias string) (PairPredicate, error) {
-	pred, err := CompileBool(rewriteIndexed(e, alias), Layout{pairSlotI: 0, pairSlotNext: 1})
+	pred, err := CompileAdjacent(e, alias)
 	if err != nil {
 		return nil, err
 	}
 	return func(a, b event.Event) bool {
 		return pred([]event.Event{a, b})
 	}, nil
+}
+
+// CompileAdjacent is CompilePair for a caller that already holds the pair
+// side by side: the predicate reads the two-element slice {alias[i],
+// alias[i+1]} and so needs no slice built per call.
+func CompileAdjacent(e BoolExpr, alias string) (Predicate, error) {
+	return CompileBool(rewriteIndexed(e, alias), Layout{pairSlotI: 0, pairSlotNext: 1})
 }
 
 // Internal alias names used when lowering indexed references onto a

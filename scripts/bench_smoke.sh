@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # bench_smoke.sh — performance smoke gates.
 #
-# Three gates, selected by the optional mode argument (default: all):
+# Four gates, selected by the optional mode argument (default: all):
 #
 #   pipeline  BenchmarkPipelineNoRegistry (a full source -> filter -> sink
 #             run with no metrics registry attached, where every
@@ -20,6 +20,10 @@
 #             machine's baseline): best-of-N registry=on may be at most
 #             BENCH_OBS_LIMIT percent (default 15) slower than registry=off,
 #             at a 0.1 % and at a 100 % filter pass rate.
+#   fcep      BenchmarkMachineITER4 (the benchmark's iter_nfa program stepped
+#             through the automaton alone) may allocate at most once
+#             per event — a count, which repeats exactly on any machine, not
+#             a time, so there is no limit to relax.
 #
 #   make bench-smoke            # all gates
 #   make bench-batch            # batching gate only
@@ -150,17 +154,39 @@ observed_gate() {
 		}'
 }
 
+fcep_gate() {
+	local bench=BenchmarkMachineITER4
+	local limit=1
+
+	local out
+	out=$(go test ./internal/nfa/ -run '^$' -bench "^${bench}\$" -benchtime=3x)
+	echo "$out"
+
+	echo "$out" | awk -v b="$bench" -v l="$limit" '
+		$1 ~ "^"b {
+			for (i = 2; i < NF; i++) if ($(i + 1) == "allocs/event") allocs = $i
+		}
+		END {
+			if (allocs == "") { print "bench-fcep: no allocs/event in the output of " b > "/dev/stderr"; exit 1 }
+			printf "bench-fcep: %s allocs/event (limit %s)\n", allocs, l
+			if (allocs + 0 > l + 0) { print "bench-fcep: FAIL — the automaton allocates for events it does not keep" > "/dev/stderr"; exit 1 }
+			print "bench-fcep: OK"
+		}'
+}
+
 case "$mode" in
 all)
 	pipeline_gate
 	batch_gate
 	observed_gate
+	fcep_gate
 	;;
 pipeline) pipeline_gate ;;
 batch) batch_gate ;;
 observed) observed_gate ;;
+fcep) fcep_gate ;;
 *)
-	echo "usage: $0 [all|pipeline|batch|observed]" >&2
+	echo "usage: $0 [all|pipeline|batch|observed|fcep]" >&2
 	exit 2
 	;;
 esac
