@@ -1,9 +1,18 @@
 GO ?= go
 
-.PHONY: build test flake race vet bench bench-smoke bench-batch chaos overload overload-aware dist-smoke dist-chaos optimize
+.PHONY: build test flake race vet loc bench bench-smoke bench-batch chaos overload overload-aware dist-smoke dist-chaos optimize
 
 build:
 	$(GO) build ./...
+
+# Non-test Go lines per package directory and in total. bench/ is a module
+# of its own and is left out.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.git/*' -print0 \
+		| xargs -0 wc -l \
+		| awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%7d  %s\n", n[d], d; printf "%7d  total\n", t }' \
+		| sort -k2
 
 # bench/ is a module of its own, which ./... does not reach: its tests run
 # every workload at smoke size in both modes and compare the match sets.

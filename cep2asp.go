@@ -3,8 +3,8 @@
 // that translates Complex Event Processing patterns — sequence,
 // conjunction, disjunction, iteration, negated sequence, plus selections,
 // projections and windows (the Simple Event Algebra) — into analytical
-// stream processing queries built from filters, maps, unions, window joins
-// and aggregations.
+// stream processing queries built from filters, unions, window and interval
+// joins and aggregations.
 //
 // The package is a facade over the full system:
 //
@@ -277,22 +277,6 @@ func TypeNameOf(t Type) string { return event.TypeName(t) }
 // Operators: SEQ, AND, OR, ITER(T e, m) (exactly m) and ITER(T e, m+) (at
 // least m, requires optimization O2), plus negated elements inside SEQ.
 func Parse(src string) (*Pattern, error) { return sea.Parse(src) }
-
-// Programmatic pattern construction, mirroring the PSL.
-var (
-	// E declares an event leaf; NotE a negated one (inside Seq only).
-	E    = sea.E
-	NotE = sea.NotE
-	// Seq, Conj and Disj build sequence, conjunction and disjunction.
-	Seq  = sea.Seq
-	Conj = sea.Conj
-	Disj = sea.Disj
-	// Iter and IterAtLeast build bounded/unbounded iterations.
-	Iter        = sea.Iter
-	IterAtLeast = sea.IterAtLeast
-	// BuildPattern assembles and validates a pattern.
-	BuildPattern = sea.Build
-)
 
 // Translate maps a pattern into a decomposed ASP plan (the paper's
 // contribution). TranslateFCEP builds the single-operator NFA baseline.

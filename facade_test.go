@@ -154,25 +154,6 @@ func TestExplainAvailable(t *testing.T) {
 	}
 }
 
-func TestBuilderAPI(t *testing.T) {
-	p, err := BuildPattern("prog", Seq(E("QnVQuantity", "q"), E("QnVVelocity", "v")),
-		nil, PatternWindow{Size: 10 * Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, v := GenerateQnV(3, 30, 9)
-	stats, err := NewJob(p).
-		AddStream("QnVQuantity", q).
-		AddStream("QnVVelocity", v).
-		Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Unique == 0 {
-		t.Fatal("builder-made pattern found no matches")
-	}
-}
-
 func TestJobWithOptimizer(t *testing.T) {
 	pattern, err := Parse(`
 		PATTERN SEQ(QnVQuantity q, QnVVelocity v)

@@ -100,8 +100,3 @@ func (env *Environment) Nodes() []NodeInfo {
 	}
 	return out
 }
-
-// Fingerprint exposes the graph-shape fingerprint recorded in snapshots:
-// the distributed coordinator compares it against workers' graphs before
-// starting a job.
-func (env *Environment) Fingerprint() string { return env.fingerprint() }

@@ -35,13 +35,24 @@ func run(t *testing.T, env *Environment) {
 	}
 }
 
+// apply appends a stateless stage running fn, forward-connected like every
+// other stateless stage.
+func apply(s *Stream, name string, fn func(port int, r Record, out *Collector)) *Stream {
+	return s.chainStateless(name, func(int) Operator { return &funcOperator{fn: fn} })
+}
+
+// forward passes every record on unchanged.
+func forward(_ int, r Record, out *Collector) { out.Emit(r) }
+
 func TestSourceFilterMapSink(t *testing.T) {
 	env := NewEnvironment(Config{})
 	res := NewResults(false, true)
-	env.Source("src", mkEvents(tQ, 1, []int64{0, 1, 2, 3}, []float64{5, 50, 7, 70}), false).
-		Filter("filter", func(e event.Event) bool { return e.Value >= 10 }).
-		Map("map", func(e event.Event) event.Event { e.Value *= 2; return e }).
-		Sink("sink", res.Operator())
+	filtered := env.Source("src", mkEvents(tQ, 1, []int64{0, 1, 2, 3}, []float64{5, 50, 7, 70}), false).
+		Filter("filter", func(e event.Event) bool { return e.Value >= 10 })
+	apply(filtered, "map", func(_ int, r Record, out *Collector) {
+		r.Event.Value *= 2
+		out.Emit(r)
+	}).Sink("sink", res.Operator())
 	run(t, env)
 	ms := res.Matches()
 	if len(ms) != 2 {
@@ -346,7 +357,7 @@ func TestParallelSourceAndKeyBy(t *testing.T) {
 	}
 	key := func(r Record) int64 { return r.Event.ID }
 	env.ParallelSource("src", perInstance, false).
-		KeyBy("shuffle", key, 4).
+		Process("shuffle", 4, key, func(int) Operator { return passOperator{} }).
 		Filter("f", func(event.Event) bool { return true }).
 		Sink("sink", res.Operator())
 	run(t, env)

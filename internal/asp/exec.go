@@ -91,11 +91,6 @@ type edgeSender struct {
 	scratch [1]event.Event
 }
 
-// Obs returns the instance's observability handle, or nil when no metrics
-// registry is attached. Operators may use it to publish operator-specific
-// gauges (the NFA operator reports its partial-match count).
-func (c *Collector) Obs() *obs.OperatorMetrics { return c.obsOp }
-
 // Emit sends a data record downstream.
 func (c *Collector) Emit(r Record) {
 	if c.aborted {
@@ -491,15 +486,6 @@ func (env *Environment) LiveHeapBytes() int64 {
 		return 0
 	}
 	return env.memCtl.LiveHeapBytes()
-}
-
-// MemThrottled returns how many times the heap admission controller
-// paused source intake.
-func (env *Environment) MemThrottled() int64 {
-	if env.memCtl == nil {
-		return 0
-	}
-	return env.memCtl.Throttled()
 }
 
 // NodeStats returns the metrics of every node, in construction order.

@@ -550,20 +550,6 @@ func (s *Stream) FilterMatch(name string, pred func([]event.Event) bool) *Stream
 	})
 }
 
-// Map appends a projection operator.
-func (s *Stream) Map(name string, fn func(event.Event) event.Event) *Stream {
-	return s.chainStateless(name, func(int) Operator {
-		return &mapOperator{fn: fn}
-	})
-}
-
-// Apply appends a custom stateless stage given by a plain function.
-func (s *Stream) Apply(name string, fn func(port int, r Record, out *Collector)) *Stream {
-	return s.chainStateless(name, func(int) Operator {
-		return &funcOperator{fn: fn}
-	})
-}
-
 func (s *Stream) chainStateless(name string, newOp func(int) Operator) *Stream {
 	n := s.env.addNode(name, s.node.parallelism, newOp)
 	// Stateless stages preserve partitioning: instance i feeds instance i;
@@ -582,17 +568,6 @@ func (s *Stream) Union(name string, others ...*Stream) *Stream {
 	for _, o := range others {
 		s.env.connectFrom(o, n, 0, SinglePartition())
 	}
-	return &Stream{env: s.env, node: n}
-}
-
-// KeyBy re-partitions the stream by key over parallelism instances — the
-// shuffle step of §2's processing model discussion.
-func (s *Stream) KeyBy(name string, key KeyFn, parallelism int) *Stream {
-	if parallelism <= 0 {
-		parallelism = s.env.cfg.DefaultParallelism
-	}
-	n := s.env.addNode(name, parallelism, func(int) Operator { return passOperator{} })
-	s.env.connectFrom(s, n, 0, HashPartition(key))
 	return &Stream{env: s.env, node: n}
 }
 

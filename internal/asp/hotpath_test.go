@@ -219,16 +219,14 @@ func TestNodeStatsExactOnEveryExit(t *testing.T) {
 		cfg.BatchSize, cfg.ChannelCapacity = 8, 16
 		cfg.Metrics = obs.NewRegistry()
 		g := &graph{env: NewEnvironment(cfg), reg: cfg.Metrics}
-		g.env.Source("src", events, false).
-			Apply("stage", func(_ int, r Record, out *Collector) {
-				if c := g.stageCalls.Add(1); hook != nil {
-					hook(c)
-				}
-				out.Emit(r)
-			}).
-			Sink("sink", func(int) Operator {
-				return &funcOperator{fn: func(int, Record, *Collector) { g.sinkN.Add(1) }}
-			})
+		apply(g.env.Source("src", events, false), "stage", func(_ int, r Record, out *Collector) {
+			if c := g.stageCalls.Add(1); hook != nil {
+				hook(c)
+			}
+			out.Emit(r)
+		}).Sink("sink", func(int) Operator {
+			return &funcOperator{fn: func(int, Record, *Collector) { g.sinkN.Add(1) }}
+		})
 		return g
 	}
 	stats := func(g *graph) (src, stage, sink *NodeMetrics) {
@@ -422,19 +420,17 @@ func TestSnapshotWhileRunningLagsByAtMostOneBatch(t *testing.T) {
 	env := NewEnvironment(Config{BatchSize: batch, ChannelCapacity: 16, Metrics: reg})
 	var stageCalls, sinkCalls atomic.Int64
 	entered, release := make(chan struct{}), make(chan struct{})
-	env.Source("src", mkEvents(tQ, 1, firstMinutes(n), nil), false).
-		Apply("stage", func(_ int, r Record, out *Collector) {
-			stageCalls.Add(1)
-			out.Emit(r)
-		}).
-		Sink("sink", func(int) Operator {
-			return &funcOperator{fn: func(int, Record, *Collector) {
-				if sinkCalls.Add(1) == holdAt {
-					close(entered)
-					<-release
-				}
-			}}
-		})
+	apply(env.Source("src", mkEvents(tQ, 1, firstMinutes(n), nil), false), "stage", func(_ int, r Record, out *Collector) {
+		stageCalls.Add(1)
+		out.Emit(r)
+	}).Sink("sink", func(int) Operator {
+		return &funcOperator{fn: func(int, Record, *Collector) {
+			if sinkCalls.Add(1) == holdAt {
+				close(entered)
+				<-release
+			}
+		}}
+	})
 	errc := make(chan error, 1)
 	go func() { errc <- env.Execute(context.Background()) }()
 

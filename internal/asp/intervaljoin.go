@@ -157,8 +157,7 @@ func (j *intervalJoin) emit(ts event.Time, out *Collector) {
 	if j.pred != nil && !j.pred(l, r) {
 		return
 	}
-	// The match takes ownership of the new slice (one allocation instead of
-	// the intermediate matches Concat would build).
+	// The match takes ownership of the new slice: one allocation per pair.
 	evs := make([]event.Event, 0, len(l)+len(r))
 	out.EmitMatch(ts, event.WrapMatch(append(append(evs, l...), r...)))
 }

@@ -88,30 +88,13 @@ func (f *filterOperator) OnRecord(_ int, r Record, out *Collector) {
 	}
 }
 
-// mapOperator transforms each event (projection Π_m of §2). Used for schema
-// alignment before unions (§4.1, disjunction discussion).
-type mapOperator struct {
-	BaseOperator
-	fn func(event.Event) event.Event
-}
-
-func (m *mapOperator) OnRecord(_ int, r Record, out *Collector) {
-	if r.Kind == KindEvent {
-		e := m.fn(r.Event)
-		out.Emit(Record{Kind: KindEvent, TS: e.TS, Event: e})
-		return
-	}
-	out.Emit(r)
-}
-
 // passOperator forwards records unchanged; union nodes use it, the actual
 // merge being performed by the engine's multi-sender channels.
 type passOperator struct{ BaseOperator }
 
 func (passOperator) OnRecord(_ int, r Record, out *Collector) { out.Emit(r) }
 
-// funcOperator adapts a plain function as an operator, for tests and small
-// custom stages.
+// funcOperator adapts a plain function as an operator, for tests.
 type funcOperator struct {
 	BaseOperator
 	fn func(port int, r Record, out *Collector)

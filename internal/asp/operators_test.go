@@ -260,12 +260,10 @@ func TestMatchFilterOperator(t *testing.T) {
 func TestApplyCustomStage(t *testing.T) {
 	env := NewEnvironment(Config{})
 	res := NewResults(false, true)
-	env.Source("src", mkEvents(tQ, 1, []int64{0, 1}, nil), false).
-		Apply("double", func(_ int, r Record, out *Collector) {
-			out.Emit(r)
-			out.Emit(r)
-		}).
-		Sink("sink", res.Operator())
+	apply(env.Source("src", mkEvents(tQ, 1, []int64{0, 1}, nil), false), "double", func(_ int, r Record, out *Collector) {
+		out.Emit(r)
+		out.Emit(r)
+	}).Sink("sink", res.Operator())
 	run(t, env)
 	if got := res.Total(); got != 4 {
 		t.Fatalf("custom stage emitted %d, want 4", got)

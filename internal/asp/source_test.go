@@ -122,8 +122,7 @@ func TestSourceOutOfOrderNFAOrdering(t *testing.T) {
 	var wms []event.Time
 	res := NewResults(false, false)
 	env := NewEnvironment(Config{WatermarkInterval: 1})
-	env.SourceOutOfOrder("q", events, false, 2*event.Minute).
-		Apply("probe", func(_ int, r Record, out *Collector) { out.Emit(r) }).
+	apply(env.SourceOutOfOrder("q", events, false, 2*event.Minute), "probe", forward).
 		Sink("sink", res.Operator())
 	run(t, env)
 	for i := 1; i < len(wms); i++ {

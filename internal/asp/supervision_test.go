@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"cep2asp/internal/chaos"
-	"cep2asp/internal/event"
 )
 
 // Supervised-execution tests: panics in operator and source code must become
@@ -21,14 +20,13 @@ func TestOperatorPanicBecomesFailure(t *testing.T) {
 	before := runtime.NumGoroutine()
 	env := NewEnvironment(Config{})
 	res := NewResults(false, true)
-	env.Source("src", mkEvents(tQ, 1, []int64{0, 1, 2, 3}, []float64{5, 50, 7, 70}), false).
-		Map("map", func(e event.Event) event.Event {
-			if e.Value == 50 {
-				panic("bad record")
-			}
-			return e
-		}).
-		Sink("sink", res.Operator())
+	src := env.Source("src", mkEvents(tQ, 1, []int64{0, 1, 2, 3}, []float64{5, 50, 7, 70}), false)
+	apply(src, "map", func(_ int, r Record, out *Collector) {
+		if r.Event.Value == 50 {
+			panic("bad record")
+		}
+		out.Emit(r)
+	}).Sink("sink", res.Operator())
 	err := env.Execute(context.Background())
 	var f *OperatorFailure
 	if !errors.As(err, &f) {
@@ -96,8 +94,7 @@ func TestChaosPanicFiresOnceAcrossRuns(t *testing.T) {
 	for attempt := 0; attempt < 2; attempt++ {
 		env := NewEnvironment(Config{Chaos: inj})
 		res := NewResults(false, true)
-		env.Source("src", mkEvents(tQ, 1, []int64{0, 1, 2}, nil), false).
-			Map("map", func(e event.Event) event.Event { return e }).
+		apply(env.Source("src", mkEvents(tQ, 1, []int64{0, 1, 2}, nil), false), "map", forward).
 			Sink("sink", res.Operator())
 		err := env.Execute(context.Background())
 		if attempt == 0 {
@@ -120,8 +117,7 @@ func TestShutdownTimeoutNamesStuckInstance(t *testing.T) {
 	inj := chaos.NewInjector(chaos.Fault{Kind: chaos.Stall, Node: "map", Instance: 0})
 	env := NewEnvironment(Config{Chaos: inj, ShutdownTimeout: 50 * time.Millisecond, ChannelCapacity: 2})
 	res := NewResults(false, false)
-	env.Source("src", mkEvents(tQ, 1, []int64{0, 1, 2, 3}, nil), false).
-		Map("map", func(e event.Event) event.Event { return e }).
+	apply(env.Source("src", mkEvents(tQ, 1, []int64{0, 1, 2, 3}, nil), false), "map", forward).
 		Sink("sink", res.Operator())
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
@@ -171,8 +167,7 @@ func TestQuarantineDropsPoisonRecord(t *testing.T) {
 
 	env := NewEnvironment(Config{Quarantine: q})
 	res := NewResults(false, true)
-	env.Source("src", events, false).
-		Map("map", func(e event.Event) event.Event { return e }).
+	apply(env.Source("src", events, false), "map", forward).
 		Sink("sink", res.Operator())
 	if err := env.Execute(context.Background()); err != nil {
 		t.Fatalf("Execute: %v", err)
@@ -210,8 +205,7 @@ func TestChaosRecordKeyFault(t *testing.T) {
 	inj := chaos.NewInjector(chaos.Fault{Kind: chaos.Panic, Node: "map", Instance: -1, RecordKey: key})
 	env := NewEnvironment(Config{Chaos: inj})
 	res := NewResults(false, true)
-	env.Source("src", events, false).
-		Map("map", func(e event.Event) event.Event { return e }).
+	apply(env.Source("src", events, false), "map", forward).
 		Sink("sink", res.Operator())
 	err := env.Execute(context.Background())
 	var f *OperatorFailure

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
-	"time"
 
 	"cep2asp/internal/asp"
 	"cep2asp/internal/event"
@@ -85,38 +84,10 @@ func TestCompileIterExpansion(t *testing.T) {
 	}
 }
 
-func TestBuilderMirrorsCompile(t *testing.T) {
-	prog, err := Begin("b", "CA").
-		FollowedByAny("CB").
-		Where(func(e event.Event) bool { return e.Value > 0 }).
-		Within(5 * time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prog.Policy != nfa.SkipTillAnyMatch || len(prog.Stages) != 2 {
-		t.Fatalf("builder program wrong: %+v", prog)
-	}
-}
-
-func TestBuilderMixedPoliciesRejected(t *testing.T) {
-	_, err := Begin("b", "CA").FollowedByAny("CB").Next("CC").Within(time.Minute)
-	if err == nil {
-		t.Fatal("mixed policies accepted")
-	}
-}
-
-func TestBuilderTrailingNegationRejected(t *testing.T) {
-	_, err := Begin("b", "CA").FollowedByAny("CB").NotFollowedBy("CC").Within(time.Minute)
-	if err == nil {
-		t.Fatal("trailing NotFollowedBy accepted")
-	}
-}
-
+// A negation before an iteration stays attached after the stage that
+// precedes it while the iteration expands behind it.
 func TestBuilderTimesAndNegation(t *testing.T) {
-	prog, err := Begin("b", "CA").
-		NotFollowedBy("CX").
-		FollowedByAny("CB").Times(3).
-		Within(10 * time.Minute)
+	prog, err := Compile(mustPattern(t, `PATTERN SEQ(CA a, !CX x, ITER(CB b, 3)) WITHIN 10 MINUTES`), nfa.SkipTillAnyMatch, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,7 @@
 // embedding an order-based NFA (internal/nfa) into the ASP dataflow engine
 // (internal/asp), applied to the union of all input streams (§5.1.2). It
 // compiles SEA patterns into NFA programs — supporting exactly the operator
-// subset FlinkCEP supports (Table 2: SEQ, ITER, NSEQ; no AND, no OR) — and
-// offers a FlinkCEP-style fluent builder.
+// subset FlinkCEP supports (Table 2: SEQ, ITER, NSEQ; no AND, no OR).
 package cep
 
 import (

@@ -241,17 +241,3 @@ func parseNetLink(f Fault, spec, rest string) (Fault, error) {
 	}
 	return f, nil
 }
-
-// HasNetFaults reports whether any armed fault is a network fault, so the
-// transport can skip NetPoint resolution entirely on clean runs.
-func (inj *Injector) HasNetFaults() bool {
-	if inj == nil {
-		return false
-	}
-	for _, f := range inj.faults {
-		if netKind(f.Kind) {
-			return true
-		}
-	}
-	return false
-}

@@ -91,7 +91,7 @@ func TestNetPointScoping(t *testing.T) {
 		t.Fatal("wildcard fault did not match an arbitrary link")
 	}
 	var nilInj *Injector
-	if nilInj.NetPoint(0, 1) != nil || nilInj.HasNetFaults() {
+	if nilInj.NetPoint(0, 1) != nil {
 		t.Fatal("nil injector must resolve nothing")
 	}
 	var nilPoint *NetPoint

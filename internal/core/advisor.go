@@ -130,7 +130,7 @@ func Advise(p *sea.Pattern, stats map[string]StreamStats, parallelism int) Optio
 // when the configuration is provably complete or the statistics are
 // insufficient to judge. Interval joins (O1) are content-based and immune.
 //
-// A zero or negative slide (a pattern built without sea.Build's
+// A zero or negative slide (a pattern assembled by hand, bypassing Parse's
 // defaulting) makes the precondition unjudgeable, never provably complete,
 // so it warns instead of silently returning "". Inter-arrival times are
 // compared in sub-millisecond precision: a stream faster than one event
@@ -153,7 +153,7 @@ func CompletenessWarning(p *sea.Pattern, freqs map[string]float64) string {
 		return fmt.Sprintf(
 			"window slide is %dms (unset or non-positive); Theorem 2's completeness "+
 				"precondition cannot hold without a positive slide — build the pattern "+
-				"through sea.Build/Parse or set SLIDE explicitly",
+				"through Parse or set SLIDE explicitly",
 			p.Window.Slide)
 	}
 	interArrival := float64(event.Minute) / maxFreq // ms, sub-ms precision kept

@@ -250,7 +250,7 @@ func mkStream(typ event.Type, n int) []event.Event {
 func TestCompletenessWarning(t *testing.T) {
 	pat := mustPattern(t, `PATTERN SEQ(ADA a, ADB b) WITHIN 15 MIN SLIDE 1 MIN`)
 	unslid := mustPattern(t, `PATTERN SEQ(ADA a, ADB b) WITHIN 15 MIN SLIDE 1 MIN`)
-	unslid.Window.Slide = 0 // hand-built pattern bypassing sea.Build's defaulting
+	unslid.Window.Slide = 0 // hand-built pattern bypassing Parse's defaulting
 
 	cases := []struct {
 		name  string

@@ -69,9 +69,6 @@ func (o Options) WithJoinCost(fn func(left, right float64) float64) Options {
 	return o
 }
 
-// CostBased reports whether a join-output cardinality model is attached.
-func (o Options) CostBased() bool { return o.joinCost != nil }
-
 func (o Options) String() string {
 	var opts []string
 	if o.UseIntervalJoin {

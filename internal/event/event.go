@@ -134,47 +134,10 @@ func (m *Match) recompute() {
 	}
 }
 
-// Extend returns a new match with e appended. The receiver is not modified;
-// constituent slices are copied so partial matches can branch safely
-// (skip-till-any-match keeps the original partial alive).
-func (m *Match) Extend(e Event) *Match {
-	events := make([]Event, len(m.Events)+1)
-	copy(events, m.Events)
-	events[len(m.Events)] = e
-	n := &Match{Events: events, TsB: m.TsB, TsE: m.TsE}
-	if len(m.Events) == 0 {
-		n.TsB, n.TsE = e.TS, e.TS
-		return n
-	}
-	if e.TS < n.TsB {
-		n.TsB = e.TS
-	}
-	if e.TS > n.TsE {
-		n.TsE = e.TS
-	}
-	return n
-}
-
-// Concat returns the concatenation of two matches, as produced by a join of
-// two (partial) matches.
-func Concat(a, b *Match) *Match {
-	events := make([]Event, 0, len(a.Events)+len(b.Events))
-	events = append(events, a.Events...)
-	events = append(events, b.Events...)
-	n := &Match{Events: events, TsB: a.TsB, TsE: a.TsE}
-	if b.TsB < n.TsB {
-		n.TsB = b.TsB
-	}
-	if b.TsE > n.TsE {
-		n.TsE = b.TsE
-	}
-	return n
-}
-
 // WrapMatch builds a match that takes ownership of the given constituent
 // slice — no copy — computing TsB/TsE. The caller must not retain or mutate
 // the slice afterwards; join operators use it to assemble matches into
-// recycled buffers without the extra copies Concat would make.
+// recycled buffers without copying each side's constituents again.
 func WrapMatch(events []Event) *Match {
 	m := &Match{Events: events}
 	m.recompute()

@@ -1,9 +1,6 @@
 package event
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestRegisterTypeIdempotent(t *testing.T) {
 	a := RegisterType("TestQ")
@@ -25,17 +22,6 @@ func TestLookupUnknown(t *testing.T) {
 	}
 	if got := TypeName(Type(1 << 30)); got == "" {
 		t.Fatal("TypeName for unknown type should be non-empty placeholder")
-	}
-}
-
-func TestRegisteredTypesSorted(t *testing.T) {
-	RegisterType("ZZTest")
-	RegisterType("AATest")
-	names := RegisteredTypes()
-	for i := 1; i < len(names); i++ {
-		if names[i-1] > names[i] {
-			t.Fatalf("RegisteredTypes not sorted: %q > %q", names[i-1], names[i])
-		}
 	}
 }
 
@@ -81,44 +67,6 @@ func TestNewMatchEmpty(t *testing.T) {
 	}
 }
 
-func TestExtendDoesNotMutate(t *testing.T) {
-	base := NewMatch(Event{Type: 1, TS: 5})
-	ext1 := base.Extend(Event{Type: 2, TS: 9})
-	ext2 := base.Extend(Event{Type: 3, TS: 1})
-	if len(base.Events) != 1 {
-		t.Fatalf("Extend mutated receiver: %d events", len(base.Events))
-	}
-	if ext1.TsE != 9 || ext1.TsB != 5 {
-		t.Fatalf("ext1 TsB,TsE = %d,%d want 5,9", ext1.TsB, ext1.TsE)
-	}
-	if ext2.TsB != 1 || ext2.TsE != 5 {
-		t.Fatalf("ext2 TsB,TsE = %d,%d want 1,5", ext2.TsB, ext2.TsE)
-	}
-}
-
-func TestExtendFromEmpty(t *testing.T) {
-	m := NewMatch().Extend(Event{Type: 1, TS: 77})
-	if m.TsB != 77 || m.TsE != 77 {
-		t.Fatalf("TsB,TsE = %d,%d want 77,77", m.TsB, m.TsE)
-	}
-}
-
-func TestConcat(t *testing.T) {
-	a := NewMatch(Event{Type: 1, TS: 10}, Event{Type: 2, TS: 20})
-	b := NewMatch(Event{Type: 3, TS: 5})
-	c := Concat(a, b)
-	if len(c.Events) != 3 {
-		t.Fatalf("Concat has %d events, want 3", len(c.Events))
-	}
-	if c.TsB != 5 || c.TsE != 20 {
-		t.Fatalf("TsB,TsE = %d,%d want 5,20", c.TsB, c.TsE)
-	}
-	// Order is preserved: a's events first.
-	if c.Events[0].Type != 1 || c.Events[2].Type != 3 {
-		t.Fatal("Concat did not preserve constituent order")
-	}
-}
-
 func TestMatchIngest(t *testing.T) {
 	m := NewMatch(Event{Ingest: 5}, Event{Ingest: 42}, Event{Ingest: 17})
 	if got := m.Ingest(); got != 42 {
@@ -135,43 +83,5 @@ func TestMatchKeyDistinguishes(t *testing.T) {
 	}
 	if a.Key() != c.Key() {
 		t.Fatal("identical matches have different keys")
-	}
-}
-
-// Property: Concat timestamps always equal min/max over all constituents.
-func TestConcatTimestampProperty(t *testing.T) {
-	f := func(tsA, tsB, tsC, tsD int16) bool {
-		a := NewMatch(Event{TS: Time(tsA)}, Event{TS: Time(tsB)})
-		b := NewMatch(Event{TS: Time(tsC)}, Event{TS: Time(tsD)})
-		c := Concat(a, b)
-		min, max := c.Events[0].TS, c.Events[0].TS
-		for _, e := range c.Events {
-			if e.TS < min {
-				min = e.TS
-			}
-			if e.TS > max {
-				max = e.TS
-			}
-		}
-		return c.TsB == min && c.TsE == max
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Extend never lowers TsE below the new event's timestamp and
-// never raises TsB above it.
-func TestExtendTimestampProperty(t *testing.T) {
-	f := func(base []int16, add int16) bool {
-		m := NewMatch()
-		for _, ts := range base {
-			m = m.Extend(Event{TS: Time(ts)})
-		}
-		n := m.Extend(Event{TS: Time(add)})
-		return n.TsB <= Time(add) && n.TsE >= Time(add) && len(n.Events) == len(base)+1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -2,7 +2,6 @@ package event
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -58,17 +57,4 @@ func TypeName(t Type) string {
 		return n
 	}
 	return fmt.Sprintf("type(%d)", t)
-}
-
-// RegisteredTypes returns all registered type names, sorted. Intended for
-// diagnostics and the cep2asp CLI.
-func RegisteredTypes() []string {
-	registry.RLock()
-	defer registry.RUnlock()
-	names := make([]string, 0, len(registry.byName))
-	for n := range registry.byName {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -17,17 +17,13 @@ import (
 )
 
 // frameVersion is bumped on any change to the frame or record layout; a
-// decoder refuses frames of an unknown version instead of misreading them.
-// Version 2 added the optional per-record trace context (kindTraceFlag);
-// version 3 added the CRC32-C checksum and the per-connection-stream frame
-// sequence number, the integrity layer of the network fault tolerance
-// design (corrupted frames are rejected, lost or duplicated frames show up
-// as sequence gaps at the receiver). v1/v2 frames still decode.
-const (
-	frameVersion   = 3
-	frameVersionV2 = 2
-	frameVersionV1 = 1
-)
+// decoder refuses frames of any other version instead of misreading them.
+// Version 3 carries the optional per-record trace context (kindTraceFlag),
+// the CRC32-C checksum and the per-connection-stream frame sequence number,
+// the integrity layer of the network fault tolerance design (corrupted
+// frames are rejected, lost or duplicated frames show up as sequence gaps at
+// the receiver).
+const frameVersion = 3
 
 // castagnoli is the CRC32-C polynomial table (the iSCSI/ext4 checksum,
 // hardware-accelerated on amd64/arm64). The checksum covers everything
@@ -37,8 +33,7 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // kindTraceFlag marks a record whose kind byte is followed (after the ts
 // varint) by a uvarint trace timestamp (asp.Record.TraceNs). Record kinds
-// occupy the low bits; the flag rides the top bit so v1 decoders would have
-// rejected rather than misread it.
+// occupy the low bits; the flag rides the top bit.
 const kindTraceFlag = 0x80
 
 // TypeTable translates event types between their process-local registry
@@ -69,8 +64,8 @@ func NewTypeTable(names []string) *TypeTable {
 // Frame layout (data plane), after the 4-byte little-endian length prefix:
 //
 //	version  1 byte
-//	crc32c   4 bytes LE — v3+ only: CRC32-C over every following byte
-//	seq      uvarint    — v3+ only: frame sequence number, continuous per
+//	crc32c   4 bytes LE — CRC32-C over every following byte
+//	seq      uvarint    — frame sequence number, continuous per
 //	                      sender/peer stream across reconnects, so the
 //	                      receiver can tell a healed reset (seq continues)
 //	                      from in-flight loss or duplication (seq jumps)
@@ -81,7 +76,7 @@ func NewTypeTable(names []string) *TypeTable {
 //
 // Record layout:
 //
-//	kind     1 byte    — asp.RecordKind; top bit = kindTraceFlag (v2+)
+//	kind     1 byte    — asp.RecordKind; top bit = kindTraceFlag
 //	port     1 byte
 //	src      uvarint   — sender ID for watermark merging
 //	ts       varint    — record timestamp (watermark time / barrier ID)
@@ -257,39 +252,31 @@ func (d *decoder) event(table *TypeTable, base event.Time) event.Event {
 const maxFrameRecords = 1 << 20
 
 // FrameHeader is the addressing and integrity metadata of one decoded
-// frame. HasSeq is false for v1/v2 frames, which predate sequence numbers;
-// receivers skip stream-continuity checks for them.
+// frame.
 type FrameHeader struct {
 	NodeID, Target int
 	Seq            uint64
-	HasSeq         bool
 }
 
 // DecodeFrame decodes one frame payload (after the length prefix) into its
-// header and record batch, verifying the v3 checksum first. The batch is
+// header and record batch, verifying the checksum first. The batch is
 // freshly allocated; receivers recycle it through the engine's batch pool.
 func DecodeFrame(payload []byte, table *TypeTable) (hdr FrameHeader, batch []asp.Record, err error) {
-	d := &decoder{buf: payload}
-	version := d.byte()
-	if d.err == nil {
-		switch version {
-		case frameVersion:
-			if len(payload) < 5 {
-				return hdr, nil, fmt.Errorf("exchange: v3 frame truncated before checksum")
-			}
-			want := binary.LittleEndian.Uint32(payload[1:5])
-			if got := crc32.Checksum(payload[5:], castagnoli); got != want {
-				return hdr, nil, fmt.Errorf("exchange: frame checksum mismatch: crc32c %08x, frame claims %08x — payload corrupted on the wire", got, want)
-			}
-			d.off = 5
-			hdr.Seq = d.uvarint()
-			hdr.HasSeq = true
-		case frameVersionV1, frameVersionV2:
-			// Pre-checksum frames: decode on trust, as their senders did.
-		default:
-			return hdr, nil, fmt.Errorf("exchange: frame version %d, want %d..%d", version, frameVersionV1, frameVersion)
-		}
+	if len(payload) == 0 {
+		return hdr, nil, fmt.Errorf("exchange: empty frame")
 	}
+	if payload[0] != frameVersion {
+		return hdr, nil, fmt.Errorf("exchange: frame version %d, want %d", payload[0], frameVersion)
+	}
+	if len(payload) < 5 {
+		return hdr, nil, fmt.Errorf("exchange: frame truncated before checksum")
+	}
+	want := binary.LittleEndian.Uint32(payload[1:5])
+	if got := crc32.Checksum(payload[5:], castagnoli); got != want {
+		return hdr, nil, fmt.Errorf("exchange: frame checksum mismatch: crc32c %08x, frame claims %08x — payload corrupted on the wire", got, want)
+	}
+	d := &decoder{buf: payload, off: 5}
+	hdr.Seq = d.uvarint()
 	hdr.NodeID = int(d.uvarint())
 	hdr.Target = int(d.uvarint())
 	count := d.uvarint()
@@ -303,12 +290,8 @@ func DecodeFrame(payload []byte, table *TypeTable) (hdr FrameHeader, batch []asp
 	for i := uint64(0); i < count && d.err == nil; i++ {
 		var r asp.Record
 		kind := d.byte()
-		traced := version >= frameVersionV2 && kind&kindTraceFlag != 0
+		traced := kind&kindTraceFlag != 0
 		r.Kind = asp.RecordKind(kind &^ kindTraceFlag)
-		if d.err == nil && version == frameVersionV1 && kind&kindTraceFlag != 0 {
-			// v1 never set the flag bit; an unknown high bit is corruption.
-			d.fail("unknown record kind %d in v1 frame", kind)
-		}
 		r.Port = d.byte()
 		r.Src = uint16(d.uvarint())
 		r.TS = event.Time(d.varint())

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"cep2asp/internal/asp"
@@ -59,7 +60,7 @@ func randRecord(rng *rand.Rand, table *TypeTable) asp.Record {
 		r.Event = randEvent(rng, table)
 	}
 	if rng.Intn(3) == 0 {
-		// Sampled records carry the trace handoff timestamp (v2+ frames).
+		// Sampled records carry the trace handoff timestamp.
 		r.TraceNs = 1 + rng.Int63()
 	}
 	return r
@@ -89,10 +90,9 @@ func recordsEqual(t *testing.T, want, got asp.Record) {
 	}
 }
 
-// downgrade rewrites a freshly encoded v3 payload to the given older
-// version's layout by stripping the crc and seq fields — everything after
-// them is byte-identical across versions (when no record carries trace
-// context, also for v1).
+// downgrade rewrites a freshly encoded v3 payload to the layout the
+// pre-checksum versions 1 and 2 used, by stripping the crc and seq fields:
+// everything after them is byte-identical across versions.
 func downgrade(t *testing.T, payload []byte, version byte) []byte {
 	t.Helper()
 	if payload[0] != frameVersion {
@@ -134,8 +134,8 @@ func TestFrameRoundTripProperty(t *testing.T) {
 		if hdr.NodeID != nodeID || hdr.Target != target {
 			t.Fatalf("trial %d: addressed (%d,%d), decoded (%d,%d)", trial, nodeID, target, hdr.NodeID, hdr.Target)
 		}
-		if !hdr.HasSeq || hdr.Seq != seq {
-			t.Fatalf("trial %d: seq %d in, (%d,%v) out", trial, seq, hdr.Seq, hdr.HasSeq)
+		if hdr.Seq != seq {
+			t.Fatalf("trial %d: seq %d in, %d out", trial, seq, hdr.Seq)
 		}
 		if len(got) != len(batch) {
 			t.Fatalf("trial %d: %d records in, %d out", trial, len(batch), len(got))
@@ -185,61 +185,9 @@ func TestFrameSpecialFloats(t *testing.T) {
 	}
 }
 
-// TestDecodeAcceptsOldFrames: the record layout after the v3 header fields
-// is unchanged, so stripping crc+seq and rewriting the version byte yields
-// genuine v2 (and, without trace context, v1) frames — both must decode,
-// with HasSeq reporting the missing sequence number.
-func TestDecodeAcceptsOldFrames(t *testing.T) {
-	table := testTable()
-	rng := rand.New(rand.NewSource(21))
-	for _, version := range []byte{frameVersionV1, frameVersionV2} {
-		batch := make([]asp.Record, 16)
-		for i := range batch {
-			batch[i] = randRecord(rng, table)
-			if version == frameVersionV1 {
-				batch[i].TraceNs = 0 // v1 cannot carry the trace field
-			}
-		}
-		frame, err := AppendFrame(nil, table, 42, 2, 1, batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		payload := downgrade(t, frame[4:], version)
-		hdr, got, err := DecodeFrame(payload, table)
-		if err != nil {
-			t.Fatalf("v%d frame rejected: %v", version, err)
-		}
-		if hdr.NodeID != 2 || hdr.Target != 1 || len(got) != len(batch) {
-			t.Fatalf("v%d decode drifted: (%d,%d,%d)", version, hdr.NodeID, hdr.Target, len(got))
-		}
-		if hdr.HasSeq {
-			t.Fatalf("v%d frame claims a sequence number", version)
-		}
-		for i := range batch {
-			recordsEqual(t, batch[i], got[i])
-		}
-	}
-}
-
-// TestV1FrameRejectsTraceFlag: the trace flag bit did not exist in v1; a
-// v1 frame with it set is corruption, not a silently misread trace field.
-func TestV1FrameRejectsTraceFlag(t *testing.T) {
-	table := testTable()
-	frame, err := AppendFrame(nil, table, 0, 0, 0, []asp.Record{{Kind: asp.KindEOS, TraceNs: 12345}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := downgrade(t, frame[4:], frameVersionV1) // flag bit now set inside a v1 frame
-	if _, _, err := DecodeFrame(payload, table); err == nil {
-		t.Fatal("v1 frame with the trace flag bit must be rejected")
-	}
-}
-
-// TestChecksumDetectsBitFlips: flipping any single bit anywhere in a v3
-// payload after the version byte must be rejected — this is the wire-
-// corruption guarantee netcorrupt chaos leans on. (A flipped version byte
-// can masquerade as an honest pre-checksum frame, which is inherent to
-// retaining v1/v2 compatibility.)
+// TestChecksumDetectsBitFlips: flipping any single bit anywhere in a
+// payload, the version byte included, must be rejected — this is the wire-
+// corruption guarantee netcorrupt chaos leans on.
 func TestChecksumDetectsBitFlips(t *testing.T) {
 	table := testTable()
 	rng := rand.New(rand.NewSource(99))
@@ -252,7 +200,7 @@ func TestChecksumDetectsBitFlips(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := frame[4:]
-	for off := 1; off < len(payload); off++ {
+	for off := 0; off < len(payload); off++ {
 		bad := append([]byte(nil), payload...)
 		bad[off] ^= 1 << uint(rng.Intn(8))
 		if _, _, err := DecodeFrame(bad, table); err == nil {
@@ -272,8 +220,9 @@ func TestEncodeRejectsForeignType(t *testing.T) {
 	}
 }
 
-// TestDecodeRejectsCorruption: version skew, truncation and trailing
-// garbage all yield errors, never panics or silent data.
+// TestDecodeRejectsCorruption: version skew — including genuine frames of
+// the pre-checksum versions 1 and 2 — truncation and trailing garbage all
+// yield errors, never panics or silent data.
 func TestDecodeRejectsCorruption(t *testing.T) {
 	table := testTable()
 	rng := rand.New(rand.NewSource(11))
@@ -292,6 +241,12 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	if _, _, err := DecodeFrame(bad, table); err == nil {
 		t.Error("version skew accepted")
 	}
+	for _, version := range []byte{0, 1, 2} {
+		_, _, err := DecodeFrame(downgrade(t, payload, version), table)
+		if err == nil || !strings.Contains(err.Error(), "frame version") {
+			t.Errorf("v%d frame: err = %v, want the version error", version, err)
+		}
+	}
 	for cut := 1; cut < len(payload); cut += 7 {
 		if _, got, err := DecodeFrame(payload[:cut], table); err == nil && len(got) == len(batch) {
 			t.Errorf("truncation at %d accepted with full batch", cut)
@@ -303,7 +258,8 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 }
 
 // FuzzDecodeFrame drives the decoder with arbitrary payloads: it must
-// never panic, and whatever it accepts must re-encode to an equivalent
+// never panic, must reject every payload whose version byte is not the
+// current one, and whatever it accepts must re-encode to an equivalent
 // decode (decode∘encode∘decode = decode).
 func FuzzDecodeFrame(f *testing.F) {
 	table := testTable()
@@ -330,18 +286,22 @@ func FuzzDecodeFrame(f *testing.F) {
 	for i := 0; i < 8; i++ {
 		f.Add(seed(frameVersion, true))
 	}
-	// Old-version seeds: stripping crc+seq yields genuine v2/v1 frames.
+	// Old-version seeds, which must be rejected: stripping crc+seq yields
+	// genuine v2/v1 frames.
 	for i := 0; i < 4; i++ {
-		f.Add(seed(frameVersionV2, true))
-		f.Add(seed(frameVersionV1, false))
+		f.Add(seed(2, true))
+		f.Add(seed(1, false))
 	}
 	f.Add([]byte{})
 	f.Add([]byte{frameVersion})
-	f.Add([]byte{frameVersionV1})
+	f.Add([]byte{1})
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		hdr, batch, err := DecodeFrame(payload, table)
 		if err != nil {
 			return
+		}
+		if payload[0] != frameVersion {
+			t.Fatalf("version %d frame accepted", payload[0])
 		}
 		frame, err := AppendFrame(nil, table, hdr.Seq, hdr.NodeID, hdr.Target, batch)
 		if err != nil {

@@ -508,13 +508,11 @@ func (t *Transport) serve(from int, rx *rxState, c net.Conn) {
 			t.reportRx(from, err)
 			return
 		}
-		if hdr.HasSeq {
-			if rx.seen && hdr.Seq != rx.expect {
-				t.reportRx(from, fmt.Errorf("frame stream jumped from seq %d to %d: frame(s) lost or duplicated in flight", rx.expect, hdr.Seq))
-				return
-			}
-			rx.seen, rx.expect = true, hdr.Seq+1
+		if rx.seen && hdr.Seq != rx.expect {
+			t.reportRx(from, fmt.Errorf("frame stream jumped from seq %d to %d: frame(s) lost or duplicated in flight", rx.expect, hdr.Seq))
+			return
 		}
+		rx.seen, rx.expect = true, hdr.Seq+1
 		if t.tracer != nil {
 			t.traceArrivals(from, batch)
 		}

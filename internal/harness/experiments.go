@@ -578,18 +578,13 @@ func Fig5Resources(ctx context.Context, sc Scale) []RunResult {
 	return out
 }
 
-// Fig5SEQSmoke runs the single fig5 SEQ7 row (32 keys, decomposed FASP with
-// O3 partitioning) once, without resource sampling. It is the smoke workload
+// Fig5SEQSmokeRunner prebuilds the single fig5 SEQ7 row (32 keys, decomposed
+// FASP with O3 partitioning, no resource sampling) and returns a function
+// executing one run, so benchmarks amortize data generation across
+// iterations and measure only the engine. It is the smoke workload
 // scripts/bench_smoke.sh uses to gate the edge-batching throughput win: a
 // multi-stage decomposed plan whose per-record channel hops dominate, so the
 // batch size directly moves end-to-end throughput.
-func Fig5SEQSmoke(ctx context.Context, sc Scale) RunResult {
-	return Fig5SEQSmokeRunner(sc)(ctx)
-}
-
-// Fig5SEQSmokeRunner prebuilds the smoke workload (pattern and generated
-// streams) and returns a function executing one run, so benchmarks amortize
-// data generation across iterations and measure only the engine.
 func Fig5SEQSmokeRunner(sc Scale) func(context.Context) RunResult {
 	kc := sc
 	kc.QnVSensors, kc.AQSensors = 32, 32

@@ -271,17 +271,6 @@ func Run(ctx context.Context, spec RunSpec) RunResult {
 			}
 			return 0
 		}
-		if spec.CheckpointInterval > 0 {
-			sampler.CheckpointCountFn = func() int64 {
-				if env := curEnv.Load(); env != nil {
-					return env.CompletedCheckpoints()
-				}
-				return 0
-			}
-		}
-		if spec.Metrics != nil {
-			sampler.ObsFn = spec.Metrics.Snapshot
-		}
 		sampler.Start()
 	}
 
@@ -360,9 +349,6 @@ func Run(ctx context.Context, spec RunSpec) RunResult {
 				AlignPause: st.AlignPause,
 				Bytes:      st.Bytes,
 			})
-		}
-		if sampler != nil {
-			sampler.RecordCheckpoints(res.CheckpointSeries)
 		}
 		res.CkptP50, res.CkptP99 = ckptPercentiles(res.CheckpointSeries)
 	}

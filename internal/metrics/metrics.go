@@ -10,21 +10,14 @@ import (
 	rtm "runtime/metrics"
 	"sync"
 	"time"
-
-	"cep2asp/internal/obs"
 )
 
 // Sample is one point of the resource-usage time series.
 type Sample struct {
-	At          time.Duration // offset from sampler start
-	HeapBytes   uint64        // live heap (runtime.MemStats.HeapAlloc)
-	CPUPct      float64       // process CPU utilization, 0-100 per core set
-	State       int64         // engine-reported buffered elements, if wired
-	Checkpoints int64         // completed checkpoints so far, if wired
-	// Operators is the per-operator/per-edge observability snapshot taken
-	// at the same instant, when an obs registry is wired (ObsFn) — resource
-	// series and operator series share one timeline.
-	Operators *obs.Snapshot
+	At        time.Duration // offset from sampler start
+	HeapBytes uint64        // live heap (runtime.MemStats.HeapAlloc)
+	CPUPct    float64       // process CPU utilization, 0-100 per core set
+	State     int64         // engine-reported buffered elements, if wired
 }
 
 // CheckpointPoint is one completed checkpoint in a run's overhead series:
@@ -45,20 +38,12 @@ type Sampler struct {
 	Period time.Duration
 	// StateFn, when set, is polled for the engine's buffered-element count.
 	StateFn func() int64
-	// CheckpointCountFn, when set, is polled for the number of completed
-	// checkpoints, correlating state/heap swings with checkpoint activity.
-	CheckpointCountFn func() int64
-	// ObsFn, when set, is polled for the engine's per-operator metrics
-	// snapshot (typically obs.Registry.Snapshot), aligning operator series
-	// with the resource series.
-	ObsFn func() obs.Snapshot
 
-	mu          sync.Mutex
-	samples     []Sample
-	checkpoints []CheckpointPoint
-	stop        chan struct{}
-	done        chan struct{}
-	stopped     bool
+	mu      sync.Mutex
+	samples []Sample
+	stop    chan struct{}
+	done    chan struct{}
+	stopped bool
 }
 
 // NewSampler creates a sampler with the given period (default 250ms).
@@ -101,15 +86,6 @@ func (s *Sampler) Stop() []Sample {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.samples
-}
-
-// Samples returns a snapshot of the series collected so far.
-func (s *Sampler) Samples() []Sample {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Sample, len(s.samples))
-	copy(out, s.samples)
-	return out
 }
 
 var cpuMetricNames = []string{
@@ -165,35 +141,11 @@ func (s *Sampler) loop() {
 			if s.StateFn != nil {
 				sample.State = s.StateFn()
 			}
-			if s.CheckpointCountFn != nil {
-				sample.Checkpoints = s.CheckpointCountFn()
-			}
-			if s.ObsFn != nil {
-				snap := s.ObsFn()
-				sample.Operators = &snap
-			}
 			s.mu.Lock()
 			s.samples = append(s.samples, sample)
 			s.mu.Unlock()
 		}
 	}
-}
-
-// RecordCheckpoints stores the run's per-checkpoint overhead series,
-// typically converted from the coordinator's stats after the run finishes.
-func (s *Sampler) RecordCheckpoints(points []CheckpointPoint) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.checkpoints = append(s.checkpoints[:0], points...)
-}
-
-// Checkpoints returns the recorded per-checkpoint overhead series.
-func (s *Sampler) Checkpoints() []CheckpointPoint {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]CheckpointPoint, len(s.checkpoints))
-	copy(out, s.checkpoints)
-	return out
 }
 
 // Peak returns the maximum heap and CPU observed in a series.

@@ -39,71 +39,10 @@ func TestSamplerCollects(t *testing.T) {
 	}
 }
 
-func TestSamplerSnapshotWhileRunning(t *testing.T) {
-	s := NewSampler(2 * time.Millisecond)
-	s.Start()
-	time.Sleep(15 * time.Millisecond)
-	snap := s.Samples()
-	final := s.Stop()
-	if len(snap) == 0 {
-		t.Fatal("snapshot empty")
-	}
-	if len(final) < len(snap) {
-		t.Fatalf("final (%d) shorter than snapshot (%d)", len(final), len(snap))
-	}
-}
-
 func TestSamplerDefaultPeriod(t *testing.T) {
 	s := NewSampler(0)
 	if s.Period <= 0 {
 		t.Fatal("default period not applied")
-	}
-}
-
-func TestSamplerPollsCheckpointCount(t *testing.T) {
-	s := NewSampler(2 * time.Millisecond)
-	var n int64
-	s.CheckpointCountFn = func() int64 { n++; return n }
-	s.Start()
-	time.Sleep(15 * time.Millisecond)
-	samples := s.Stop()
-	if len(samples) == 0 {
-		t.Fatal("no samples collected")
-	}
-	last := samples[len(samples)-1]
-	if last.Checkpoints == 0 {
-		t.Fatal("CheckpointCountFn not polled into samples")
-	}
-	for i := 1; i < len(samples); i++ {
-		if samples[i].Checkpoints < samples[i-1].Checkpoints {
-			t.Fatalf("checkpoint counts not monotone at %d", i)
-		}
-	}
-}
-
-func TestRecordCheckpointsRoundTrip(t *testing.T) {
-	s := NewSampler(time.Millisecond)
-	if got := s.Checkpoints(); len(got) != 0 {
-		t.Fatalf("fresh sampler has %d checkpoint points", len(got))
-	}
-	points := []CheckpointPoint{
-		{ID: 1, At: 10 * time.Millisecond, Duration: time.Millisecond, AlignPause: 100 * time.Microsecond, Bytes: 512},
-		{ID: 2, At: 20 * time.Millisecond, Duration: 2 * time.Millisecond, AlignPause: 200 * time.Microsecond, Bytes: 768},
-	}
-	s.RecordCheckpoints(points)
-	got := s.Checkpoints()
-	if len(got) != 2 || got[0] != points[0] || got[1] != points[1] {
-		t.Fatalf("Checkpoints = %+v; want %+v", got, points)
-	}
-	// The accessor must return a copy, not the internal slice.
-	got[0].Bytes = 0
-	if s.Checkpoints()[0].Bytes != 512 {
-		t.Fatal("Checkpoints exposed internal storage")
-	}
-	// Re-recording replaces the series rather than appending.
-	s.RecordCheckpoints(points[:1])
-	if len(s.Checkpoints()) != 1 {
-		t.Fatal("RecordCheckpoints did not replace the previous series")
 	}
 }
 

@@ -1,9 +1,8 @@
 // Package obs is the engine-wide observability layer: a per-operator-
 // instance metrics registry (records in/out, late arrivals, queue depth and
 // blocked-send time per edge, processing-time histograms, watermarks and
-// watermark lag), HDR-style log-bucketed latency histograms, a snapshot API
-// polled by metrics.Sampler so operator series share the resource-series
-// timeline, and export surfaces (Prometheus text, topology JSON, CSV).
+// watermark lag), HDR-style log-bucketed latency histograms, a point-in-time
+// snapshot API, and export surfaces (Prometheus text, topology JSON, CSV).
 //
 // The package is deliberately dependency-free (stdlib only) so every layer
 // of the engine can attach to it without import cycles. All instruments are
@@ -144,15 +143,6 @@ func (h *Histogram) Quantile(q float64) int64 {
 	return h.max.Load()
 }
 
-// Quantiles returns upper bounds for several quantiles in one bucket walk.
-func (h *Histogram) Quantiles(qs ...float64) []int64 {
-	out := make([]int64, len(qs))
-	for i, q := range qs {
-		out[i] = h.Quantile(q)
-	}
-	return out
-}
-
 // HistogramState is the serializable dense state of a histogram, used by
 // checkpoint snapshots. Buckets are stored sparsely (index/count pairs).
 type HistogramState struct {
@@ -175,27 +165,6 @@ func (h *Histogram) State() HistogramState {
 	return st
 }
 
-// Merge folds a previously captured state into the histogram bucket-wise:
-// the result is distributionally identical to a histogram that recorded the
-// union of both sample sets (up to the shared bucket resolution). Used by
-// metrics federation to aggregate worker histograms on the coordinator.
-// Safe to call concurrently with Record.
-func (h *Histogram) Merge(st HistogramState) {
-	for k, i := range st.Idx {
-		if i >= 0 && int(i) < numBuckets && k < len(st.N) {
-			h.counts[i].Add(st.N[k])
-		}
-	}
-	h.count.Add(st.Count)
-	h.sum.Add(st.Sum)
-	for {
-		cur := h.max.Load()
-		if st.Max <= cur || h.max.CompareAndSwap(cur, st.Max) {
-			return
-		}
-	}
-}
-
 // Restore replaces the histogram contents with a previously captured state.
 // Not safe to call concurrently with Record.
 func (h *Histogram) Restore(st HistogramState) {
@@ -210,14 +179,4 @@ func (h *Histogram) Restore(st HistogramState) {
 	h.count.Store(st.Count)
 	h.sum.Store(st.Sum)
 	h.max.Store(st.Max)
-}
-
-// Reset zeroes the histogram. Not safe to call concurrently with Record.
-func (h *Histogram) Reset() {
-	for i := range h.counts {
-		h.counts[i].Store(0)
-	}
-	h.count.Store(0)
-	h.sum.Store(0)
-	h.max.Store(0)
 }

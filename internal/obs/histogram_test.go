@@ -155,64 +155,6 @@ func TestHistogramConcurrentRecord(t *testing.T) {
 	}
 }
 
-// TestHistogramMergeMatchesUnion is the federation property: merging one
-// histogram's state into another must be indistinguishable from recording
-// the union of both sample sets into a single histogram — same count, sum,
-// max, and every quantile. This is what makes the coordinator's merged
-// cluster view trustworthy.
-func TestHistogramMergeMatchesUnion(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 25; trial++ {
-		var a, b, union Histogram
-		n := 100 + rng.Intn(4000)
-		for i := 0; i < n; i++ {
-			// Samples spanning many orders of magnitude.
-			var v int64
-			switch rng.Intn(4) {
-			case 0:
-				v = rng.Int63n(32) // exact unit buckets
-			case 1:
-				v = rng.Int63n(1 << 20)
-			case 2:
-				v = rng.Int63n(1 << 40)
-			case 3:
-				v = rng.Int63() // full range
-			}
-			if rng.Intn(2) == 0 {
-				a.Record(v)
-			} else {
-				b.Record(v)
-			}
-			union.Record(v)
-		}
-		a.Merge(b.State())
-		if a.Count() != union.Count() || a.Sum() != union.Sum() || a.Max() != union.Max() {
-			t.Fatalf("trial %d: merge mismatch: count %d/%d sum %d/%d max %d/%d",
-				trial, a.Count(), union.Count(), a.Sum(), union.Sum(), a.Max(), union.Max())
-		}
-		for _, q := range []float64{0, 0.25, 0.5, 0.9, 0.99, 1} {
-			if a.Quantile(q) != union.Quantile(q) {
-				t.Fatalf("trial %d: q%g = %d after merge, union has %d",
-					trial, q, a.Quantile(q), union.Quantile(q))
-			}
-		}
-	}
-}
-
-// A merge into a histogram that already holds samples must add, not
-// replace (contrast Restore).
-func TestHistogramMergeAccumulates(t *testing.T) {
-	var a, b Histogram
-	a.Record(10)
-	b.Record(20)
-	st := b.State()
-	a.Merge(st)
-	a.Merge(st) // merging twice counts b's samples twice — it is an add
-	if a.Count() != 3 || a.Sum() != 50 || a.Max() != 20 {
-		t.Fatalf("after two merges: count %d sum %d max %d, want 3/50/20", a.Count(), a.Sum(), a.Max())
-	}
-}
-
 // TestHistogramRecordNEqualsRepeatedRecord holds RecordN(v, n) to n calls of
 // Record(v): same count, sum, maximum and quantiles, and nothing for n <= 0.
 func TestHistogramRecordNEqualsRepeatedRecord(t *testing.T) {

@@ -218,15 +218,6 @@ func (r *Registry) ObserveEventTime(ts int64) {
 	}
 }
 
-// MaxEventTime returns the largest source event time observed, or math.MinInt64
-// when no source reported yet.
-func (r *Registry) MaxEventTime() int64 {
-	if r == nil {
-		return unset
-	}
-	return r.maxEventTime.Load()
-}
-
 // RecordFailure counts one job failure and retains its description as the
 // last-failure message (nil-safe).
 func (r *Registry) RecordFailure(desc string) {

@@ -4,8 +4,9 @@
 // top of internal/core's rule advisor:
 //
 //   - statistics collection: Measure derives exact per-stream rates and
-//     filter selectivities from recorded data; ObservedStats reads the
-//     same quantities live from the obs registry of a running plan;
+//     filter selectivities from recorded data; the re-planning monitor
+//     reads the same quantities live from the obs registry of a running
+//     plan;
 //   - plan rewriting: Advise turns statistics into core.Options with a
 //     cardinality-based join cost model attached, which switches the
 //     translator from heuristic ascending-frequency left-deep chains to

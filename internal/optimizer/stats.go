@@ -15,7 +15,7 @@ import (
 // references from recorded streams: Frequency is events per minute of
 // event-time span, FilterSelectivity is the fraction of events passing the
 // pattern's pushed-down single-alias selections for that type. This is the
-// offline statistics collector of §7's envisioned optimizer; ObservedStats
+// offline statistics collector of §7's envisioned optimizer; observedFrom
 // is its online counterpart.
 func Measure(p *sea.Pattern, data map[event.Type][]event.Event) (map[string]core.StreamStats, error) {
 	preds, err := scanPredicates(p)
@@ -111,15 +111,11 @@ func typeAliases(p *sea.Pattern, typeName string) []string {
 	return out
 }
 
-// ObservedStats reads live per-stream statistics from a running plan's
-// metrics registry: source operators ("src:<Type>") give relative
+// observedFrom reads live per-stream statistics from a snapshot of a running
+// plan's metrics registry: source operators ("src:<Type>") give relative
 // frequencies (events emitted so far), filter operators ("σ:<alias>")
 // give selectivities (out/in). Relative frequencies are what join
 // reordering and the cost model need — only ratios matter.
-func ObservedStats(reg *obs.Registry, p *sea.Pattern) map[string]core.StreamStats {
-	return observedFrom(reg.Snapshot(), p)
-}
-
 func observedFrom(snap obs.Snapshot, p *sea.Pattern) map[string]core.StreamStats {
 	srcOut := make(map[string]int64)  // type name -> events emitted
 	filtIn := make(map[string]int64)  // alias -> events entering its σ
@@ -182,7 +178,7 @@ func sourceEventsFrom(snap obs.Snapshot) int64 {
 // drift returns the largest factor by which the observed streams' shares of
 // the total effective input volume disagree with the estimated shares. A
 // result of 1 means perfect agreement; streams missing on either side are
-// skipped. Shares — not absolute rates — are compared because ObservedStats
+// skipped. Shares — not absolute rates — are compared because observedFrom
 // yields relative frequencies.
 func drift(est, observed map[string]core.StreamStats) float64 {
 	estEff, obsEff := make(map[string]float64), make(map[string]float64)

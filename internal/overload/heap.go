@@ -2,8 +2,8 @@ package overload
 
 // ValueHeap is the per-operator priority structure of pattern-aware
 // shedding: a min-heap of retained state units keyed by completion score,
-// with handle-based O(log n) update and removal so operators can keep
-// items current as partial matches advance stages or expire. The heap
+// with handle-based O(log n) removal so operators can drop items as
+// partial matches advance stages or expire. The heap
 // stores upper-bound scores — completion probability only decreases as
 // event time advances — so popping the minimum stored score yields a
 // sound (approximate) lowest-value victim without rescoring every item.
@@ -29,16 +29,6 @@ func (h *ValueHeap) Push(score float64, payload any) *HeapItem {
 	h.items = append(h.items, it)
 	h.up(it.index)
 	return it
-}
-
-// Update re-scores an item, restoring heap order in O(log n). A nil or
-// already-removed item is ignored.
-func (h *ValueHeap) Update(it *HeapItem, score float64) {
-	if it == nil || it.index < 0 {
-		return
-	}
-	it.Score = score
-	h.fix(it.index)
 }
 
 // Remove detaches an item in O(log n). A nil or already-removed item is

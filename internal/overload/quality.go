@@ -260,11 +260,3 @@ func (c *QualityController) Actions() []string {
 	copy(out, c.actions)
 	return out
 }
-
-// PatternAware reports whether the controller has switched (or was
-// seeded with) pattern-aware shedding.
-func (c *QualityController) PatternAware() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.patternAware
-}

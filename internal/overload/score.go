@@ -1,7 +1,5 @@
 package overload
 
-import "math"
-
 // Rate is an exponentially weighted moving average of an arrival rate in
 // events per event-time unit, fed one timestamp per arrival. It is the
 // live stream statistic the completion scorer and the recall accountant
@@ -53,56 +51,6 @@ func (r *Rate) Observe(ts int64) {
 // unit (0 until two arrivals have been observed).
 func (r *Rate) PerTimeUnit() float64 { return r.value }
 
-// CompletionScore estimates the probability that a unit of partial state
-// still completes into a match: the probability that at least
-// transitionsLeft further qualifying events arrive within timeLeft, under
-// a Poisson arrival model at the observed rate. With no rate estimate it
-// degrades to a shape heuristic — fraction of window remaining, damped by
-// the transitions still required — that preserves the orderings shedding
-// relies on: more-advanced state scores higher, and within a stage older
-// state (less time left) scores lower.
-func CompletionScore(transitionsLeft int, timeLeft, window int64, rate float64) float64 {
-	if transitionsLeft <= 0 {
-		return 1
-	}
-	if timeLeft <= 0 {
-		return 0
-	}
-	if rate > 0 {
-		return poissonTail(transitionsLeft, rate*float64(timeLeft))
-	}
-	if window <= 0 {
-		window = 1
-	}
-	frac := float64(timeLeft) / float64(window)
-	if frac > 1 {
-		frac = 1
-	}
-	return frac / float64(1+transitionsLeft)
-}
-
-// poissonTail returns P(X >= k) for X ~ Poisson(lambda).
-func poissonTail(k int, lambda float64) float64 {
-	if k <= 0 {
-		return 1
-	}
-	if lambda <= 0 {
-		return 0
-	}
-	// 1 - CDF(k-1), accumulating terms e^-λ λ^i / i! iteratively.
-	term := math.Exp(-lambda)
-	cdf := term
-	for i := 1; i < k; i++ {
-		term *= lambda / float64(i)
-		cdf += term
-	}
-	tail := 1 - cdf
-	if tail < 0 {
-		return 0
-	}
-	return tail
-}
-
 // CompletionValue ranks a unit of partial state for victim selection:
 // primarily by how few transitions it still needs, and within a stage by
 // lambda = rate*timeLeft, the expected number of qualifying arrivals it
@@ -117,11 +65,11 @@ func poissonTail(k int, lambda float64) float64 {
 //
 // which lies in the non-overlapping band [1/(k+1), 1/k): every unit
 // needing k transitions outranks every unit needing k+1, and within a
-// band the score grows with lambda. Unlike the saturating tail
-// probability CompletionScore, the rank keeps discriminating on dense
-// streams where nearly all state is near-certain to complete at least
-// once. With no rate estimate the fraction of window time remaining
-// stands in for lambda, preserving both orderings.
+// band the score grows with lambda. Unlike a Poisson tail probability,
+// which saturates at 1, the rank keeps discriminating on dense streams
+// where nearly all state is near-certain to complete at least once. With
+// no rate estimate the fraction of window time remaining stands in for
+// lambda, preserving both orderings.
 func CompletionValue(transitionsLeft int, timeLeft, window int64, rate float64) float64 {
 	if transitionsLeft <= 0 {
 		return 1

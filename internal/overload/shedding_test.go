@@ -133,30 +133,6 @@ func TestCompletionValueOrderings(t *testing.T) {
 	}
 }
 
-func TestCompletionScoreTail(t *testing.T) {
-	// Probability semantics: bounded by 1, monotone in time left and in
-	// transitions required.
-	if got := CompletionScore(0, 100, 1000, 1); got != 1 {
-		t.Errorf("complete unit: %g, want 1", got)
-	}
-	if got := CompletionScore(3, 0, 1000, 1); got != 0 {
-		t.Errorf("expired unit: %g, want 0", got)
-	}
-	p1 := CompletionScore(1, 100, 1000, 0.01)
-	p3 := CompletionScore(3, 100, 1000, 0.01)
-	if p1 <= p3 {
-		t.Errorf("needing 1 transition (%g) should be likelier than 3 (%g)", p1, p3)
-	}
-	if p1 <= 0 || p1 > 1 {
-		t.Errorf("tail %g outside (0, 1]", p1)
-	}
-	// On a dense stream the tail saturates — the documented reason
-	// CompletionValue exists.
-	if got := CompletionScore(3, 1000, 1000, 1); got < 0.999 {
-		t.Errorf("dense-stream tail %g, expected saturation near 1", got)
-	}
-}
-
 func TestRateEWMA(t *testing.T) {
 	dense := NewRate(0)
 	for ts := int64(0); ts < 100; ts += 2 {
@@ -218,12 +194,8 @@ func TestValueHeapOrderAndRemoval(t *testing.T) {
 	for i := 0; i < len(items); i += 3 {
 		h.Remove(items[i])
 	}
-	h.Remove(items[3])      // double-remove is a no-op
-	h.Remove(nil)           // nil-remove is a no-op
-	h.Update(items[3], 0.5) // update of a removed item is a no-op
-	if h.PeekMin() != nil {
-		h.Update(h.PeekMin(), h.PeekMin().Score/2)
-	}
+	h.Remove(items[3]) // double-remove is a no-op
+	h.Remove(nil)      // nil-remove is a no-op
 	var drained []float64
 	for it := h.PopMin(); it != nil; it = h.PopMin() {
 		drained = append(drained, it.Score)

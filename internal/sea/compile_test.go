@@ -7,11 +7,18 @@ import (
 	"cep2asp/internal/event"
 )
 
+// ref, refI and refNext build the references alias.attr, alias[i].attr and
+// alias[i+1].attr; lit builds a numeric literal.
+func ref(alias, attr string) AttrRef     { return AttrRef{Alias: alias, Attr: attr} }
+func refI(alias, attr string) AttrRef    { return AttrRef{Alias: alias, Attr: attr, Index: IndexI} }
+func refNext(alias, attr string) AttrRef { return AttrRef{Alias: alias, Attr: attr, Index: IndexNext} }
+func lit(v float64) NumLit               { return NumLit{V: v} }
+
 func TestCompileBoolBasic(t *testing.T) {
 	// q.value >= 100 AND v.value <= 30
 	expr := And{
-		L: Cmp{Op: CmpGE, L: Ref("q", "value"), R: Lit(100)},
-		R: Cmp{Op: CmpLE, L: Ref("v", "value"), R: Lit(30)},
+		L: Cmp{Op: CmpGE, L: ref("q", "value"), R: lit(100)},
+		R: Cmp{Op: CmpLE, L: ref("v", "value"), R: lit(30)},
 	}
 	pred, err := CompileBool(expr, Layout{"q": 0, "v": 1})
 	if err != nil {
@@ -39,10 +46,10 @@ func TestCompileArithmeticAndOps(t *testing.T) {
 	expr := Cmp{
 		Op: CmpNE,
 		L: Arith{Op: OpSub,
-			L: Arith{Op: OpMul, L: Arith{Op: OpAdd, L: Ref("a", "value"), R: Lit(1)}, R: Lit(2)},
-			R: Arith{Op: OpDiv, L: Lit(4), R: Lit(2)},
+			L: Arith{Op: OpMul, L: Arith{Op: OpAdd, L: ref("a", "value"), R: lit(1)}, R: lit(2)},
+			R: Arith{Op: OpDiv, L: lit(4), R: lit(2)},
 		},
-		R: Ref("a", "id"),
+		R: ref("a", "id"),
 	}
 	pred, err := CompileBool(expr, Layout{"a": 0})
 	if err != nil {
@@ -59,8 +66,8 @@ func TestCompileArithmeticAndOps(t *testing.T) {
 
 func TestCompileOrNot(t *testing.T) {
 	expr := Or{
-		L: Not{E: Cmp{Op: CmpGT, L: Ref("a", "value"), R: Lit(5)}},
-		R: Cmp{Op: CmpEQ, L: Ref("a", "id"), R: Lit(9)},
+		L: Not{E: Cmp{Op: CmpGT, L: ref("a", "value"), R: lit(5)}},
+		R: Cmp{Op: CmpEQ, L: ref("a", "id"), R: lit(9)},
 	}
 	pred, err := CompileBool(expr, Layout{"a": 0})
 	if err != nil {
@@ -78,14 +85,14 @@ func TestCompileOrNot(t *testing.T) {
 }
 
 func TestCompileMissingAlias(t *testing.T) {
-	_, err := CompileBool(Cmp{Op: CmpGT, L: Ref("zz", "value"), R: Lit(1)}, Layout{"a": 0})
+	_, err := CompileBool(Cmp{Op: CmpGT, L: ref("zz", "value"), R: lit(1)}, Layout{"a": 0})
 	if err == nil {
 		t.Fatal("CompileBool accepted alias missing from layout")
 	}
 }
 
 func TestCompileIndexedOutsideIter(t *testing.T) {
-	_, err := CompileBool(Cmp{Op: CmpLT, L: RefI("e", "value"), R: Lit(1)}, Layout{"e": 0})
+	_, err := CompileBool(Cmp{Op: CmpLT, L: refI("e", "value"), R: lit(1)}, Layout{"e": 0})
 	if err == nil {
 		t.Fatal("CompileBool accepted indexed reference")
 	}
@@ -93,7 +100,7 @@ func TestCompileIndexedOutsideIter(t *testing.T) {
 
 func TestCompilePairIncreasing(t *testing.T) {
 	// e[i].value < e[i+1].value — the paper's ITER_2 constraint.
-	expr := Cmp{Op: CmpLT, L: RefI("e", "value"), R: RefNext("e", "value")}
+	expr := Cmp{Op: CmpLT, L: refI("e", "value"), R: refNext("e", "value")}
 	pred, err := CompilePair(expr, "e")
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +116,7 @@ func TestCompilePairIncreasing(t *testing.T) {
 func TestCompilePairMixedRefs(t *testing.T) {
 	// A pairwise predicate can also mention other plain aliases... but
 	// those must be rejected since CompilePair only has the pair layout.
-	expr := Cmp{Op: CmpLT, L: RefI("e", "value"), R: Ref("q", "value")}
+	expr := Cmp{Op: CmpLT, L: refI("e", "value"), R: ref("q", "value")}
 	if _, err := CompilePair(expr, "e"); err == nil {
 		t.Fatal("CompilePair accepted a foreign plain alias")
 	}
@@ -118,8 +125,8 @@ func TestCompilePairMixedRefs(t *testing.T) {
 func TestEvalPartialVacuous(t *testing.T) {
 	// Conjuncts over unbound aliases are vacuously satisfied.
 	expr := And{
-		L: Cmp{Op: CmpGT, L: Ref("a", "value"), R: Lit(5)},
-		R: Cmp{Op: CmpGT, L: Ref("b", "value"), R: Lit(5)},
+		L: Cmp{Op: CmpGT, L: ref("a", "value"), R: lit(5)},
+		R: Cmp{Op: CmpGT, L: ref("b", "value"), R: lit(5)},
 	}
 	bind := map[string]event.Event{"a": {Value: 10}}
 	if !EvalPartial(expr, bind) {
@@ -134,8 +141,8 @@ func TestEvalPartialVacuous(t *testing.T) {
 func TestEvalPartialOrShortCircuit(t *testing.T) {
 	// true OR unknown = true; false OR unknown = unknown -> treated true.
 	expr := Or{
-		L: Cmp{Op: CmpGT, L: Ref("a", "value"), R: Lit(5)},
-		R: Cmp{Op: CmpGT, L: Ref("b", "value"), R: Lit(5)},
+		L: Cmp{Op: CmpGT, L: ref("a", "value"), R: lit(5)},
+		R: Cmp{Op: CmpGT, L: ref("b", "value"), R: lit(5)},
 	}
 	if !EvalPartial(expr, map[string]event.Event{"a": {Value: 10}}) {
 		t.Error("true OR unknown should be true")
@@ -150,7 +157,7 @@ func TestEvalPartialOrShortCircuit(t *testing.T) {
 }
 
 func TestEvalPartialNot(t *testing.T) {
-	expr := Not{E: Cmp{Op: CmpGT, L: Ref("a", "value"), R: Lit(5)}}
+	expr := Not{E: Cmp{Op: CmpGT, L: ref("a", "value"), R: lit(5)}}
 	if EvalPartial(expr, map[string]event.Event{"a": {Value: 10}}) {
 		t.Error("NOT true should be false")
 	}
@@ -169,7 +176,7 @@ func TestCompiledMatchesPartialProperty(t *testing.T) {
 	ops := []CmpOp{CmpEQ, CmpNE, CmpLT, CmpLE, CmpGT, CmpGE}
 	f := func(value float64, lit float64, opIdx uint8) bool {
 		op := ops[int(opIdx)%len(ops)]
-		expr := Cmp{Op: op, L: Ref("a", "value"), R: NumLit{V: lit}}
+		expr := Cmp{Op: op, L: ref("a", "value"), R: NumLit{V: lit}}
 		pred, err := CompileBool(expr, Layout{"a": 0})
 		if err != nil {
 			return false
@@ -183,29 +190,29 @@ func TestCompiledMatchesPartialProperty(t *testing.T) {
 }
 
 func TestEquiPair(t *testing.T) {
-	la, lat, ra, rat, ok := EquiPair(Cmp{Op: CmpEQ, L: Ref("q", "id"), R: Ref("v", "id")})
+	la, lat, ra, rat, ok := EquiPair(Cmp{Op: CmpEQ, L: ref("q", "id"), R: ref("v", "id")})
 	if !ok || la != "q" || lat != "id" || ra != "v" || rat != "id" {
 		t.Fatalf("EquiPair = %q.%q == %q.%q ok=%v", la, lat, ra, rat, ok)
 	}
 	// Not equi: different ops, same alias, literals, indexed refs.
-	if _, _, _, _, ok := EquiPair(Cmp{Op: CmpLT, L: Ref("q", "id"), R: Ref("v", "id")}); ok {
+	if _, _, _, _, ok := EquiPair(Cmp{Op: CmpLT, L: ref("q", "id"), R: ref("v", "id")}); ok {
 		t.Error("LT accepted as equi pair")
 	}
-	if _, _, _, _, ok := EquiPair(Cmp{Op: CmpEQ, L: Ref("q", "id"), R: Ref("q", "value")}); ok {
+	if _, _, _, _, ok := EquiPair(Cmp{Op: CmpEQ, L: ref("q", "id"), R: ref("q", "value")}); ok {
 		t.Error("same-alias equality accepted as equi pair")
 	}
-	if _, _, _, _, ok := EquiPair(Cmp{Op: CmpEQ, L: Ref("q", "id"), R: Lit(5)}); ok {
+	if _, _, _, _, ok := EquiPair(Cmp{Op: CmpEQ, L: ref("q", "id"), R: lit(5)}); ok {
 		t.Error("literal equality accepted as equi pair")
 	}
-	if _, _, _, _, ok := EquiPair(Cmp{Op: CmpEQ, L: RefI("q", "id"), R: Ref("v", "id")}); ok {
+	if _, _, _, _, ok := EquiPair(Cmp{Op: CmpEQ, L: refI("q", "id"), R: ref("v", "id")}); ok {
 		t.Error("indexed ref accepted as equi pair")
 	}
 }
 
 func TestConjunctsConjoinRoundTrip(t *testing.T) {
-	a := Cmp{Op: CmpGT, L: Ref("x", "value"), R: Lit(1)}
-	b := Cmp{Op: CmpLT, L: Ref("y", "value"), R: Lit(2)}
-	c := Cmp{Op: CmpEQ, L: Ref("x", "id"), R: Ref("y", "id")}
+	a := Cmp{Op: CmpGT, L: ref("x", "value"), R: lit(1)}
+	b := Cmp{Op: CmpLT, L: ref("y", "value"), R: lit(2)}
+	c := Cmp{Op: CmpEQ, L: ref("x", "id"), R: ref("y", "id")}
 	e := Conjoin([]BoolExpr{a, b, c})
 	parts := Conjuncts(e)
 	if len(parts) != 3 {
@@ -221,8 +228,8 @@ func TestConjunctsConjoinRoundTrip(t *testing.T) {
 
 func TestAliasesSorted(t *testing.T) {
 	e := And{
-		L: Cmp{Op: CmpGT, L: Ref("zeta", "value"), R: Lit(1)},
-		R: Cmp{Op: CmpGT, L: Ref("alpha", "value"), R: Ref("zeta", "value")},
+		L: Cmp{Op: CmpGT, L: ref("zeta", "value"), R: lit(1)},
+		R: Cmp{Op: CmpGT, L: ref("alpha", "value"), R: ref("zeta", "value")},
 	}
 	got := Aliases(e)
 	if len(got) != 2 || got[0] != "alpha" || got[1] != "zeta" {

@@ -196,19 +196,6 @@ func Aliases(e BoolExpr) []string {
 	return out
 }
 
-// NumAliases returns the sorted set of aliases referenced by a numeric
-// expression.
-func NumAliases(e NumExpr) []string {
-	set := make(map[string]bool)
-	e.collectAliases(set)
-	out := make([]string, 0, len(set))
-	for a := range set {
-		out = append(out, a)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Conjuncts flattens nested Ands into the list of top-level conjuncts. The
 // translator decomposes the WHERE clause this way to push single-alias
 // predicates below joins and to pick equi-join keys (optimization O3).

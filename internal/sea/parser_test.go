@@ -120,6 +120,18 @@ func TestParseSlide(t *testing.T) {
 	}
 }
 
+func TestBuildDefaultSlide(t *testing.T) {
+	p := mustParse(t, `PATTERN SEQ(Q q, V v) WITHIN 10 MINUTES`)
+	if p.Window.Slide != event.Minute {
+		t.Fatalf("default slide = %d", p.Window.Slide)
+	}
+	// Sub-minute windows clamp the one-minute default slide.
+	p = mustParse(t, `PATTERN SEQ(Q q, V v) WITHIN 30 SECONDS`)
+	if p.Window.Slide != 30*event.Second {
+		t.Fatalf("clamped slide = %d, want window size", p.Window.Slide)
+	}
+}
+
 func TestParseDurationUnits(t *testing.T) {
 	tests := []struct {
 		src  string
@@ -254,6 +266,43 @@ func TestLayout(t *testing.T) {
 	}
 	if layout["d"] != 4 {
 		t.Errorf("layout[d] = %d, want 4 (after 3 iteration slots)", layout["d"])
+	}
+}
+
+func TestSyntaxErrorPosition(t *testing.T) {
+	_, err := Parse("PATTERN SEQ(BTA a,\n  %% b) WITHIN 1 MIN")
+	se, ok := err.(*SyntaxError)
+	if !ok {
+		t.Fatalf("err = %T (%v), want *SyntaxError", err, err)
+	}
+	if se.Line != 2 {
+		t.Fatalf("error line = %d, want 2", se.Line)
+	}
+}
+
+func TestLexerNumberForms(t *testing.T) {
+	for _, src := range []string{
+		`PATTERN SEQ(BTA a, BTB b) WHERE a.value > 1.5e2 WITHIN 1 MIN`,
+		`PATTERN SEQ(BTA a, BTB b) WHERE a.value > .5 WITHIN 1 MIN`,
+		`PATTERN SEQ(BTA a, BTB b) WHERE a.value > -3 WITHIN 1 MIN`,
+	} {
+		if _, err := Parse(src); err != nil {
+			t.Errorf("Parse(%q): %v", src, err)
+		}
+	}
+}
+
+func TestUnaryMinusEvaluates(t *testing.T) {
+	p := mustParse(t, `PATTERN SEQ(BTA a, BTB b) WHERE a.value > -3 WITHIN 1 MIN`)
+	pred, err := CompileBool(p.Where, Layout{"a": 0, "b": 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !pred([]event.Event{{Value: 0}, {}}) {
+		t.Fatal("0 > -3 should hold")
+	}
+	if pred([]event.Event{{Value: -5}, {}}) {
+		t.Fatal("-5 > -3 should not hold")
 	}
 }
 

@@ -126,9 +126,6 @@ func New(rate float64, worker int) *Tracer {
 	return t
 }
 
-// Worker returns the worker index the tracer stamps on its spans.
-func (t *Tracer) Worker() int { return t.worker }
-
 // Sample decides whether an event is traced and returns its trace ID.
 // Deterministic: the decision depends only on the event's identity and the
 // configured rate.
@@ -138,13 +135,6 @@ func (t *Tracer) Sample(e event.Event) (uint64, bool) {
 		return id, true
 	}
 	return id, id < t.threshold
-}
-
-// Sampled reports whether an event's deterministic trace ID falls inside
-// the sampling threshold — the attribution check for match constituents.
-func (t *Tracer) Sampled(e event.Event) bool {
-	_, ok := t.Sample(e)
-	return ok
 }
 
 // Add records one span.

@@ -39,7 +39,7 @@ func TestRateEdges(t *testing.T) {
 	}
 	all := New(1, 0)
 	for i := 0; i < 1000; i++ {
-		if !all.Sampled(event.Event{Type: 2, ID: int64(i), TS: int64(i)}) {
+		if _, ok := all.Sample(event.Event{Type: 2, ID: int64(i), TS: int64(i)}); !ok {
 			t.Fatal("rate 1.0 must sample every event")
 		}
 	}
