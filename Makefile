@@ -52,10 +52,11 @@ bench-batch:
 	./scripts/bench_smoke.sh batch
 
 # Supervision under fault injection: panic isolation, chaos kills, restart
-# policies and poison-record routing, all under the race detector.
+# policies and poison-record routing, and core.Run's attempt loop composing
+# them with re-planning and quality demands, all under the race detector.
 chaos:
-	$(GO) test -race -run 'Supervised|Chaos|Quarantine|Poison|Restart|Backoff|Budget|DLQ|ShutdownTimeout|Failure' \
-		. ./internal/asp/ ./internal/chaos/ ./internal/supervise/ ./internal/cep/ ./internal/checkpoint/
+	$(GO) test -race -run 'Supervised|Chaos|Quarantine|Poison|Restart|Backoff|Budget|DLQ|ShutdownTimeout|Failure|Replan|Compose' \
+		. ./internal/asp/ ./internal/chaos/ ./internal/supervise/ ./internal/cep/ ./internal/checkpoint/ ./internal/core/ ./internal/optimizer/
 
 # Bounded-state soak: budgets, shed/pause policies, memory admission and
 # the DLQ cap, under the race detector with a real GOMEMLIMIT in force.

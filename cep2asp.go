@@ -432,8 +432,8 @@ func (j *Job) WithOptions(opts Options) *Job { j.opts = opts; return j }
 // (join order, O1/O2/O3) is derived from cfg.Stats instead of WithOptions,
 // and the run re-plans online at a checkpoint barrier when observed
 // statistics drift enough to change the plan — without losing or
-// duplicating matches. Mutually exclusive with UseFCEP and
-// WithRestartPolicy.
+// duplicating matches. Composes with WithRestartPolicy and WithQuality;
+// not with UseFCEP, whose NFA has no join tree to reorder.
 func (j *Job) WithOptimizer(cfg OptimizerConfig) *Job {
 	o, err := optimizer.New(cfg)
 	if err != nil {
@@ -574,9 +574,9 @@ func (j *Job) WithShedStrategy(s ShedStrategy) *Job {
 // spec.MaxStateBytes tightens admission until the heap drains; a
 // spec.MaxP99Latency breach forces pattern-aware shedding. Every
 // decision is reported in RunStats.QualityActions. Demands no controller
-// decision could satisfy fail fast with a *QualityInfeasibleError.
-// Drives the plain execution path only (not WithOptimizer or
-// WithRestartPolicy).
+// decision could satisfy fail fast with a *QualityInfeasibleError. Under
+// WithRestartPolicy or WithOptimizer every execution attempt gets its own
+// controller; their decisions are reported in order.
 func (j *Job) WithQuality(spec QualitySpec) *Job { j.quality = spec; return j }
 
 // WithTracing samples end-to-end traces for the given fraction of source
@@ -650,7 +650,9 @@ type RunStats struct {
 	// RecallEstimate is the guaranteed lower bound on achieved recall:
 	// Unique / (Unique + RecallLostBound), or 1 when nothing was shed.
 	// RecallLostBound is the accumulated upper bound on the matches
-	// evicted state could still have produced (0 without shedding).
+	// evicted state could still have produced (0 without shedding), summed
+	// over every execution attempt like ShedRecords; the peaks are maxima
+	// over the attempts.
 	RecallEstimate  float64
 	RecallLostBound float64
 	// QualityActions lists the decisions a WithQuality controller took, in
@@ -659,9 +661,8 @@ type RunStats struct {
 	// Trace is the end-to-end latency breakdown of the sampled traces
 	// (zero value unless WithTracing enabled sampling).
 	Trace TraceSummary
-	// Plan is the executed plan, for inspection. Optimized runs
-	// (WithOptimizer) leave it nil and report every plan generation's
-	// cost-annotated explanation in Plans instead.
+	// Plan is the executed plan, for inspection; for optimized runs
+	// (WithOptimizer) the last plan generation.
 	Plan *Plan
 	// Replans counts the mid-run plan switches an optimized run performed
 	// (0 without WithOptimizer); Plans holds each plan generation's
@@ -671,33 +672,42 @@ type RunStats struct {
 	Plans   []string
 }
 
-// Run translates, builds and executes the job, returning its statistics.
+// Run translates the job, executes it under every policy configured on it
+// — supervision, re-planning, quality demands — and returns its statistics.
 func (j *Job) Run(ctx context.Context) (*RunStats, error) {
 	if j.err != nil {
 		return nil, j.err
 	}
-	if j.optimize != nil {
-		if j.fcep {
-			return nil, fmt.Errorf("cep2asp: WithOptimizer requires the decomposed FASP mapping; it cannot drive the FCEP baseline")
-		}
-		if j.restart != nil {
-			return nil, fmt.Errorf("cep2asp: WithOptimizer and WithRestartPolicy are mutually exclusive (online re-planning manages its own execution attempts)")
-		}
-	}
-	var plan *Plan
+	var out []*RunStats
 	var err error
 	switch {
+	case j.optimize != nil && j.fcep:
+		return nil, fmt.Errorf("cep2asp: WithOptimizer requires the decomposed FASP mapping; it cannot drive the FCEP baseline")
 	case j.optimize != nil:
-		// The optimizer translates per attempt, re-planning as statistics
-		// arrive; there is no single up-front plan.
-	case j.fcep:
-		plan, err = core.TranslateFCEP(j.pattern, j.opts)
+		out, err = j.run(ctx, nil, j.optimize.Replanner(j.pattern))
 	default:
-		plan, err = core.Translate(j.pattern, j.opts)
+		var plan *Plan
+		if plan, err = translate(j.pattern, j.opts, j.fcep); err != nil {
+			return nil, err
+		}
+		out, err = j.run(ctx, []*core.Plan{plan}, nil)
 	}
-	if err != nil {
+	if out == nil {
 		return nil, err
 	}
+	return out[0], err
+}
+
+func translate(p *Pattern, opts Options, fcep bool) (*Plan, error) {
+	if fcep {
+		return core.TranslateFCEP(p, opts)
+	}
+	return core.Translate(p, opts)
+}
+
+// run executes plans — or the replanner's plan generations — under the
+// job's configuration and reports each plan, in order.
+func (j *Job) run(ctx context.Context, plans []*core.Plan, replanner core.Replanner) ([]*RunStats, error) {
 	engineCfg := j.engine
 	if j.metrics != nil {
 		engineCfg.Metrics = j.metrics
@@ -720,141 +730,74 @@ func (j *Job) Run(ctx context.Context) (*RunStats, error) {
 	if j.shedSet {
 		engineCfg.Overload.Shedding = j.shedStrat
 	}
-	if j.quality.Enabled() {
-		if j.optimize != nil || j.restart != nil {
-			return nil, fmt.Errorf("cep2asp: WithQuality drives the plain execution path; it cannot be combined with WithOptimizer or WithRestartPolicy")
-		}
-		if j.quality.MaxStateBytes > 0 && engineCfg.Overload.Memory.SoftLimitBytes == 0 {
-			engineCfg.Overload.Memory.SoftLimitBytes = j.quality.MaxStateBytes
-		}
-	}
 	tracer := trace.New(j.traceRate, 0)
 	if engineCfg.Trace == nil {
 		engineCfg.Trace = tracer
 	} else {
 		tracer = engineCfg.Trace
 	}
-	bc := core.BuildConfig{
-		Engine:           engineCfg,
-		Data:             j.data,
-		StampIngest:      true,
-		Lateness:         j.lateness,
-		SourceRatePerSec: j.rate,
-		DedupSink:        true,
-		KeepMatches:      j.keep,
-		ChainOperators:   j.chain,
+	spec := core.RunSpec{
+		Plans: plans,
+		Build: core.BuildConfig{
+			Engine:           engineCfg,
+			Data:             j.data,
+			StampIngest:      true,
+			Lateness:         j.lateness,
+			SourceRatePerSec: j.rate,
+			DedupSink:        true,
+			KeepMatches:      j.keep,
+			ChainOperators:   j.chain,
+		},
+		Restart:   j.restart,
+		DLQ:       &DeadLetterQueue{OnLetter: j.onLetter},
+		Quality:   j.quality,
+		Replanner: replanner,
 	}
+	start := time.Now()
+	rep, err := core.Run(ctx, spec)
+	if err != nil {
+		return nil, err
+	}
+	elapsed := time.Since(start)
 	var events int64
 	for _, evs := range j.data {
 		events += int64(len(evs))
 	}
-	registerLatency := func(res *asp.Results) {
-		if j.metrics != nil {
-			j.metrics.RegisterHistogram("sink_detection_latency", res.LatencyHistogram())
+	out := make([]*RunStats, len(rep.Sinks))
+	for i, res := range rep.Sinks {
+		st := &RunStats{
+			Events:           events,
+			Elapsed:          elapsed,
+			Total:            res.Total(),
+			Unique:           res.Unique(),
+			Matches:          res.Matches(),
+			AvgLatency:       res.AvgLatency(),
+			MaxLatency:       res.MaxLatency(),
+			Restarts:         rep.Restarts,
+			DeadLetters:      spec.DLQ.Letters(),
+			ShedRecords:      rep.ShedRecords,
+			PeakStateRecords: rep.PeakStateRecords,
+			PeakHeapBytes:    rep.PeakHeapBytes,
+			RecallEstimate:   rep.RecallEstimate(i),
+			RecallLostBound:  rep.LostMatchBound,
+			QualityActions:   rep.QualityActions,
+			Trace:            tracer.Summarize(),
+			Plan:             rep.Plans[i],
+			Replans:          rep.Replans,
+			Plans:            rep.Explains,
+		}
+		st.P50Latency, st.P90Latency, st.P99Latency = res.LatencyPercentiles()
+		if elapsed > 0 {
+			st.ThroughputTps = float64(events) / elapsed.Seconds()
+		}
+		out[i] = st
+	}
+	if tracer != nil && j.traceOut != "" {
+		if werr := tracer.WriteFile(j.traceOut); werr != nil {
+			return out, fmt.Errorf("cep2asp: trace export: %w", werr)
 		}
 	}
-
-	var res *asp.Results
-	var restarts int
-	var letters []DeadLetter
-	var lastEnv *asp.Environment
-	var qc *overload.QualityController
-	var replans int
-	var planTexts []string
-	start := time.Now()
-	if j.optimize != nil {
-		rep, rerr := j.optimize.Run(ctx, j.pattern, bc)
-		if rerr != nil {
-			return nil, rerr
-		}
-		res = rep.Results
-		lastEnv = rep.Env
-		replans = rep.Replans
-		planTexts = rep.Plans
-		registerLatency(res)
-	} else if j.restart != nil {
-		dlq := &DeadLetterQueue{OnLetter: j.onLetter}
-		run, err := core.RunSupervised(ctx, []*core.Plan{plan}, bc, core.SuperviseConfig{
-			Policy: *j.restart,
-			DLQ:    dlq,
-			OnAttempt: func(_ int, env *asp.Environment, results []*asp.Results) {
-				lastEnv = env
-				registerLatency(results[0])
-			},
-		})
-		if err != nil {
-			return nil, err
-		}
-		res = run.Results[0]
-		restarts = run.Restarts
-		letters = dlq.Letters()
-	} else {
-		env, r, err := core.Build(plan, bc)
-		if err != nil {
-			return nil, err
-		}
-		lastEnv = env
-		registerLatency(r)
-		if j.quality.Enabled() {
-			probe, act := env.QualityHooks(func() time.Duration { return r.LatencyQuantile(0.99) })
-			c, qerr := overload.NewQualityController(j.quality, engineCfg.Overload, probe, act)
-			if qerr != nil {
-				return nil, qerr
-			}
-			c.Start(0)
-			qc = c
-		}
-		if err := env.Execute(ctx); err != nil {
-			if qc != nil {
-				qc.Stop()
-			}
-			return nil, err
-		}
-		res = r
-	}
-	if qc != nil {
-		qc.Stop()
-	}
-	elapsed := time.Since(start)
-	stats := &RunStats{
-		Events:      events,
-		Elapsed:     elapsed,
-		Total:       res.Total(),
-		Unique:      res.Unique(),
-		Matches:     res.Matches(),
-		AvgLatency:  res.AvgLatency(),
-		MaxLatency:  res.MaxLatency(),
-		Restarts:    restarts,
-		DeadLetters: letters,
-		Plan:        plan,
-		Replans:     replans,
-		Plans:       planTexts,
-	}
-	if lastEnv != nil {
-		stats.ShedRecords = lastEnv.ShedRecords()
-		stats.PeakStateRecords = lastEnv.PeakStateRecords()
-		stats.PeakHeapBytes = lastEnv.PeakHeapBytes()
-		// The final estimate uses the sink's deduped count: duplicates from
-		// overlapping windows never inflate it, so it stays a lower bound.
-		stats.RecallLostBound = lastEnv.LostMatchBound()
-		stats.RecallEstimate = overload.RecallEstimate(res.Unique(), stats.RecallLostBound)
-	}
-	if qc != nil {
-		stats.QualityActions = qc.Actions()
-	}
-	stats.P50Latency, stats.P90Latency, stats.P99Latency = res.LatencyPercentiles()
-	if elapsed > 0 {
-		stats.ThroughputTps = float64(events) / elapsed.Seconds()
-	}
-	if tracer != nil {
-		stats.Trace = tracer.Summarize()
-		if j.traceOut != "" {
-			if werr := tracer.WriteFile(j.traceOut); werr != nil {
-				return stats, fmt.Errorf("cep2asp: trace export: %w", werr)
-			}
-		}
-	}
-	return stats, nil
+	return out, nil
 }
 
 // Project extracts a pattern's RETURN projection from a match: the listed

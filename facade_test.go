@@ -201,7 +201,7 @@ func TestJobWithOptimizer(t *testing.T) {
 		t.Fatal("invalid selectivity accepted")
 	}
 
-	// Incompatible combinations are rejected.
+	// The NFA has no join tree to reorder.
 	if _, err := NewJob(pattern).
 		AddStream("QnVQuantity", q).
 		AddStream("QnVVelocity", v).
@@ -210,13 +210,18 @@ func TestJobWithOptimizer(t *testing.T) {
 		Run(context.Background()); err == nil {
 		t.Fatal("FCEP + optimizer accepted")
 	}
-	if _, err := NewJob(pattern).
+	// A supervised optimized run is an ordinary run.
+	supervised, err := NewJob(pattern).
 		AddStream("QnVQuantity", q).
 		AddStream("QnVVelocity", v).
 		WithRestartPolicy(RestartPolicy{MaxRestarts: 1}).
 		WithOptimizer(OptimizerConfig{}).
-		Run(context.Background()); err == nil {
-		t.Fatal("restart policy + optimizer accepted")
+		Run(context.Background())
+	if err != nil {
+		t.Fatalf("restart policy + optimizer: %v", err)
+	}
+	if supervised.Unique != baseline.Unique {
+		t.Fatalf("supervised optimized run found %d matches, baseline %d", supervised.Unique, baseline.Unique)
 	}
 }
 

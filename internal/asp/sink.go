@@ -56,10 +56,10 @@ func (s *resultSink) OnRecord(_ int, rec Record, _ *Collector) {
 // SnapshotState implements Snapshotter: the sink's accumulated results are
 // part of the checkpoint, so a restored run converges on exactly the output
 // of an uninterrupted one (exactly-once at the sink for replayable sources).
-func (s *resultSink) SnapshotState() ([]byte, error) { return s.res.snapshot() }
+func (s *resultSink) SnapshotState() ([]byte, error) { return s.res.Snapshot() }
 
 // RestoreState implements Snapshotter.
-func (s *resultSink) RestoreState(data []byte) error { return s.res.restore(data) }
+func (s *resultSink) RestoreState(data []byte) error { return s.res.Restore(data) }
 
 // resultsState is the gob snapshot DTO of a Results sink. Seen is a slice
 // because map[string]struct{} has no gob encoding; the latency histogram is
@@ -72,7 +72,8 @@ type resultsState struct {
 	Lat     obs.HistogramState
 }
 
-func (r *Results) snapshot() ([]byte, error) {
+// Snapshot serializes the sink's accumulated results.
+func (r *Results) Snapshot() ([]byte, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	st := resultsState{
@@ -88,7 +89,8 @@ func (r *Results) snapshot() ([]byte, error) {
 	return gobEncode(st)
 }
 
-func (r *Results) restore(data []byte) error {
+// Restore replaces the sink's results with those of a Snapshot.
+func (r *Results) Restore(data []byte) error {
 	var st resultsState
 	if err := gobDecode(data, &st); err != nil {
 		return err

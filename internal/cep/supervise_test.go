@@ -17,9 +17,10 @@ import (
 // The NFA operator under supervision: killing the fcep instance mid-run via
 // chaos, then rebuilding and restoring from the latest aligned checkpoint
 // through a supervise.Supervisor, must reproduce an uninterrupted run's match
-// set. This drives the supervisor directly against asp — the same loop
-// core.RunSupervised wires up — so the CEP machine snapshot is exercised
-// under real panic/restart pressure, not only under a cooperative cancel.
+// set. This drives the supervisor directly against asp — the supervisor
+// core.Run wires up for a restart policy — so the CEP machine snapshot is
+// exercised under real panic/restart pressure, not only under a cooperative
+// cancel.
 func TestSupervisedCEPOperatorRecovery(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	ta := event.RegisterType("CA")

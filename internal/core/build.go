@@ -64,20 +64,8 @@ func BuildMulti(plans []*Plan, bc BuildConfig) (*asp.Environment, []*asp.Results
 	return buildMulti(plans, bc, nil)
 }
 
-// BuildInto constructs the dataflow for one plan but delivers matches into
-// an existing Results handle. This is the online re-planning path: the
-// optimizer rebuilds the topology mid-run while the sink's dedup set and
-// counters carry over, so the union of the old run and the rebuilt run's
-// window-tail replay yields exactly the unique match set of an
-// uninterrupted execution.
-func BuildInto(plan *Plan, bc BuildConfig, res *asp.Results) (*asp.Environment, error) {
-	if res == nil {
-		return nil, fmt.Errorf("core: BuildInto needs a results handle")
-	}
-	env, _, err := buildMulti([]*Plan{plan}, bc, []*asp.Results{res})
-	return env, err
-}
-
+// buildMulti is BuildMulti delivering into existing sinks when given: Run
+// carries them across restarts and plan generations.
 func buildMulti(plans []*Plan, bc BuildConfig, sinks []*asp.Results) (*asp.Environment, []*asp.Results, error) {
 	if len(plans) == 0 {
 		return nil, nil, fmt.Errorf("core: no plans to build")

@@ -8,7 +8,6 @@ import (
 	"cep2asp/internal/core"
 	"cep2asp/internal/event"
 	"cep2asp/internal/exchange"
-	"cep2asp/internal/metrics"
 	"cep2asp/internal/obs"
 	"cep2asp/internal/workload"
 )
@@ -127,22 +126,7 @@ func (sc Scale) runDistributed(ctx context.Context, name, pattern string, fcep b
 		if jr.Events > 0 {
 			res.SelectivityPct = float64(jr.Unique) / float64(jr.Events) * 100
 		}
-		for _, st := range jr.CheckpointStats {
-			if st.Bytes > res.CheckpointBytes {
-				res.CheckpointBytes = st.Bytes
-			}
-			if st.AlignPause > res.CheckpointPause {
-				res.CheckpointPause = st.AlignPause
-			}
-			res.CheckpointSeries = append(res.CheckpointSeries, metrics.CheckpointPoint{
-				ID:         st.ID,
-				At:         st.CompletedAt.Sub(start),
-				Duration:   st.Duration,
-				AlignPause: st.AlignPause,
-				Bytes:      st.Bytes,
-			})
-		}
-		res.CkptP50, res.CkptP99 = ckptPercentiles(res.CheckpointSeries)
+		res.foldCheckpoints(jr.CheckpointStats, start)
 	}
 	// The coordinator's tracer holds its own spans plus every span the
 	// workers pushed over the control plane: the cluster-wide trace.

@@ -109,9 +109,9 @@ type RunSpec struct {
 	TraceOut  string
 	// Quality declares per-job quality demands: a controller polls the
 	// run's recall estimate, p99 latency and live heap, switching the shed
-	// strategy or pausing intake to hold them (unsupervised runs only —
-	// incompatible with RestartPolicy). Decisions land on
-	// RunResult.QualityActions.
+	// strategy or pausing intake to hold them — one controller per
+	// execution attempt, so it composes with RestartPolicy. Decisions land
+	// on RunResult.QualityActions.
 	Quality overload.QualityDemand
 	// Log receives structured engine lifecycle events; nil discards them.
 	Log *slog.Logger
@@ -200,10 +200,6 @@ func Run(ctx context.Context, spec RunSpec) RunResult {
 	for _, evs := range spec.Data {
 		res.Events += int64(len(evs))
 	}
-	if spec.Quality.Enabled() && spec.RestartPolicy != nil {
-		res.Failed, res.Err = true, fmt.Errorf("harness: quality demands drive the unsupervised execution path; drop RestartPolicy")
-		return res
-	}
 
 	var plan *core.Plan
 	var err error
@@ -246,22 +242,9 @@ func Run(ctx context.Context, spec RunSpec) RunResult {
 		SourceRatePerSec: spec.SourceRatePerSec,
 	}
 
-	// curEnv/curSink track the executing attempt: supervised restarts
-	// rebuild both, and the sampler and post-run accounting must follow.
+	// curEnv tracks the executing attempt: supervised restarts and
+	// re-plans rebuild it, and the sampler must follow.
 	var curEnv atomic.Pointer[asp.Environment]
-	var curSink atomic.Pointer[asp.Results]
-	bind := func(env *asp.Environment, sink *asp.Results) {
-		curEnv.Store(env)
-		curSink.Store(sink)
-		if spec.Metrics != nil {
-			// Export the sink's detection-latency histogram alongside the
-			// per-operator series (named histograms survive the graph reset
-			// Execute performs when it attaches, and re-registering under
-			// the same name replaces the previous attempt's histogram).
-			spec.Metrics.RegisterHistogram("sink_detection_latency", sink.LatencyHistogram())
-		}
-	}
-
 	var sampler *metrics.Sampler
 	if spec.SampleResources {
 		sampler = metrics.NewSampler(spec.SamplePeriod)
@@ -280,80 +263,35 @@ func Run(ctx context.Context, spec RunSpec) RunResult {
 		defer cancel()
 	}
 
+	dlq := &supervise.DLQ{}
 	start := time.Now()
-	var execErr error
-	if spec.RestartPolicy != nil {
-		run, err := core.RunSupervised(ctx, []*core.Plan{plan}, bc, core.SuperviseConfig{
-			Policy: *spec.RestartPolicy,
-			OnAttempt: func(_ int, env *asp.Environment, results []*asp.Results) {
-				bind(env, results[0])
-			},
-		})
-		execErr = err
-		res.Restarts = run.Restarts
-		res.DeadLetters = run.DLQ.Depth()
-	} else {
-		env, sink, err := core.Build(plan, bc)
-		if err != nil {
-			res.Failed, res.Err = true, err
-			if sampler != nil {
-				sampler.Stop()
-			}
-			return res
-		}
-		bind(env, sink)
-		var qc *overload.QualityController
-		if spec.Quality.Enabled() {
-			probe, act := env.QualityHooks(func() time.Duration { return sink.LatencyQuantile(0.99) })
-			c, qerr := overload.NewQualityController(spec.Quality, engineCfg.Overload, probe, act)
-			if qerr != nil {
-				res.Failed, res.Err = true, qerr
-				if sampler != nil {
-					sampler.Stop()
-				}
-				return res
-			}
-			c.Start(0)
-			qc = c
-		}
-		execErr = env.Execute(ctx)
-		if qc != nil {
-			qc.Stop()
-			res.QualityActions = qc.Actions()
-		}
-	}
+	rep, execErr := core.Run(ctx, core.RunSpec{
+		Plans:     []*core.Plan{plan},
+		Build:     bc,
+		Restart:   spec.RestartPolicy,
+		DLQ:       dlq,
+		Quality:   spec.Quality,
+		OnAttempt: func(env *asp.Environment, _ []*asp.Results) { curEnv.Store(env) },
+	})
 	res.Elapsed = time.Since(start)
-	env, sink := curEnv.Load(), curSink.Load()
-	if env == nil || sink == nil {
-		// Supervised build failed before any attempt ran.
-		res.Failed, res.Err = true, execErr
-		if sampler != nil {
-			sampler.Stop()
-		}
-		return res
-	}
-
-	if spec.CheckpointInterval > 0 {
-		for _, st := range env.CheckpointStats() {
-			res.Checkpoints++
-			if st.Bytes > res.CheckpointBytes {
-				res.CheckpointBytes = st.Bytes
-			}
-			if st.AlignPause > res.CheckpointPause {
-				res.CheckpointPause = st.AlignPause
-			}
-			res.CheckpointSeries = append(res.CheckpointSeries, metrics.CheckpointPoint{
-				ID:         st.ID,
-				At:         st.CompletedAt.Sub(start),
-				Duration:   st.Duration,
-				AlignPause: st.AlignPause,
-				Bytes:      st.Bytes,
-			})
-		}
-		res.CkptP50, res.CkptP99 = ckptPercentiles(res.CheckpointSeries)
-	}
 	if sampler != nil {
 		res.Resources = sampler.Stop()
+	}
+	env := rep.Env
+	if env == nil {
+		// The build failed before any attempt ran.
+		res.Failed, res.Err = true, execErr
+		return res
+	}
+	sink := rep.Sinks[0]
+	res.Restarts = rep.Restarts
+	res.DeadLetters = dlq.Depth()
+	res.QualityActions = rep.QualityActions
+
+	if spec.CheckpointInterval > 0 {
+		stats := env.CheckpointStats()
+		res.Checkpoints = int64(len(stats))
+		res.foldCheckpoints(stats, start)
 	}
 	if spec.Metrics != nil {
 		snap := spec.Metrics.Snapshot()
@@ -368,13 +306,11 @@ func Run(ctx context.Context, spec RunSpec) RunResult {
 			}
 		}
 	}
-	res.ShedRecords = env.ShedRecords()
-	res.PeakStateRecords = env.PeakStateRecords()
-	res.PeakHeapBytes = env.PeakHeapBytes()
-	// The recall estimate uses the sink's deduped count so duplicates from
-	// overlapping windows never inflate it (lower bound stays sound).
-	res.RecallLostBound = env.LostMatchBound()
-	res.RecallEstimate = overload.RecallEstimate(sink.Unique(), res.RecallLostBound)
+	res.ShedRecords = rep.ShedRecords
+	res.PeakStateRecords = rep.PeakStateRecords
+	res.PeakHeapBytes = rep.PeakHeapBytes
+	res.RecallLostBound = rep.LostMatchBound
+	res.RecallEstimate = rep.RecallEstimate(0)
 	if execErr != nil {
 		res.Failed = true
 		res.Err = execErr
@@ -398,19 +334,27 @@ func Run(ctx context.Context, spec RunSpec) RunResult {
 	return res
 }
 
-// ckptPercentiles computes wall-clock duration percentiles over a
-// per-checkpoint series.
-func ckptPercentiles(series []metrics.CheckpointPoint) (p50, p99 time.Duration) {
-	if len(series) == 0 {
-		return 0, 0
+// foldCheckpoints records a run's completed checkpoints — the largest
+// snapshot, the worst alignment stall, the per-checkpoint series relative to
+// the run's start — and the percentiles of their wall-clock durations.
+func (r *RunResult) foldCheckpoints(stats []checkpoint.Stat, start time.Time) {
+	if len(stats) == 0 {
+		return
 	}
-	durs := make([]time.Duration, len(series))
-	for i, pt := range series {
-		durs[i] = pt.Duration
+	durs := make([]time.Duration, len(stats))
+	for i, st := range stats {
+		r.CheckpointBytes = max(r.CheckpointBytes, st.Bytes)
+		r.CheckpointPause = max(r.CheckpointPause, st.AlignPause)
+		r.CheckpointSeries = append(r.CheckpointSeries, metrics.CheckpointPoint{
+			ID:         st.ID,
+			At:         st.CompletedAt.Sub(start),
+			Duration:   st.Duration,
+			AlignPause: st.AlignPause,
+			Bytes:      st.Bytes,
+		})
+		durs[i] = st.Duration
 	}
 	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
-	quant := func(q float64) time.Duration {
-		return durs[int(q*float64(len(durs)-1))]
-	}
-	return quant(0.50), quant(0.99)
+	r.CkptP50 = durs[int(0.50*float64(len(durs)-1))]
+	r.CkptP99 = durs[int(0.99*float64(len(durs)-1))]
 }

@@ -12,11 +12,11 @@
 //     translator from heuristic ascending-frequency left-deep chains to
 //     greedy cheapest-pair-first (bushy) join trees, and auto-selects
 //     O1/O2/O3 per §4.3's rules;
-//   - online re-planning: Run executes a plan while monitoring observed
-//     selectivities; when they drift from the estimates far enough to
-//     change the plan shape, it triggers a checkpoint barrier, stops the
-//     run at the consistent cut, and restores into the re-optimized plan
-//     without losing or duplicating matches.
+//   - online re-planning: Replanner is core.Run's re-planning policy — it
+//     watches observed selectivities while a plan executes and, when they
+//     drift from the estimates far enough to change the plan shape, has
+//     core.Run cut the run at a checkpoint barrier and continue under the
+//     re-optimized plan without losing or duplicating matches.
 package optimizer
 
 import (
@@ -43,10 +43,10 @@ type Config struct {
 	// the effective input volume and its estimated share. Defaults to 2;
 	// must be >= 1.
 	ReplanThreshold float64
-	// MaxReplans bounds how many times Run may re-plan. Zero selects the
+	// MaxReplans bounds how many times a run may re-plan. Zero selects the
 	// default of 1; negative disables online re-planning.
 	MaxReplans int
-	// CheckInterval is how often Run polls observed statistics while the
+	// CheckInterval is how often a run polls observed statistics while the
 	// plan executes. Defaults to 100ms.
 	CheckInterval time.Duration
 	// MinEvents is the number of source events that must be observed
@@ -59,8 +59,8 @@ type Config struct {
 	ReplanAfterEvents int64
 }
 
-// Optimizer compiles patterns into cost-optimized plans and can execute
-// them with online re-planning.
+// Optimizer compiles patterns into cost-optimized plans and re-plans
+// them online (Replanner).
 type Optimizer struct {
 	cfg Config
 }

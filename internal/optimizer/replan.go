@@ -1,288 +1,81 @@
 package optimizer
 
 import (
-	"context"
-	"errors"
-	"fmt"
-	"math"
 	"time"
 
-	"cep2asp/internal/asp"
-	"cep2asp/internal/checkpoint"
 	"cep2asp/internal/core"
-	"cep2asp/internal/event"
 	"cep2asp/internal/obs"
 	"cep2asp/internal/sea"
 )
 
-// errReplan is the failure cause Run injects to stop a plan at a completed
-// checkpoint barrier; any other execution error is passed through.
-var errReplan = errors.New("optimizer: re-planning at checkpoint barrier")
-
-// Report is the outcome of an optimized execution.
-type Report struct {
-	// Results is the shared match sink: it survives re-plans, so its
-	// dedup set spans all plan generations and the match set is exactly
-	// what a single uninterrupted run would produce.
-	Results *asp.Results
-	// Replans counts how many times the run switched plans mid-flight.
-	Replans int
-	// Plans holds the cost-annotated explain output of every plan
-	// generation, in execution order.
-	Plans []string
-	// Estimated are the statistics the first plan was built from;
-	// Observed are the live statistics at the last re-plan (nil when no
-	// re-plan happened).
-	Estimated map[string]core.StreamStats
-	Observed  map[string]core.StreamStats
-	// Env is the last executed environment, for post-run accounting
-	// (node stats, checkpoint stats).
-	Env *asp.Environment
+// Replanner returns the re-planning policy core.Run applies to one run of
+// p: the first plan is built from the configured statistics, every later
+// one from the statistics the running plan's metrics showed when the
+// re-plan was judged due. core.Run cuts the old plan at a checkpoint
+// barrier and replays the rewound tail into the same sinks, so no match is
+// lost or duplicated.
+func (o *Optimizer) Replanner(p *sea.Pattern) core.Replanner {
+	return &replanner{o: o, p: p, stats: cloneStats(o.cfg.Stats), forced: o.cfg.ReplanAfterEvents}
 }
 
-// Run compiles the pattern with the configured statistics, executes it,
-// and re-plans online when observed statistics drift enough to change the
-// plan shape. The re-plan protocol preserves exactly-once match semantics:
-//
-//  1. trigger a checkpoint barrier and wait for the aligned snapshot —
-//     every record before the barrier is fully processed, every match it
-//     implies emitted to the shared sink;
-//  2. stop the run at the cut and read the sources' replay positions;
-//  3. rebuild the re-optimized plan over the tail of the data, rewound
-//     far enough (two windows before the slowest source's watermark) that
-//     every window still open at the cut is regenerated;
-//  4. the shared dedup sink absorbs the overlap, so replayed matches are
-//     emitted once.
-//
-// See DESIGN.md's "Cost-based optimization" for the rewind-bound argument.
-func (o *Optimizer) Run(ctx context.Context, p *sea.Pattern, bc core.BuildConfig) (*Report, error) {
-	stats := cloneStats(o.cfg.Stats)
-	rep := &Report{
-		Results:   asp.NewResults(bc.DedupSink, bc.KeepMatches),
-		Estimated: cloneStats(o.cfg.Stats),
-	}
-	data := bc.Data
-	forced := o.cfg.ReplanAfterEvents
-	for {
-		opts := o.adviseWith(p, stats)
-		plan, err := core.Translate(p, opts)
-		if err != nil {
-			return rep, err
-		}
-		rep.Plans = append(rep.Plans, ExplainPlan(plan, stats))
-
-		attempt := bc
-		attempt.Data = data
-		reg := attempt.Engine.Metrics
-		if reg == nil {
-			reg = obs.NewRegistry()
-			attempt.Engine.Metrics = reg
-		}
-		canReplan := o.cfg.MaxReplans > 0 && rep.Replans < o.cfg.MaxReplans
-		var store checkpoint.Store
-		if attempt.Engine.Checkpoint != nil {
-			store = attempt.Engine.Checkpoint.Store
-		} else if canReplan {
-			store = checkpoint.NewMemStore()
-			attempt.Engine.Checkpoint = &asp.CheckpointSpec{Store: store}
-		}
-		canReplan = canReplan && store != nil
-
-		env, err := core.BuildInto(plan, attempt, rep.Results)
-		if err != nil {
-			return rep, err
-		}
-		rep.Env = env
-
-		snapID, execErr := o.supervise(ctx, env, reg, p, plan, stats, canReplan, &forced)
-		if !errors.Is(execErr, errReplan) {
-			return rep, execErr
-		}
-
-		// Capture the observed statistics before the next attempt's
-		// registry attach resets the graph counters.
-		observed := observedFrom(reg.Snapshot(), p)
-		snap, err := store.Load(snapID)
-		if err != nil {
-			return rep, fmt.Errorf("optimizer: loading re-plan snapshot %d: %w", snapID, err)
-		}
-		prog, err := asp.SourceOffsets(snap)
-		if err != nil {
-			return rep, err
-		}
-		cut := replayCutoff(p, data, prog, attempt.Engine.WatermarkInterval, bc.Lateness)
-		data = tailFrom(data, cut)
-		stats = observed
-		rep.Observed = observed
-		rep.Replans++
-	}
+type replanner struct {
+	o *Optimizer
+	p *sea.Pattern
+	// stats is what the next plan is built from; forced the pending
+	// ReplanAfterEvents trigger (0 once fired); plans the generations
+	// planned so far.
+	stats  map[string]core.StreamStats
+	forced int64
+	plans  int
 }
 
-// supervise executes env while polling observed statistics; when a re-plan
-// is warranted it triggers a checkpoint, waits for the barrier to complete,
-// and aborts the run with errReplan. Returns the completed snapshot ID
-// alongside the execution error.
-func (o *Optimizer) supervise(ctx context.Context, env *asp.Environment, reg *obs.Registry,
-	p *sea.Pattern, cur *core.Plan, stats map[string]core.StreamStats,
-	canReplan bool, forced *int64) (int64, error) {
-	if !canReplan {
-		return 0, env.Execute(ctx)
+func (r *replanner) Plan() (*core.Plan, string, error) {
+	plan, err := core.Translate(r.p, r.o.adviseWith(r.p, r.stats))
+	if err != nil {
+		return nil, "", err
 	}
-	done := make(chan error, 1)
-	go func() { done <- env.Execute(ctx) }()
-	tick := time.NewTicker(o.cfg.CheckInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case err := <-done:
-			return 0, err
-		case <-tick.C:
-			if !o.wantReplan(reg, p, cur, stats, forced) {
-				continue
-			}
-			id := env.TriggerCheckpoint()
-			if id == 0 {
-				continue // busy or already finishing; retry next tick
-			}
-			if err, finished := awaitCheckpoint(env, id, done); finished {
-				return 0, err
-			}
-			env.Fail(errReplan)
-			return id, <-done
-		}
-	}
+	r.plans++
+	return plan, ExplainPlan(plan, r.stats), nil
 }
 
-// awaitCheckpoint polls until checkpoint id completes. It returns
-// (execErr, true) when the run finished first — no re-plan needed.
-func awaitCheckpoint(env *asp.Environment, id int64, done chan error) (error, bool) {
-	poll := time.NewTicker(5 * time.Millisecond)
-	defer poll.Stop()
-	for {
-		select {
-		case err := <-done:
-			return err, true
-		case <-poll.C:
-			for _, st := range env.CheckpointStats() {
-				if st.ID == id {
-					return nil, false
-				}
-			}
-		}
+func (r *replanner) Poll() time.Duration {
+	if r.plans > r.o.cfg.MaxReplans {
+		return 0
 	}
+	return r.o.cfg.CheckInterval
 }
 
-// wantReplan decides whether the observed statistics justify switching
-// plans: enough events seen, drift beyond the threshold, and — because a
-// re-plan costs a barrier plus a partial replay — only when the
-// re-optimized plan actually has a different shape. A pending forced
-// trigger (ReplanAfterEvents) bypasses the drift and shape checks.
-func (o *Optimizer) wantReplan(reg *obs.Registry, p *sea.Pattern, cur *core.Plan,
-	stats map[string]core.StreamStats, forced *int64) bool {
-	snap := reg.Snapshot()
+// Due decides whether the observed statistics justify switching plans:
+// enough events seen, drift beyond the threshold, and — because a re-plan
+// costs a barrier plus a partial replay — only when the re-optimized plan
+// actually has a different shape. A pending forced trigger
+// (ReplanAfterEvents) bypasses the drift and shape checks. A positive
+// verdict adopts the observed statistics for the next plan.
+func (r *replanner) Due(snap obs.Snapshot, cur *core.Plan) bool {
 	total := sourceEventsFrom(snap)
-	if *forced > 0 {
-		if total < *forced {
+	observed := observedFrom(snap, r.p)
+	if r.forced > 0 {
+		if total < r.forced {
 			return false
 		}
-		*forced = 0 // fire exactly once
+		r.forced = 0 // fire exactly once
+		r.stats = observed
 		return true
 	}
-	if total < o.cfg.MinEvents {
+	if total < r.o.cfg.MinEvents {
 		return false
 	}
-	observed := observedFrom(snap, p)
-	est := stats
+	est := r.stats
 	if len(est) == 0 {
-		est = uniformStats(p) // cold start: judge against a uniform prior
+		est = uniformStats(r.p) // cold start: judge against a uniform prior
 	}
-	if drift(est, observed) < o.cfg.ReplanThreshold {
+	if drift(est, observed) < r.o.cfg.ReplanThreshold {
 		return false
 	}
-	cand, err := core.Translate(p, o.adviseWith(p, observed))
-	if err != nil {
+	cand, err := core.Translate(r.p, r.o.adviseWith(r.p, observed))
+	if err != nil || cand.Explain() == cur.Explain() {
 		return false
 	}
-	return cand.Explain() != cur.Explain()
-}
-
-// replayCutoff computes how far the rebuilt plan must rewind: the earliest
-// event timestamp the tail data must include so that every match the old
-// run had NOT yet emitted at the barrier is regenerated.
-//
-// A match with latest constituent t_max is guaranteed emitted once the
-// source watermark passes t_max + W: chained window joins fire a pane at
-// the latest by watermark pane_end <= t_max + W, and the next-occurrence
-// UDF holds a T1 event no longer than W past its timestamp. Barrier
-// alignment guarantees all pre-barrier records and watermarks were fully
-// processed at every stage before the snapshot. So with minWM the slowest
-// source's watermark at its checkpointed offset, only matches with
-// t_max > minWM - W may be missing; their earliest constituents lie within
-// one window before t_max, hence TS > minWM - 2W. Everything at or before
-// minWM - 2W is already in the shared sink, whose dedup set absorbs any
-// overlap from rewinding deeper than necessary.
-func replayCutoff(p *sea.Pattern, data map[event.Type][]event.Event,
-	prog map[string]asp.SourceProgress, wmInterval int, lateness event.Time) event.Time {
-	if wmInterval <= 0 {
-		wmInterval = asp.DefaultWatermarkInterval
-	}
-	minWM := event.Time(math.MaxInt64)
-	seen := make(map[string]bool)
-	for _, l := range p.Leaves() {
-		if seen[l.TypeName] {
-			continue
-		}
-		seen[l.TypeName] = true
-		pr, ok := prog["src:"+l.TypeName]
-		if !ok {
-			return event.MinWatermark // source state missing: replay everything
-		}
-		// Watermarks are emitted every wmInterval records, so at offset o
-		// the source's downstream watermark reflects the first k = floor(o /
-		// interval) * interval events only.
-		k := (pr.Offset / wmInterval) * wmInterval
-		events := data[l.Type]
-		if k > len(events) {
-			k = len(events)
-		}
-		if k <= 0 {
-			return event.MinWatermark // no watermark emitted yet: full replay
-		}
-		maxTS := events[0].TS
-		for _, e := range events[:k] {
-			if e.TS > maxTS {
-				maxTS = e.TS
-			}
-		}
-		if wm := asp.SourceWatermarkAt(maxTS, lateness); wm < minWM {
-			minWM = wm
-		}
-	}
-	if minWM == event.Time(math.MaxInt64) || minWM == event.MinWatermark {
-		return event.MinWatermark
-	}
-	cut := minWM - 2*p.Window.Size - 1
-	if cut > minWM { // underflow wrap
-		return event.MinWatermark
-	}
-	return cut
-}
-
-// tailFrom keeps only events at or after the cutoff, preserving per-stream
-// arrival order.
-func tailFrom(data map[event.Type][]event.Event, cut event.Time) map[event.Type][]event.Event {
-	if cut == event.MinWatermark {
-		return data
-	}
-	out := make(map[event.Type][]event.Event, len(data))
-	for t, evs := range data {
-		kept := make([]event.Event, 0, len(evs))
-		for _, e := range evs {
-			if e.TS >= cut {
-				kept = append(kept, e)
-			}
-		}
-		out[t] = kept
-	}
-	return out
+	r.stats = observed
+	return true
 }

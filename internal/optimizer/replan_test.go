@@ -7,11 +7,10 @@ import (
 
 	"cep2asp/internal/asp"
 	"cep2asp/internal/core"
-	"cep2asp/internal/event"
 )
 
-// Run without re-planning is a plain optimized execution: the match set
-// must equal the reference evaluator's.
+// core.Run under the optimizer's policy without re-planning is a plain
+// optimized execution: the match set must equal the reference evaluator's.
 func TestRunWithoutReplan(t *testing.T) {
 	p := mustPattern(t, `PATTERN SEQ(RPA a, RPB b) WHERE a.value < 70 WITHIN 6 MIN SLIDE 1 MIN`)
 	data := patternData(t, p, 60, 7)
@@ -22,25 +21,28 @@ func TestRunWithoutReplan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := o.Run(context.Background(), p, core.BuildConfig{
-		Engine:      asp.Config{WatermarkInterval: 1},
-		Data:        data,
-		DedupSink:   true,
-		KeepMatches: true,
+	rep, err := core.Run(context.Background(), core.RunSpec{
+		Build: core.BuildConfig{
+			Engine:      asp.Config{WatermarkInterval: 1},
+			Data:        data,
+			DedupSink:   true,
+			KeepMatches: true,
+		},
+		Replanner: o.Replanner(p),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Replans != 0 || len(rep.Plans) != 1 {
-		t.Fatalf("unexpected re-plans: %d (%d plans)", rep.Replans, len(rep.Plans))
+	if rep.Replans != 0 || len(rep.Explains) != 1 {
+		t.Fatalf("unexpected re-plans: %d (%d plans)", rep.Replans, len(rep.Explains))
 	}
-	equalSets(t, "no-replan", oracleKeys(p, data), sortedKeys(rep.Results.Matches()))
+	equalSets(t, "no-replan", oracleKeys(p, data), sortedKeys(rep.Sinks[0].Matches()))
 }
 
-// The online re-plan protocol must preserve the exact match set: stop plan
-// A at a checkpoint barrier mid-stream, rebuild with observed statistics,
-// replay the tail into the shared dedup sink — no lost and no duplicated
-// matches, across every operator family.
+// The online re-plan protocol must preserve the exact match set: core.Run
+// stops plan A at a checkpoint barrier mid-stream, rebuilds with observed
+// statistics and replays the tail into the shared dedup sink — no lost and
+// no duplicated matches, across every operator family.
 func TestReplanPreservesMatches(t *testing.T) {
 	patterns := []string{
 		`PATTERN SEQ(RPA a, RPB b, RPC c) WHERE a.value < 80 WITHIN 8 MIN SLIDE 1 MIN`,
@@ -67,15 +69,18 @@ func TestReplanPreservesMatches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := o.Run(context.Background(), p, core.BuildConfig{
-			Engine: asp.Config{WatermarkInterval: 8},
-			Data:   data,
-			// Throttle the sources so the run is still in flight when the
-			// forced trigger fires and the barrier completes — also for
-			// single-source patterns under the race detector.
-			SourceRatePerSec: 500,
-			DedupSink:        true,
-			KeepMatches:      true,
+		rep, err := core.Run(context.Background(), core.RunSpec{
+			Build: core.BuildConfig{
+				Engine: asp.Config{WatermarkInterval: 8},
+				Data:   data,
+				// Throttle the sources so the run is still in flight when the
+				// forced trigger fires and the barrier completes — also for
+				// single-source patterns under the race detector.
+				SourceRatePerSec: 500,
+				DedupSink:        true,
+				KeepMatches:      true,
+			},
+			Replanner: o.Replanner(p),
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", src, err)
@@ -83,54 +88,9 @@ func TestReplanPreservesMatches(t *testing.T) {
 		if rep.Replans != 1 {
 			t.Fatalf("%s: expected exactly one re-plan, got %d", src, rep.Replans)
 		}
-		if len(rep.Plans) != 2 {
-			t.Fatalf("%s: expected two plan generations, got %d", src, len(rep.Plans))
+		if len(rep.Explains) != 2 {
+			t.Fatalf("%s: expected two plan generations, got %d", src, len(rep.Explains))
 		}
-		if len(rep.Observed) == 0 {
-			t.Fatalf("%s: no observed statistics captured", src)
-		}
-		equalSets(t, src, oracle, sortedKeys(rep.Results.Matches()))
-	}
-}
-
-// replayCutoff must rewind at least two windows behind the slowest
-// source's watermark, and fall back to full replay when a source has not
-// yet emitted a watermark.
-func TestReplayCutoff(t *testing.T) {
-	p := mustPattern(t, `PATTERN SEQ(RPA a, RPB b) WITHIN 5 MIN SLIDE 1 MIN`)
-	ta, _ := event.LookupType("RPA")
-	tb, _ := event.LookupType("RPB")
-	mk := func(typ event.Type, n int) []event.Event {
-		out := make([]event.Event, n)
-		for i := range out {
-			out[i] = event.Event{Type: typ, ID: 1, TS: int64(i+1) * event.Minute}
-		}
-		return out
-	}
-	data := map[event.Type][]event.Event{ta: mk(ta, 100), tb: mk(tb, 100)}
-
-	// Both sources at offset 64 with interval 8: watermark covers the
-	// first 64 events, maxTS = 64 min, wm = 64min-1. Cutoff = wm - 2W - 1.
-	prog := map[string]asp.SourceProgress{
-		"src:RPA": {Offset: 64, MaxTS: 64 * event.Minute},
-		"src:RPB": {Offset: 64, MaxTS: 64 * event.Minute},
-	}
-	cut := replayCutoff(p, data, prog, 8, 0)
-	wm := 64*event.Minute - 1
-	want := wm - 2*p.Window.Size - 1
-	if cut != want {
-		t.Fatalf("cutoff %d, want %d", cut, want)
-	}
-
-	// A source below one watermark interval forces full replay.
-	prog["src:RPB"] = asp.SourceProgress{Offset: 3, MaxTS: 3 * event.Minute}
-	if cut := replayCutoff(p, data, prog, 8, 0); cut != event.MinWatermark {
-		t.Fatalf("expected full replay, got cutoff %d", cut)
-	}
-
-	// A missing source also forces full replay.
-	delete(prog, "src:RPB")
-	if cut := replayCutoff(p, data, prog, 8, 0); cut != event.MinWatermark {
-		t.Fatalf("expected full replay on missing source, got %d", cut)
+		equalSets(t, src, oracle, sortedKeys(rep.Sinks[0].Matches()))
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"cep2asp/internal/core"
-	"cep2asp/internal/event"
 )
 
 // MultiJob runs several patterns over the same input streams in one
@@ -15,12 +14,8 @@ import (
 // running many continuous requests in a single system — and the setting
 // where its multi-query remarks apply (§6).
 type MultiJob struct {
-	entries  []multiEntry
-	data     map[Type][]Event
-	engine   EngineConfig
-	lateness event.Time
-	keep     bool
-	err      error
+	job     *Job // the shared streams and engine settings
+	entries []multiEntry
 }
 
 type multiEntry struct {
@@ -31,7 +26,7 @@ type multiEntry struct {
 
 // NewMultiJob starts an empty multi-pattern job.
 func NewMultiJob() *MultiJob {
-	return &MultiJob{data: make(map[Type][]Event), keep: true}
+	return &MultiJob{job: NewJob(nil)}
 }
 
 // Add registers a pattern executed through the decomposed mapping.
@@ -48,33 +43,25 @@ func (m *MultiJob) AddFCEP(p *Pattern, opts Options) *MultiJob {
 
 // AddStream supplies one input type's events, shared by all patterns.
 func (m *MultiJob) AddStream(typeName string, events []Event) *MultiJob {
-	t, ok := event.LookupType(typeName)
-	if !ok {
-		m.err = fmt.Errorf("cep2asp: unknown event type %q", typeName)
-		return m
-	}
-	m.data[t] = events
+	m.job.AddStream(typeName, events)
 	return m
 }
 
 // WithEngine overrides the engine configuration.
-func (m *MultiJob) WithEngine(cfg EngineConfig) *MultiJob { m.engine = cfg; return m }
+func (m *MultiJob) WithEngine(cfg EngineConfig) *MultiJob { m.job.WithEngine(cfg); return m }
 
 // WithLateness declares the input streams' event-time disorder bound.
-func (m *MultiJob) WithLateness(d time.Duration) *MultiJob {
-	m.lateness = event.DurationToMillis(d)
-	return m
-}
+func (m *MultiJob) WithLateness(d time.Duration) *MultiJob { m.job.WithLateness(d); return m }
 
 // DiscardMatches keeps only counts.
-func (m *MultiJob) DiscardMatches() *MultiJob { m.keep = false; return m }
+func (m *MultiJob) DiscardMatches() *MultiJob { m.job.DiscardMatches(); return m }
 
 // Run executes all patterns concurrently and returns one RunStats per
 // pattern, in Add order. Events and throughput count the shared inputs
 // once.
 func (m *MultiJob) Run(ctx context.Context) ([]*RunStats, error) {
-	if m.err != nil {
-		return nil, m.err
+	if m.job.err != nil {
+		return nil, m.job.err
 	}
 	if len(m.entries) == 0 {
 		return nil, fmt.Errorf("cep2asp: multi-job has no patterns")
@@ -82,51 +69,9 @@ func (m *MultiJob) Run(ctx context.Context) ([]*RunStats, error) {
 	plans := make([]*core.Plan, len(m.entries))
 	for i, e := range m.entries {
 		var err error
-		if e.fcep {
-			plans[i], err = core.TranslateFCEP(e.pattern, e.opts)
-		} else {
-			plans[i], err = core.Translate(e.pattern, e.opts)
-		}
-		if err != nil {
+		if plans[i], err = translate(e.pattern, e.opts, e.fcep); err != nil {
 			return nil, fmt.Errorf("cep2asp: pattern %d: %w", i, err)
 		}
 	}
-	env, sinks, err := core.BuildMulti(plans, core.BuildConfig{
-		Engine:      m.engine,
-		Data:        m.data,
-		StampIngest: true,
-		Lateness:    m.lateness,
-		DedupSink:   true,
-		KeepMatches: m.keep,
-	})
-	if err != nil {
-		return nil, err
-	}
-	var events int64
-	for _, evs := range m.data {
-		events += int64(len(evs))
-	}
-	start := time.Now()
-	if err := env.Execute(ctx); err != nil {
-		return nil, err
-	}
-	elapsed := time.Since(start)
-	out := make([]*RunStats, len(sinks))
-	for i, res := range sinks {
-		st := &RunStats{
-			Events:     events,
-			Elapsed:    elapsed,
-			Total:      res.Total(),
-			Unique:     res.Unique(),
-			Matches:    res.Matches(),
-			AvgLatency: res.AvgLatency(),
-			MaxLatency: res.MaxLatency(),
-			Plan:       plans[i],
-		}
-		if elapsed > 0 {
-			st.ThroughputTps = float64(events) / elapsed.Seconds()
-		}
-		out[i] = st
-	}
-	return out, nil
+	return m.job.run(ctx, plans, nil)
 }

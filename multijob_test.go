@@ -124,3 +124,36 @@ func TestMultiJobOutOfOrder(t *testing.T) {
 		t.Fatalf("disorder changed results: %d vs %d", ordered[0].Unique, disordered[0].Unique)
 	}
 }
+
+// Every pattern of a multi-job is reported like a Job: latency quantiles
+// and the recall estimate (1 when nothing was shed) are filled in.
+func TestMultiJobReportsLatencyAndRecall(t *testing.T) {
+	seqPat, err := Parse(`PATTERN SEQ(QnVQuantity q, QnVVelocity v)
+		WHERE q.value >= 80 AND v.value <= 20 WITHIN 10 MINUTES`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	andPat, err := Parse(`PATTERN AND(QnVQuantity q, QnVVelocity v)
+		WHERE q.value >= 90 AND v.value <= 10 WITHIN 10 MINUTES`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, v := multiTestStreams(t)
+	all, err := NewMultiJob().
+		Add(seqPat, Options{}).
+		Add(andPat, Options{}).
+		AddStream("QnVQuantity", q).
+		AddStream("QnVVelocity", v).
+		Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, st := range all {
+		if st.Unique == 0 {
+			t.Fatalf("pattern %d found no matches", i)
+		}
+		if st.P50Latency <= 0 || st.RecallEstimate != 1 {
+			t.Fatalf("pattern %d: P50Latency %v, RecallEstimate %g; want > 0 and 1", i, st.P50Latency, st.RecallEstimate)
+		}
+	}
+}

@@ -189,15 +189,14 @@ func TestWithQualityInfeasibleFailsFast(t *testing.T) {
 		t.Fatalf("err = %v, want *QualityInfeasibleError", err)
 	}
 
-	// Quality demands drive the plain execution path only.
-	_, err = NewJob(p).
+	// Quality demands hold on supervised runs too.
+	if _, err = NewJob(p).
 		AddStream("QnVQuantity", q).
 		AddStream("QnVVelocity", v).
 		WithRestartPolicy(RestartPolicy{MaxRestarts: 1}).
 		WithQuality(QualitySpec{MinRecall: 0.5}).
-		Run(context.Background())
-	if err == nil {
-		t.Fatal("WithQuality+WithRestartPolicy did not error")
+		Run(context.Background()); err != nil {
+		t.Fatalf("WithQuality+WithRestartPolicy: %v", err)
 	}
 
 	// Malformed demand.

@@ -304,3 +304,69 @@ func TestSupervisedBudgetExhaustedSurfacesOperatorFailure(t *testing.T) {
 		t.Fatal("failure carries no stack")
 	}
 }
+
+// TestPoliciesCompose runs every policy of the attempt loop at once: a
+// forced mid-run re-plan, a restart policy with a chaos kill of the last
+// velocity record — which only the re-planned generation reaches, so the
+// restart happens after the re-plan — and a quality demand that never
+// binds. The run must re-plan once, restart, and find exactly the plain
+// run's matches.
+func TestPoliciesCompose(t *testing.T) {
+	pattern, err := Parse(`
+		PATTERN SEQ(QnVQuantity q, QnVVelocity v)
+		WHERE q.value >= 60 AND v.value <= 40 AND q.id == v.id
+		WITHIN 15 MINUTES`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, v := GenerateQnV(4, 100, 9)
+	plain, err := NewJob(pattern).
+		AddStream("QnVQuantity", q).
+		AddStream("QnVVelocity", v).
+		Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sortedMatchKeys(plain)
+	if len(want) == 0 {
+		t.Fatal("plain run produced no matches; the property would be vacuous")
+	}
+
+	last := v[len(v)-1]
+	inj := NewChaosInjector(ChaosFault{
+		Kind: chaos.Panic, Node: "src:QnVVelocity", Instance: -1,
+		RecordKey: fmt.Sprintf("e:%d:%d:%d:%g", last.Type, last.ID, last.TS, last.Value),
+	})
+	stats, err := NewJob(pattern).
+		AddStream("QnVQuantity", q).
+		AddStream("QnVVelocity", v).
+		// Throttled so the forced re-plan cuts the run long before its
+		// last record.
+		WithSourceRate(2000).
+		WithOptimizer(OptimizerConfig{ReplanAfterEvents: 150, CheckInterval: 2 * time.Millisecond}).
+		WithRestartPolicy(chaosTestPolicy(1)).
+		WithChaos(inj).
+		WithQuality(QualitySpec{MinRecall: 0.5, MaxP99Latency: time.Hour}).
+		Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Replans != 1 || len(stats.Plans) != 2 {
+		t.Fatalf("replans = %d over %d plan generations, want 1 over 2", stats.Replans, len(stats.Plans))
+	}
+	if stats.Restarts < 1 || len(inj.Fires()) != 1 {
+		t.Fatalf("restarts = %d, faults fired = %d; want a restart after the one kill", stats.Restarts, len(inj.Fires()))
+	}
+	if len(stats.QualityActions) != 0 {
+		t.Fatalf("a non-binding quality demand acted: %v", stats.QualityActions)
+	}
+	got := sortedMatchKeys(stats)
+	if len(got) != len(want) {
+		t.Fatalf("composed run: %d matches, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("composed run diverged at %d: %q vs %q", i, got[i], want[i])
+		}
+	}
+}
