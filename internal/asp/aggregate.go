@@ -121,7 +121,7 @@ type windowAggregate struct {
 // re-open windows that already fired, so the engine drops it at the input.
 func (w *windowAggregate) DropsLateRecords() {}
 
-func (w *windowAggregate) OnRecord(_ int, r Record, out *Collector) {
+func (w *windowAggregate) OnRecord(_ int, r *Record, out *Collector) {
 	if r.Kind != KindEvent {
 		return // aggregation is defined over plain event streams
 	}

@@ -95,7 +95,7 @@ func TestWatermarkCoalescingInBatch(t *testing.T) {
 	}
 	s := &c.senders[0]
 	push := func(r Record) {
-		if !c.push(s, 0, &r) {
+		if !c.push(s, 0, &r, 0) {
 			t.Fatal("push aborted")
 		}
 	}

@@ -37,21 +37,22 @@ func run(t *testing.T, env *Environment) {
 
 // apply appends a stateless stage running fn, forward-connected like every
 // other stateless stage.
-func apply(s *Stream, name string, fn func(port int, r Record, out *Collector)) *Stream {
+func apply(s *Stream, name string, fn func(port int, r *Record, out *Collector)) *Stream {
 	return s.chainStateless(name, func(int) Operator { return &funcOperator{fn: fn} })
 }
 
 // forward passes every record on unchanged.
-func forward(_ int, r Record, out *Collector) { out.Emit(r) }
+func forward(_ int, r *Record, out *Collector) { out.Emit(r) }
 
 func TestSourceFilterMapSink(t *testing.T) {
 	env := NewEnvironment(Config{})
 	res := NewResults(false, true)
 	filtered := env.Source("src", mkEvents(tQ, 1, []int64{0, 1, 2, 3}, []float64{5, 50, 7, 70}), false).
 		Filter("filter", func(e event.Event) bool { return e.Value >= 10 })
-	apply(filtered, "map", func(_ int, r Record, out *Collector) {
-		r.Event.Value *= 2
-		out.Emit(r)
+	apply(filtered, "map", func(_ int, r *Record, out *Collector) {
+		doubled := *r // r is borrowed: a projection writes its own copy
+		doubled.Event.Value *= 2
+		out.Emit(&doubled)
 	}).Sink("sink", res.Operator())
 	run(t, env)
 	ms := res.Matches()
@@ -118,7 +119,7 @@ func TestWindowJoinSpanExactlyW(t *testing.T) {
 func TestWindowJoinKeyed(t *testing.T) {
 	env := NewEnvironment(Config{})
 	res := NewResults(true, true)
-	key := func(r Record) int64 { return r.Event.ID }
+	key := func(r *Record) int64 { return r.Event.ID }
 	lEvents := append(mkEvents(tQ, 1, []int64{0}, nil), mkEvents(tQ, 2, []int64{0}, nil)...)
 	rEvents := append(mkEvents(tV, 1, []int64{1}, nil), mkEvents(tV, 2, []int64{1}, nil)...)
 	sort.Slice(lEvents, func(i, j int) bool { return lEvents[i].TS < lEvents[j].TS })
@@ -355,7 +356,7 @@ func TestParallelSourceAndKeyBy(t *testing.T) {
 		mkEvents(tQ, 1, []int64{0, 2}, nil),
 		mkEvents(tQ, 2, []int64{1, 3}, nil),
 	}
-	key := func(r Record) int64 { return r.Event.ID }
+	key := func(r *Record) int64 { return r.Event.ID }
 	env.ParallelSource("src", perInstance, false).
 		Process("shuffle", 4, key, func(int) Operator { return passOperator{} }).
 		Filter("f", func(event.Event) bool { return true }).

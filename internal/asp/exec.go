@@ -72,6 +72,9 @@ type Collector struct {
 	// tracer is the end-to-end tracing plane (Config.Trace); nil disables
 	// tracing and keeps every trace site at a pointer comparison.
 	tracer *trace.Tracer
+	// built is the record EmitEvent and EmitMatch assemble: a local would
+	// escape to the heap through every partitioner and edge filter call.
+	built Record
 }
 
 type edgeSender struct {
@@ -86,36 +89,30 @@ type edgeSender struct {
 	// transferred whole when it reaches Config.BatchSize, when a barrier or
 	// EOS marker is appended, and on idle/timer flushes.
 	pending [][]Record
-	// scratch is the one-constituent slice a fused edge filter is evaluated
-	// on: owned by the sending instance, never by the shared predicate.
-	scratch [1]event.Event
 }
 
-// Emit sends a data record downstream.
-func (c *Collector) Emit(r Record) {
+// Emit sends a data record downstream, copying it into each edge's pending
+// batch. *r is never written, so an operator may forward the record OnRecord
+// lent it.
+func (c *Collector) Emit(r *Record) {
 	if c.aborted {
 		return
 	}
 	c.out++
+	stamp := r.TraceNs
 	if c.tracer != nil {
-		c.traceEmit(&r)
+		stamp = c.traceStamp(r)
 	}
 	for i := range c.senders {
 		s := &c.senders[i]
-		if s.e.filter != nil && r.Kind == KindEvent {
-			s.scratch[0] = r.Event
-			if !s.e.filter(s.scratch[:]) {
-				continue // chained selection: dropped before the channel hop
-			}
+		if s.e.filter != nil && r.Kind == KindEvent && !s.e.filter(r.Events()) {
+			continue // chained selection: dropped before the channel hop
 		}
-		// r is this call's own copy: it is addressed per edge in place and
-		// copied once more, into the batch.
-		r.Port, r.Src = s.e.port, s.srcID
 		target := s.forwardTo
 		if s.e.partition != nil {
 			target = s.e.partition(r, len(s.e.chans))
 		}
-		if !c.push(s, target, &r) {
+		if !c.push(s, target, r, stamp) {
 			return
 		}
 	}
@@ -152,17 +149,14 @@ func (c *Collector) settle() {
 	}
 }
 
-// traceEmit stamps an outgoing record with the tracing context. Only called
-// when tracing is enabled. An output inherits sampling from the record under
-// processing (c.cur): matches and projected events derived from a traced
-// input stay traced, and the refreshed handoff timestamp starts the next
-// hop's queue clock. A sampled match additionally emits an attribution span
+// traceStamp returns the TraceNs of an outgoing record's copies: the hand-off
+// time, which starts the next hop's queue clock, or 0 when unsampled. An
+// output inherits sampling from the record under processing (c.cur), which r
+// may be: r is not written, since the instance loop reads c.cur's own stamp
+// for its queue wait. A sampled match additionally emits an attribution span
 // whose Links name the traces of its sampled constituents.
-func (c *Collector) traceEmit(r *Record) {
-	sampled := r.TraceNs != 0
-	if !sampled && c.curSet && c.cur != nil && c.cur.TraceNs != 0 {
-		sampled = true
-	}
+func (c *Collector) traceStamp(r *Record) int64 {
+	sampled := r.TraceNs != 0 || (c.curSet && c.cur != nil && c.cur.TraceNs != 0)
 	if r.Kind == KindMatch && r.Match != nil {
 		// Matches fired from window/watermark handling have no traced input
 		// record under processing; their sampling is recomputed from the
@@ -178,20 +172,19 @@ func (c *Collector) traceEmit(r *Record) {
 			sampled = true
 		}
 		if !sampled {
-			return
+			return 0
 		}
 		now := time.Now().UnixNano()
-		r.TraceNs = now
 		c.tracer.Add(trace.Span{
 			Trace: trace.MatchID(r.Match.Events), Kind: trace.KindMatch,
 			Name: c.node, Instance: c.instance, StartNs: now, Links: links,
 		})
-		return
+		return now
 	}
 	if !sampled {
-		return
+		return 0
 	}
-	r.TraceNs = time.Now().UnixNano()
+	return time.Now().UnixNano()
 }
 
 // traceIDOf recomputes a record's deterministic trace identity from its
@@ -203,21 +196,24 @@ func traceIDOf(r *Record) uint64 {
 	return trace.ID(r.Event)
 }
 
-// push appends a record to the sender's pending batch for the target
+// push appends a copy of r — its one copy per hop — with the edge's Port and
+// Src and the given TraceNs to the sender's pending batch for the target
 // channel, transferring the batch when it fills. Adjacent watermarks within
 // a batch coalesce to the newer (= maximum, per-sender watermarks are
 // monotonic) one: no record sits between them, so the collapsed watermark
 // carries exactly the same information downstream.
-func (c *Collector) push(s *edgeSender, target int, r *Record) bool {
+func (c *Collector) push(s *edgeSender, target int, r *Record, traceNs int64) bool {
 	b := s.pending[target]
 	if r.Kind == KindWatermark && len(b) > 0 && b[len(b)-1].Kind == KindWatermark {
-		b[len(b)-1] = *r
+		b[len(b)-1].TS = r.TS
 		return true
 	}
 	if b == nil {
 		b = c.pool.get()
 	}
 	b = append(b, *r)
+	last := &b[len(b)-1]
+	last.Port, last.Src, last.TraceNs = s.e.port, s.srcID, traceNs
 	s.pending[target] = b
 	if len(b) >= c.batch {
 		return c.flushTarget(s, target)
@@ -255,10 +251,16 @@ func (c *Collector) flush() bool {
 }
 
 // EmitEvent sends a single event timestamped with its event time.
-func (c *Collector) EmitEvent(e event.Event) { c.Emit(EventRecord(e)) }
+func (c *Collector) EmitEvent(e event.Event) {
+	c.built = EventRecord(e)
+	c.Emit(&c.built)
+}
 
 // EmitMatch sends a composite with the given assigned event time.
-func (c *Collector) EmitMatch(ts event.Time, m *event.Match) { c.Emit(MatchRecord(ts, m)) }
+func (c *Collector) EmitMatch(ts event.Time, m *event.Match) {
+	c.built = MatchRecord(ts, m)
+	c.Emit(&c.built)
+}
 
 // forwardWatermark broadcasts a watermark to every downstream instance.
 // Watermarks are monotonic per sender; regressions are dropped.
@@ -270,21 +272,14 @@ func (c *Collector) forwardWatermark(wm event.Time) {
 	if c.obsOp != nil {
 		c.obsOp.Watermark.Store(int64(wm))
 	}
-	for i := range c.senders {
-		s := &c.senders[i]
-		r := Record{Kind: KindWatermark, TS: wm, Port: s.e.port, Src: s.srcID}
-		for t := range s.e.chans {
-			if !c.push(s, t, &r) {
-				return
-			}
-		}
-	}
+	c.broadcast(Record{Kind: KindWatermark, TS: wm}, 0, false)
 }
 
 // forwardBarrier broadcasts a checkpoint barrier to every downstream
 // instance. Like watermarks and EOS markers, barriers bypass edge filters
 // and partitioners: every downstream instance must see the barrier from
-// every sender to align.
+// every sender to align. Barriers flush immediately: alignment downstream
+// must not wait for a batch to fill.
 func (c *Collector) forwardBarrier(id int64) {
 	if c.aborted {
 		return
@@ -292,32 +287,26 @@ func (c *Collector) forwardBarrier(id int64) {
 	// Barriers are rare, so they always carry their send timestamp: the
 	// receiving instance turns it into barrier-propagation latency (and a
 	// barrier span when tracing is on).
-	sentNs := time.Now().UnixNano()
-	for i := range c.senders {
-		s := &c.senders[i]
-		r := Record{Kind: KindBarrier, TS: id, Port: s.e.port, Src: s.srcID, TraceNs: sentNs}
-		for t := range s.e.chans {
-			// Barriers flush immediately: alignment downstream must not
-			// wait for a batch to fill.
-			if !c.push(s, t, &r) || !c.flushTarget(s, t) {
-				return
-			}
-		}
-	}
+	c.broadcast(Record{Kind: KindBarrier, TS: id}, time.Now().UnixNano(), true)
 }
 
-// eos broadcasts end-of-stream to every downstream instance.
+// eos broadcasts end-of-stream to every downstream instance. EOS flushes:
+// any pending records and watermarks precede the marker in the batch,
+// preserving per-sender order.
 func (c *Collector) eos() {
 	if c.aborted {
 		return
 	}
+	c.broadcast(Record{Kind: KindEOS}, 0, true)
+}
+
+// broadcast pushes a control record to every downstream instance, flushing
+// each target's batch behind it when flush is set.
+func (c *Collector) broadcast(r Record, traceNs int64, flush bool) {
 	for i := range c.senders {
 		s := &c.senders[i]
-		r := Record{Kind: KindEOS, Port: s.e.port, Src: s.srcID}
 		for t := range s.e.chans {
-			// EOS flushes: any pending records and watermarks precede the
-			// marker in the batch, preserving per-sender order.
-			if !c.push(s, t, &r) || !c.flushTarget(s, t) {
+			if !c.push(s, t, &r, traceNs) || (flush && !c.flushTarget(s, t)) {
 				return
 			}
 		}
@@ -914,8 +903,8 @@ func guard(env *Environment, n *node, inst int, source bool, col *Collector) {
 		Stack:    debug.Stack(),
 	}
 	if col.curSet && col.cur != nil {
-		f.RecordSummary = summarize(*col.cur)
-		f.RecordKey = poisonKey(*col.cur)
+		f.RecordSummary = summarize(col.cur)
+		f.RecordKey = poisonKey(col.cur)
 	}
 	env.fail(f)
 }
@@ -1150,9 +1139,9 @@ func runSource(env *Environment, n *node, inst int, col *Collector) {
 			// Quarantined records leave the stream here, before they can
 			// advance the watermark — the replayed run behaves as if the
 			// poison event never existed.
-			if k := poisonKey(rec); hasQuarantined(qkeys, k) {
+			if k := poisonKey(&rec); hasQuarantined(qkeys, k) {
 				if cb := env.cfg.Quarantine.OnDrop; cb != nil {
-					cb(n.name, inst, k, summarize(rec))
+					cb(n.name, inst, k, summarize(&rec))
 				}
 				continue
 			}
@@ -1179,11 +1168,11 @@ func runSource(env *Environment, n *node, inst int, col *Collector) {
 		if pt != nil {
 			var k string
 			if pt.NeedKey {
-				k = poisonKey(rec)
+				k = poisonKey(&rec)
 			}
 			pt.Hit(k)
 		}
-		col.Emit(rec)
+		col.Emit(&rec)
 		col.curSet = false
 		if col.aborted {
 			return
@@ -1549,9 +1538,9 @@ func runInstance(env *Environment, n *node, inst int, in chan []Record, nSrc int
 			}
 		default:
 			if qkeys != nil {
-				if k := poisonKey(*r); hasQuarantined(qkeys, k) {
+				if k := poisonKey(r); hasQuarantined(qkeys, k) {
 					if cb := env.cfg.Quarantine.OnDrop; cb != nil {
-						cb(n.name, inst, k, summarize(*r))
+						cb(n.name, inst, k, summarize(r))
 					}
 					return true
 				}
@@ -1562,7 +1551,7 @@ func runInstance(env *Environment, n *node, inst int, in chan []Record, nSrc int
 			if pt != nil {
 				var k string
 				if pt.NeedKey {
-					k = poisonKey(*r)
+					k = poisonKey(r)
 				}
 				pt.Hit(k)
 			}
@@ -1593,7 +1582,7 @@ func runInstance(env *Environment, n *node, inst int, in chan []Record, nSrc int
 				// A sampled record keeps a clock pair of its own for its span;
 				// its time is part of the batch's like any other record's.
 				t0 := time.Now()
-				op.OnRecord(int(r.Port), *r, col)
+				op.OnRecord(int(r.Port), r, col)
 				d := time.Since(t0).Nanoseconds()
 				start := t0.UnixNano()
 				q := start - r.TraceNs
@@ -1606,7 +1595,7 @@ func runInstance(env *Environment, n *node, inst int, in chan []Record, nSrc int
 					StartNs: start, DurNs: d, QueueNs: q,
 				})
 			} else {
-				op.OnRecord(int(r.Port), *r, col)
+				op.OnRecord(int(r.Port), r, col)
 			}
 			if checkState != nil {
 				checkState()

@@ -58,7 +58,7 @@ func (f *OperatorFailure) PoisonKey() string { return f.RecordKey }
 // poisonKey derives a record's stable identity across restarts: replayed
 // records carry the same content, while engine-level fields (Src, Port)
 // shift with the rebuilt topology. Control records have no identity.
-func poisonKey(r Record) string {
+func poisonKey(r *Record) string {
 	switch r.Kind {
 	case KindEvent:
 		e := r.Event
@@ -70,7 +70,7 @@ func poisonKey(r Record) string {
 }
 
 // summarize renders a record for failure reports and dead letters.
-func summarize(r Record) string {
+func summarize(r *Record) string {
 	switch r.Kind {
 	case KindEvent:
 		e := r.Event

@@ -377,8 +377,8 @@ type edge struct {
 	// filter, when set, drops single-event records failing the predicate
 	// before they cross the channel — operator chaining in the style of
 	// Flink's chained tasks: the selection executes inside the upstream
-	// instance, saving one channel hop per event. It sees the event as a
-	// one-constituent slice owned by the sending instance.
+	// instance, saving one channel hop per event. It reads the event as a
+	// one-constituent view of the record being emitted.
 	filter func([]event.Event) bool
 	// Filled at execution time:
 	chans   []chan []Record
@@ -394,12 +394,13 @@ type edge struct {
 	obs *obs.EdgeMetrics
 }
 
-// PartitionFn routes a data record to one of n downstream instances.
-type PartitionFn func(r Record, n int) int
+// PartitionFn routes a data record to one of n downstream instances. The
+// record is borrowed for the call.
+type PartitionFn func(r *Record, n int) int
 
 // HashPartition routes by key — the shuffle enabling optimization O3.
 func HashPartition(key KeyFn) PartitionFn {
-	return func(r Record, n int) int {
+	return func(r *Record, n int) int {
 		k := key(r)
 		// Fibonacci hashing spreads small integer keys.
 		h := uint64(k) * 0x9E3779B97F4A7C15
@@ -409,7 +410,7 @@ func HashPartition(key KeyFn) PartitionFn {
 
 // SinglePartition sends everything to instance 0 — the global-window case
 // of non-partitionable patterns (§5.1.2).
-func SinglePartition() PartitionFn { return func(Record, int) int { return 0 } }
+func SinglePartition() PartitionFn { return func(*Record, int) int { return 0 } }
 
 // Stream is a handle to the output of a node, used to chain operators.
 type Stream struct {
@@ -542,8 +543,9 @@ func (s *Stream) Filter(name string, pred func(event.Event) bool) *Stream {
 }
 
 // FilterMatch appends a predicate over a record's constituents: one for a
-// single event, all of them for a composite. Each instance evaluates pred on
-// a slice it owns, so pred itself is shared and must keep no state.
+// single event, all of them for a composite. pred reads them where they lie
+// and must not write them; it is shared by every instance and must keep no
+// state.
 func (s *Stream) FilterMatch(name string, pred func([]event.Event) bool) *Stream {
 	return s.chainStateless(name, func(int) Operator {
 		return &filterOperator{pred: pred}

@@ -101,6 +101,51 @@ func TestSourceFilterHopDoesNotAllocatePerEvent(t *testing.T) {
 	}
 }
 
+// TestEmitDoesNotAllocate: an emitted record costs one copy into the pending
+// batch and nothing on the heap, through a partitioner and a fused edge
+// filter alike. Both are calls through func values, so the record
+// EmitEvent and EmitMatch assemble must live in the Collector: a local whose
+// address reached them would be moved to the heap on every call.
+func TestEmitDoesNotAllocate(t *testing.T) {
+	const runs = 100
+	e := &edge{
+		partition: HashPartition(func(r *Record) int64 { return r.Events()[0].ID }),
+		filter:    func(es []event.Event) bool { return es[0].Value >= 0 },
+		chans:     []chan []Record{make(chan []Record, 1), make(chan []Record, 1)},
+	}
+	c := &Collector{
+		metrics: &NodeMetrics{},
+		senders: []edgeSender{{e: e, pending: make([][]Record, len(e.chans))}},
+		done:    make(chan struct{}),
+		// Every record goes to one target; its batch never fills, so no
+		// hand-off happens inside the measurement.
+		batch: 4 * runs,
+		pool:  newBatchPool(4*runs, nil),
+	}
+	ev := event.Event{Type: tQ, ID: 3, TS: 5}
+	r := EventRecord(ev)
+	m := event.NewMatch(ev, event.Event{Type: tV, ID: 3, TS: 6})
+	for _, emit := range []struct {
+		name string
+		fn   func()
+	}{
+		{"Emit", func() { c.Emit(&r) }},
+		{"EmitEvent", func() { c.EmitEvent(ev) }},
+		{"EmitMatch", func() { c.EmitMatch(6, m) }},
+	} {
+		if n := testing.AllocsPerRun(runs, emit.fn); n != 0 {
+			t.Errorf("%s: %v allocations per call, want 0", emit.name, n)
+		}
+	}
+	pending := 0
+	for _, b := range c.senders[0].pending {
+		pending += len(b)
+	}
+	if pending != 3*(runs+1) { // AllocsPerRun adds a warm-up call
+		t.Fatalf("%d records pending, want %d: the filter or the partitioner lost some", pending, 3*(runs+1))
+	}
+}
+
 // stampedArrival is what a recording sink saw of one event.
 type stampedArrival struct {
 	ingest, at int64
@@ -111,7 +156,7 @@ type stampedArrival struct {
 // waits for release (nil channels skip both).
 func recordingSink(got *[]stampedArrival, entered, release chan struct{}) func(int) Operator {
 	return func(int) Operator {
-		return &funcOperator{fn: func(_ int, r Record, _ *Collector) {
+		return &funcOperator{fn: func(_ int, r *Record, _ *Collector) {
 			if entered != nil && len(*got) == 0 {
 				close(entered)
 				<-release
@@ -219,13 +264,13 @@ func TestNodeStatsExactOnEveryExit(t *testing.T) {
 		cfg.BatchSize, cfg.ChannelCapacity = 8, 16
 		cfg.Metrics = obs.NewRegistry()
 		g := &graph{env: NewEnvironment(cfg), reg: cfg.Metrics}
-		apply(g.env.Source("src", events, false), "stage", func(_ int, r Record, out *Collector) {
+		apply(g.env.Source("src", events, false), "stage", func(_ int, r *Record, out *Collector) {
 			if c := g.stageCalls.Add(1); hook != nil {
 				hook(c)
 			}
 			out.Emit(r)
 		}).Sink("sink", func(int) Operator {
-			return &funcOperator{fn: func(int, Record, *Collector) { g.sinkN.Add(1) }}
+			return &funcOperator{fn: func(int, *Record, *Collector) { g.sinkN.Add(1) }}
 		})
 		return g
 	}
@@ -354,7 +399,7 @@ func TestRegistryCountsDoNotDependOnBatchSize(t *testing.T) {
 	for i, m := range minutes {
 		events[i] = event.Event{Type: tQ, ID: int64(i % 4), TS: m * event.Minute, Value: float64(i % 10)}
 	}
-	byKey := func(r Record) int64 { return r.Event.ID }
+	byKey := func(r *Record) int64 { return r.Event.ID }
 	runAt := func(batch int) map[string]exportedCounts {
 		reg := obs.NewRegistry()
 		env := NewEnvironment(Config{BatchSize: batch, Metrics: reg})
@@ -420,11 +465,11 @@ func TestSnapshotWhileRunningLagsByAtMostOneBatch(t *testing.T) {
 	env := NewEnvironment(Config{BatchSize: batch, ChannelCapacity: 16, Metrics: reg})
 	var stageCalls, sinkCalls atomic.Int64
 	entered, release := make(chan struct{}), make(chan struct{})
-	apply(env.Source("src", mkEvents(tQ, 1, firstMinutes(n), nil), false), "stage", func(_ int, r Record, out *Collector) {
+	apply(env.Source("src", mkEvents(tQ, 1, firstMinutes(n), nil), false), "stage", func(_ int, r *Record, out *Collector) {
 		stageCalls.Add(1)
 		out.Emit(r)
 	}).Sink("sink", func(int) Operator {
-		return &funcOperator{fn: func(int, Record, *Collector) {
+		return &funcOperator{fn: func(int, *Record, *Collector) {
 			if sinkCalls.Add(1) == holdAt {
 				close(entered)
 				<-release
@@ -498,4 +543,33 @@ func BenchmarkSourceFilterHop(b *testing.B) {
 			}
 		}
 	}
+}
+
+// BenchmarkKeyedHop measures the source -> keyed edge -> filter hop: the
+// same 0.1 % selection as BenchmarkSourceFilterHop, behind a partitioner that
+// spreads the events over two filter instances, batches of 64. It is kept
+// apart from that benchmark, whose sub-benchmark names
+// scripts/bench_smoke.sh reads by position.
+func BenchmarkKeyedHop(b *testing.B) {
+	const n = 100_000
+	events := hopEvents(n)
+	byKey := func(r *Record) int64 { return r.Event.ID }
+	var allocs uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		env := NewEnvironment(Config{BatchSize: 64})
+		res := NewResults(false, false)
+		env.Source("src", events, true).
+			Process("σ", 2, byKey, func(int) Operator {
+				return &filterOperator{pred: func(es []event.Event) bool { return es[0].Value < 1 }}
+			}).
+			Sink("sink", res.Operator())
+		allocs += mallocsDuring(func() {
+			if err := env.Execute(context.Background()); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/event")
+	b.ReportMetric(float64(allocs)/float64(b.N)/n, "allocs/event")
 }

@@ -70,8 +70,7 @@ type intervalJoin struct {
 	// seen, feeding completion scores and lost-match bounds.
 	rate     [2]arrivalRate
 	maxTS    event.Time
-	scratch  [2][]event.Event // constituents of the pair under test, per port
-	freeRecs [][]Record       // recycled group buffers
+	freeRecs [][]Record // recycled group buffers
 }
 
 // DropsLateRecords implements LateDropper: OnWatermark evicts buffered
@@ -80,7 +79,7 @@ type intervalJoin struct {
 // the input and counts it instead.
 func (j *intervalJoin) DropsLateRecords() {}
 
-func (j *intervalJoin) key(port int, r Record) int64 {
+func (j *intervalJoin) key(port int, r *Record) int64 {
 	if k := [2]KeyFn{j.spec.LeftKey, j.spec.RightKey}[port]; k != nil {
 		return k(r)
 	}
@@ -114,8 +113,9 @@ func firstAfter(buf []Record, ts event.Time) int {
 	return sort.Search(len(buf), func(k int) bool { return buf[k].TS > ts })
 }
 
-// insert places r by timestamp, behind buffered records of the same TS.
-func (s *ijSide) insert(r Record) {
+// insert places a copy of r by timestamp, behind buffered records of the
+// same TS.
+func (s *ijSide) insert(r *Record) {
 	if s.head > 0 && len(s.recs) == cap(s.recs) {
 		s.recs = s.recs[:copy(s.recs, s.live())]
 		s.head = 0
@@ -123,25 +123,26 @@ func (s *ijSide) insert(r Record) {
 	i := s.head + firstAfter(s.live(), r.TS)
 	s.recs = append(s.recs, Record{})
 	copy(s.recs[i+1:], s.recs[i:])
-	s.recs[i] = r
+	s.recs[i] = *r
 }
 
-func (j *intervalJoin) OnRecord(port int, r Record, out *Collector) {
+func (j *intervalJoin) OnRecord(port int, r *Record, out *Collector) {
 	key := j.key(port, r)
 	g := j.state[key]
 	if g == nil {
 		g = &ijGroup{{recs: takeSlice(&j.freeRecs)}, {recs: takeSlice(&j.freeRecs)}}
 		j.state[key] = g
 	}
-	// The arriving record's constituents are gathered once; each partner's
-	// are gathered into the other scratch buffer as the probe reaches it.
+	// The predicate reads both sides' constituents where they lie: the
+	// arriving record in the inbound batch, each partner in its buffer.
+	var pair [2][]event.Event
+	pair[port] = r.Events()
 	opp := 1 - port
-	j.scratch[port] = r.Constituents(j.scratch[port][:0])
 	lo, hi := j.partnerRange(r.TS, port)
 	partners := g[opp].live()
 	for i := firstAfter(partners, lo); i < len(partners) && partners[i].TS < hi; i++ {
-		j.scratch[opp] = partners[i].Constituents(j.scratch[opp][:0])
-		j.emit(max(r.TS, partners[i].TS), out)
+		pair[opp] = partners[i].Events()
+		j.emit(max(r.TS, partners[i].TS), pair[0], pair[1], out)
 	}
 	g[port].insert(r)
 	j.nextDeath = min(j.nextDeath, j.deathTime(r.TS, port))
@@ -151,9 +152,8 @@ func (j *intervalJoin) OnRecord(port int, r Record, out *Collector) {
 	out.AddState(1)
 }
 
-// emit joins the pair whose constituents sit in the two scratch buffers.
-func (j *intervalJoin) emit(ts event.Time, out *Collector) {
-	l, r := j.scratch[0], j.scratch[1]
+// emit joins the pair with constituents l (left) and r (right).
+func (j *intervalJoin) emit(ts event.Time, l, r []event.Event, out *Collector) {
 	if j.pred != nil && !j.pred(l, r) {
 		return
 	}

@@ -55,12 +55,13 @@ func ijStream(rng *rand.Rand, typ event.Type, n, seqBase int, matches bool) []Re
 // key when keyed, and the predicate holds.
 func ijOracle(c ijCase, left, right []Record) map[ijPair]bool {
 	want := make(map[ijPair]bool)
-	for _, l := range left {
-		for _, r := range right {
+	for li := range left {
+		for ri := range right {
+			l, r := &left[li], &right[ri]
 			if c.keyed && ijKey(l) != ijKey(r) {
 				continue
 			}
-			lc, rc := l.Constituents(nil), r.Constituents(nil)
+			lc, rc := l.Events(), r.Events()
 			if r.TS > l.TS+c.lower && r.TS < l.TS+c.upper && ijPred(lc, rc) {
 				want[ijPair{int(lc[0].Value), int(rc[0].Value)}] = true
 			}
@@ -69,7 +70,7 @@ func ijOracle(c ijCase, left, right []Record) map[ijPair]bool {
 	return want
 }
 
-func ijKey(r Record) int64 { return r.Constituents(nil)[0].ID }
+func ijKey(r *Record) int64 { return r.Events()[0].ID }
 
 // ijDriver feeds one intervalJoin the way runInstance does — runs of
 // records per input, per-input watermarks merged by minimum, OnWatermark
@@ -183,7 +184,7 @@ func (d *ijDriver) run(rng *rand.Rand, left, right []Record) {
 		for n := 0; n < d.c.batch && next[port] < len(in[port]); n++ {
 			r := in[port][next[port]]
 			next[port]++
-			d.op.OnRecord(port, r, d.col)
+			d.op.OnRecord(port, &r, d.col)
 			d.drain()
 			d.calls++
 			if act := d.atCall[d.calls]; act != nil {
@@ -301,13 +302,14 @@ func BenchmarkIntervalJoinWatermark(b *testing.B) {
 	build := func() (*intervalJoin, *Collector) {
 		op := NewIntervalJoin(IntervalJoinSpec{
 			Lower: 0, Upper: 100,
-			LeftKey:  func(r Record) int64 { return r.Event.ID },
-			RightKey: func(r Record) int64 { return r.Event.ID },
+			LeftKey:  func(r *Record) int64 { return r.Event.ID },
+			RightKey: func(r *Record) int64 { return r.Event.ID },
 		})(0).(*intervalJoin)
 		col := &Collector{env: NewEnvironment(Config{}), metrics: &NodeMetrics{}}
 		for ts := event.Time(1000); ts < 1000+perKey; ts++ {
 			for k := int64(0); k < keys; k++ {
-				op.OnRecord(0, EventRecord(event.Event{Type: tQ, ID: k, TS: ts}), col)
+				r := EventRecord(event.Event{Type: tQ, ID: k, TS: ts})
+				op.OnRecord(0, &r, col)
 			}
 		}
 		return op, col
@@ -328,7 +330,8 @@ func BenchmarkIntervalJoinWatermark(b *testing.B) {
 		// replaces four of them.
 		refill := func() {
 			for ts := event.Time(10); ts < 14; ts++ {
-				op.OnRecord(0, EventRecord(event.Event{Type: tQ, ID: 0, TS: ts}), col)
+				r := EventRecord(event.Event{Type: tQ, ID: 0, TS: ts})
+				op.OnRecord(0, &r, col)
 			}
 		}
 		refill()

@@ -79,7 +79,7 @@ func (n *nextOccurrence) recomputeHold() {
 	n.hold = h
 }
 
-func (n *nextOccurrence) OnRecord(_ int, r Record, out *Collector) {
+func (n *nextOccurrence) OnRecord(_ int, r *Record, out *Collector) {
 	if r.Kind != KindEvent {
 		return
 	}

@@ -17,7 +17,7 @@ type slowSink struct {
 	delay time.Duration
 }
 
-func (s *slowSink) OnRecord(int, Record, *Collector) { time.Sleep(s.delay) }
+func (s *slowSink) OnRecord(int, *Record, *Collector) { time.Sleep(s.delay) }
 
 func TestBackpressureAccounting(t *testing.T) {
 	reg := obs.NewRegistry()
@@ -116,7 +116,7 @@ type wmRecorder struct {
 	wms []event.Time
 }
 
-func (w *wmRecorder) OnRecord(int, Record, *Collector) {}
+func (w *wmRecorder) OnRecord(int, *Record, *Collector) {}
 
 func (w *wmRecorder) OnWatermark(wm event.Time, _ *Collector) {
 	w.mu.Lock()
@@ -155,7 +155,8 @@ func TestResultsLatencyPercentiles(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		e := event.Event{Type: tQ, ID: int64(i), TS: int64(i)}
 		e.Ingest = base - int64(i)*int64(time.Millisecond)
-		res.add(EventRecord(e))
+		r := EventRecord(e)
+		res.add(&r)
 	}
 	p50, p90, p99 := res.LatencyPercentiles()
 	check := func(name string, got time.Duration, exact time.Duration) {

@@ -8,8 +8,11 @@ import (
 // value is created per parallel instance, so implementations need no
 // internal locking: the engine serializes all calls to a given instance.
 type Operator interface {
-	// OnRecord processes one data record arriving on the given port.
-	OnRecord(port int, r Record, out *Collector)
+	// OnRecord processes one data record arriving on the given port. r
+	// points into the inbound batch and is valid only during the call: an
+	// operator keeps a copy (*r), never r, and never writes through it.
+	// Collector.Emit(r) forwards it.
+	OnRecord(port int, r *Record, out *Collector)
 	// OnWatermark is invoked when the instance's merged input watermark
 	// advances to wm; window operators fire completed windows here. The
 	// engine forwards the watermark downstream after this call returns.
@@ -74,16 +77,15 @@ func (BaseOperator) OnClose(*Collector) {}
 // filterOperator drops records whose constituents fail the predicate:
 // the selection σ_θ of §2, the target of filter pushdown (one constituent)
 // and the residual multi-alias predicate after a join (all of them). The
-// constituent slice is the instance's own, so evaluating allocates nothing.
+// predicate reads the constituents where they lie, so evaluating allocates
+// and copies nothing.
 type filterOperator struct {
 	BaseOperator
-	pred    func([]event.Event) bool
-	scratch []event.Event
+	pred func([]event.Event) bool
 }
 
-func (f *filterOperator) OnRecord(_ int, r Record, out *Collector) {
-	f.scratch = r.Constituents(f.scratch[:0])
-	if f.pred(f.scratch) {
+func (f *filterOperator) OnRecord(_ int, r *Record, out *Collector) {
+	if f.pred(r.Events()) {
 		out.Emit(r)
 	}
 }
@@ -92,12 +94,12 @@ func (f *filterOperator) OnRecord(_ int, r Record, out *Collector) {
 // merge being performed by the engine's multi-sender channels.
 type passOperator struct{ BaseOperator }
 
-func (passOperator) OnRecord(_ int, r Record, out *Collector) { out.Emit(r) }
+func (passOperator) OnRecord(_ int, r *Record, out *Collector) { out.Emit(r) }
 
 // funcOperator adapts a plain function as an operator, for tests.
 type funcOperator struct {
 	BaseOperator
-	fn func(port int, r Record, out *Collector)
+	fn func(port int, r *Record, out *Collector)
 }
 
-func (f *funcOperator) OnRecord(port int, r Record, out *Collector) { f.fn(port, r, out) }
+func (f *funcOperator) OnRecord(port int, r *Record, out *Collector) { f.fn(port, r, out) }

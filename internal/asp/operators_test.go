@@ -124,7 +124,7 @@ func TestAggregateKeyed(t *testing.T) {
 	env := NewEnvironment(Config{WatermarkInterval: 1})
 	res := NewResults(false, true)
 	events := append(mkEvents(tV, 1, []int64{0, 1, 2}, nil), mkEvents(tV, 2, []int64{0, 1}, nil)...)
-	key := func(r Record) int64 { return r.Event.ID }
+	key := func(r *Record) int64 { return r.Event.ID }
 	env.Source("v", sortByTS(events), false).
 		Process("agg", 2, key, NewWindowAggregate(WindowAggregateSpec{
 			Window: 5 * event.Minute,
@@ -179,7 +179,7 @@ func TestNextOccurrenceKeyed(t *testing.T) {
 	res := NewResults(false, true)
 	t1s := append(mkEvents(tQ, 1, []int64{0}, nil), mkEvents(tQ, 2, []int64{0}, nil)...)
 	t2s := mkEvents(tV, 1, []int64{2}, nil) // blocker only for key 1
-	key := func(r Record) int64 { return r.Event.ID }
+	key := func(r *Record) int64 { return r.Event.ID }
 	a := env.Source("t1", sortByTS(t1s), false)
 	b := env.Source("t2", t2s, false)
 	a.Union("u", b).Process("no", 2, key, NewNextOccurrence(NextOccurrenceSpec{
@@ -260,7 +260,7 @@ func TestMatchFilterOperator(t *testing.T) {
 func TestApplyCustomStage(t *testing.T) {
 	env := NewEnvironment(Config{})
 	res := NewResults(false, true)
-	apply(env.Source("src", mkEvents(tQ, 1, []int64{0, 1}, nil), false), "double", func(_ int, r Record, out *Collector) {
+	apply(env.Source("src", mkEvents(tQ, 1, []int64{0, 1}, nil), false), "double", func(_ int, r *Record, out *Collector) {
 		out.Emit(r)
 		out.Emit(r)
 	}).Sink("sink", res.Operator())

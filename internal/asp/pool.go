@@ -9,10 +9,10 @@ import (
 // batchPool recycles the []Record slices that carry batched records across
 // inter-instance channels. The lifecycle is fully engine-controlled: a
 // sender gets a buffer, fills it and hands it to the channel; the receiver
-// processes the records in place (operators get each by value, the barrier
-// stash copies what it keeps) and puts the buffer back. No operator or sink
-// ever holds a reference to a batch slice, so recycling cannot be observed
-// outside the engine.
+// processes the records in place (operators borrow each for one OnRecord
+// call, the barrier stash copies what it keeps) and puts the buffer back. No
+// operator or sink ever holds a reference to a batch slice, so recycling
+// cannot be observed outside the engine.
 type batchPool struct {
 	pool sync.Pool
 	size int

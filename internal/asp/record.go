@@ -13,6 +13,8 @@
 package asp
 
 import (
+	"unsafe"
+
 	"cep2asp/internal/event"
 )
 
@@ -71,18 +73,18 @@ func MatchRecord(ts event.Time, m *event.Match) Record {
 	return Record{Kind: KindMatch, TS: ts, Match: m}
 }
 
-// Constituents appends the record's constituent events to scratch and
-// returns the result. Single events yield one constituent; composites yield
-// their full list.
-func (r Record) Constituents(scratch []event.Event) []event.Event {
+// Events returns the record's constituent events where they lie: the
+// match's own slice for a composite, a one-element view of r.Event for a
+// single event. The view is read-only and valid only as long as r is.
+func (r *Record) Events() []event.Event {
 	if r.Kind == KindMatch {
-		return append(scratch, r.Match.Events...)
+		return r.Match.Events
 	}
-	return append(scratch, r.Event)
+	return unsafe.Slice(&r.Event, 1)
 }
 
 // Span returns the first and last constituent event times.
-func (r Record) Span() (tsB, tsE event.Time) {
+func (r *Record) Span() (tsB, tsE event.Time) {
 	if r.Kind == KindMatch {
 		return r.Match.TsB, r.Match.TsE
 	}
@@ -91,7 +93,7 @@ func (r Record) Span() (tsB, tsE event.Time) {
 
 // ToMatch converts the record payload into a composite, allocating for
 // single events.
-func (r Record) ToMatch() *event.Match {
+func (r *Record) ToMatch() *event.Match {
 	if r.Kind == KindMatch {
 		return r.Match
 	}
@@ -100,7 +102,7 @@ func (r Record) ToMatch() *event.Match {
 
 // Ingest returns the wall-clock creation time relevant for detection
 // latency: the latest constituent's ingest time.
-func (r Record) Ingest() int64 {
+func (r *Record) Ingest() int64 {
 	if r.Kind == KindMatch {
 		return r.Match.Ingest()
 	}
@@ -109,5 +111,6 @@ func (r Record) Ingest() int64 {
 
 // KeyFn extracts the partitioning key of a record. The translator compiles
 // key functions from equi-join attributes (optimization O3); a nil KeyFn
-// means all records share one key (a single global window, §5.1.2).
-type KeyFn func(Record) int64
+// means all records share one key (a single global window, §5.1.2). The
+// record is borrowed for the call.
+type KeyFn func(*Record) int64

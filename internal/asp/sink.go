@@ -49,7 +49,7 @@ type resultSink struct {
 	res *Results
 }
 
-func (s *resultSink) OnRecord(_ int, rec Record, _ *Collector) {
+func (s *resultSink) OnRecord(_ int, rec *Record, _ *Collector) {
 	s.res.add(rec)
 }
 
@@ -108,7 +108,7 @@ func (r *Results) Restore(data []byte) error {
 	return nil
 }
 
-func (r *Results) add(rec Record) {
+func (r *Results) add(rec *Record) {
 	now := time.Now().UnixNano()
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -21,7 +21,7 @@ func TestOperatorPanicBecomesFailure(t *testing.T) {
 	env := NewEnvironment(Config{})
 	res := NewResults(false, true)
 	src := env.Source("src", mkEvents(tQ, 1, []int64{0, 1, 2, 3}, []float64{5, 50, 7, 70}), false)
-	apply(src, "map", func(_ int, r Record, out *Collector) {
+	apply(src, "map", func(_ int, r *Record, out *Collector) {
 		if r.Event.Value == 50 {
 			panic("bad record")
 		}
@@ -148,7 +148,7 @@ func TestShutdownTimeoutNamesStuckInstance(t *testing.T) {
 
 func TestQuarantineDropsPoisonRecord(t *testing.T) {
 	events := mkEvents(tQ, 1, []int64{0, 1, 2, 3}, nil)
-	poison := poisonKey(EventRecord(events[2]))
+	poison := poisonKey(&Record{Kind: KindEvent, Event: events[2]})
 
 	q := NewQuarantine()
 	q.Add("map", poison)
@@ -182,7 +182,7 @@ func TestQuarantineDropsPoisonRecord(t *testing.T) {
 
 func TestQuarantineAtSource(t *testing.T) {
 	events := mkEvents(tQ, 1, []int64{0, 1, 2, 3}, nil)
-	poison := poisonKey(EventRecord(events[1]))
+	poison := poisonKey(&Record{Kind: KindEvent, Event: events[1]})
 	q := NewQuarantine()
 	q.Add("src", poison)
 	dropped := 0
@@ -201,7 +201,7 @@ func TestQuarantineAtSource(t *testing.T) {
 
 func TestChaosRecordKeyFault(t *testing.T) {
 	events := mkEvents(tQ, 1, []int64{0, 1, 2, 3}, nil)
-	key := poisonKey(EventRecord(events[3]))
+	key := poisonKey(&Record{Kind: KindEvent, Event: events[3]})
 	inj := chaos.NewInjector(chaos.Fault{Kind: chaos.Panic, Node: "map", Instance: -1, RecordKey: key})
 	env := NewEnvironment(Config{Chaos: inj})
 	res := NewResults(false, true)

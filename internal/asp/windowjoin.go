@@ -80,8 +80,6 @@ type windowJoin struct {
 	// and lost-match bounds (recall accounting).
 	lRate, rRate arrivalRate
 	maxTS        event.Time
-	scratchL     []event.Event
-	scratchR     []event.Event
 	freeEvs      [][]event.Event // recycled match constituent buffers
 	freeRecs     [][]Record      // recycled pane buffers
 }
@@ -118,7 +116,7 @@ func (j *windowJoin) Hold() event.Time {
 	return j.nextFire - 1
 }
 
-func (j *windowJoin) key(port int, r Record) int64 {
+func (j *windowJoin) key(port int, r *Record) int64 {
 	k := j.spec.LeftKey
 	if port == 1 {
 		k = j.spec.RightKey
@@ -129,7 +127,7 @@ func (j *windowJoin) key(port int, r Record) int64 {
 	return k(r)
 }
 
-func (j *windowJoin) OnRecord(port int, r Record, out *Collector) {
+func (j *windowJoin) OnRecord(port int, r *Record, out *Collector) {
 	key := j.key(port, r)
 	panes := j.state[key]
 	if panes == nil {
@@ -146,13 +144,13 @@ func (j *windowJoin) OnRecord(port int, r Record, out *Collector) {
 		if p.left == nil {
 			p.left = j.getRecs()
 		}
-		p.left = append(p.left, r)
+		p.left = append(p.left, *r)
 		j.lRate.observe(r.TS)
 	} else {
 		if p.right == nil {
 			p.right = j.getRecs()
 		}
-		p.right = append(p.right, r)
+		p.right = append(p.right, *r)
 		j.rRate.observe(r.TS)
 	}
 	if r.TS > j.maxTS {
@@ -235,25 +233,25 @@ func (j *windowJoin) fire(ws event.Time, out *Collector) {
 			if lp == nil || len(lp.left) == 0 {
 				continue
 			}
-			for _, l := range lp.left {
-				j.scratchL = l.Constituents(j.scratchL[:0])
+			for li := range lp.left {
+				l := lp.left[li].Events()
 				for pr := paneLo; pr <= paneHi; pr++ {
 					rp := panes[pr]
 					if rp == nil {
 						continue
 					}
-					for _, r := range rp.right {
-						j.scratchR = r.Constituents(j.scratchR[:0])
-						if j.pred != nil && !j.pred(j.scratchL, j.scratchR) {
+					for ri := range rp.right {
+						r := rp.right[ri].Events()
+						if j.pred != nil && !j.pred(l, r) {
 							continue
 						}
 						// Assemble constituents into a recycled buffer; the
 						// match takes ownership. Emitted matches are never
 						// recycled (downstream shares the pointer); only
 						// dedup-rejected buffers return to the free list.
-						evs := j.getEvs(len(j.scratchL) + len(j.scratchR))
-						evs = append(evs, j.scratchL...)
-						evs = append(evs, j.scratchR...)
+						evs := j.getEvs(len(l) + len(r))
+						evs = append(evs, l...)
+						evs = append(evs, r...)
 						m := event.WrapMatch(evs)
 						if j.seen != nil {
 							k := m.Key()

@@ -109,7 +109,7 @@ type cepOperator struct {
 	lastLost float64
 }
 
-func (o *cepOperator) OnRecord(_ int, r asp.Record, out *asp.Collector) {
+func (o *cepOperator) OnRecord(_ int, r *asp.Record, out *asp.Collector) {
 	if r.Kind != asp.KindEvent {
 		return // the CEP operator consumes plain events only
 	}

@@ -202,7 +202,7 @@ func attrKey(e event.Event, attr string) int64 {
 // recordKey extracts the partition key from a record's constituent at the
 // given side-local position.
 func recordKey(pos int, attr string) asp.KeyFn {
-	return func(r asp.Record) int64 {
+	return func(r *asp.Record) int64 {
 		if r.Kind == asp.KindEvent {
 			return attrKey(r.Event, attr)
 		}
@@ -414,7 +414,7 @@ func (b *builder) nextOccurrence(v *NextOccurrencePlan) (*asp.Stream, []string, 
 	parallelism := 1
 	if b.plan.Opts.UsePartitioning {
 		if attr := equiAttrOf(v.EquiT1); attr != "" {
-			key = func(r asp.Record) int64 { return attrKey(r.Event, attr) }
+			key = func(r *asp.Record) int64 { return attrKey(r.Event, attr) }
 			parallelism = b.plan.Opts.Parallelism
 		}
 	}
@@ -460,7 +460,7 @@ func (b *builder) cep(v *CEPPlan) (*asp.Stream, []string, error) {
 	parallelism := 1
 	if v.Keyed && v.Prog.Key != nil {
 		progKey := v.Prog.Key
-		key = func(r asp.Record) int64 { return progKey(r.Event) }
+		key = func(r *asp.Record) int64 { return progKey(r.Event) }
 		parallelism = b.plan.Opts.Parallelism
 	}
 	return u.Process("cep-nfa", parallelism, key, op), nil, nil
