@@ -2,6 +2,7 @@ package asp
 
 import (
 	"context"
+	"encoding/base64"
 	"errors"
 	"reflect"
 	"sort"
@@ -326,5 +327,36 @@ func TestCheckpointRequiresStore(t *testing.T) {
 	env.Source("q", mkEvents(tQ, 1, minutesUpTo(2), nil), false).Sink("sink", res.Operator())
 	if err := env.Execute(context.Background()); err == nil {
 		t.Fatal("checkpoint spec without store must fail")
+	}
+}
+
+// sprintfKeySnapshot is a dedup sink's snapshot as the Sprintf-based
+// Match.Key wrote it, before that was rewritten to append into one buffer:
+// Seen holds "10:-2:-7|9:1:5" and "3:12:100|3:12:40|3:2:1000", Total = Unique
+// = 2.
+const sprintfKeySnapshot = "Tn8DAQEMcmVzdWx0c1N0YXRlAf+AAAEFAQdNYXRjaGVzAf+IAAEEU2VlbgH/igABBVRvdGFsAQQAAQZVbmlxdWUBBAABA0xhdAH/jAAAAB3/hwIBAQ5bXSpldmVudC5NYXRjaAH/iAAB/4IAACj/gQMBAv+CAAEDAQZFdmVudHMB/4YAAQNUc0IBBAABA1RzRQEEAAAAHP+FAgEBDVtdZXZlbnQuRXZlbnQB/4YAAf+EAABZ/4MDAQEFRXZlbnQB/4QAAQgBBFR5cGUBBAABAklEAQQAAQNMYXQBCAABA0xvbgEIAAECVFMBBAABBVZhbHVlAQgAAQZJbmdlc3QBBAABBUF1eFRTAQQAAAAW/4kCAQEIW11zdHJpbmcB/4oAAQwAAEb/iwMBAQ5IaXN0b2dyYW1TdGF0ZQH/jAABBQEDSWR4Af+OAAEBTgH/kAABBUNvdW50AQQAAQNTdW0BBAABA01heAEEAAAAFf+NAgEBB1tdaW50MzIB/44AAQQAABX/jwIBAQdbXWludDY0Af+QAAEEAAA0/4ACAg4xMDotMjotN3w5OjE6NRkzOjEyOjEwMHwzOjEyOjQwfDM6MjoxMDAwAQQBBAEAAA=="
+
+// TestResultsRestoreDedupsEarlierKeys restores a sink snapshot written by
+// the earlier Match.Key: the matches it saw must still be recognised as
+// duplicates, which holds only while the key format is byte-identical.
+func TestResultsRestoreDedupsEarlierKeys(t *testing.T) {
+	data, err := base64.StdEncoding.DecodeString(sprintfKeySnapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewResults(true, false)
+	if err := r.Restore(data); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	for _, m := range []*event.Match{
+		event.NewMatch(event.Event{Type: 10, ID: -2, TS: -7}, event.Event{Type: 9, ID: 1, TS: 5}),
+		event.NewMatch(event.Event{Type: 3, ID: 2, TS: 1000}, event.Event{Type: 3, ID: 12, TS: 40}, event.Event{Type: 3, ID: 12, TS: 100}),
+		event.NewMatch(event.Event{Type: 3, ID: 2, TS: 1001}),
+	} {
+		rec := MatchRecord(m.TsE, m)
+		r.add(&rec)
+	}
+	if r.Total() != 5 || r.Unique() != 3 {
+		t.Fatalf("after restore and three adds: Total %d Unique %d, want 5 and 3 (two duplicates, one new)", r.Total(), r.Unique())
 	}
 }

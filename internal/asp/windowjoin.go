@@ -82,6 +82,8 @@ type windowJoin struct {
 	maxTS        event.Time
 	freeEvs      [][]event.Event // recycled match constituent buffers
 	freeRecs     [][]Record      // recycled pane buffers
+	window       []*joinPane     // fire's scratch: one key group's panes of the firing window
+	keyBuf       []byte          // fire's scratch: the dedup key of the pair under test
 }
 
 // DropsLateRecords implements LateDropper: OnRecord's nextFire tracking is
@@ -97,12 +99,6 @@ func (j *windowJoin) getEvs(n int) []event.Event {
 }
 
 func (j *windowJoin) putEvs(s []event.Event) { stashSlice(&j.freeEvs, s) }
-
-func (j *windowJoin) getRecs() []Record {
-	return takeSlice(&j.freeRecs) // nil when empty; append allocates lazily
-}
-
-func (j *windowJoin) putRecs(s []Record) { stashSlice(&j.freeRecs, s) }
 
 // Hold implements WatermarkHolder: outputs carry their real (maximum
 // constituent) event time, which lies anywhere inside the firing window, so
@@ -140,19 +136,15 @@ func (j *windowJoin) OnRecord(port int, r *Record, out *Collector) {
 		p = &joinPane{}
 		panes[idx] = p
 	}
-	if port == 0 {
-		if p.left == nil {
-			p.left = j.getRecs()
-		}
-		p.left = append(p.left, *r)
-		j.lRate.observe(r.TS)
-	} else {
-		if p.right == nil {
-			p.right = j.getRecs()
-		}
-		p.right = append(p.right, *r)
-		j.rRate.observe(r.TS)
+	side, rate := &p.left, &j.lRate
+	if port == 1 {
+		side, rate = &p.right, &j.rRate
 	}
+	if *side == nil {
+		*side = takeSlice(&j.freeRecs) // nil when empty; append allocates lazily
+	}
+	*side = append(*side, *r)
+	rate.observe(r.TS)
 	if r.TS > j.maxTS {
 		j.maxTS = r.TS
 	}
@@ -172,11 +164,12 @@ func (j *windowJoin) OnRecord(port int, r *Record, out *Collector) {
 func (j *windowJoin) OnWatermark(wm event.Time, out *Collector) {
 	for j.nextFire <= wm-j.spec.Window+1 {
 		// Skip ahead over empty windows: without buffered panes there is
-		// nothing to fire (essential on the final MaxWatermark flush).
+		// nothing to fire (essential on the final MaxWatermark flush), but
+		// the dedup keys below may still expire.
 		pmin, ok := j.minPane()
 		if !ok {
 			j.nextFire = event.MaxWatermark
-			return
+			break
 		}
 		// First slide-aligned window start whose window still covers pane
 		// pmin: the smallest multiple of Slide > pmin*Slide - Window.
@@ -228,18 +221,20 @@ func (j *windowJoin) fire(ws event.Time, out *Collector) {
 	paneLo := event.PaneIndex(ws, j.spec.Slide)
 	paneHi := event.PaneIndex(ws+j.spec.Window-1, j.spec.Slide)
 	for _, panes := range j.state {
-		for pl := paneLo; pl <= paneHi; pl++ {
-			lp := panes[pl]
-			if lp == nil || len(lp.left) == 0 {
-				continue
+		// One probe per pane: the group's window, in ascending pane order,
+		// so pairs leave in (left pane, left arrival, right pane, right
+		// arrival) order.
+		window := j.window[:0]
+		for idx := paneLo; idx <= paneHi; idx++ {
+			if p := panes[idx]; p != nil {
+				window = append(window, p)
 			}
+		}
+		j.window = window
+		for _, lp := range window {
 			for li := range lp.left {
 				l := lp.left[li].Events()
-				for pr := paneLo; pr <= paneHi; pr++ {
-					rp := panes[pr]
-					if rp == nil {
-						continue
-					}
+				for _, rp := range window {
 					for ri := range rp.right {
 						r := rp.right[ri].Events()
 						if j.pred != nil && !j.pred(l, r) {
@@ -252,14 +247,18 @@ func (j *windowJoin) fire(ws event.Time, out *Collector) {
 						evs := j.getEvs(len(l) + len(r))
 						evs = append(evs, l...)
 						evs = append(evs, r...)
-						m := event.WrapMatch(evs)
 						if j.seen != nil {
-							k := m.Key()
-							if _, dup := j.seen[k]; dup {
+							// Indexing by string(bytes) does not allocate: a
+							// duplicate costs no allocation at all.
+							j.keyBuf = event.AppendKey(j.keyBuf[:0], evs)
+							if _, dup := j.seen[string(j.keyBuf)]; dup {
 								j.putEvs(evs)
 								continue
 							}
-							j.seen[k] = m.TsE
+						}
+						m := event.WrapMatch(evs)
+						if j.seen != nil {
+							j.seen[string(j.keyBuf)] = m.TsE
 							out.AddState(1)
 						}
 						out.EmitMatch(m.TsE, m)
@@ -344,18 +343,10 @@ func (j *windowJoin) BufferedState() int64 {
 func (j *windowJoin) evictBefore(liveStart event.Time, out *Collector) {
 	cutoff := event.PaneIndex(liveStart, j.spec.Slide)
 	for key, panes := range j.state {
-		for idx, p := range panes {
+		for idx := range panes {
 			if idx < cutoff {
-				n := int64(len(p.left) + len(p.right))
-				j.recCount -= n
-				out.AddState(-n)
-				j.putRecs(p.left)
-				j.putRecs(p.right)
-				delete(panes, idx)
+				j.dropPane(key, idx, out)
 			}
-		}
-		if len(panes) == 0 {
-			delete(j.state, key)
 		}
 	}
 }
@@ -419,8 +410,8 @@ func (j *windowJoin) dropPane(key int64, idx event.Time, out *Collector) int64 {
 	n := int64(len(p.left) + len(p.right))
 	j.recCount -= n
 	out.AddState(-n)
-	j.putRecs(p.left)
-	j.putRecs(p.right)
+	stashSlice(&j.freeRecs, p.left)
+	stashSlice(&j.freeRecs, p.right)
 	delete(panes, idx)
 	if len(panes) == 0 {
 		delete(j.state, key)

@@ -11,8 +11,9 @@
 package event
 
 import (
+	"bytes"
 	"fmt"
-	"sort"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -156,19 +157,62 @@ func (m *Match) Ingest() int64 {
 	return max
 }
 
+// keyPartMax is the longest "type:id:ts" part of a Match key: an int32, two
+// int64s and two colons. keyStackParts parts fit the stack buffers of
+// AppendKey and Key.
+const (
+	keyPartMax    = 11 + 20 + 20 + 2
+	keyStackParts = 8
+)
+
 // Key returns a canonical identity for duplicate elimination: the sorted
 // list of constituent identities (type, id, timestamp). Two matches over
 // the same event set are duplicates regardless of constituent order, which
 // makes keys stable under join reordering (§4.2.2); sliding windows produce
 // duplicates whenever a match fits several overlapping windows (§3.1.4,
 // second impact).
+//
+// The format is a checkpoint contract — sink and window-join snapshots
+// persist keys — so it never changes: the parts "type:id:ts" in decimal,
+// sorted as strings ("10:…" before "9:…") and joined by "|". Up to
+// keyStackParts constituents cost one allocation, the returned string.
 func (m *Match) Key() string {
-	parts := make([]string, len(m.Events))
-	for i, e := range m.Events {
-		parts[i] = fmt.Sprintf("%d:%d:%d", e.Type, e.ID, e.TS)
+	var buf [keyStackParts * (keyPartMax + 1)]byte
+	return string(AppendKey(buf[:0], m.Events))
+}
+
+// AppendKey appends the Key of a match over evs to dst. A caller that probes
+// a set of keys before inserting uses it to pay for a string only on insert:
+// a map index m[string(b)] does not allocate.
+func AppendKey(dst []byte, evs []Event) []byte {
+	var textBuf [keyStackParts * keyPartMax]byte
+	var spanBuf [keyStackParts][2]int
+	text, spans := textBuf[:0], spanBuf[:0]
+	for i := range evs {
+		e := &evs[i]
+		lo := len(text)
+		text = strconv.AppendInt(text, int64(e.Type), 10)
+		text = append(text, ':')
+		text = strconv.AppendInt(text, e.ID, 10)
+		text = append(text, ':')
+		text = strconv.AppendInt(text, e.TS, 10)
+		spans = append(spans, [2]int{lo, len(text)})
 	}
-	sort.Strings(parts)
-	return strings.Join(parts, "|")
+	// Insertion sort by part text: arities are small.
+	for i := 1; i < len(spans); i++ {
+		s, j := spans[i], i
+		for ; j > 0 && bytes.Compare(text[spans[j-1][0]:spans[j-1][1]], text[s[0]:s[1]]) > 0; j-- {
+			spans[j] = spans[j-1]
+		}
+		spans[j] = s
+	}
+	for i, s := range spans {
+		if i > 0 {
+			dst = append(dst, '|')
+		}
+		dst = append(dst, text[s[0]:s[1]]...)
+	}
+	return dst
 }
 
 // String renders the match for logs and test failures.

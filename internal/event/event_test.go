@@ -1,6 +1,13 @@
 package event
 
-import "testing"
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
+	"strings"
+	"testing"
+)
 
 func TestRegisterTypeIdempotent(t *testing.T) {
 	a := RegisterType("TestQ")
@@ -83,5 +90,102 @@ func TestMatchKeyDistinguishes(t *testing.T) {
 	}
 	if a.Key() != c.Key() {
 		t.Fatal("identical matches have different keys")
+	}
+}
+
+// sprintfKey is the formulation Match.Key replaced: the reference for its
+// format, which sink and window-join checkpoints persist.
+func sprintfKey(m *Match) string {
+	parts := make([]string, len(m.Events))
+	for i, e := range m.Events {
+		parts[i] = fmt.Sprintf("%d:%d:%d", e.Type, e.ID, e.TS)
+	}
+	sort.Strings(parts)
+	return strings.Join(parts, "|")
+}
+
+// keyTestValue draws from a few small values (so parts tie and share
+// prefixes such as "1:" and "10:"), negative ones and the int64 extremes.
+func keyTestValue(rng *rand.Rand) int64 {
+	switch rng.Intn(6) {
+	case 0:
+		return math.MinInt64
+	case 1:
+		return math.MaxInt64
+	case 2:
+		return -rng.Int63n(1000)
+	case 3:
+		return rng.Int63()
+	default:
+		return rng.Int63n(12)
+	}
+}
+
+func keyTestMatch(rng *rand.Rand, arity int) *Match {
+	evs := make([]Event, arity)
+	for i := range evs {
+		if i > 0 && rng.Intn(4) == 0 {
+			evs[i] = evs[rng.Intn(i)] // the same constituent twice
+			continue
+		}
+		typ := Type(rng.Intn(12))
+		switch rng.Intn(8) {
+		case 0:
+			typ = math.MinInt32
+		case 1:
+			typ = math.MaxInt32
+		}
+		evs[i] = Event{Type: typ, ID: keyTestValue(rng), TS: keyTestValue(rng), Value: rng.Float64()}
+	}
+	return NewMatch(evs...)
+}
+
+// TestMatchKeyFormatIsStable holds Match.Key byte-identical to the
+// Sprintf/sort.Strings/Join formulation over randomized matches of arity
+// 0-12 (past the stack buffers), so keys in old checkpoints still
+// deduplicate after a restore.
+func TestMatchKeyFormatIsStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20_000; i++ {
+		m := keyTestMatch(rng, rng.Intn(13))
+		if got, want := m.Key(), sprintfKey(m); got != want {
+			t.Fatalf("case %d: Key() = %q, want %q", i, got, want)
+		}
+	}
+	// String order, not numeric: "10:…" sorts before "9:…".
+	m := NewMatch(Event{Type: 9, ID: 1, TS: 5}, Event{Type: 10, ID: -2, TS: -7})
+	if got, want := m.Key(), "10:-2:-7|9:1:5"; got != want {
+		t.Fatalf("Key() = %q, want %q", got, want)
+	}
+}
+
+// TestMatchKeyAllocatesOnce holds Match.Key to one allocation, the
+// returned string, up to the stack buffers' arity, at the widest parts.
+func TestMatchKeyAllocatesOnce(t *testing.T) {
+	for arity := 1; arity <= keyStackParts; arity++ {
+		evs := make([]Event, arity)
+		for i := range evs {
+			evs[i] = Event{Type: math.MinInt32, ID: math.MinInt64 + int64(i), TS: math.MinInt64}
+		}
+		m := NewMatch(evs...)
+		if n := testing.AllocsPerRun(100, func() { _ = m.Key() }); n != 1 {
+			t.Fatalf("arity %d: Key() allocates %v times, want 1", arity, n)
+		}
+	}
+}
+
+func BenchmarkMatchKey(b *testing.B) {
+	for _, arity := range []int{2, 4} {
+		evs := make([]Event, arity)
+		for i := range evs {
+			evs[i] = Event{Type: 3, ID: int64(100 + i), TS: 1_700_000_000_000 + int64(60_000*(arity-i))}
+		}
+		m := NewMatch(evs...)
+		b.Run(fmt.Sprintf("arity=%d", arity), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_ = m.Key()
+			}
+		})
 	}
 }

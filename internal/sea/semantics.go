@@ -25,9 +25,6 @@ import (
 // approximate by design, §4.3.2); Evaluate panics on them to catch misuse
 // in tests.
 func Evaluate(p *Pattern, events []event.Event) []*event.Match {
-	for _, l := range p.Leaves() {
-		_ = l
-	}
 	if hasUnbounded(p.Root) {
 		panic("sea: reference semantics does not define unbounded iteration")
 	}
@@ -65,10 +62,11 @@ func Evaluate(p *Pattern, events []event.Event) []*event.Match {
 				continue
 			}
 			m := part.toMatch()
-			if _, dup := seen[m.Key()]; dup {
+			k := m.Key()
+			if _, dup := seen[k]; dup {
 				continue
 			}
-			seen[m.Key()] = m
+			seen[k] = m
 			out = append(out, m)
 		}
 	}
