@@ -18,7 +18,6 @@ import (
 type aliasInfo struct {
 	first, last int
 	iter        bool
-	m           int
 }
 
 // ErrUnsupported reports a pattern FCEP cannot express (Table 2).
@@ -52,12 +51,8 @@ func Compile(p *sea.Pattern, policy nfa.Policy, key func(event.Event) int64) (*n
 	switch root := p.Root.(type) {
 	case *sea.SeqNode:
 		elems = root.Children
-	case *sea.IterNode, *sea.EventLeaf:
-		elems = []sea.Node{root}
-	case *sea.AndNode:
-		return nil, &ErrUnsupported{Feature: "conjunction (AND)"}
-	case *sea.OrNode:
-		return nil, &ErrUnsupported{Feature: "disjunction (OR)"}
+	case *sea.IterNode, *sea.EventLeaf, *sea.AndNode, *sea.OrNode:
+		elems = []sea.Node{root} // the element loop rejects AND and OR
 	default:
 		return nil, fmt.Errorf("cep: unknown pattern node %T", root)
 	}
@@ -80,11 +75,12 @@ func Compile(p *sea.Pattern, policy nfa.Policy, key func(event.Event) int64) (*n
 			first := len(prog.Stages)
 			for i := 0; i < v.M; i++ {
 				prog.Stages = append(prog.Stages, nfa.Stage{
-					Name: fmt.Sprintf("%s[%d]", v.Leaf.Alias, i),
-					Type: v.Leaf.Type,
+					Name:         fmt.Sprintf("%s[%d]", v.Leaf.Alias, i),
+					Type:         v.Leaf.Type,
+					SharesAccept: i > 0,
 				})
 			}
-			aliases[v.Leaf.Alias] = &aliasInfo{first: first, last: first + v.M - 1, iter: true, m: v.M}
+			aliases[v.Leaf.Alias] = &aliasInfo{first: first, last: first + v.M - 1, iter: true}
 		case *sea.AndNode:
 			return nil, &ErrUnsupported{Feature: "conjunction (AND)"}
 		case *sea.OrNode:
@@ -97,7 +93,9 @@ func Compile(p *sea.Pattern, policy nfa.Policy, key func(event.Event) int64) (*n
 	}
 
 	// Attach WHERE conjuncts to stages / negations.
+	accepts := make([][]sea.Predicate, len(prog.Stages))
 	stagePreds := make([][]sea.Predicate, len(prog.Stages))
+	negPreds := make([][]sea.Predicate, len(prog.Negations))
 	for _, conj := range sea.Conjuncts(p.Where) {
 		refs := sea.Aliases(conj)
 
@@ -115,14 +113,7 @@ func Compile(p *sea.Pattern, policy nfa.Policy, key func(event.Event) int64) (*n
 			if err != nil {
 				return nil, fmt.Errorf("cep: compiling negation predicate %s: %w", conj, err)
 			}
-			neg := &prog.Negations[ni]
-			prev := neg.Pred
-			// One Program serves every parallel keyed instance and the
-			// candidate is the calling machine's scratch: predicates must
-			// not retain the slice.
-			neg.Pred = func(es []event.Event) bool {
-				return (prev == nil || prev(es)) && pred(es)
-			}
+			negPreds[ni] = append(negPreds[ni], pred)
 			continue
 		}
 
@@ -149,6 +140,20 @@ func Compile(p *sea.Pattern, policy nfa.Policy, key func(event.Event) int64) (*n
 			continue
 		}
 
+		// Single-alias conjunct: a test of the event alone, the accept of
+		// every stage the alias occupies (each constituent must pass it).
+		if len(refs) == 1 && aliases[refs[0]] != nil {
+			info := aliases[refs[0]]
+			pred, err := sea.CompileBool(conj, sea.Layout{refs[0]: 0})
+			if err != nil {
+				return nil, fmt.Errorf("cep: compiling predicate %s: %w", conj, err)
+			}
+			for s := info.first; s <= info.last; s++ {
+				accepts[s] = append(accepts[s], pred)
+			}
+			continue
+		}
+
 		// Plain conjunct: expand iteration aliases over every constituent
 		// position (universal quantification) and attach each expansion at
 		// the latest referenced stage, where all its events are available.
@@ -161,25 +166,39 @@ func Compile(p *sea.Pattern, policy nfa.Policy, key func(event.Event) int64) (*n
 		}
 	}
 
-	for s := range stagePreds {
-		preds := stagePreds[s]
-		if len(preds) == 0 {
-			continue
-		}
-		prog.Stages[s].Pred = func(es []event.Event) bool {
-			for _, pr := range preds {
-				if !pr(es) {
-					return false
-				}
-			}
-			return true
-		}
+	for s := range prog.Stages {
+		prog.Stages[s].Accept = conjoin(accepts[s])
+		prog.Stages[s].Pred = conjoin(stagePreds[s])
+	}
+	for i := range prog.Negations {
+		prog.Negations[i].Pred = conjoin(negPreds[i])
 	}
 
 	if err := prog.Validate(); err != nil {
 		return nil, err
 	}
 	return prog, nil
+}
+
+// conjoin joins conjuncts into one predicate: nil for none, the conjunct
+// itself for one. One Program serves every parallel keyed instance and the
+// candidate is the calling machine's scratch: predicates must not retain
+// the slice.
+func conjoin(preds []sea.Predicate) nfa.StagePred {
+	switch len(preds) {
+	case 0:
+		return nil
+	case 1:
+		return nfa.StagePred(preds[0])
+	}
+	return func(es []event.Event) bool {
+		for _, pr := range preds {
+			if !pr(es) {
+				return false
+			}
+		}
+		return true
+	}
 }
 
 func negatedConjunct(refs []string, negAlias map[string]int) (int, bool) {

@@ -221,10 +221,11 @@ func (o *cepOperator) SetStateBudget(max, low int64, onShed func(int64)) {
 
 // ShedOldest implements asp.Shedder for the engine's post-call checks:
 // the automaton's oldest partials and pending matches go first, then —
-// only for programs without negations — the oldest events still parked in
-// the reorder buffer. Buffered events of a negated program are never shed:
-// a dropped blocker would fabricate matches, violating the subset
-// property.
+// only for monotone programs (nfa.Machine.Monotone) — the oldest events
+// still parked in the reorder buffer. Buffered events of any other program
+// are never shed: a dropped blocker, or under strict contiguity or
+// skip-till-next-match a dropped event that would have broken or consumed
+// a partial, would fabricate matches, violating the subset property.
 func (o *cepOperator) ShedOldest(target int64, out *asp.Collector) int64 {
 	return o.shed(target, out, o.machine.ShedTo)
 }
@@ -254,7 +255,7 @@ func (o *cepOperator) shed(target int64, out *asp.Collector, shedMachine func(in
 		out.AddState(-d)
 		dropped += d
 	}
-	if !o.machine.Negated() {
+	if o.machine.Monotone() {
 		for int64(len(o.buffer))+o.machine.StateSize() > target && len(o.buffer) > 0 {
 			o.bufLost += o.machine.LostEventBound(o.buffer.pop()) // the oldest event
 			out.AddState(-1)

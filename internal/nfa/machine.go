@@ -34,6 +34,8 @@ type Machine struct {
 	// under test; predicates read it and must not retain it, and only an
 	// accepted candidate is copied out into the unit that owns it.
 	scratch []event.Event
+	// accepted[k] is stage k's verdict on the event under test (see accept).
+	accepted []bool
 	// nextDue is a lower bound on the watermark that expires a live partial
 	// (min firstTS + Window - 1, kept per group in group.due): lowered when
 	// a partial starts, recomputed by every sweep, so a watermark below it
@@ -69,7 +71,7 @@ type partial struct {
 	item  *overload.HeapItem
 	// dead marks a unit that left the automaton: shed under state pressure,
 	// consumed, broken or expired. Tombstoning instead of slice surgery
-	// keeps shedTo safe to call mid-OnEvent, while that call still iterates
+	// keeps ShedTo safe to call mid-OnEvent, while that call still iterates
 	// the stage slices; a pass that meets a tombstone compacts its group
 	// once it has stopped iterating.
 	dead bool
@@ -106,7 +108,8 @@ func NewMachine(prog *Program) (*Machine, error) {
 	}
 	return &Machine{
 		prog: prog, groups: make(map[int64]*group), rates: rates,
-		nextDue: event.MaxWatermark, hold: event.MaxWatermark,
+		accepted: make([]bool, len(prog.Stages)),
+		nextDue:  event.MaxWatermark, hold: event.MaxWatermark,
 	}, nil
 }
 
@@ -216,16 +219,18 @@ func (m *Machine) lossBound(stage int, firstTS event.Time) float64 {
 }
 
 // LostEventBound bounds the matches a dropped raw input event could still
-// have participated in: for every stage the event's type can fill, the
+// have participated in: for every stage whose accept the event passes, the
 // product over the other stages of the expected qualifying arrivals in a
 // full window (overload.UnknownLoss while any of their rates is
-// unobserved). Grossly conservative — safe, since over-counting only
-// lowers the recall estimate.
+// unobserved). An event no stage accepts is in no match and costs 0.
+// Grossly conservative otherwise — safe, since over-counting only lowers
+// the recall estimate.
 func (m *Machine) LostEventBound(e event.Event) float64 {
 	var bound float64
 	w := int64(m.prog.Window)
-	for j, st := range m.prog.Stages {
-		if st.Type != e.Type {
+	m.accept(e)
+	for j := range m.prog.Stages {
+		if !m.accepted[j] {
 			continue
 		}
 		b := 1.0
@@ -248,14 +253,8 @@ func (m *Machine) LostEventBound(e event.Event) float64 {
 // loss bound to the recall account.
 func (m *Machine) shedPartial(p *partial) {
 	m.lost += m.lossBound(p.stage, p.firstTS)
-	p.dead = true
-	m.elems -= int64(len(p.events))
+	m.dropPartial(p)
 	p.events = nil
-	if p.item != nil {
-		m.heap.Remove(p.item)
-		p.item = nil
-	}
-	m.addState(-1)
 }
 
 // shedPending tombstones a pending match under state pressure: at most
@@ -265,10 +264,7 @@ func (m *Machine) shedPending(pm *pendingMatch) {
 	pm.dead = true
 	m.elems -= int64(len(pm.events))
 	pm.events = nil
-	if pm.item != nil {
-		m.heap.Remove(pm.item)
-		pm.item = nil
-	}
+	m.detachPending(pm)
 	m.addState(-1)
 }
 
@@ -340,27 +336,18 @@ func (m *Machine) admit() bool {
 	if m.capFn == nil {
 		return true
 	}
-	max := m.capFn()
-	if max > 0 && m.stateCount < max {
+	limit := m.capFn()
+	if limit > 0 && m.stateCount < limit {
 		return true
 	}
-	low := int64(0)
+	var low int64
 	if m.lowFn != nil {
-		low = m.lowFn()
+		low = max(m.lowFn(), 0)
 	}
-	if low < 0 {
-		low = 0
-	}
-	var d int64
-	if m.patternAware {
-		d = m.shedLowestValue(low)
-	} else {
-		d = m.shedTo(low)
-	}
-	if d > 0 && m.onShed != nil {
+	if d := m.ShedLowestValue(low); d > 0 && m.onShed != nil {
 		m.onShed(d)
 	}
-	if max > 0 && m.stateCount < max {
+	if limit > 0 && m.stateCount < limit {
 		return true
 	}
 	if m.onShed != nil {
@@ -369,25 +356,22 @@ func (m *Machine) admit() bool {
 	return false
 }
 
-// Negated reports whether the program contains negations. Embedding
-// operators must not drop raw input events of a negated program: a lost
-// blocker would resolve a negation as "no occurrence" and fabricate
-// matches.
-func (m *Machine) Negated() bool { return len(m.prog.Negations) > 0 }
+// Monotone reports whether an input event can only add matches: no
+// negations (it may be a blocker), skip-till-any-match (else it may consume
+// or break partials). Only then may an operator drop input events without
+// fabricating matches, and an event no stage accepts be skipped outright.
+func (m *Machine) Monotone() bool {
+	return len(m.prog.Negations) == 0 && m.prog.Policy == SkipTillAnyMatch
+}
 
-// ShedTo sheds the oldest partials and pending matches until at most
-// target non-blocker units remain, returning the number dropped. Unlike
-// the insertion-time cap, the count is NOT reported through the SetBudget
-// onShed hook — the caller accounts it.
-func (m *Machine) ShedTo(target int64) int64 { return m.shedTo(target) }
-
-// shedTo tombstones the globally oldest partials (by firstTS) and pending
+// ShedTo tombstones the globally oldest partials (by firstTS) and pending
 // matches (by first constituent TS) until at most target non-blocker units
 // remain, returning the number dropped. Shedding only removes would-be
 // matches, so a shed run's match set stays a subset of the unshed run's.
 // Tombstones are compacted on the next OnEvent/OnWatermark pass over the
-// affected slices.
-func (m *Machine) shedTo(target int64) int64 {
+// affected slices. The count is not reported through the SetBudget onShed
+// hook: the caller accounts it.
+func (m *Machine) ShedTo(target int64) int64 {
 	excess := m.stateCount - target
 	if excess <= 0 {
 		return 0
@@ -440,15 +424,11 @@ func (m *Machine) shedTo(target int64) int64 {
 // (few transitions left in little time, at low arrival rates) goes first,
 // partial matches one transition from completing go last. Falls back to
 // oldest-first when pattern-aware selection is not armed. Like ShedTo,
-// the count is NOT reported through the SetBudget onShed hook.
+// the count is not reported through the SetBudget onShed hook.
 func (m *Machine) ShedLowestValue(target int64) int64 {
 	if !m.patternAware {
-		return m.shedTo(target)
+		return m.ShedTo(target)
 	}
-	return m.shedLowestValue(target)
-}
-
-func (m *Machine) shedLowestValue(target int64) int64 {
 	excess := m.stateCount - target
 	var dropped int64
 	for dropped < excess && m.heap.Len() > 0 {
@@ -493,6 +473,25 @@ func (m *Machine) ensureGroup(key int64, g *group) *group {
 	return g
 }
 
+// accept fills m.accepted for e, calling each distinct Stage.Accept once on
+// the one-event candidate it leaves in m.scratch; false if no stage accepts.
+func (m *Machine) accept(e event.Event) bool {
+	hit := false
+	m.scratch = append(m.scratch[:0], e)
+	for k := range m.prog.Stages {
+		st := &m.prog.Stages[k]
+		ok := st.Type == e.Type
+		if ok && st.SharesAccept {
+			ok = m.accepted[k-1]
+		} else if ok && st.Accept != nil {
+			ok = st.Accept(m.scratch)
+		}
+		m.accepted[k] = ok
+		hit = hit || ok
+	}
+	return hit
+}
+
 // OnEvent feeds one event of the unioned input stream into the automaton.
 func (m *Machine) OnEvent(e event.Event, emit Emit) {
 	if e.TS > m.curTS {
@@ -502,6 +501,12 @@ func (m *Machine) OnEvent(e event.Event, emit Emit) {
 		if r := m.rates[e.Type]; r != nil {
 			r.Observe(int64(e.TS))
 		}
+	}
+	// An event no stage accepts builds no candidate; in a Monotone program
+	// (where it can neither block a match nor break a partial) it needs no
+	// key group either.
+	if !m.accept(e) && m.Monotone() {
+		return
 	}
 	var key int64
 	if m.prog.Key != nil {
@@ -525,12 +530,11 @@ func (m *Machine) OnEvent(e event.Event, emit Emit) {
 	tombs := false
 	lastStage := len(m.prog.Stages) - 1
 	for k := range m.prog.Stages {
-		stage := &m.prog.Stages[k]
-		if e.Type != stage.Type {
+		if !m.accepted[k] {
 			continue
 		}
-		if k == 0 {
-			m.scratch = append(m.scratch[:0], e)
+		stage := &m.prog.Stages[k]
+		if k == 0 { // accept left the one-event candidate in m.scratch
 			if stage.Pred != nil && !stage.Pred(m.scratch) {
 				continue
 			}

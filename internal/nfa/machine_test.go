@@ -264,6 +264,9 @@ func TestValidateErrors(t *testing.T) {
 		{Name: "no window", Stages: []Stage{{Type: tA}}},
 		{Name: "neg out of range", Stages: []Stage{{Type: tA}, {Type: tB}},
 			Window: event.Minute, Negations: []Negation{{Type: tC, After: 1}}},
+		{Name: "first stage shares an accept", Stages: []Stage{{Type: tA, SharesAccept: true}}, Window: event.Minute},
+		{Name: "accept shared across types", Stages: []Stage{{Type: tA}, {Type: tB, SharesAccept: true}},
+			Window: event.Minute},
 	}
 	for _, p := range bad {
 		if _, err := NewMachine(p); err == nil {

@@ -176,6 +176,38 @@ func TestShedBeforeLaterStageObservedChargesUnknownLoss(t *testing.T) {
 	}
 }
 
+// TestLostEventBoundChargesAcceptedStagesOnly: an input event dropped
+// before the automaton saw it is charged for the stages whose accept it
+// passes. One that no stage accepts, of a foreign type or failing every
+// accept, is in no match and costs nothing, even while a rate the charge
+// would need is still unobserved.
+func TestLostEventBoundChargesAcceptedStagesOnly(t *testing.T) {
+	m, err := NewMachine(&Program{
+		Name:   "seqAB",
+		Stages: []Stage{{Type: tA, Accept: lastValue(10)}, {Type: tB}},
+		Window: 10 * event.Minute,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetPatternAware(true) // the machine observes arrival rates
+	emit := func(*event.Match) {}
+	m.OnEvent(ev(tA, 0, 50), emit)
+	m.OnEvent(ev(tA, 1, 50), emit)
+	for name, e := range map[string]event.Event{"failing the accept": ev(tA, 2, 50), "of a foreign type": ev(tC, 2, 1)} {
+		if b := m.LostEventBound(e); b != 0 {
+			t.Errorf("event %s: bound %g, want 0", name, b)
+		}
+	}
+	if b := m.LostEventBound(ev(tA, 2, 1)); b != overload.UnknownLoss {
+		t.Errorf("accepted a with b's rate unobserved: bound %g, want %g", b, overload.UnknownLoss)
+	}
+	// Rejected a events still count toward a's rate: b is charged by it.
+	if b := m.LostEventBound(ev(tB, 2, 1)); b <= 0 || b >= overload.UnknownLoss {
+		t.Errorf("accepted b with a's rate observed: bound %g, want rate-derived (> 0, < %g)", b, overload.UnknownLoss)
+	}
+}
+
 // TestShedPatternAwareAtLeastOldestOnMergedFeed is the "pattern-aware
 // retains at least what oldest-first does" inequality on the seeded QnV
 // workload the facade tests shed, fed as one pre-merged, timestamp-ordered

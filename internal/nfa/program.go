@@ -14,13 +14,15 @@
 // full matches to be buffered until the watermark — which is precisely what
 // the paper measures FlinkCEP doing.
 //
-// What it does not do is pay for events it does not keep. The Machine
-// assembles each candidate (accepted prefix + event, or match + blocker) in
-// a scratch slice it owns, hands that to the predicates (see StagePred for
-// the contract), and allocates only for what it stores: a partial and its
-// events when a candidate is accepted, a key group when the first unit of a
-// key is stored. A watermark that expires nothing returns at once
-// (Machine.nextDue), and Hold is a field read.
+// What it does not do is pay for events it does not keep. The Machine tests
+// the event alone against each distinct Stage.Accept first: one that no
+// stage accepts builds no candidate and, if Machine.Monotone, costs no key
+// lookup. It assembles each candidate (accepted prefix + event, or match +
+// blocker) in a scratch slice it owns, hands that to the predicates (see
+// StagePred for the contract), and allocates only for what it stores: a
+// partial and its events when a candidate is accepted, a key group when the
+// first unit of a key is stored. A watermark that expires nothing returns
+// at once (Machine.nextDue), and Hold is a field read.
 package nfa
 
 import (
@@ -63,7 +65,7 @@ func (p Policy) String() string {
 // candidate: the constituents accepted so far (in stage order) followed by
 // the event under test, so stage k sees k+1 events. Compilers bind each
 // WHERE conjunct to the earliest stage at which all its aliases are
-// available.
+// available, and one that names a single alias to Stage.Accept instead.
 //
 // The slice is the machine's scratch: the machine builds one candidate at a
 // time, after the order and window checks, and copies it only when every
@@ -78,7 +80,14 @@ type StagePred func(candidate []event.Event) bool
 type Stage struct {
 	Name string
 	Type event.Type
-	Pred StagePred
+	// Accept tests the event under test alone (a one-event candidate)
+	// before its key is looked up: the conjuncts naming only this stage's
+	// alias; nil accepts every event of Type. SharesAccept marks a stage
+	// whose Accept is the previous stage's (one iteration's stages): the
+	// machine reuses that verdict.
+	Accept       StagePred
+	SharesAccept bool
+	Pred         StagePred
 }
 
 // Negation is a notFollowedBy constraint between two consecutive stages:
@@ -115,6 +124,11 @@ func (p *Program) Validate() error {
 	}
 	if p.Window <= 0 {
 		return fmt.Errorf("nfa: program %q needs a positive window", p.Name)
+	}
+	for k, st := range p.Stages {
+		if st.SharesAccept && (k == 0 || p.Stages[k-1].Type != st.Type) {
+			return fmt.Errorf("nfa: stage %d shares the accept of a stage of another type", k)
+		}
 	}
 	for _, n := range p.Negations {
 		if n.After < 0 || n.After >= len(p.Stages)-1 {
