@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test flake race vet loc bench bench-smoke bench-batch chaos overload overload-aware dist-smoke dist-chaos optimize
+.PHONY: build test flake race vet loc bench chaos overload dist-smoke dist-chaos
 
 build:
 	$(GO) build ./...
@@ -35,22 +35,6 @@ vet:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Fails if the no-metrics-registry fast path regressed more than
-# BENCH_SMOKE_LIMIT percent (default 5) vs the recorded
-# baseline (results/bench_baseline.txt; delete it to re-record), if edge
-# batching stops delivering its throughput win on the fig5 SEQ workload, if
-# attaching a metrics registry slows the source -> filter hop by more than
-# BENCH_OBS_LIMIT percent (default 15) at the default batch size, or if the
-# FCEP automaton allocates more than once per event on the ITER4 program.
-bench-smoke:
-	./scripts/bench_smoke.sh
-
-# Only the edge-batching gate: the fig5 SEQ workload batched (engine
-# default) vs unbatched (BatchSize 1); the batched run must win by at least
-# BENCH_BATCH_MIN_GAIN percent (default 20).
-bench-batch:
-	./scripts/bench_smoke.sh batch
-
 # Supervision under fault injection: panic isolation, chaos kills, restart
 # policies and poison-record routing, and core.Run's attempt loop composing
 # them with re-planning and quality demands, all under the race detector.
@@ -64,13 +48,6 @@ overload:
 	GOMEMLIMIT=1GiB $(GO) test -race -run 'Overload|Shed|Pause|Budget|DLQ|StateStats|MemController|Gate|Recall|Quality' \
 		. ./internal/asp/ ./internal/nfa/ ./internal/overload/ ./internal/supervise/ ./internal/harness/
 
-# Pattern-aware shedding gate: on the bounded-state overload workload,
-# completion-probability victim selection must retain at least
-# OVERLOAD_MIN_GAIN times (default 1.15) the matches of oldest-first
-# eviction at the same budget.
-overload-aware:
-	./scripts/overload_gate.sh
-
 # Multi-process smoke: a coordinator plus two real cep2asp-worker
 # processes (race-enabled binaries) run a short keyed SEQ workload over
 # loopback TCP; the distributed match set must equal the single-process
@@ -81,13 +58,6 @@ overload-aware:
 # network-hop spans. Fails non-zero on any divergence or data race.
 dist-smoke:
 	./scripts/dist_smoke.sh
-
-# Cost-based optimizer gate: on the skewed optimize workload (dense QnV
-# streams, rare filtered PM10), the statistics-driven plan must sustain at
-# least the naive pattern-order topology's throughput (OPTIMIZE_MIN_RATIO,
-# default 1.0) with an identical unique match count.
-optimize:
-	./scripts/optimize_gate.sh
 
 # Network fault-tolerance gate alone: the distsmoke workload with a
 # netreset severing the coordinator→worker data link mid-stream. The

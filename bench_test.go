@@ -100,25 +100,6 @@ func BenchmarkFig4Keys(b *testing.B) { experimentBench(b, "fig4") }
 // keyed workloads.
 func BenchmarkFig5Resources(b *testing.B) { experimentBench(b, "fig5") }
 
-// BenchmarkFig5SEQBatch contrasts the fig5 SEQ workload with edge batching
-// disabled (batch=1) and enabled (engine default): the smoke gate in
-// scripts/bench_smoke.sh requires the batched run to beat the unbatched one.
-func BenchmarkFig5SEQBatch(b *testing.B) {
-	for _, bs := range []int{1, 0} { // 0 = engine default batch size
-		name := "batch=1"
-		if bs == 0 {
-			name = "batch=default"
-		}
-		sc := benchScale()
-		sc.BatchSize = bs
-		runner := harness.Fig5SEQSmokeRunner(sc)
-		runBenchCase(b, name, func() *harness.RunResult {
-			r := runner(context.Background())
-			return &r
-		})
-	}
-}
-
 // BenchmarkFig6Scalability regenerates Figure 6: scale-out over simulated
 // workers.
 func BenchmarkFig6Scalability(b *testing.B) { experimentBench(b, "fig6") }

@@ -17,9 +17,9 @@ import (
 // Record-path contract tests: what a source -> filter hop may allocate, what
 // an ingest stamp means now that a full-speed source reads the clock per
 // batch hand-off, that the batch-settled counters — the node's and an attached
-// registry's — are exact however an instance exits and at most a batch behind
-// while it runs, and that what the registry exports does not depend on the
-// batch size.
+// registry's — are exact however an instance exits and read the last batch
+// boundary while it runs, that what the registry exports does not depend on
+// the batch size, and how many clock reads and channel hand-offs a hop costs.
 
 // hopEvents builds n minute-spaced events whose Value cycles 0..999, so
 // "Value < k" passes k/1000 of them.
@@ -455,22 +455,24 @@ func TestRegistryCountsDoNotDependOnBatchSize(t *testing.T) {
 	}
 }
 
-func TestSnapshotWhileRunningLagsByAtMostOneBatch(t *testing.T) {
+// TestSnapshotWhileRunningReadsLastBatchBoundary: the shared counters settle
+// once per consumed batch, so a snapshot taken while an instance sits inside
+// a batch reads the end of the one before it, exactly — not the records
+// already taken from the batch under way, nor nothing at all.
+func TestSnapshotWhileRunningReadsLastBatchBoundary(t *testing.T) {
 	const (
-		n      = 2000
-		batch  = 8
-		holdAt = 100
+		batch  = 4096
+		n      = 3 * batch
+		holdAt = batch + 100
 	)
 	reg := obs.NewRegistry()
-	env := NewEnvironment(Config{BatchSize: batch, ChannelCapacity: 16, Metrics: reg})
-	var stageCalls, sinkCalls atomic.Int64
+	// One watermark, after the last event: every batch carries batch events.
+	env := NewEnvironment(Config{BatchSize: batch, WatermarkInterval: n, Metrics: reg})
+	calls := 0
 	entered, release := make(chan struct{}), make(chan struct{})
-	apply(env.Source("src", mkEvents(tQ, 1, firstMinutes(n), nil), false), "stage", func(_ int, r *Record, out *Collector) {
-		stageCalls.Add(1)
-		out.Emit(r)
-	}).Sink("sink", func(int) Operator {
+	env.Source("src", hopEvents(n), false).Sink("sink", func(int) Operator {
 		return &funcOperator{fn: func(int, *Record, *Collector) {
-			if sinkCalls.Add(1) == holdAt {
+			if calls++; calls == holdAt {
 				close(entered)
 				<-release
 			}
@@ -480,38 +482,79 @@ func TestSnapshotWhileRunningLagsByAtMostOneBatch(t *testing.T) {
 	go func() { errc <- env.Execute(context.Background()) }()
 
 	<-entered
-	// The sink sits inside its holdAt-th call; the stage may still be moving.
-	// Calls read before the snapshot bound it from below, calls read after
-	// it from above: every batch consumed to its end is in the snapshot.
-	stageBefore := stageCalls.Load()
-	ops := opSnapshots(reg)
-	for _, c := range []struct {
-		name          string
-		before, after int64
-	}{
-		{"stage/0", stageBefore, stageCalls.Load()},
-		{"sink/0", holdAt, holdAt},
-	} {
-		if in := ops[c.name].In; in < c.before-batch || in > c.after {
-			t.Errorf("%s In = %d in a snapshot taken between %d and %d calls, batches of %d", c.name, in, c.before, c.after, batch)
-		}
-		if pc := ops[c.name].ProcCount; pc < c.before-batch || pc > c.after {
-			t.Errorf("%s ProcCount = %d in a snapshot taken between %d and %d calls", c.name, pc, c.before, c.after)
+	o := opSnapshots(reg)["sink/0"]
+	var node int64
+	for _, m := range env.NodeStats() {
+		if m.Name == "sink" {
+			node = m.In.Load()
 		}
 	}
 	close(release)
 	if err := <-errc; err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
+	t.Logf("inside call %d of batches of %d: registry In %d, ProcCount %d; NodeMetrics.In %d", holdAt, batch, o.In, o.ProcCount, node)
+	if o.In != batch || o.ProcCount != batch || node != batch {
+		t.Errorf("registry In/ProcCount = %d/%d, NodeMetrics.In = %d inside call %d; want %d, the last batch boundary", o.In, o.ProcCount, node, holdAt, batch)
+	}
 	if in := opSnapshots(reg)["sink/0"].In; in != n {
 		t.Fatalf("sink In = %d after the run, want %d", in, n)
+	}
+}
+
+// stampedHop runs a full-speed, ingest-stamped source -> pass-all filter ->
+// sink of n events at the default config with a registry attached, and
+// returns how many distinct ingest stamps reached the sink and the
+// registry's edges.
+func stampedHop(t *testing.T, n int) (stamps int, edges []obs.EdgeSnapshot) {
+	reg := obs.NewRegistry()
+	env := NewEnvironment(Config{Metrics: reg})
+	seen := map[int64]bool{}
+	env.Source("src", hopEvents(n), true).
+		FilterMatch("σ", func([]event.Event) bool { return true }).
+		Sink("sink", func(int) Operator {
+			return &funcOperator{fn: func(_ int, r *Record, _ *Collector) { seen[r.Event.Ingest] = true }}
+		})
+	run(t, env)
+	return len(seen), reg.Snapshot().Edges
+}
+
+// defaultBatch is the batch size the count tests below expect the default
+// config to mean; it is spelled out so that a changed default fails them.
+const defaultBatch = 64
+
+// TestFullSpeedSourceReadsClockPerBatch: a full-speed source reads the clock
+// after each batch hand-off, not per event, so the stamps it gives out number
+// about one per batch.
+func TestFullSpeedSourceReadsClockPerBatch(t *testing.T) {
+	const n = 20_000
+	stamps, _ := stampedHop(t, n)
+	t.Logf("%d events: %d distinct ingest stamps", n, stamps)
+	if limit := 2 * n / defaultBatch; stamps > limit {
+		t.Fatalf("%d distinct ingest stamps over %d events, want <= %d (2 per %d events)", stamps, n, limit, defaultBatch)
+	}
+}
+
+// TestEdgesHandOffPerBatch: at the default config records cross every edge
+// in full batches, one channel hand-off per defaultBatch records.
+func TestEdgesHandOffPerBatch(t *testing.T) {
+	const n = 20_000
+	_, edges := stampedHop(t, n)
+	if len(edges) != 2 {
+		t.Fatalf("%d edges, want 2", len(edges))
+	}
+	for _, e := range edges {
+		t.Logf("%s -> %s: %d hand-offs for %d records", e.From, e.To, e.Batches, e.Sent)
+		if e.Sent < n || e.Batches*defaultBatch/2 > e.Sent {
+			t.Errorf("%s -> %s: %d hand-offs for %d records, want >= %d records at <= 1 hand-off per %d", e.From, e.To, e.Batches, e.Sent, n, defaultBatch/2)
+		}
 	}
 }
 
 // BenchmarkSourceFilterHop measures the source -> edge -> filter hop alone:
 // the filter discards all but 0.1 % of the events, or none, records cross one
 // at a time or in the default batches of 64, and a metrics registry is
-// attached or not — the pair scripts/bench_smoke.sh holds together.
+// attached or not.
 func BenchmarkSourceFilterHop(b *testing.B) {
 	const n = 100_000
 	events := hopEvents(n)
@@ -547,9 +590,7 @@ func BenchmarkSourceFilterHop(b *testing.B) {
 
 // BenchmarkKeyedHop measures the source -> keyed edge -> filter hop: the
 // same 0.1 % selection as BenchmarkSourceFilterHop, behind a partitioner that
-// spreads the events over two filter instances, batches of 64. It is kept
-// apart from that benchmark, whose sub-benchmark names
-// scripts/bench_smoke.sh reads by position.
+// spreads the events over two filter instances, batches of 64.
 func BenchmarkKeyedHop(b *testing.B) {
 	const n = 100_000
 	events := hopEvents(n)

@@ -1,7 +1,6 @@
 package asp
 
 import (
-	"context"
 	"sync"
 	"testing"
 	"time"
@@ -175,33 +174,3 @@ func TestResultsLatencyPercentiles(t *testing.T) {
 		t.Fatalf("max latency %v below the largest recorded value", res.MaxLatency())
 	}
 }
-
-// benchPipeline drives a full source -> filter -> sink run per iteration;
-// the nil-registry variant is the no-observability fast path guarded by
-// scripts/bench_smoke.sh (every hook must cost one pointer comparison).
-func benchPipeline(b *testing.B, reg *obs.Registry) {
-	const n = 5000
-	minutes := make([]int64, n)
-	for i := range minutes {
-		minutes[i] = int64(i)
-	}
-	events := mkEvents(tQ, 1, minutes, nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		env := NewEnvironment(Config{Metrics: reg})
-		res := NewResults(false, false)
-		env.Source("src", events, false).
-			Filter("filter", func(e event.Event) bool { return e.Value >= 0 }).
-			Sink("sink", res.Operator())
-		if err := env.Execute(context.Background()); err != nil {
-			b.Fatal(err)
-		}
-		if res.Total() != n {
-			b.Fatalf("sink saw %d records, want %d", res.Total(), n)
-		}
-	}
-}
-
-func BenchmarkPipelineNoRegistry(b *testing.B)   { benchPipeline(b, nil) }
-func BenchmarkPipelineWithRegistry(b *testing.B) { benchPipeline(b, obs.NewRegistry()) }

@@ -578,37 +578,6 @@ func Fig5Resources(ctx context.Context, sc Scale) []RunResult {
 	return out
 }
 
-// Fig5SEQSmokeRunner prebuilds the single fig5 SEQ7 row (32 keys, decomposed
-// FASP with O3 partitioning, no resource sampling) and returns a function
-// executing one run, so benchmarks amortize data generation across
-// iterations and measure only the engine. It is the smoke workload
-// scripts/bench_smoke.sh uses to gate the edge-batching throughput win: a
-// multi-stage decomposed plan whose per-record channel hops dominate, so the
-// batch size directly moves end-to-end throughput.
-func Fig5SEQSmokeRunner(sc Scale) func(context.Context) RunResult {
-	kc := sc
-	kc.QnVSensors, kc.AQSensors = 32, 32
-	qnv := kc.qnvData()
-	aq := kc.aqData()
-	pat := PatternSEQ7(fSeq7, 15)
-	data := mergedData(qnv, only(aq, workload.TypePM10))
-	// A fine watermark cadence makes the smoke run representative of
-	// low-latency deployments: watermark records flow on every edge, so the
-	// gate also covers the coalescing path, not just data-record batching.
-	eng := kc.engine()
-	eng.WatermarkInterval = 8
-	return func(ctx context.Context) RunResult {
-		return Run(ctx, RunSpec{
-			Name:     "fig5smoke/SEQ7/k=32",
-			Pattern:  pat,
-			Approach: WithO3(FASP, sc.Slots),
-			Data:     data,
-			Engine:   eng,
-			Timeout:  kc.Timeout,
-		})
-	}
-}
-
 // Fig6Scalability reproduces Figure 6: scale-out over 1, 2 and 4 simulated
 // workers (16 task slots each) at 128 keys. Expected shape: both approaches
 // speed up with added slots; FASP stays 25-80% ahead.
@@ -680,13 +649,11 @@ func LatencyAtSustainableRate(ctx context.Context, sc Scale, fraction float64) [
 // partial matches to stay inside the same budget — degradation that is
 // visible in ShedRecords, never silent, instead of the unbudgeted run's
 // memory exhaustion.
-// The FCEP run is measured under both shed strategies: pattern-aware
-// victim selection (advancement-first completion ranking) retains
-// measurably more matches than oldest-first at the same budget, with the
-// retained recall reported as RecallEstimate. The budget is deliberately
-// severe — the regime where victim selection decides what survives; see
-// OverloadCurve for how the two strategies converge as the budget
-// loosens.
+// The FCEP run is measured under both shed strategies, oldest-first and
+// pattern-aware (advancement-first completion ranking): each row reports
+// the matches retained, the records shed and the RecallEstimate at the same
+// budget. Which strategy retains more depends on the budget and on how the
+// streams interleave; see OverloadCurve for the sweep.
 func OverloadSurvival(ctx context.Context, sc Scale) []RunResult {
 	kc := sc
 	kc.StateBudget = 256

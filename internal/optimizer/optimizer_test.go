@@ -11,6 +11,7 @@ import (
 	"cep2asp/internal/core"
 	"cep2asp/internal/event"
 	"cep2asp/internal/sea"
+	"cep2asp/internal/workload"
 )
 
 func mustPattern(t *testing.T, src string) *sea.Pattern {
@@ -170,6 +171,67 @@ func TestGreedyTreeGoesBushy(t *testing.T) {
 	// And the match set stays equivalent.
 	data := patternData(t, p, 30, 99)
 	equalSets(t, "bushy", oracleKeys(p, data), runOnce(t, p, o.Advise(p), data))
+}
+
+// intermediateTuples runs the plan opts give p and returns what its non-root
+// joins emitted, summed, and the unique matches it detected.
+func intermediateTuples(t *testing.T, p *sea.Pattern, opts core.Options, data map[event.Type][]event.Event) (tuples, unique int64) {
+	t.Helper()
+	plan, err := core.Translate(p, opts)
+	if err != nil {
+		t.Fatalf("Translate: %v", err)
+	}
+	env, res, err := core.Build(plan, core.BuildConfig{Data: data, DedupSink: true})
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	if err := env.Execute(context.Background()); err != nil {
+		t.Fatalf("Execute: %v", err)
+	}
+	// Joins are built children first, so the root is the last one.
+	var joins []int64
+	for _, m := range env.NodeStats() {
+		if strings.HasPrefix(m.Name, "⋈") {
+			joins = append(joins, m.Out.Load())
+		}
+	}
+	for _, out := range joins[:len(joins)-1] {
+		tuples += out
+	}
+	return tuples, res.Unique()
+}
+
+// TestAdvisedPlanEmitsFewerIntermediateTuples prices plans by the
+// intermediate tuples they emit, the cost unit of Kolchinsky & Schuster. On
+// the skewed workload of harness.OptimizeSkew — two dense QnV streams and a
+// rare, heavily filtered PM10 stream — the pattern-order plan joins q with v
+// first; the advised plan must detect the same matches from strictly fewer
+// intermediate tuples.
+func TestAdvisedPlanEmitsFewerIntermediateTuples(t *testing.T) {
+	p := mustPattern(t, `PATTERN SEQ(QnVQuantity q, QnVVelocity v, PM10 m)
+		WHERE q.value < 60 AND v.value < 60 AND m.value < 5
+		WITHIN 15 MIN SLIDE 1 MIN`)
+	const sensors, minutes = 8, 120
+	q, v := workload.QnV(workload.QnVConfig{Sensors: sensors, Minutes: minutes, Seed: 1})
+	pm10, _, _, _ := workload.AirQuality(workload.AQConfig{Sensors: sensors, Minutes: minutes, Seed: 1})
+	data := map[event.Type][]event.Event{workload.TypeQuantity: q, workload.TypeVelocity: v, workload.TypePM10: pm10}
+	stats, err := Measure(p, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := New(Config{Stats: stats})
+	if err != nil {
+		t.Fatal(err)
+	}
+	naive, naiveUnique := intermediateTuples(t, p, core.Options{}, data)
+	advised, advisedUnique := intermediateTuples(t, p, o.Advise(p), data)
+	t.Logf("intermediate tuples: pattern order %d, advised %d; unique matches %d and %d", naive, advised, naiveUnique, advisedUnique)
+	if naiveUnique == 0 || advisedUnique != naiveUnique {
+		t.Fatalf("unique matches: pattern order %d, advised %d; want equal and non-zero", naiveUnique, advisedUnique)
+	}
+	if advised >= naive {
+		t.Fatalf("the advised plan emitted %d intermediate tuples, the pattern-order plan %d: want strictly fewer", advised, naive)
+	}
 }
 
 func TestMeasure(t *testing.T) {
