@@ -815,12 +815,12 @@ func Project(p *Pattern, m *Match) []float64 {
 	out := make([]float64, 0, len(p.Return))
 	for _, r := range p.Return {
 		pos, ok := layout[r.Alias]
-		if !ok || pos >= len(m.Events) {
+		f, known := event.Accessor(r.Attr)
+		if !ok || !known || pos >= len(m.Events) {
 			out = append(out, 0)
 			continue
 		}
-		v, _ := m.Events[pos].Attr(r.Attr)
-		out = append(out, v)
+		out = append(out, f.Of(&m.Events[pos]))
 	}
 	return out
 }

@@ -15,10 +15,7 @@ import (
 
 // aliasInfo records which stages an alias occupies: iterations span m
 // consecutive stages.
-type aliasInfo struct {
-	first, last int
-	iter        bool
-}
+type aliasInfo struct{ first, last int }
 
 // ErrUnsupported reports a pattern FCEP cannot express (Table 2).
 type ErrUnsupported struct{ Feature string }
@@ -80,7 +77,7 @@ func Compile(p *sea.Pattern, policy nfa.Policy, key func(event.Event) int64) (*n
 					SharesAccept: i > 0,
 				})
 			}
-			aliases[v.Leaf.Alias] = &aliasInfo{first: first, last: first + v.M - 1, iter: true}
+			aliases[v.Leaf.Alias] = &aliasInfo{first: first, last: first + v.M - 1}
 		case *sea.AndNode:
 			return nil, &ErrUnsupported{Feature: "conjunction (AND)"}
 		case *sea.OrNode:
@@ -92,43 +89,37 @@ func Compile(p *sea.Pattern, policy nfa.Policy, key func(event.Event) int64) (*n
 		}
 	}
 
-	// Attach WHERE conjuncts to stages / negations.
-	accepts := make([][]sea.Predicate, len(prog.Stages))
+	an, err := sea.Analyze(p)
+	if err != nil {
+		return nil, err
+	}
+	// Negation predicates are compiled against the match's constituents
+	// plus the blocker in the final slot.
+	negLayout := sea.Layout{}
+	for a, info := range aliases {
+		negLayout[a] = info.first
+	}
+	for a := range negAlias {
+		negLayout[a] = len(prog.Stages)
+	}
+	// Attach WHERE conjuncts to stages / negations, as their class says.
 	stagePreds := make([][]sea.Predicate, len(prog.Stages))
 	negPreds := make([][]sea.Predicate, len(prog.Negations))
-	for _, conj := range sea.Conjuncts(p.Where) {
-		refs := sea.Aliases(conj)
-
-		// Negation predicates: compiled against match constituents plus
-		// the blocker in the final slot.
-		if ni, isNeg := negatedConjunct(refs, negAlias); isNeg {
-			layout := sea.Layout{}
-			for a, info := range aliases {
-				layout[a] = info.first
-			}
-			for a := range negAlias {
-				layout[a] = len(prog.Stages)
-			}
-			pred, err := sea.CompileBool(conj, layout)
+	for _, c := range an.Conjuncts {
+		switch c.Class {
+		case sea.Negation:
+			pred, err := sea.CompileBool(c.Expr, negLayout)
 			if err != nil {
-				return nil, fmt.Errorf("cep: compiling negation predicate %s: %w", conj, err)
+				return nil, fmt.Errorf("cep: compiling negation predicate %s: %w", c.Expr, err)
 			}
-			negPreds[ni] = append(negPreds[ni], pred)
-			continue
-		}
-
-		if sea.HasIndexedRef(conj) {
-			// Pairwise iteration constraint: attach at stages 2..m of the
-			// iteration, comparing the previous constituent with the
-			// candidate.
-			alias := refs[0]
-			info := aliases[alias]
-			if info == nil || !info.iter {
-				return nil, fmt.Errorf("cep: indexed predicate %s on non-iteration alias", conj)
-			}
-			pair, err := sea.CompileAdjacent(conj, alias)
+			negPreds[negAlias[c.On]] = append(negPreds[negAlias[c.On]], pred)
+		case sea.Pairwise:
+			// Attach at stages 2..m of the iteration, comparing the
+			// previous constituent with the candidate.
+			info := aliases[c.On]
+			pair, err := sea.CompileAdjacent(c.Expr, c.On)
 			if err != nil {
-				return nil, fmt.Errorf("cep: compiling pairwise predicate %s: %w", conj, err)
+				return nil, fmt.Errorf("cep: compiling pairwise predicate %s: %w", c.Expr, err)
 			}
 			for s := info.first + 1; s <= info.last; s++ {
 				prevIdx := s - 1
@@ -137,37 +128,36 @@ func Compile(p *sea.Pattern, policy nfa.Policy, key func(event.Event) int64) (*n
 					return pair(es[prevIdx:])
 				})
 			}
-			continue
-		}
-
-		// Single-alias conjunct: a test of the event alone, the accept of
-		// every stage the alias occupies (each constituent must pass it).
-		if len(refs) == 1 && aliases[refs[0]] != nil {
-			info := aliases[refs[0]]
-			pred, err := sea.CompileBool(conj, sea.Layout{refs[0]: 0})
+		case sea.Join:
+			// Expand iteration aliases over every constituent position
+			// (universal quantification) and attach each expansion at the
+			// latest referenced stage, where all its events are available.
+			combos, err := expandPositions(c.Expr, c.Aliases, aliases)
 			if err != nil {
-				return nil, fmt.Errorf("cep: compiling predicate %s: %w", conj, err)
+				return nil, err
 			}
-			for s := info.first; s <= info.last; s++ {
-				accepts[s] = append(accepts[s], pred)
+			for _, c := range combos {
+				stagePreds[c.stage] = append(stagePreds[c.stage], c.pred)
 			}
-			continue
-		}
-
-		// Plain conjunct: expand iteration aliases over every constituent
-		// position (universal quantification) and attach each expansion at
-		// the latest referenced stage, where all its events are available.
-		combos, err := expandPositions(conj, refs, aliases)
-		if err != nil {
-			return nil, err
-		}
-		for _, c := range combos {
-			stagePreds[c.stage] = append(stagePreds[c.stage], c.pred)
 		}
 	}
 
+	// Unary conjuncts test the event alone: the accept of every stage the
+	// alias occupies (each constituent must pass it).
+	for alias, info := range aliases {
+		unary := sea.Conjoin(an.Unary(alias))
+		if _, none := unary.(sea.TrueExpr); none {
+			continue
+		}
+		accept, err := sea.CompileBool(unary, sea.Layout{alias: 0})
+		if err != nil {
+			return nil, fmt.Errorf("cep: compiling predicate %s: %w", unary, err)
+		}
+		for s := info.first; s <= info.last; s++ {
+			prog.Stages[s].Accept = nfa.StagePred(accept)
+		}
+	}
 	for s := range prog.Stages {
-		prog.Stages[s].Accept = conjoin(accepts[s])
 		prog.Stages[s].Pred = conjoin(stagePreds[s])
 	}
 	for i := range prog.Negations {
@@ -199,15 +189,6 @@ func conjoin(preds []sea.Predicate) nfa.StagePred {
 		}
 		return true
 	}
-}
-
-func negatedConjunct(refs []string, negAlias map[string]int) (int, bool) {
-	for _, a := range refs {
-		if ni, ok := negAlias[a]; ok {
-			return ni, true
-		}
-	}
-	return 0, false
 }
 
 type positioned struct {

@@ -100,7 +100,7 @@ func Advise(p *sea.Pattern, stats map[string]StreamStats, parallelism int) Optio
 		return opts
 	}
 
-	if attr := DetectKeyAttr(p); attr != "" {
+	if an, err := sea.Analyze(p); err == nil && an.KeyAttr() != "" {
 		opts.UsePartitioning = true
 	}
 

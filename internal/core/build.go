@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"cep2asp/internal/asp"
 	"cep2asp/internal/cep"
@@ -186,27 +185,16 @@ func (b *builder) scan(v *ScanPlan) (*asp.Stream, error) {
 	return s.FilterMatch(b.name("σ:"+v.Alias), pred), nil
 }
 
-// attrKey converts an attribute value to a partition key: integral IDs map
-// directly; float attributes hash via their bit pattern.
-func attrKey(e event.Event, attr string) int64 {
-	if attr == event.AttrID {
-		return e.ID
-	}
-	v, _ := e.Attr(attr)
-	if v == math.Trunc(v) {
-		return int64(v)
-	}
-	return int64(math.Float64bits(v))
-}
-
-// recordKey extracts the partition key from a record's constituent at the
-// given side-local position.
+// recordKey extracts the partition key of attr (event.Field.Key) from a
+// record's constituent at the given side-local position. Key attributes
+// come from sea.Analyze, which rejects unknown ones.
 func recordKey(pos int, attr string) asp.KeyFn {
+	f, _ := event.Accessor(attr)
 	return func(r *asp.Record) int64 {
 		if r.Kind == asp.KindEvent {
-			return attrKey(r.Event, attr)
+			return f.Key(&r.Event)
 		}
-		return attrKey(r.Match.Events[pos], attr)
+		return f.Key(&r.Match.Events[pos])
 	}
 }
 
@@ -268,27 +256,17 @@ func (b *builder) compileJoinPredicate(v *JoinPlan, nl, nr int) (func() asp.Join
 	orders := v.Orders
 	auxChecks := v.AuxChecks
 
-	var compiled []sea.Predicate
+	var preds, pair sea.Predicate
+	var err error
 	if len(v.Preds) > 0 {
-		layout := sea.Layout{}
-		for i, a := range v.Aliases() {
-			if _, ok := layout[a]; !ok {
-				layout[a] = i
-			}
-		}
-		for _, pe := range v.Preds {
-			p, err := sea.CompileBool(pe, layout)
-			if err != nil {
-				return nil, fmt.Errorf("core: compiling join predicate %s: %w", pe, err)
-			}
-			compiled = append(compiled, p)
+		// An iteration alias names its first constituent.
+		preds, err = sea.CompileBool(sea.Conjoin(v.Preds), sea.Layout(firstPositions(v.Aliases())))
+		if err != nil {
+			return nil, fmt.Errorf("core: compiling join predicates %s: %w", sea.Conjoin(v.Preds), err)
 		}
 	}
-
-	var pair sea.PairPredicate
 	if v.PairPred != nil {
-		var err error
-		pair, err = sea.CompilePair(v.PairPred, v.PairAlias)
+		pair, err = sea.CompileAdjacent(v.PairPred, v.PairAlias)
 		if err != nil {
 			return nil, fmt.Errorf("core: compiling pairwise predicate %s: %w", v.PairPred, err)
 		}
@@ -296,6 +274,7 @@ func (b *builder) compileJoinPredicate(v *JoinPlan, nl, nr int) (func() asp.Join
 
 	return func() asp.JoinPredicate {
 		scratch := make([]event.Event, 0, nl+nr)
+		adjacent := make([]event.Event, 2) // {alias[i], alias[i+1]} for pair
 		at := func(l, r []event.Event, pos int) event.Event {
 			if pos < nl {
 				return l[pos]
@@ -330,8 +309,11 @@ func (b *builder) compileJoinPredicate(v *JoinPlan, nl, nr int) (func() asp.Join
 					return false
 				}
 			}
-			if pair != nil && !pair(l[nl-1], r[0]) {
-				return false
+			if pair != nil {
+				adjacent[0], adjacent[1] = l[nl-1], r[0]
+				if !pair(adjacent) {
+					return false
+				}
 			}
 			for _, ac := range auxChecks {
 				t1 := at(l, r, ac.T1Pos)
@@ -347,13 +329,10 @@ func (b *builder) compileJoinPredicate(v *JoinPlan, nl, nr int) (func() asp.Join
 					return false
 				}
 			}
-			if len(compiled) > 0 {
-				scratch = append(scratch[:0], l...)
-				scratch = append(scratch, r...)
-				for _, p := range compiled {
-					if !p(scratch) {
-						return false
-					}
+			if preds != nil {
+				scratch = append(append(scratch[:0], l...), r...)
+				if !preds(scratch) {
+					return false
 				}
 			}
 			return true
@@ -368,8 +347,8 @@ func (b *builder) aggregate(v *AggregatePlan) (*asp.Stream, []string, error) {
 	}
 	var key asp.KeyFn
 	parallelism := 1
-	if v.Equi && b.plan.Opts.UsePartitioning {
-		key = recordKey(0, event.AttrID)
+	if v.KeyAttr != "" && b.plan.Opts.UsePartitioning {
+		key = recordKey(0, v.KeyAttr)
 		parallelism = b.plan.Opts.Parallelism
 	}
 	outType := v.Scan.Type
@@ -412,11 +391,9 @@ func (b *builder) nextOccurrence(v *NextOccurrencePlan) (*asp.Stream, []string, 
 	// verifies exact equality.
 	var key asp.KeyFn
 	parallelism := 1
-	if b.plan.Opts.UsePartitioning {
-		if attr := equiAttrOf(v.EquiT1); attr != "" {
-			key = func(r *asp.Record) int64 { return attrKey(r.Event, attr) }
-			parallelism = b.plan.Opts.Parallelism
-		}
+	if v.KeyAttr != "" && b.plan.Opts.UsePartitioning {
+		key = recordKey(0, v.KeyAttr)
+		parallelism = b.plan.Opts.Parallelism
 	}
 
 	u := t1.Union(b.name("∪nseq"), neg)
@@ -428,15 +405,6 @@ func (b *builder) nextOccurrence(v *NextOccurrencePlan) (*asp.Stream, []string, 
 		Blocker: blocker,
 	}))
 	return s, []string{v.T1.Alias}, nil
-}
-
-func equiAttrOf(conjs []sea.BoolExpr) string {
-	for _, c := range conjs {
-		if _, lat, _, rat, ok := sea.EquiPair(c); ok && lat == rat {
-			return lat
-		}
-	}
-	return ""
 }
 
 func (b *builder) cep(v *CEPPlan) (*asp.Stream, []string, error) {

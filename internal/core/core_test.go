@@ -245,6 +245,65 @@ func TestAggregationCountsWindows(t *testing.T) {
 	}
 }
 
+// O2 under O3 partitions the count by the attribute the iteration's pairwise
+// equality names, not by id: four sensors reporting one lat are one group of
+// four, while grouping by id would leave four groups of one.
+func TestAggregationKeysByPairwiseAttr(t *testing.T) {
+	pat := mustPattern(t, `PATTERN ITER(TEL v, 3+) WHERE v[i].lat == v[i+1].lat WITHIN 5 MINUTES SLIDE 5 MINUTES`)
+	typ, _ := event.LookupType("TEL")
+	var evs []event.Event
+	for i := int64(0); i < 4; i++ {
+		evs = append(evs, event.Event{Type: typ, ID: i + 1, Lat: 7, TS: i * event.Minute})
+	}
+	evs = append(evs, event.Event{Type: typ, ID: 1, Lat: 7.5, TS: 4 * event.Minute})
+	res := runPlan(t, pat, Options{UseAggregation: true, UsePartitioning: true, Parallelism: 2}, map[event.Type][]event.Event{typ: evs})
+	if got := res.Unique(); got != 1 {
+		t.Fatalf("O2+O3 outputs = %d, want 1 (the lat-7 group)", got)
+	}
+	if e := res.Matches()[0].Events[0]; e.ID != 7 || e.Value != 4 {
+		t.Fatalf("aggregate = key %d count %g, want key 7 count 4", e.ID, e.Value)
+	}
+}
+
+// The θ predicate of FASP's ITER4 self joins runs once per candidate pair;
+// its pairwise check reads a pair the instance owns, so a test allocates
+// nothing.
+func TestIterJoinPredicateDoesNotAllocate(t *testing.T) {
+	pat := mustPattern(t, `PATTERN ITER(TEI v, 4) WHERE v.value <= 1.6 AND v[i].id == v[i+1].id WITHIN 90 MINUTES SLIDE 1 MINUTE`)
+	plan, err := Translate(pat, Options{UsePartitioning: true, Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	newPred, err := (&builder{}).compileJoinPredicate(plan.Root.(*JoinPlan), 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred := newPred()
+	at := func(id, minute int64) event.Event { return event.Event{ID: id, TS: minute * event.Minute} }
+	l := []event.Event{at(7, 0), at(7, 1), at(7, 2)}
+	same, other := []event.Event{at(7, 3)}, []event.Event{at(8, 3)}
+	if !pred(l, same) || pred(l, other) {
+		t.Fatal("the pairwise id equality decides the wrong way")
+	}
+	if n := testing.AllocsPerRun(100, func() { pred(l, same); pred(l, other) }); n != 0 {
+		t.Fatalf("join predicate allocates %v times per two tests, want 0", n)
+	}
+}
+
+// A constant conjunct holds or fails for every event: FASP filters every
+// scan with it, as the oracle and the NFA evaluate it.
+func TestConstantConjunctsFilterEveryScan(t *testing.T) {
+	ta, tb := event.RegisterType("TKA"), event.RegisterType("TKB")
+	rng := rand.New(rand.NewSource(3))
+	data := map[event.Type][]event.Event{ta: genStream(rng, ta, 6, 30, 1), tb: genStream(rng, tb, 6, 30, 1)}
+	all := append(append([]event.Event{}, data[ta]...), data[tb]...)
+	for _, where := range []string{"1 > 2", "FALSE", "1 < 2 AND a.value <= b.value"} {
+		pat := mustPattern(t, `PATTERN SEQ(TKA a, TKB b) WHERE `+where+` WITHIN 8 MINUTES`)
+		oracle := sortedKeys(sea.Evaluate(pat, all))
+		equalSets(t, where, oracle, sortedKeys(runPlan(t, pat, Options{}, data).Matches()))
+	}
+}
+
 func TestPlanShapes(t *testing.T) {
 	pat := mustPattern(t, `
 		PATTERN SEQ(TEA a, TEB b, TEC c)
@@ -357,25 +416,6 @@ func TestTranslateFCEPPlan(t *testing.T) {
 	plan2, _ := TranslateFCEP(pat, Options{})
 	if plan2.Root.(*CEPPlan).Keyed {
 		t.Fatal("keying requires O3")
-	}
-}
-
-func TestDetectKeyAttr(t *testing.T) {
-	tests := []struct {
-		src  string
-		want string
-	}{
-		{`PATTERN SEQ(TEA a, TEB b) WHERE a.id == b.id WITHIN 5 MIN`, "id"},
-		{`PATTERN SEQ(TEA a, TEB b, TEC c) WHERE a.id == b.id AND b.id == c.id WITHIN 5 MIN`, "id"},
-		{`PATTERN SEQ(TEA a, TEB b, TEC c) WHERE a.id == b.id WITHIN 5 MIN`, ""},
-		{`PATTERN SEQ(TEA a, TEB b) WITHIN 5 MIN`, ""},
-		{`PATTERN ITER(TEV v, 3) WHERE v[i].id == v[i+1].id WITHIN 5 MIN`, "id"},
-	}
-	for _, tc := range tests {
-		pat := mustPattern(t, tc.src)
-		if got := DetectKeyAttr(pat); got != tc.want {
-			t.Errorf("DetectKeyAttr(%q) = %q, want %q", tc.src, got, tc.want)
-		}
 	}
 }
 

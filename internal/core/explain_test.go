@@ -85,6 +85,41 @@ func TestExplainGoldens(t *testing.T) {
 			},
 		},
 		{
+			name:    "negated sequence equated with T1 → keyed UDF",
+			pattern: `PATTERN SEQ(GXA a, !GXX x, GXB b) WHERE x.value > 5 AND x.id == a.id AND a.id == b.id WITHIN 20 MINUTES`,
+			opts:    Options{UsePartitioning: true, Parallelism: 4},
+			want: []string{
+				"-- FASP-O3 plan",
+				"WindowJoin WITHIN 20 MINUTES SLIDE 1 MINUTE (ordered, partitioned by [0].id==[0].id, θ: a.id == b.id, nseq-selection)",
+				"NextOccurrence ¬GXX after a within WITHIN 20 MINUTES SLIDE 1 MINUTE (partitioned by id)",
+				"Scan GXA AS a\n",
+				"Scan GXX AS x WHERE x.value > 5",
+				"Scan GXB AS b",
+			},
+		},
+		{
+			name:    "iteration keyed on a non-id attribute",
+			pattern: `PATTERN ITER(GXV v, 3) WHERE v.value > 1 AND v[i].lat == v[i+1].lat WITHIN 20 MINUTES`,
+			opts:    Options{UsePartitioning: true, Parallelism: 4},
+			want: []string{
+				"WindowJoin WITHIN 20 MINUTES SLIDE 1 MINUTE (ordered, partitioned by [0].lat==[0].lat, pairwise: v[i].lat == v[i+1].lat)",
+				"WindowJoin WITHIN 20 MINUTES SLIDE 1 MINUTE (ordered, partitioned by [0].lat==[0].lat, pairwise: v[i].lat == v[i+1].lat)",
+				"Scan GXV AS v WHERE v.value > 1",
+				"Scan GXV AS v WHERE v.value > 1",
+				"Scan GXV AS v WHERE v.value > 1",
+			},
+		},
+		{
+			name:    "iteration under O2+O3 → aggregation keyed by the pairwise attribute",
+			pattern: `PATTERN ITER(GXV v, 3+) WHERE v[i].lat == v[i+1].lat WITHIN 20 MINUTES`,
+			opts:    Options{UseAggregation: true, UsePartitioning: true, Parallelism: 4},
+			want: []string{
+				"-- FASP-O2+O3 plan",
+				"WindowAggregate count >= 3 WITHIN 20 MINUTES SLIDE 1 MINUTE (partitioned by lat)",
+				"Scan GXV AS v",
+			},
+		},
+		{
 			name:    "FCEP → one NFA over unioned sources",
 			pattern: `PATTERN SEQ(GXA a, GXB b) WITHIN 20 MINUTES`,
 			opts:    Options{},

@@ -248,7 +248,9 @@ type AggregatePlan struct {
 	M         int
 	Unbounded bool
 	Window    sea.Window
-	Equi      bool // O3: partition by sensor id
+	// KeyAttr partitions the count under O3: the attribute of the
+	// iteration's pairwise equality e[i].attr == e[i+1].attr; "" for none.
+	KeyAttr string
 }
 
 // Aliases implements PlanNode.
@@ -263,7 +265,14 @@ func (a *AggregatePlan) Describe() string {
 	if a.Unbounded {
 		cmp = ">="
 	}
-	return fmt.Sprintf("WindowAggregate count %s %d %s", cmp, a.M, a.Window)
+	return fmt.Sprintf("WindowAggregate count %s %d %s", cmp, a.M, a.Window) + partitionedBy(a.KeyAttr)
+}
+
+func partitionedBy(attr string) string {
+	if attr == "" {
+		return ""
+	}
+	return " (partitioned by " + attr + ")"
 }
 
 // NextOccurrencePlan wraps a T1 scan with the negated-sequence UDF: its
@@ -277,6 +286,9 @@ type NextOccurrencePlan struct {
 	EquiT1 []sea.BoolExpr
 	// NegAlias is the negated alias (for predicate compilation).
 	NegAlias string
+	// KeyAttr partitions the UDF under O3: the common attribute of an
+	// EquiT1 equality; "" for none.
+	KeyAttr string
 }
 
 // Aliases implements PlanNode.
@@ -287,7 +299,7 @@ func (n *NextOccurrencePlan) Kids() []PlanNode { return []PlanNode{n.T1, n.Neg} 
 
 // Describe implements PlanNode.
 func (n *NextOccurrencePlan) Describe() string {
-	return fmt.Sprintf("NextOccurrence ¬%s after %s within %s", n.Neg.TypeName, n.T1.Alias, n.Window)
+	return fmt.Sprintf("NextOccurrence ¬%s after %s within %s", n.Neg.TypeName, n.T1.Alias, n.Window) + partitionedBy(n.KeyAttr)
 }
 
 // CEPPlan is the baseline mapping: the whole pattern in one unary NFA

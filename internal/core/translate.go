@@ -15,13 +15,13 @@ import (
 // the pattern workload into filters, joins, unions and aggregations, each
 // an independent pipeline stage (§1, §4).
 //
-// Predicate placement: single-alias conjuncts are pushed into the scans
-// (including per-constituent thresholds on iteration aliases, which hold
-// universally); iteration-indexed conjuncts become θ predicates of the self
-// joins; remaining conjuncts attach to the first join binding all their
-// aliases. Conjuncts spanning disjunction branches are never fully bound
-// and hold vacuously — matching the reference semantics' three-valued
-// treatment.
+// Predicate placement reads sea.Analyze's classes: unary conjuncts are
+// pushed into the scans (including per-constituent thresholds on iteration
+// aliases, which hold universally); pairwise ones become θ predicates of
+// the self joins; negation ones run in the next-occurrence UDF; join ones
+// attach to the first join binding all their aliases. Conjuncts spanning
+// disjunction branches are never fully bound and hold vacuously — matching
+// the reference semantics' three-valued treatment.
 func Translate(p *sea.Pattern, opts Options) (*Plan, error) {
 	if opts.statsErr != nil {
 		// Fail-fast: Advise recorded invalid stream statistics; building a
@@ -31,8 +31,16 @@ func Translate(p *sea.Pattern, opts Options) (*Plan, error) {
 	if opts.Parallelism <= 0 {
 		opts.Parallelism = 1
 	}
-	t := &translator{pat: p, opts: opts, ordered: make(map[string]map[string]bool)}
-	t.classify()
+	an, err := sea.Analyze(p)
+	if err != nil {
+		return nil, err
+	}
+	t := &translator{pat: p, an: an, opts: opts, ordered: make(map[string]map[string]bool)}
+	for _, c := range an.Conjuncts {
+		if c.Class == sea.Join {
+			t.joinPreds = append(t.joinPreds, &pendingPred{Conjunct: c})
+		}
+	}
 
 	// Disjunction distributes outward so every union branch is OR-free:
 	// SEQ(A, OR(B, C)) ≡ OR(SEQ(A, B), SEQ(A, C)). Each branch translates
@@ -126,8 +134,7 @@ func (t *translator) resetForBranch() {
 }
 
 type pendingPred struct {
-	expr     sea.BoolExpr
-	aliases  []string
+	sea.Conjunct
 	assigned bool
 }
 
@@ -139,13 +146,11 @@ type pendingAux struct {
 
 type translator struct {
 	pat  *sea.Pattern
+	an   sea.Analysis
 	opts Options
 
-	scanFilters map[string][]sea.BoolExpr
-	pairwise    map[string][]sea.BoolExpr
-	negPreds    map[string][]sea.BoolExpr
-	joinPreds   []*pendingPred
-	aux         []*pendingAux
+	joinPreds []*pendingPred
+	aux       []*pendingAux
 
 	// ordered[a][b]: every constituent of alias a occurs strictly before
 	// every constituent of alias b (sequence siblings).
@@ -156,46 +161,6 @@ type sub struct {
 	node    PlanNode
 	aliases []string
 	freq    float64
-}
-
-func (t *translator) classify() {
-	t.scanFilters = make(map[string][]sea.BoolExpr)
-	t.pairwise = make(map[string][]sea.BoolExpr)
-	t.negPreds = make(map[string][]sea.BoolExpr)
-	negated := make(map[string]bool)
-	for _, l := range t.pat.Leaves() {
-		if l.Negated {
-			negated[l.Alias] = true
-		}
-	}
-	for _, conj := range sea.Conjuncts(t.pat.Where) {
-		refs := sea.Aliases(conj)
-		hasNeg := false
-		for _, a := range refs {
-			if negated[a] {
-				hasNeg = true
-			}
-		}
-		switch {
-		case hasNeg:
-			for _, a := range refs {
-				if negated[a] {
-					t.negPreds[a] = append(t.negPreds[a], conj)
-					break
-				}
-			}
-		case sea.HasIndexedRef(conj):
-			t.pairwise[refs[0]] = append(t.pairwise[refs[0]], conj)
-		case len(refs) <= 1:
-			if len(refs) == 1 {
-				t.scanFilters[refs[0]] = append(t.scanFilters[refs[0]], conj)
-			}
-			// Zero-alias conjuncts (constant comparisons) are dropped
-			// after folding: TRUE is a no-op; FALSE never parses here.
-		default:
-			t.joinPreds = append(t.joinPreds, &pendingPred{expr: conj, aliases: refs})
-		}
-	}
 }
 
 // collectOrder derives the strict temporal-order relation between aliases
@@ -251,7 +216,7 @@ func (t *translator) scan(l *sea.EventLeaf) *ScanPlan {
 		TypeName: l.TypeName,
 		Type:     l.Type,
 		Alias:    l.Alias,
-		Filters:  t.scanFilters[l.Alias],
+		Filters:  t.an.Unary(l.Alias),
 	}
 }
 
@@ -288,6 +253,19 @@ func (t *translator) iter(v *sea.IterNode, root bool) (*sub, error) {
 	if v.Unbounded && !t.opts.UseAggregation {
 		return nil, fmt.Errorf("core: unbounded iteration of %q requires optimization O2 (aggregation); the θ self-join mapping supports exact m only (§4.3.2)", alias)
 	}
+	// The pairwise equality e[i].attr == e[i+1].attr keys the iteration
+	// (O3): all constituents then share the attribute.
+	var pairs []sea.BoolExpr
+	keyAttr := ""
+	for _, c := range t.an.Conjuncts {
+		if c.Class != sea.Pairwise || c.On != alias {
+			continue
+		}
+		pairs = append(pairs, c.Expr)
+		if c.Equi != nil && keyAttr == "" && t.opts.UsePartitioning {
+			keyAttr = c.Equi.L.Attr
+		}
+	}
 	if t.opts.UseAggregation {
 		if !root {
 			return nil, fmt.Errorf("core: O2 aggregation applies to top-level iterations only; nested iteration of %q needs the self-join mapping", alias)
@@ -298,20 +276,16 @@ func (t *translator) iter(v *sea.IterNode, root bool) (*sub, error) {
 				M:         v.M,
 				Unbounded: v.Unbounded,
 				Window:    t.pat.Window,
-				Equi:      t.opts.UsePartitioning && t.iterEquiAttr(alias) != "",
+				KeyAttr:   keyAttr,
 			},
 			aliases: []string{alias},
 			freq:    t.freq(v.Leaf.TypeName),
 		}, nil
 	}
 
-	pairPred := sea.Conjoin(t.pairwise[alias])
-	if _, isTrue := pairPred.(sea.TrueExpr); isTrue {
-		pairPred = nil
-	}
-	equiAttr := ""
-	if t.opts.UsePartitioning {
-		equiAttr = t.iterEquiAttr(alias)
+	var pairPred sea.BoolExpr
+	if len(pairs) > 0 {
+		pairPred = sea.Conjoin(pairs)
 	}
 
 	acc := &sub{node: t.scan(v.Leaf), aliases: []string{alias}, freq: t.freq(v.Leaf.TypeName)}
@@ -326,33 +300,13 @@ func (t *translator) iter(v *sea.IterNode, root bool) (*sub, error) {
 			PairPred:  pairPred,
 			PairAlias: alias,
 		}
-		if equiAttr != "" {
-			join.Equi = &EquiSpec{LeftPos: 0, LeftAttr: equiAttr, RightPos: 0, RightAttr: equiAttr}
+		if keyAttr != "" {
+			join.Equi = &EquiSpec{LeftPos: 0, LeftAttr: keyAttr, RightPos: 0, RightAttr: keyAttr}
 		}
 		acc = &sub{node: join, aliases: append(acc.aliases, alias), freq: acc.freq}
 	}
-	if v.M == 1 {
-		// Degenerate single occurrence: the scan alone.
-		return acc, nil
-	}
+	// M == 1 degenerates to a single occurrence: the scan alone.
 	return acc, nil
-}
-
-// iterEquiAttr detects the pairwise equality e[i].attr == e[i+1].attr that
-// keys an iteration (O3): all constituents then share the attribute.
-func (t *translator) iterEquiAttr(alias string) string {
-	for _, conj := range t.pairwise[alias] {
-		c, ok := conj.(sea.Cmp)
-		if !ok || c.Op != sea.CmpEQ {
-			continue
-		}
-		l, lok := c.L.(sea.AttrRef)
-		r, rok := c.R.(sea.AttrRef)
-		if lok && rok && l.Attr == r.Attr && l.Index != r.Index {
-			return l.Attr
-		}
-	}
-	return ""
 }
 
 // nary builds the join tree for a sequence or conjunction. With frequency
@@ -466,23 +420,25 @@ func (t *translator) negated(el seqElement, elems []seqElement, i int) (*sub, er
 		return nil, fmt.Errorf("core: negation of %q has no following element", el.neg.Alias)
 	}
 	// Split the negated alias' predicates: per-event thresholds filter the
-	// blocker stream; equalities with the T1 alias run inside the UDF.
-	var scanPreds, equiT1 []sea.BoolExpr
-	for _, conj := range t.negPreds[el.neg.Alias] {
-		refs := sea.Aliases(conj)
-		if len(refs) == 1 {
-			scanPreds = append(scanPreds, conj)
+	// blocker stream (its scan); equalities with the T1 alias run inside the
+	// UDF, and under O3 one on a common attribute keys it.
+	var equiT1 []sea.BoolExpr
+	keyAttr := ""
+	for _, c := range t.an.Conjuncts {
+		if c.Class != sea.Negation || c.On != el.neg.Alias || len(c.Aliases) == 1 {
 			continue
 		}
-		la, _, ra, _, isEqui := sea.EquiPair(conj)
-		other := la
-		if other == el.neg.Alias {
-			other = ra
+		other := c.Equi.L
+		if other.Alias == el.neg.Alias {
+			other = c.Equi.R
 		}
-		if !isEqui || other != t1Leaf.Alias {
-			return nil, fmt.Errorf("core: predicate %s on negated alias %q must be a per-event condition or an equality with the preceding element %q", conj, el.neg.Alias, t1Leaf.Alias)
+		if other.Alias != t1Leaf.Alias {
+			return nil, fmt.Errorf("core: predicate %s on negated alias %q must be a per-event condition or an equality with the preceding element %q", c.Expr, el.neg.Alias, t1Leaf.Alias)
 		}
-		equiT1 = append(equiT1, conj)
+		equiT1 = append(equiT1, c.Expr)
+		if c.Equi.L.Attr == c.Equi.R.Attr && keyAttr == "" && t.opts.UsePartitioning {
+			keyAttr = c.Equi.L.Attr
+		}
 	}
 	var rights []string
 	for _, l := range elems[i+1].node.Leaves(nil) {
@@ -492,16 +448,12 @@ func (t *translator) negated(el seqElement, elems []seqElement, i int) (*sub, er
 	}
 	t.aux = append(t.aux, &pendingAux{t1Alias: t1Leaf.Alias, rights: rights})
 	plan := &NextOccurrencePlan{
-		T1: t.scan(t1Leaf),
-		Neg: &ScanPlan{
-			TypeName: el.neg.TypeName,
-			Type:     el.neg.Type,
-			Alias:    el.neg.Alias,
-			Filters:  scanPreds,
-		},
+		T1:       t.scan(t1Leaf),
+		Neg:      t.scan(el.neg),
 		Window:   t.pat.Window,
 		EquiT1:   equiT1,
 		NegAlias: el.neg.Alias,
+		KeyAttr:  keyAttr,
 	}
 	return &sub{node: plan, aliases: []string{t1Leaf.Alias}, freq: t.freq(t1Leaf.TypeName)}, nil
 }
@@ -547,7 +499,7 @@ func (t *translator) join(a, b *sub) (*sub, error) {
 			continue
 		}
 		all := true
-		for _, al := range pp.aliases {
+		for _, al := range pp.Aliases {
 			if !bound[al] {
 				all = false
 				break
@@ -557,16 +509,15 @@ func (t *translator) join(a, b *sub) (*sub, error) {
 			continue
 		}
 		pp.assigned = true
-		join.Preds = append(join.Preds, pp.expr)
-		// Equi detection for O3: one side's alias on each input.
-		if join.Equi == nil && t.opts.UsePartitioning {
-			la, lat, ra, rat, isEqui := sea.EquiPair(pp.expr)
-			if isEqui {
-				if containsAlias(a.aliases, la) && containsAlias(b.aliases, ra) {
-					join.Equi = &EquiSpec{LeftPos: indexOf(a.aliases, la), LeftAttr: lat, RightPos: indexOf(b.aliases, ra), RightAttr: rat}
-				} else if containsAlias(a.aliases, ra) && containsAlias(b.aliases, la) {
-					join.Equi = &EquiSpec{LeftPos: indexOf(a.aliases, ra), LeftAttr: rat, RightPos: indexOf(b.aliases, la), RightAttr: lat}
-				}
+		join.Preds = append(join.Preds, pp.Expr)
+		// Equi key for O3: one side's alias on each input.
+		if eq := pp.Equi; eq != nil && join.Equi == nil && t.opts.UsePartitioning {
+			l, r := eq.L, eq.R
+			if !containsAlias(a.aliases, l.Alias) {
+				l, r = r, l
+			}
+			if containsAlias(a.aliases, l.Alias) && containsAlias(b.aliases, r.Alias) {
+				join.Equi = &EquiSpec{LeftPos: indexOf(a.aliases, l.Alias), LeftAttr: l.Attr, RightPos: indexOf(b.aliases, r.Alias), RightAttr: r.Attr}
 			}
 		}
 	}
@@ -666,11 +617,14 @@ func minFreq(a, b float64) float64 {
 // operator over the union of all sources, under skip-till-any-match — the
 // configuration the paper benchmarks (§5.1.2).
 func TranslateFCEP(p *sea.Pattern, opts Options) (*Plan, error) {
+	an, err := sea.Analyze(p)
+	if err != nil {
+		return nil, err
+	}
 	var key func(event.Event) int64
-	if opts.UsePartitioning {
-		if attr := DetectKeyAttr(p); attr != "" {
-			key = eventKeyFn(attr)
-		}
+	if attr := an.KeyAttr(); attr != "" && opts.UsePartitioning {
+		f, _ := event.Accessor(attr) // known: Analyze checked it
+		key = func(e event.Event) int64 { return f.Key(&e) }
 	}
 	prog, err := cep.Compile(p, nfa.SkipTillAnyMatch, key)
 	if err != nil {
@@ -690,61 +644,4 @@ func TranslateFCEP(p *sea.Pattern, opts Options) (*Plan, error) {
 		Root:    &CEPPlan{Prog: prog, Sources: sources, Keyed: key != nil},
 		Opts:    opts,
 	}, nil
-}
-
-// DetectKeyAttr returns the attribute by which the whole pattern can be
-// partitioned: every positive alias pair must be connected through
-// equalities on one common attribute (the paper keys by sensor id, §5.2.3).
-// Returns "" when no such attribute exists.
-func DetectKeyAttr(p *sea.Pattern) string {
-	// Gather equality attributes; accept when a single attribute connects
-	// all positive aliases (or keys an iteration pairwise).
-	counts := make(map[string]map[string]bool) // attr -> aliases covered
-	for _, conj := range sea.Conjuncts(p.Where) {
-		if la, lat, ra, rat, ok := sea.EquiPair(conj); ok && lat == rat {
-			if counts[lat] == nil {
-				counts[lat] = make(map[string]bool)
-			}
-			counts[lat][la] = true
-			counts[lat][ra] = true
-		}
-		// Pairwise iteration equality: e[i].attr == e[i+1].attr.
-		if c, ok := conj.(sea.Cmp); ok && c.Op == sea.CmpEQ {
-			l, lok := c.L.(sea.AttrRef)
-			r, rok := c.R.(sea.AttrRef)
-			if lok && rok && l.Attr == r.Attr && l.Alias == r.Alias && l.Index != r.Index {
-				if counts[l.Attr] == nil {
-					counts[l.Attr] = make(map[string]bool)
-				}
-				counts[l.Attr][l.Alias] = true
-			}
-		}
-	}
-	var positives []string
-	for _, l := range p.PositiveLeaves() {
-		positives = append(positives, l.Alias)
-	}
-	for attr, covered := range counts {
-		all := true
-		for _, a := range positives {
-			if !covered[a] {
-				all = false
-				break
-			}
-		}
-		if all {
-			return attr
-		}
-	}
-	return ""
-}
-
-func eventKeyFn(attr string) func(event.Event) int64 {
-	return func(e event.Event) int64 {
-		if attr == event.AttrID {
-			return e.ID
-		}
-		v, _ := e.Attr(attr)
-		return int64(v)
-	}
 }

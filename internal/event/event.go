@@ -13,6 +13,7 @@ package event
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -75,25 +76,66 @@ const (
 	AttrAuxTS = "ats"
 )
 
-// Attr returns the named attribute of e as a float64 (the predicate
-// expression language is numeric). Unknown names return ok=false.
-func (e Event) Attr(name string) (float64, bool) {
-	switch name {
-	case AttrID:
-		return float64(e.ID), true
-	case AttrLat:
-		return e.Lat, true
-	case AttrLon:
-		return e.Lon, true
-	case AttrTS:
-		return float64(e.TS), true
-	case AttrValue:
-		return e.Value, true
-	case AttrAuxTS:
-		return float64(e.AuxTS), true
-	default:
-		return 0, false
+// Field is one attribute of Event, resolved from its name once: reading it
+// is a switch on a small integer, not on a string.
+type Field uint8
+
+const (
+	fieldID Field = iota
+	fieldLat
+	fieldLon
+	fieldTS
+	fieldValue
+	fieldAuxTS
+)
+
+// fieldNames holds the attribute names in Field order.
+var fieldNames = [...]string{AttrID, AttrLat, AttrLon, AttrTS, AttrValue, AttrAuxTS}
+
+// Accessor resolves an attribute name addressable from pattern predicates.
+// Unknown names return ok=false. Compiled predicates, partition keys and
+// projections resolve their attributes here once and read them with Of or
+// Key.
+func Accessor(name string) (f Field, ok bool) {
+	for i, n := range fieldNames {
+		if n == name {
+			return Field(i), true
+		}
 	}
+	return 0, false
+}
+
+// Of reads f of e as a float64 (the predicate expression language is
+// numeric).
+func (f Field) Of(e *Event) float64 {
+	switch f {
+	case fieldID:
+		return float64(e.ID)
+	case fieldLat:
+		return e.Lat
+	case fieldLon:
+		return e.Lon
+	case fieldTS:
+		return float64(e.TS)
+	case fieldValue:
+		return e.Value
+	}
+	return float64(e.AuxTS)
+}
+
+// Key is f of e as a partition key, the one every keyed operator uses: the
+// id is its own key; any other attribute keys integral values by the
+// integer and fractional ones by their bit pattern, so 1.2 and 1.7 do not
+// share a key.
+func (f Field) Key(e *Event) int64 {
+	if f == fieldID {
+		return e.ID
+	}
+	v := f.Of(e)
+	if v == math.Trunc(v) {
+		return int64(v)
+	}
+	return int64(math.Float64bits(v))
 }
 
 // String renders the event for logs and test failure messages.

@@ -46,13 +46,37 @@ func TestEventAttr(t *testing.T) {
 		{AttrAuxTS, 50},
 	}
 	for _, tc := range tests {
-		got, ok := e.Attr(tc.name)
-		if !ok || got != tc.want {
-			t.Errorf("Attr(%q) = %v,%v want %v,true", tc.name, got, ok, tc.want)
+		f, ok := Accessor(tc.name)
+		if got := f.Of(&e); !ok || got != tc.want {
+			t.Errorf("Accessor(%q) reads %v,%v want %v,true", tc.name, got, ok, tc.want)
 		}
 	}
-	if _, ok := e.Attr("nope"); ok {
-		t.Error("Attr of unknown name returned ok")
+	if _, ok := Accessor("nope"); ok {
+		t.Error("Accessor of unknown name returned ok")
+	}
+}
+
+// One partition-key function serves every keyed operator: fractional values
+// must not collapse onto their integer part, and the id keys by itself even
+// where a float64 would round it.
+func TestFieldKey(t *testing.T) {
+	lat, _ := Accessor(AttrLat)
+	keys := make(map[int64]float64)
+	for _, v := range []float64{1, 1.2, 1.7, 2, -1.2, -1} {
+		k := lat.Key(&Event{Lat: v})
+		if prev, dup := keys[k]; dup {
+			t.Fatalf("lat %g and %g share key %d", prev, v, k)
+		}
+		keys[k] = v
+	}
+	if k := lat.Key(&Event{Lat: 7}); k != 7 {
+		t.Fatalf("integral lat 7 keys as %d, want 7", k)
+	}
+	id, _ := Accessor(AttrID)
+	for _, v := range []int64{0, 7, -3, 1<<53 + 1, math.MaxInt64} {
+		if k := id.Key(&Event{ID: v}); k != v {
+			t.Fatalf("id %d keys as %d, want the id", v, k)
+		}
 	}
 }
 

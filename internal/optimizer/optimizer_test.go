@@ -269,6 +269,46 @@ func TestMeasure(t *testing.T) {
 	if err := core.ValidateStats(stats); err != nil {
 		t.Fatalf("measured stats invalid: %v", err)
 	}
+
+	// What Measure samples is what the plan filters: each scan carries
+	// exactly Unary(alias), a negated alias' blocker scan included.
+	pn := mustPattern(t, `PATTERN SEQ(OPA a, !OPX n, OPB b) WHERE a.value < 50 AND n.value >= 80 AND n.id == a.id AND b.value > a.value WITHIN 5 MIN SLIDE 1 MIN`)
+	tx, _ := event.LookupType("OPX")
+	data[tx] = mk(tx, 200, event.Minute) // values 0..99 → n.value >= 80 passes 0.2
+	plan, err := core.Translate(pn, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	an, err := sea.Analyze(pn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	filters := make(map[string]string)
+	var walk func(core.PlanNode)
+	walk = func(n core.PlanNode) {
+		if s, ok := n.(*core.ScanPlan); ok {
+			filters[s.Alias] = sea.Conjoin(s.Filters).String()
+		}
+		for _, k := range n.Kids() {
+			walk(k)
+		}
+	}
+	walk(plan.Root)
+	if len(filters) != 3 || filters["n"] != "n.value >= 80" {
+		t.Fatalf("scan filters %v, want one scan per alias and n's blocker filter", filters)
+	}
+	for alias, f := range filters {
+		if want := sea.Conjoin(an.Unary(alias)).String(); f != want {
+			t.Errorf("scan %s filters %s, Unary(%s) = %s", alias, f, alias, want)
+		}
+	}
+	stats, err = Measure(pn, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, n, b := stats["OPA"].FilterSelectivity, stats["OPX"].FilterSelectivity, stats["OPB"].FilterSelectivity; a != 0.5 || n != 0.2 || b != 0 {
+		t.Fatalf("selectivities a %v, n %v, b %v; want 0.5, 0.2 and unknown", a, n, b)
+	}
 }
 
 func TestExplainPlanAnnotatesCosts(t *testing.T) {

@@ -75,28 +75,25 @@ func Measure(p *sea.Pattern, data map[event.Type][]event.Event) (map[string]core
 	return out, nil
 }
 
-// scanPredicates compiles the single-alias conjuncts of the pattern's WHERE
-// clause — the selections the translator pushes below the joins — into one
-// predicate per alias.
+// scanPredicates compiles each alias' scan filters — the unary conjuncts
+// the translator pushes below the joins, sea.Analysis.Unary — into one
+// predicate per filtered alias.
 func scanPredicates(p *sea.Pattern) (map[string]sea.Predicate, error) {
-	byAlias := make(map[string][]sea.BoolExpr)
-	for _, conj := range sea.Conjuncts(p.Where) {
-		if sea.HasIndexedRef(conj) {
-			continue // iteration pairwise constraint, not a scan filter
-		}
-		aliases := sea.Aliases(conj)
-		if len(aliases) != 1 {
-			continue // join predicate
-		}
-		byAlias[aliases[0]] = append(byAlias[aliases[0]], conj)
+	an, err := sea.Analyze(p)
+	if err != nil {
+		return nil, err
 	}
-	out := make(map[string]sea.Predicate, len(byAlias))
-	for alias, conjs := range byAlias {
-		pred, err := sea.CompileBool(sea.Conjoin(conjs), sea.Layout{alias: 0})
-		if err != nil {
-			return nil, fmt.Errorf("optimizer: compiling %s's scan filters: %w", alias, err)
+	out := make(map[string]sea.Predicate)
+	for _, l := range p.Leaves() {
+		filters := an.Unary(l.Alias)
+		if len(filters) == 0 {
+			continue
 		}
-		out[alias] = pred
+		pred, err := sea.CompileBool(sea.Conjoin(filters), sea.Layout{l.Alias: 0})
+		if err != nil {
+			return nil, fmt.Errorf("optimizer: compiling %s's scan filters: %w", l.Alias, err)
+		}
+		out[l.Alias] = pred
 	}
 	return out, nil
 }

@@ -104,6 +104,19 @@ func naryLeaves(children []Node, dst []*EventLeaf) []*EventLeaf {
 	return dst
 }
 
+// children returns the operands of a SEQ, AND or OR node; nil otherwise.
+func children(n Node) []Node {
+	switch v := n.(type) {
+	case *SeqNode:
+		return v.Children
+	case *AndNode:
+		return v.Children
+	case *OrNode:
+		return v.Children
+	}
+	return nil
+}
+
 // Window is the mandatory explicit window of every pattern (§3.1.2):
 // time-based, sliding, with size W and slide s. Theorem 2 requires the slide
 // to be at most the smallest inter-arrival time of the involved streams for
@@ -215,18 +228,9 @@ func (p *Pattern) Layout() Layout {
 		case *IterNode:
 			layout[v.Leaf.Alias] = pos
 			pos += v.M
-		case *SeqNode:
-			for _, c := range v.Children {
-				walk(c)
-			}
-		case *AndNode:
-			for _, c := range v.Children {
-				walk(c)
-			}
-		case *OrNode:
-			for _, c := range v.Children {
-				walk(c)
-			}
+		}
+		for _, c := range children(n) {
+			walk(c)
 		}
 	}
 	walk(p.Root)

@@ -9,21 +9,18 @@ import (
 // Layout maps pattern aliases to positions in a composite match's
 // constituent slice. Translators fix a layout when they decompose a pattern
 // into operators, allowing predicates to be compiled once into closures that
-// index directly into the match.
+// index directly into the match. The slots of an iteration pair are named
+// alias[i] and alias[i+1] (CompileAdjacent).
 type Layout map[string]int
 
 // Predicate is a compiled boolean predicate over the constituents of a
 // (partial) match.
 type Predicate func(events []event.Event) bool
 
-// PairPredicate is a compiled predicate over two consecutive iteration
-// constituents (e[i], e[i+1]).
-type PairPredicate func(a, b event.Event) bool
-
 // CompileBool compiles e against the given layout. Every alias referenced by
-// e must be present in the layout and no iteration-indexed references may
-// appear (compile those with CompilePair). The returned closure performs no
-// allocation.
+// e must be present in the layout, and an iteration-indexed reference only
+// resolves against a pair layout (compile those with CompileAdjacent). The
+// returned closure performs no allocation.
 func CompileBool(e BoolExpr, layout Layout) (Predicate, error) {
 	switch v := e.(type) {
 	case TrueExpr:
@@ -95,22 +92,20 @@ func compileNum(e NumExpr, layout Layout) (numFn, error) {
 		val := v.V
 		return func([]event.Event) float64 { return val }, nil
 	case AttrRef:
-		if v.Index != IndexNone {
+		// An indexed reference names its slot of a pair layout.
+		pos, ok := layout[v.Alias+[...]string{IndexI: "[i]", IndexNext: "[i+1]"}[v.Index]]
+		if !ok && v.Index != IndexNone {
 			return nil, fmt.Errorf("sea: indexed reference %s outside iteration context", v)
 		}
-		pos, ok := layout[v.Alias]
 		if !ok {
 			return nil, fmt.Errorf("sea: alias %q not in layout", v.Alias)
 		}
-		attr := v.Attr
 		// Resolve the attribute accessor once, at compile time.
-		if _, ok := (event.Event{}).Attr(attr); !ok {
-			return nil, fmt.Errorf("sea: unknown attribute %q", attr)
+		f, ok := event.Accessor(v.Attr)
+		if !ok {
+			return nil, fmt.Errorf("sea: unknown attribute %q", v.Attr)
 		}
-		return func(es []event.Event) float64 {
-			val, _ := es[pos].Attr(attr)
-			return val
-		}, nil
+		return func(es []event.Event) float64 { return f.Of(&es[pos]) }, nil
 	case Arith:
 		l, err := compileNum(v.L, layout)
 		if err != nil {
@@ -134,65 +129,14 @@ func compileNum(e NumExpr, layout Layout) (numFn, error) {
 	return nil, fmt.Errorf("sea: cannot compile numeric expression %T", e)
 }
 
-// CompilePair compiles an iteration predicate referencing alias[i] and
-// alias[i+1] into a closure over the consecutive pair. Plain (unindexed)
-// references are rejected; mix per-event thresholds and pairwise constraints
-// as separate conjuncts instead.
-func CompilePair(e BoolExpr, alias string) (PairPredicate, error) {
-	pred, err := CompileAdjacent(e, alias)
-	if err != nil {
-		return nil, err
-	}
-	return func(a, b event.Event) bool {
-		return pred([]event.Event{a, b})
-	}, nil
-}
-
-// CompileAdjacent is CompilePair for a caller that already holds the pair
-// side by side: the predicate reads the two-element slice {alias[i],
-// alias[i+1]} and so needs no slice built per call.
+// CompileAdjacent compiles an iteration predicate referencing alias[i] and
+// alias[i+1] into a predicate over the two-element slice {alias[i],
+// alias[i+1]}: a caller holding the pair side by side, or copying it into a
+// scratch pair it owns, needs no slice built per call. Plain (unindexed)
+// references are rejected; mix per-event thresholds and pairwise
+// constraints as separate conjuncts instead.
 func CompileAdjacent(e BoolExpr, alias string) (Predicate, error) {
-	return CompileBool(rewriteIndexed(e, alias), Layout{pairSlotI: 0, pairSlotNext: 1})
-}
-
-// Internal alias names used when lowering indexed references onto a
-// two-element layout.
-const (
-	pairSlotI    = "\x00i"
-	pairSlotNext = "\x00i+1"
-)
-
-func rewriteIndexed(e BoolExpr, alias string) BoolExpr {
-	switch v := e.(type) {
-	case And:
-		return And{L: rewriteIndexed(v.L, alias), R: rewriteIndexed(v.R, alias)}
-	case Or:
-		return Or{L: rewriteIndexed(v.L, alias), R: rewriteIndexed(v.R, alias)}
-	case Not:
-		return Not{E: rewriteIndexed(v.E, alias)}
-	case Cmp:
-		return Cmp{Op: v.Op, L: rewriteIndexedNum(v.L, alias), R: rewriteIndexedNum(v.R, alias)}
-	}
-	return e
-}
-
-func rewriteIndexedNum(e NumExpr, alias string) NumExpr {
-	switch v := e.(type) {
-	case AttrRef:
-		if v.Alias != alias {
-			return v
-		}
-		switch v.Index {
-		case IndexI:
-			return AttrRef{Alias: pairSlotI, Attr: v.Attr}
-		case IndexNext:
-			return AttrRef{Alias: pairSlotNext, Attr: v.Attr}
-		}
-		return v
-	case Arith:
-		return Arith{Op: v.Op, L: rewriteIndexedNum(v.L, alias), R: rewriteIndexedNum(v.R, alias)}
-	}
-	return e
+	return CompileBool(e, Layout{alias + "[i]": 0, alias + "[i+1]": 1})
 }
 
 // EvalPartial evaluates e under a partial binding using Kleene three-valued
@@ -283,12 +227,12 @@ func evalNumPartial(e NumExpr, bind map[string]event.Event) (float64, bool) {
 			// against consecutive constituents; here they are unknown.
 			return 0, false
 		}
-		ev, ok := bind[v.Alias]
-		if !ok {
+		ev, bound := bind[v.Alias]
+		f, known := event.Accessor(v.Attr)
+		if !bound || !known {
 			return 0, false
 		}
-		val, ok := ev.Attr(v.Attr)
-		return val, ok
+		return f.Of(&ev), true
 	case Arith:
 		l, lok := evalNumPartial(v.L, bind)
 		r, rok := evalNumPartial(v.R, bind)

@@ -98,27 +98,27 @@ func TestCompileIndexedOutsideIter(t *testing.T) {
 	}
 }
 
-func TestCompilePairIncreasing(t *testing.T) {
+func TestCompileAdjacentIncreasing(t *testing.T) {
 	// e[i].value < e[i+1].value — the paper's ITER_2 constraint.
 	expr := Cmp{Op: CmpLT, L: refI("e", "value"), R: refNext("e", "value")}
-	pred, err := CompilePair(expr, "e")
+	pred, err := CompileAdjacent(expr, "e")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !pred(event.Event{Value: 1}, event.Event{Value: 2}) {
+	if !pred([]event.Event{{Value: 1}, {Value: 2}}) {
 		t.Error("1 < 2 should hold")
 	}
-	if pred(event.Event{Value: 2}, event.Event{Value: 2}) {
+	if pred([]event.Event{{Value: 2}, {Value: 2}}) {
 		t.Error("2 < 2 should not hold")
 	}
 }
 
-func TestCompilePairMixedRefs(t *testing.T) {
+func TestCompileAdjacentMixedRefs(t *testing.T) {
 	// A pairwise predicate can also mention other plain aliases... but
-	// those must be rejected since CompilePair only has the pair layout.
+	// those must be rejected since CompileAdjacent only has the pair layout.
 	expr := Cmp{Op: CmpLT, L: refI("e", "value"), R: ref("q", "value")}
-	if _, err := CompilePair(expr, "e"); err == nil {
-		t.Fatal("CompilePair accepted a foreign plain alias")
+	if _, err := CompileAdjacent(expr, "e"); err == nil {
+		t.Fatal("CompileAdjacent accepted a foreign plain alias")
 	}
 }
 
@@ -189,23 +189,43 @@ func TestCompiledMatchesPartialProperty(t *testing.T) {
 	}
 }
 
+// TestEquiPair pins the equality tag Analyze gives a conjunct.
 func TestEquiPair(t *testing.T) {
-	la, lat, ra, rat, ok := EquiPair(Cmp{Op: CmpEQ, L: ref("q", "id"), R: ref("v", "id")})
-	if !ok || la != "q" || lat != "id" || ra != "v" || rat != "id" {
-		t.Fatalf("EquiPair = %q.%q == %q.%q ok=%v", la, lat, ra, rat, ok)
+	p := mustParse(t, `PATTERN SEQ(ITER(EQQ q, 2), EQV v) WITHIN 5 MIN`)
+	equi := func(e BoolExpr) (*Equality, error) {
+		p.Where = e
+		an, err := Analyze(p)
+		if err != nil {
+			return nil, err
+		}
+		return an.Conjuncts[0].Equi, nil
+	}
+	eq, err := equi(Cmp{Op: CmpEQ, L: ref("q", "id"), R: ref("v", "id")})
+	if err != nil || eq == nil || *eq != (Equality{L: ref("q", "id"), R: ref("v", "id")}) {
+		t.Fatalf("q.id == v.id: equality %v, err %v", eq, err)
 	}
 	// Not equi: different ops, same alias, literals, indexed refs.
-	if _, _, _, _, ok := EquiPair(Cmp{Op: CmpLT, L: ref("q", "id"), R: ref("v", "id")}); ok {
-		t.Error("LT accepted as equi pair")
+	for _, e := range []BoolExpr{
+		Cmp{Op: CmpLT, L: ref("q", "id"), R: ref("v", "id")},
+		Cmp{Op: CmpEQ, L: ref("q", "id"), R: ref("q", "value")},
+		Cmp{Op: CmpEQ, L: ref("q", "id"), R: lit(5)},
+		Cmp{Op: CmpEQ, L: refI("q", "id"), R: refNext("q", "value")},
+	} {
+		if eq, err := equi(e); err != nil || eq != nil {
+			t.Errorf("%s: equality %v, err %v; want none", e, eq, err)
+		}
 	}
-	if _, _, _, _, ok := EquiPair(Cmp{Op: CmpEQ, L: ref("q", "id"), R: ref("q", "value")}); ok {
-		t.Error("same-alias equality accepted as equi pair")
+	if eq, err := equi(Cmp{Op: CmpEQ, L: refI("q", "id"), R: ref("v", "id")}); err == nil || eq != nil {
+		t.Errorf("indexed ref equated with another alias: equality %v, err %v; want rejected", eq, err)
 	}
-	if _, _, _, _, ok := EquiPair(Cmp{Op: CmpEQ, L: ref("q", "id"), R: lit(5)}); ok {
-		t.Error("literal equality accepted as equi pair")
-	}
-	if _, _, _, _, ok := EquiPair(Cmp{Op: CmpEQ, L: refI("q", "id"), R: ref("v", "id")}); ok {
-		t.Error("indexed ref accepted as equi pair")
+	// The pairwise equality of an iteration is one, in either order.
+	for _, e := range []BoolExpr{
+		Cmp{Op: CmpEQ, L: refI("q", "id"), R: refNext("q", "id")},
+		Cmp{Op: CmpEQ, L: refNext("q", "id"), R: refI("q", "id")},
+	} {
+		if eq, err := equi(e); err != nil || eq == nil || eq.L.Attr != "id" || eq.R.Alias != "q" {
+			t.Errorf("%s: equality %v, err %v", e, eq, err)
+		}
 	}
 }
 
@@ -213,13 +233,18 @@ func TestConjunctsConjoinRoundTrip(t *testing.T) {
 	a := Cmp{Op: CmpGT, L: ref("x", "value"), R: lit(1)}
 	b := Cmp{Op: CmpLT, L: ref("y", "value"), R: lit(2)}
 	c := Cmp{Op: CmpEQ, L: ref("x", "id"), R: ref("y", "id")}
-	e := Conjoin([]BoolExpr{a, b, c})
-	parts := Conjuncts(e)
-	if len(parts) != 3 {
-		t.Fatalf("Conjuncts = %d parts, want 3", len(parts))
+	p := mustParse(t, `PATTERN SEQ(RTX x, RTY y) WITHIN 5 MIN`)
+	p.Where = Conjoin([]BoolExpr{a, b, c})
+	an, err := Analyze(p)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(Conjuncts(TrueExpr{})) != 0 {
-		t.Fatal("Conjuncts(TRUE) should be empty")
+	if len(an.Conjuncts) != 3 || an.Conjuncts[0].Expr != a || an.Conjuncts[1].Expr != b || an.Conjuncts[2].Expr != c {
+		t.Fatalf("Analyze split %s into %v, want its 3 parts in order", p.Where, an.Conjuncts)
+	}
+	p.Where = TrueExpr{}
+	if an, _ := Analyze(p); len(an.Conjuncts) != 0 {
+		t.Fatal("Analyze(TRUE) should have no conjuncts")
 	}
 	if _, ok := Conjoin(nil).(TrueExpr); !ok {
 		t.Fatal("Conjoin(nil) should be TRUE")
@@ -231,8 +256,8 @@ func TestAliasesSorted(t *testing.T) {
 		L: Cmp{Op: CmpGT, L: ref("zeta", "value"), R: lit(1)},
 		R: Cmp{Op: CmpGT, L: ref("alpha", "value"), R: ref("zeta", "value")},
 	}
-	got := Aliases(e)
+	got := refsOf(e).aliases
 	if len(got) != 2 || got[0] != "alpha" || got[1] != "zeta" {
-		t.Fatalf("Aliases = %v", got)
+		t.Fatalf("aliases = %v", got)
 	}
 }

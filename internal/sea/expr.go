@@ -8,7 +8,6 @@ package sea
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -83,23 +82,20 @@ func (op ArithOp) String() string {
 // so the parser can reject ill-typed clauses like "a.value AND 3".
 type NumExpr interface {
 	fmt.Stringer
-	collectAliases(set map[string]bool)
 	numExpr()
 }
 
 // BoolExpr is a boolean-valued expression node. WHERE clauses are BoolExprs.
 type BoolExpr interface {
 	fmt.Stringer
-	collectAliases(set map[string]bool)
 	boolExpr()
 }
 
 // NumLit is a numeric literal.
 type NumLit struct{ V float64 }
 
-func (n NumLit) String() string                 { return trimFloat(n.V) }
-func (n NumLit) collectAliases(map[string]bool) {}
-func (NumLit) numExpr()                         {}
+func (n NumLit) String() string { return trimFloat(n.V) }
+func (NumLit) numExpr()         {}
 
 // AttrRef references an attribute of a bound event: alias.attr, optionally
 // indexed for iteration predicates.
@@ -119,8 +115,7 @@ func (a AttrRef) String() string {
 	return a.Alias + "." + a.Attr
 }
 
-func (a AttrRef) collectAliases(set map[string]bool) { set[a.Alias] = true }
-func (AttrRef) numExpr()                             {}
+func (AttrRef) numExpr() {}
 
 // Arith combines two numeric expressions.
 type Arith struct {
@@ -131,10 +126,6 @@ type Arith struct {
 func (a Arith) String() string {
 	return "(" + a.L.String() + " " + a.Op.String() + " " + a.R.String() + ")"
 }
-func (a Arith) collectAliases(set map[string]bool) {
-	a.L.collectAliases(set)
-	a.R.collectAliases(set)
-}
 func (Arith) numExpr() {}
 
 // Cmp compares two numeric expressions, producing a boolean.
@@ -144,70 +135,31 @@ type Cmp struct {
 }
 
 func (c Cmp) String() string { return c.L.String() + " " + c.Op.String() + " " + c.R.String() }
-func (c Cmp) collectAliases(set map[string]bool) {
-	c.L.collectAliases(set)
-	c.R.collectAliases(set)
-}
-func (Cmp) boolExpr() {}
+func (Cmp) boolExpr()        {}
 
 // And is a boolean conjunction.
 type And struct{ L, R BoolExpr }
 
 func (a And) String() string { return "(" + a.L.String() + " AND " + a.R.String() + ")" }
-func (a And) collectAliases(set map[string]bool) {
-	a.L.collectAliases(set)
-	a.R.collectAliases(set)
-}
-func (And) boolExpr() {}
+func (And) boolExpr()        {}
 
 // Or is a boolean disjunction.
 type Or struct{ L, R BoolExpr }
 
 func (o Or) String() string { return "(" + o.L.String() + " OR " + o.R.String() + ")" }
-func (o Or) collectAliases(set map[string]bool) {
-	o.L.collectAliases(set)
-	o.R.collectAliases(set)
-}
-func (Or) boolExpr() {}
+func (Or) boolExpr()        {}
 
 // Not negates a boolean expression.
 type Not struct{ E BoolExpr }
 
-func (n Not) String() string                     { return "NOT " + n.E.String() }
-func (n Not) collectAliases(set map[string]bool) { n.E.collectAliases(set) }
-func (Not) boolExpr()                            {}
+func (n Not) String() string { return "NOT " + n.E.String() }
+func (Not) boolExpr()        {}
 
 // TrueExpr is the neutral predicate; an absent WHERE clause parses to it.
 type TrueExpr struct{}
 
-func (TrueExpr) String() string                 { return "TRUE" }
-func (TrueExpr) collectAliases(map[string]bool) {}
-func (TrueExpr) boolExpr()                      {}
-
-// Aliases returns the sorted set of aliases referenced by e.
-func Aliases(e BoolExpr) []string {
-	set := make(map[string]bool)
-	e.collectAliases(set)
-	out := make([]string, 0, len(set))
-	for a := range set {
-		out = append(out, a)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Conjuncts flattens nested Ands into the list of top-level conjuncts. The
-// translator decomposes the WHERE clause this way to push single-alias
-// predicates below joins and to pick equi-join keys (optimization O3).
-func Conjuncts(e BoolExpr) []BoolExpr {
-	if _, ok := e.(TrueExpr); ok {
-		return nil
-	}
-	if a, ok := e.(And); ok {
-		return append(Conjuncts(a.L), Conjuncts(a.R)...)
-	}
-	return []BoolExpr{e}
-}
+func (TrueExpr) String() string { return "TRUE" }
+func (TrueExpr) boolExpr()      {}
 
 // Conjoin rebuilds a conjunction from parts; an empty list yields TrueExpr.
 func Conjoin(parts []BoolExpr) BoolExpr {
@@ -219,48 +171,6 @@ func Conjoin(parts []BoolExpr) BoolExpr {
 		e = And{L: e, R: p}
 	}
 	return e
-}
-
-// EquiPair reports whether e is an equality between single attributes of two
-// different aliases — the shape that enables data partitioning by key
-// (optimization O3, §4.3.3): e1.a_i == e2.a_j.
-func EquiPair(e BoolExpr) (leftAlias, leftAttr, rightAlias, rightAttr string, ok bool) {
-	c, isCmp := e.(Cmp)
-	if !isCmp || c.Op != CmpEQ {
-		return "", "", "", "", false
-	}
-	l, lok := c.L.(AttrRef)
-	r, rok := c.R.(AttrRef)
-	if !lok || !rok || l.Index != IndexNone || r.Index != IndexNone || l.Alias == r.Alias {
-		return "", "", "", "", false
-	}
-	return l.Alias, l.Attr, r.Alias, r.Attr, true
-}
-
-// HasIndexedRef reports whether the expression contains iteration-indexed
-// references (e[i] / e[i+1]).
-func HasIndexedRef(e BoolExpr) bool {
-	switch v := e.(type) {
-	case Cmp:
-		return numHasIndexed(v.L) || numHasIndexed(v.R)
-	case And:
-		return HasIndexedRef(v.L) || HasIndexedRef(v.R)
-	case Or:
-		return HasIndexedRef(v.L) || HasIndexedRef(v.R)
-	case Not:
-		return HasIndexedRef(v.E)
-	}
-	return false
-}
-
-func numHasIndexed(e NumExpr) bool {
-	switch v := e.(type) {
-	case AttrRef:
-		return v.Index != IndexNone
-	case Arith:
-		return numHasIndexed(v.L) || numHasIndexed(v.R)
-	}
-	return false
 }
 
 func trimFloat(v float64) string {

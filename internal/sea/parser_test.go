@@ -35,7 +35,7 @@ func TestParseListing2(t *testing.T) {
 	if p.Window.Slide != event.Minute {
 		t.Fatalf("default slide = %d, want one minute", p.Window.Slide)
 	}
-	conjs := Conjuncts(p.Where)
+	conjs := conjuncts(p.Where)
 	if len(conjs) != 2 {
 		t.Fatalf("WHERE has %d conjuncts, want 2", len(conjs))
 	}

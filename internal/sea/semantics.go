@@ -74,26 +74,12 @@ func Evaluate(p *Pattern, events []event.Event) []*event.Match {
 }
 
 func hasUnbounded(n Node) bool {
-	switch v := n.(type) {
-	case *IterNode:
-		return v.Unbounded
-	case *SeqNode:
-		for _, c := range v.Children {
-			if hasUnbounded(c) {
-				return true
-			}
-		}
-	case *AndNode:
-		for _, c := range v.Children {
-			if hasUnbounded(c) {
-				return true
-			}
-		}
-	case *OrNode:
-		for _, c := range v.Children {
-			if hasUnbounded(c) {
-				return true
-			}
+	if it, ok := n.(*IterNode); ok {
+		return it.Unbounded
+	}
+	for _, c := range children(n) {
+		if hasUnbounded(c) {
+			return true
 		}
 	}
 	return false
@@ -144,9 +130,9 @@ type evaluator struct {
 }
 
 func (ev *evaluator) splitWhere() {
-	for _, c := range Conjuncts(ev.p.Where) {
+	for _, c := range conjuncts(ev.p.Where) {
 		neg := false
-		for _, a := range Aliases(c) {
+		for _, a := range refsOf(c).aliases {
 			if ev.negated[a] != nil {
 				neg = true
 			}
@@ -340,19 +326,20 @@ func (ev *evaluator) accept(p part, ws []event.Event) bool {
 // aliases absent from the binding (other disjunction branches) hold
 // vacuously via three-valued evaluation.
 func (ev *evaluator) holdsUniversally(conj BoolExpr, bind map[string]event.Event, perAlias map[string][]event.Event) bool {
-	refs := Aliases(conj)
-	if HasIndexedRef(conj) {
+	r := refsOf(conj)
+	refs := r.aliases
+	if r.indexed {
 		alias := refs[0]
 		seq := perAlias[alias]
 		if len(seq) == 0 {
 			return true
 		}
-		pred, err := CompilePair(conj, alias)
+		pred, err := CompileAdjacent(conj, alias)
 		if err != nil {
 			return false
 		}
 		for i := 0; i+1 < len(seq); i++ {
-			if !pred(seq[i], seq[i+1]) {
+			if !pred(seq[i : i+2]) {
 				return false
 			}
 		}
@@ -401,7 +388,7 @@ func (ev *evaluator) blockerSatisfies(alias string, e event.Event, bind map[stri
 	local[alias] = e
 	for _, conj := range ev.negPreds {
 		touches := false
-		for _, a := range Aliases(conj) {
+		for _, a := range refsOf(conj).aliases {
 			if a == alias {
 				touches = true
 			}

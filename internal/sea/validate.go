@@ -6,46 +6,6 @@ import (
 	"cep2asp/internal/event"
 )
 
-// firstUnknownAttr returns the first attribute name in e that the event
-// schema does not define, or "" if all are known.
-func firstUnknownAttr(e BoolExpr) string {
-	switch v := e.(type) {
-	case Cmp:
-		if bad := firstUnknownAttrNum(v.L); bad != "" {
-			return bad
-		}
-		return firstUnknownAttrNum(v.R)
-	case And:
-		if bad := firstUnknownAttr(v.L); bad != "" {
-			return bad
-		}
-		return firstUnknownAttr(v.R)
-	case Or:
-		if bad := firstUnknownAttr(v.L); bad != "" {
-			return bad
-		}
-		return firstUnknownAttr(v.R)
-	case Not:
-		return firstUnknownAttr(v.E)
-	}
-	return ""
-}
-
-func firstUnknownAttrNum(e NumExpr) string {
-	switch v := e.(type) {
-	case AttrRef:
-		if _, ok := (event.Event{}).Attr(v.Attr); !ok {
-			return v.Attr
-		}
-	case Arith:
-		if bad := firstUnknownAttrNum(v.L); bad != "" {
-			return bad
-		}
-		return firstUnknownAttrNum(v.R)
-	}
-	return ""
-}
-
 // ValidationError reports a semantically invalid pattern.
 type ValidationError struct{ Msg string }
 
@@ -93,12 +53,10 @@ func Validate(p *Pattern) error {
 		aliases[l.Alias] = l
 	}
 
-	iterAliases := make(map[string]bool)
-	if err := validateStructure(p.Root, true, iterAliases); err != nil {
+	if err := validateStructure(p.Root); err != nil {
 		return err
 	}
-
-	if err := validateWhere(p, aliases, iterAliases); err != nil {
+	if _, err := Analyze(p); err != nil {
 		return err
 	}
 
@@ -120,7 +78,7 @@ func Validate(p *Pattern) error {
 		if l.Negated {
 			return invalidf("RETURN references negated alias %q, which contributes no event to a match", r.Alias)
 		}
-		if _, ok := (event.Event{}).Attr(r.Attr); !ok {
+		if _, ok := event.Accessor(r.Attr); !ok {
 			return invalidf("RETURN references unknown attribute %q", r.Attr)
 		}
 	}
@@ -128,9 +86,8 @@ func Validate(p *Pattern) error {
 }
 
 // validateStructure walks the tree checking negation placement and
-// iteration bounds. topLevel tracks whether a bare negated leaf would be
-// the whole pattern.
-func validateStructure(n Node, topLevel bool, iterAliases map[string]bool) error {
+// iteration bounds.
+func validateStructure(n Node) error {
 	switch v := n.(type) {
 	case *EventLeaf:
 		if v.Negated {
@@ -144,7 +101,6 @@ func validateStructure(n Node, topLevel bool, iterAliases map[string]bool) error
 		if v.Leaf.Negated {
 			return invalidf("iteration over a negated type is not part of SEA")
 		}
-		iterAliases[v.Leaf.Alias] = true
 		return nil
 	case *SeqNode:
 		if len(v.Children) < 2 {
@@ -162,7 +118,7 @@ func validateStructure(n Node, topLevel bool, iterAliases map[string]bool) error
 				}
 				continue
 			}
-			if err := validateStructure(c, false, iterAliases); err != nil {
+			if err := validateStructure(c); err != nil {
 				return err
 			}
 		}
@@ -172,7 +128,7 @@ func validateStructure(n Node, topLevel bool, iterAliases map[string]bool) error
 			return invalidf("AND needs at least two elements")
 		}
 		for _, c := range v.Children {
-			if err := validateStructure(c, false, iterAliases); err != nil {
+			if err := validateStructure(c); err != nil {
 				return err
 			}
 		}
@@ -182,7 +138,7 @@ func validateStructure(n Node, topLevel bool, iterAliases map[string]bool) error
 			return invalidf("OR needs at least two elements")
 		}
 		for _, c := range v.Children {
-			if err := validateStructure(c, false, iterAliases); err != nil {
+			if err := validateStructure(c); err != nil {
 				return err
 			}
 		}
@@ -190,52 +146,4 @@ func validateStructure(n Node, topLevel bool, iterAliases map[string]bool) error
 	default:
 		return invalidf("unknown pattern node %T", n)
 	}
-}
-
-func validateWhere(p *Pattern, aliases map[string]*EventLeaf, iterAliases map[string]bool) error {
-	negated := make(map[string]bool)
-	for a, l := range aliases {
-		if l.Negated {
-			negated[a] = true
-		}
-	}
-	for _, conj := range Conjuncts(p.Where) {
-		refs := Aliases(conj)
-		for _, a := range refs {
-			if _, ok := aliases[a]; ok {
-				continue
-			}
-			// Indexed refs were rewritten nowhere yet; aliases come back
-			// as-written, so unknown means truly undeclared.
-			return invalidf("WHERE references unknown alias %q", a)
-		}
-		if bad := firstUnknownAttr(conj); bad != "" {
-			return invalidf("WHERE references unknown attribute %q", bad)
-		}
-		if HasIndexedRef(conj) {
-			for _, a := range refs {
-				if !iterAliases[a] {
-					return invalidf("indexed reference on %q, which is not an iteration alias", a)
-				}
-			}
-			if len(refs) != 1 {
-				return invalidf("indexed predicates must reference a single iteration alias, got %v", refs)
-			}
-		}
-		// Cross-predicates with negated aliases: only single-alias
-		// predicates or equi predicates are expressible in the NSEQ
-		// next-occurrence UDF (§4.1, Negated Sequence discussion).
-		var negRefs []string
-		for _, a := range refs {
-			if negated[a] {
-				negRefs = append(negRefs, a)
-			}
-		}
-		if len(negRefs) > 0 && len(refs) > 1 {
-			if _, _, _, _, ok := EquiPair(conj); !ok {
-				return invalidf("predicate %s correlates negated alias %q with other events; only per-event predicates and attribute equalities are supported on negated elements", conj, negRefs[0])
-			}
-		}
-	}
-	return nil
 }
