@@ -33,7 +33,7 @@ func NewIntervalJoin(spec IntervalJoinSpec) func(int) Operator {
 	return func(int) Operator {
 		j := &intervalJoin{
 			spec: spec, pred: spec.Predicate,
-			state: make(map[int64]*ijGroup), nextDeath: event.MaxWatermark,
+			state: make(ijGroups), nextDeath: event.MaxWatermark,
 		}
 		if spec.NewPredicate != nil {
 			j.pred = spec.NewPredicate()
@@ -43,8 +43,9 @@ func NewIntervalJoin(spec IntervalJoinSpec) func(int) Operator {
 }
 
 // ijSide is one input's buffer within a key group: recs[head:] are the
-// buffered records, sorted by TS. Eviction advances head instead of moving
-// the survivors down; the slots before head are reclaimed when the buffer
+// buffered records, sorted by TS in the interval join and by pane in the
+// window join (see insert). Eviction advances head instead of moving the
+// survivors down; the slots before head are reclaimed when the buffer
 // empties or an insert finds the array full.
 type ijSide struct {
 	recs []Record
@@ -56,10 +57,43 @@ func (s *ijSide) live() []Record { return s.recs[s.head:] }
 // ijGroup holds the two sides of one key, indexed by input port (0 = left).
 type ijGroup [2]ijSide
 
+// ijGroups maps each key to its group. A group exists only while one of its
+// sides buffers a record; its buffers are recycled through a free list.
+type ijGroups map[int64]*ijGroup
+
+// group returns key's group, creating it on recycled buffers.
+func (gs ijGroups) group(key int64, free *[][]Record) *ijGroup {
+	g := gs[key]
+	if g == nil {
+		g = &ijGroup{{recs: takeSlice(free)}, {recs: takeSlice(free)}}
+		gs[key] = g
+	}
+	return g
+}
+
+// release deletes key's group if both its sides are empty, recycling its
+// buffers.
+func (gs ijGroups) release(key int64, g *ijGroup, free *[][]Record) {
+	if len(g[0].live())+len(g[1].live()) == 0 {
+		stashSlice(free, g[0].recs)
+		stashSlice(free, g[1].recs)
+		delete(gs, key)
+	}
+}
+
+// records counts the records buffered across all groups.
+func (gs ijGroups) records() int64 {
+	var n int64
+	for _, g := range gs {
+		n += int64(len(g[0].live()) + len(g[1].live()))
+	}
+	return n
+}
+
 type intervalJoin struct {
 	spec  IntervalJoinSpec
 	pred  JoinPredicate
-	state map[int64]*ijGroup
+	state ijGroups
 	elems int64 // records buffered across groups (mirrors AddState)
 	// nextDeath is the earliest deathTime of any buffered record: lowered
 	// on insert, recomputed from the group heads by every pass over the
@@ -79,8 +113,10 @@ type intervalJoin struct {
 // the input and counts it instead.
 func (j *intervalJoin) DropsLateRecords() {}
 
-func (j *intervalJoin) key(port int, r *Record) int64 {
-	if k := [2]KeyFn{j.spec.LeftKey, j.spec.RightKey}[port]; k != nil {
+// groupKey returns the key group of a record arriving on port: its port's
+// key function applied to it, or the one global group 0 when that is nil.
+func groupKey(left, right KeyFn, port int, r *Record) int64 {
+	if k := [2]KeyFn{left, right}[port]; k != nil {
 		return k(r)
 	}
 	return 0
@@ -113,26 +149,32 @@ func firstAfter(buf []Record, ts event.Time) int {
 	return sort.Search(len(buf), func(k int) bool { return buf[k].TS > ts })
 }
 
-// insert places a copy of r by timestamp, behind buffered records of the
-// same TS.
-func (s *ijSide) insert(r *Record) {
+// insert places a copy of r behind every buffered record whose timestamp is
+// at most bound, where a binary search finds the first later one. The
+// interval join passes r.TS, which keeps the buffer TS-sorted; the window
+// join passes the last timestamp of r's pane, which keeps it ordered by
+// pane and by arrival within a pane.
+func (s *ijSide) insert(r *Record, bound event.Time) {
 	if s.head > 0 && len(s.recs) == cap(s.recs) {
 		s.recs = s.recs[:copy(s.recs, s.live())]
 		s.head = 0
 	}
-	i := s.head + firstAfter(s.live(), r.TS)
+	i := s.head + firstAfter(s.live(), bound)
 	s.recs = append(s.recs, Record{})
 	copy(s.recs[i+1:], s.recs[i:])
 	s.recs[i] = *r
 }
 
-func (j *intervalJoin) OnRecord(port int, r *Record, out *Collector) {
-	key := j.key(port, r)
-	g := j.state[key]
-	if g == nil {
-		g = &ijGroup{{recs: takeSlice(&j.freeRecs)}, {recs: takeSlice(&j.freeRecs)}}
-		j.state[key] = g
+// drop evicts the first n live records by advancing head; an emptied
+// buffer restarts at the front of its array.
+func (s *ijSide) drop(n int) {
+	if s.head += n; s.head == len(s.recs) {
+		s.recs, s.head = s.recs[:0], 0
 	}
+}
+
+func (j *intervalJoin) OnRecord(port int, r *Record, out *Collector) {
+	g := j.state.group(groupKey(j.spec.LeftKey, j.spec.RightKey, port, r), &j.freeRecs)
 	// The predicate reads both sides' constituents where they lie: the
 	// arriving record in the inbound batch, each partner in its buffer.
 	var pair [2][]event.Event
@@ -144,7 +186,7 @@ func (j *intervalJoin) OnRecord(port int, r *Record, out *Collector) {
 		pair[opp] = partners[i].Events()
 		j.emit(max(r.TS, partners[i].TS), pair[0], pair[1], out)
 	}
-	g[port].insert(r)
+	g[port].insert(r, r.TS)
 	j.nextDeath = min(j.nextDeath, j.deathTime(r.TS, port))
 	j.rate[port].observe(r.TS)
 	j.maxTS = max(j.maxTS, r.TS)
@@ -171,9 +213,7 @@ func (j *intervalJoin) evictDead(s *ijSide, port int, wm event.Time) int {
 		return 0
 	}
 	dead := sort.Search(len(live), func(k int) bool { return j.deathTime(live[k].TS, port) > wm })
-	if s.head += dead; s.head == len(s.recs) {
-		s.recs, s.head = s.recs[:0], 0
-	}
+	s.drop(dead)
 	return dead
 }
 
@@ -196,18 +236,12 @@ func (j *intervalJoin) OnWatermark(wm event.Time, out *Collector) {
 // closeGroup ends a pass over one key group: an emptied group is deleted
 // and its buffers recycled, a surviving one lowers nextDeath to its heads.
 func (j *intervalJoin) closeGroup(key int64, g *ijGroup) {
-	empty := true
 	for port := range g {
 		if live := g[port].live(); len(live) > 0 {
-			empty = false
 			j.nextDeath = min(j.nextDeath, j.deathTime(live[0].TS, port))
 		}
 	}
-	if empty {
-		stashSlice(&j.freeRecs, g[0].recs)
-		stashSlice(&j.freeRecs, g[1].recs)
-		delete(j.state, key)
-	}
+	j.state.release(key, g, &j.freeRecs)
 }
 
 func (j *intervalJoin) OnClose(*Collector) {}
@@ -236,7 +270,7 @@ func (j *intervalJoin) RestoreState(data []byte) error {
 	if err := gobDecode(data, &st); err != nil {
 		return err
 	}
-	j.state = make(map[int64]*ijGroup, len(st.Groups))
+	j.state = make(ijGroups, len(st.Groups))
 	j.elems = 0
 	j.nextDeath = event.MaxWatermark
 	for key, gs := range st.Groups {
@@ -249,13 +283,7 @@ func (j *intervalJoin) RestoreState(data []byte) error {
 }
 
 // BufferedState implements StateCounter.
-func (j *intervalJoin) BufferedState() int64 {
-	var n int64
-	for _, g := range j.state {
-		n += int64(len(g[0].live()) + len(g[1].live()))
-	}
-	return n
-}
+func (j *intervalJoin) BufferedState() int64 { return j.state.records() }
 
 // StateStats implements StateAccountant.
 func (j *intervalJoin) StateStats() StateStats {

@@ -1,7 +1,8 @@
 package asp
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"unsafe"
 
 	"cep2asp/internal/event"
@@ -51,7 +52,7 @@ func NewWindowJoin(spec WindowJoinSpec) func(int) Operator {
 		j := &windowJoin{
 			spec:     spec,
 			pred:     spec.Predicate,
-			state:    make(map[int64]map[event.Time]*joinPane),
+			state:    make(ijGroups),
 			nextFire: event.MaxWatermark,
 		}
 		if spec.NewPredicate != nil {
@@ -64,26 +65,26 @@ func NewWindowJoin(spec WindowJoinSpec) func(int) Operator {
 	}
 }
 
-type joinPane struct {
-	left, right []Record
-}
-
+// windowJoin keeps each key group in the interval join's two-sided buffer,
+// ordered by pane and by arrival within a pane. The records of a run of
+// panes are then one range of a side, found by two binary searches
+// (paneRange), and the panes no unfired window covers are a prefix,
+// evicted by advancing the side's head.
 type windowJoin struct {
 	spec     WindowJoinSpec
 	pred     JoinPredicate
-	state    map[int64]map[event.Time]*joinPane // key -> pane index -> pane
-	nextFire event.Time                         // start of the earliest unfired window
-	seen     map[string]event.Time              // emitted match keys (DedupEmits)
-	recCount int64                              // records buffered across panes (mirrors AddState)
-	// Shedding statistics: per-side arrival rates and the max event time
+	state    ijGroups              // key -> pane-ordered sides
+	nextFire event.Time            // start of the earliest unfired window
+	seen     map[string]event.Time // emitted match keys (DedupEmits)
+	recCount int64                 // records buffered across groups (mirrors AddState)
+	// Shedding statistics: per-port arrival rates and the max event time
 	// seen, feeding completion scores (pattern-aware victim selection)
 	// and lost-match bounds (recall accounting).
-	lRate, rRate arrivalRate
-	maxTS        event.Time
-	freeEvs      [][]event.Event // recycled match constituent buffers
-	freeRecs     [][]Record      // recycled pane buffers
-	window       []*joinPane     // fire's scratch: one key group's panes of the firing window
-	keyBuf       []byte          // fire's scratch: the dedup key of the pair under test
+	rate     [2]arrivalRate
+	maxTS    event.Time
+	freeEvs  [][]event.Event // recycled match constituent buffers
+	freeRecs [][]Record      // recycled group buffers
+	keyBuf   []byte          // fire's scratch: the dedup key of the pair under test
 }
 
 // DropsLateRecords implements LateDropper: OnRecord's nextFire tracking is
@@ -112,42 +113,19 @@ func (j *windowJoin) Hold() event.Time {
 	return j.nextFire - 1
 }
 
-func (j *windowJoin) key(port int, r *Record) int64 {
-	k := j.spec.LeftKey
-	if port == 1 {
-		k = j.spec.RightKey
-	}
-	if k == nil {
-		return 0
-	}
-	return k(r)
+// paneRange returns the bounds [a, b) of the records of panes lo..hi in a
+// pane-ordered side. The bounds are pane boundaries, so the searches are
+// monotone although a pane's records are in arrival order.
+func (j *windowJoin) paneRange(live []Record, lo, hi event.Time) (a, b int) {
+	a = firstAfter(live, lo*j.spec.Slide-1)
+	return a, a + firstAfter(live[a:], (hi+1)*j.spec.Slide-1)
 }
 
 func (j *windowJoin) OnRecord(port int, r *Record, out *Collector) {
-	key := j.key(port, r)
-	panes := j.state[key]
-	if panes == nil {
-		panes = make(map[event.Time]*joinPane)
-		j.state[key] = panes
-	}
-	idx := event.PaneIndex(r.TS, j.spec.Slide)
-	p := panes[idx]
-	if p == nil {
-		p = &joinPane{}
-		panes[idx] = p
-	}
-	side, rate := &p.left, &j.lRate
-	if port == 1 {
-		side, rate = &p.right, &j.rRate
-	}
-	if *side == nil {
-		*side = takeSlice(&j.freeRecs) // nil when empty; append allocates lazily
-	}
-	*side = append(*side, *r)
-	rate.observe(r.TS)
-	if r.TS > j.maxTS {
-		j.maxTS = r.TS
-	}
+	g := j.state.group(groupKey(j.spec.LeftKey, j.spec.RightKey, port, r), &j.freeRecs)
+	g[port].insert(r, (event.PaneIndex(r.TS, j.spec.Slide)+1)*j.spec.Slide-1)
+	j.rate[port].observe(r.TS)
+	j.maxTS = max(j.maxTS, r.TS)
 	j.recCount++
 	out.AddState(1)
 
@@ -199,17 +177,18 @@ func alignUp(ts, step event.Time) event.Time {
 	return event.FloorDiv(ts+step-1, step) * step
 }
 
-// minPane returns the smallest buffered pane index across all key groups.
+// minPane returns the smallest buffered pane index: the pane of the
+// earliest group head, as every side is pane-ordered.
 func (j *windowJoin) minPane() (event.Time, bool) {
-	min, ok := event.Time(0), false
-	for _, panes := range j.state {
-		for idx := range panes {
-			if !ok || idx < min {
-				min, ok = idx, true
+	ts, ok := event.MaxWatermark, false
+	for _, g := range j.state {
+		for port := range g {
+			if live := g[port].live(); len(live) > 0 {
+				ts, ok = min(ts, live[0].TS), true
 			}
 		}
 	}
-	return min, ok
+	return event.PaneIndex(ts, j.spec.Slide), ok
 }
 
 func (j *windowJoin) OnClose(*Collector) {}
@@ -220,56 +199,53 @@ func (j *windowJoin) OnClose(*Collector) {}
 func (j *windowJoin) fire(ws event.Time, out *Collector) {
 	paneLo := event.PaneIndex(ws, j.spec.Slide)
 	paneHi := event.PaneIndex(ws+j.spec.Window-1, j.spec.Slide)
-	for _, panes := range j.state {
-		// One probe per pane: the group's window, in ascending pane order,
-		// so pairs leave in (left pane, left arrival, right pane, right
-		// arrival) order.
-		window := j.window[:0]
-		for idx := paneLo; idx <= paneHi; idx++ {
-			if p := panes[idx]; p != nil {
-				window = append(window, p)
-			}
+	for _, g := range j.state {
+		// Each side's records of the window's panes are one range in
+		// (pane, arrival) order, so pairs leave in (left pane, left
+		// arrival, right pane, right arrival) order.
+		l0, l1 := j.paneRange(g[0].live(), paneLo, paneHi)
+		if l0 == l1 {
+			continue
 		}
-		j.window = window
-		for _, lp := range window {
-			for li := range lp.left {
-				l := lp.left[li].Events()
-				for _, rp := range window {
-					for ri := range rp.right {
-						r := rp.right[ri].Events()
-						if j.pred != nil && !j.pred(l, r) {
-							continue
-						}
-						// Assemble constituents into a recycled buffer; the
-						// match takes ownership. Emitted matches are never
-						// recycled (downstream shares the pointer); only
-						// dedup-rejected buffers return to the free list.
-						evs := j.getEvs(len(l) + len(r))
-						evs = append(evs, l...)
-						evs = append(evs, r...)
-						if j.seen != nil {
-							// Indexing by string(bytes) does not allocate: a
-							// duplicate costs no allocation at all.
-							j.keyBuf = event.AppendKey(j.keyBuf[:0], evs)
-							if _, dup := j.seen[string(j.keyBuf)]; dup {
-								j.putEvs(evs)
-								continue
-							}
-						}
-						m := event.WrapMatch(evs)
-						if j.seen != nil {
-							j.seen[string(j.keyBuf)] = m.TsE
-							out.AddState(1)
-						}
-						out.EmitMatch(m.TsE, m)
+		r0, r1 := j.paneRange(g[1].live(), paneLo, paneHi)
+		left, right := g[0].live()[l0:l1], g[1].live()[r0:r1]
+		for li := range left {
+			l := left[li].Events()
+			for ri := range right {
+				r := right[ri].Events()
+				if j.pred != nil && !j.pred(l, r) {
+					continue
+				}
+				// Assemble constituents into a recycled buffer; the
+				// match takes ownership. Emitted matches are never
+				// recycled (downstream shares the pointer); only
+				// dedup-rejected buffers return to the free list.
+				evs := j.getEvs(len(l) + len(r))
+				evs = append(evs, l...)
+				evs = append(evs, r...)
+				if j.seen != nil {
+					// Indexing by string(bytes) does not allocate: a
+					// duplicate costs no allocation at all.
+					j.keyBuf = event.AppendKey(j.keyBuf[:0], evs)
+					if _, dup := j.seen[string(j.keyBuf)]; dup {
+						j.putEvs(evs)
+						continue
 					}
 				}
+				m := event.WrapMatch(evs)
+				if j.seen != nil {
+					j.seen[string(j.keyBuf)] = m.TsE
+					out.AddState(1)
+				}
+				out.EmitMatch(m.TsE, m)
 			}
 		}
 	}
 }
 
-// windowJoinState is the gob snapshot DTO of a windowJoin instance.
+// windowJoinState is the gob snapshot DTO of a windowJoin instance. Its
+// pane-map layout is a checkpoint contract, so each group's records are
+// grouped by pane on snapshot and concatenated in pane order on restore.
 type windowJoinState struct {
 	Panes    map[int64]map[event.Time]*joinPaneState
 	NextFire event.Time
@@ -287,12 +263,24 @@ func (j *windowJoin) SnapshotState() ([]byte, error) {
 		NextFire: j.nextFire,
 		Seen:     j.seen,
 	}
-	for key, panes := range j.state {
-		ps := make(map[event.Time]*joinPaneState, len(panes))
-		for idx, p := range panes {
-			ps[idx] = &joinPaneState{Left: p.left, Right: p.right}
+	for key, g := range j.state {
+		panes := make(map[event.Time]*joinPaneState)
+		for port := range g {
+			for _, r := range g[port].live() {
+				idx := event.PaneIndex(r.TS, j.spec.Slide)
+				p := panes[idx]
+				if p == nil {
+					p = &joinPaneState{}
+					panes[idx] = p
+				}
+				side := &p.Left
+				if port == 1 {
+					side = &p.Right
+				}
+				*side = append(*side, r)
+			}
 		}
-		st.Panes[key] = ps
+		st.Panes[key] = panes
 	}
 	return gobEncode(st)
 }
@@ -303,13 +291,22 @@ func (j *windowJoin) RestoreState(data []byte) error {
 	if err := gobDecode(data, &st); err != nil {
 		return err
 	}
-	j.state = make(map[int64]map[event.Time]*joinPane, len(st.Panes))
-	for key, ps := range st.Panes {
-		panes := make(map[event.Time]*joinPane, len(ps))
-		for idx, p := range ps {
-			panes[idx] = &joinPane{left: p.Left, right: p.Right}
+	j.state = make(ijGroups, len(st.Panes))
+	j.recCount = 0
+	for key, panes := range st.Panes {
+		idxs := make([]event.Time, 0, len(panes))
+		for idx := range panes {
+			idxs = append(idxs, idx)
 		}
-		j.state[key] = panes
+		slices.Sort(idxs)
+		g := &ijGroup{}
+		for _, idx := range idxs {
+			g[0].recs = append(g[0].recs, panes[idx].Left...)
+			g[1].recs = append(g[1].recs, panes[idx].Right...)
+		}
+		j.state[key] = g
+		j.recCount += int64(len(g[0].recs) + len(g[1].recs))
+		j.state.release(key, g, &j.freeRecs)
 	}
 	j.nextFire = st.NextFire
 	if j.spec.DedupEmits {
@@ -318,37 +315,28 @@ func (j *windowJoin) RestoreState(data []byte) error {
 			j.seen = make(map[string]event.Time)
 		}
 	}
-	j.recCount = 0
-	for _, panes := range j.state {
-		for _, p := range panes {
-			j.recCount += int64(len(p.left) + len(p.right))
-		}
-	}
 	return nil
 }
 
 // BufferedState implements StateCounter: buffered records plus dedup keys,
 // matching the AddState accounting of OnRecord/fire/evict.
-func (j *windowJoin) BufferedState() int64 {
-	var n int64
-	for _, panes := range j.state {
-		for _, p := range panes {
-			n += int64(len(p.left) + len(p.right))
-		}
-	}
-	return n + int64(len(j.seen))
-}
+func (j *windowJoin) BufferedState() int64 { return j.state.records() + int64(len(j.seen)) }
 
-// evictBefore drops panes entirely before the earliest live window start.
+// evictBefore drops the panes entirely before the earliest live window
+// start: a prefix of every side, cut by advancing its head.
 func (j *windowJoin) evictBefore(liveStart event.Time, out *Collector) {
-	cutoff := event.PaneIndex(liveStart, j.spec.Slide)
-	for key, panes := range j.state {
-		for idx := range panes {
-			if idx < cutoff {
-				j.dropPane(key, idx, out)
-			}
+	cutoff := event.PaneIndex(liveStart, j.spec.Slide) * j.spec.Slide
+	var evicted int64
+	for key, g := range j.state {
+		for port := range g {
+			n := firstAfter(g[port].live(), cutoff-1)
+			g[port].drop(n)
+			evicted += int64(n)
 		}
+		j.state.release(key, g, &j.freeRecs)
 	}
+	j.recCount -= evicted
+	out.AddState(-evicted)
 }
 
 // wjSeenEntryBytes approximates the footprint of one dedup-map entry
@@ -380,123 +368,92 @@ func (j *windowJoin) coveringWindows() float64 {
 	return float64((j.spec.Window + j.spec.Slide - 1) / j.spec.Slide)
 }
 
-// paneLoss bounds the matches dropped with pane p of one key group: each
-// dropped record could have joined every live opposite-side record of
-// its group plus the expected opposite-side arrivals before the pane's
-// deadline, times coveringWindows. liveL/liveR count the
-// group's buffered records including p itself. Over-counting is safe —
-// it only lowers the reported recall estimate; under-counting is not.
-func (j *windowJoin) paneLoss(p *joinPane, idx event.Time, liveL, liveR int) float64 {
+// dropPane removes pane idx from both sides of a key group, deleting the
+// group if that empties it, charges the matches lost with it and returns
+// the records dropped. Each dropped record could have joined every live
+// opposite-side record of its group (the pane's included) plus the
+// expected opposite-side arrivals before the pane's deadline, times
+// coveringWindows. Over-counting is safe — it only lowers the reported
+// recall estimate; under-counting is not.
+func (j *windowJoin) dropPane(key int64, g *ijGroup, idx event.Time, out *Collector) int64 {
+	live := [2]int{len(g[0].live()), len(g[1].live())}
 	timeLeft := clampTimeLeft(j.paneDeadline(idx) - j.maxTS)
-	loss := float64(len(p.left))*partnerBound(liveR, j.rRate.perTimeUnit(), timeLeft) +
-		float64(len(p.right))*partnerBound(liveL, j.lRate.perTimeUnit(), timeLeft)
-	return loss * j.coveringWindows()
-}
-
-// groupCounts sums a key group's buffered records per side.
-func groupCounts(panes map[event.Time]*joinPane) (liveL, liveR int) {
-	for _, p := range panes {
-		liveL += len(p.left)
-		liveR += len(p.right)
-	}
-	return
-}
-
-// dropPane removes one pane from a key group, recycling its buffers and
-// updating the record accounting. Returns the records dropped.
-func (j *windowJoin) dropPane(key int64, idx event.Time, out *Collector) int64 {
-	panes := j.state[key]
-	p := panes[idx]
-	n := int64(len(p.left) + len(p.right))
-	j.recCount -= n
-	out.AddState(-n)
-	stashSlice(&j.freeRecs, p.left)
-	stashSlice(&j.freeRecs, p.right)
-	delete(panes, idx)
-	if len(panes) == 0 {
-		delete(j.state, key)
-	}
-	return n
-}
-
-// ShedOldest implements Shedder: whole oldest panes are dropped first
-// (across every key group) until at most target accounted units remain.
-// The dedup set is never shed — losing it could re-emit suppressed
-// duplicates, breaking the subset property; a shed pane only removes
-// records from unfired windows, which can only lose matches. Every
-// dropped pane charges its lost-match bound so the recall estimate
-// stays a sound lower bound.
-func (j *windowJoin) ShedOldest(target int64, out *Collector) int64 {
-	var dropped int64
+	var n int
 	var lost float64
-	for j.recCount+int64(len(j.seen)) > target {
-		pmin, ok := j.minPane()
-		if !ok {
-			break
+	for port := range g {
+		s := &g[port]
+		a, b := j.paneRange(s.live(), idx, idx)
+		if a == 0 {
+			s.drop(b)
+		} else {
+			s.recs = append(s.recs[:s.head+a], s.recs[s.head+b:]...)
 		}
-		for key, panes := range j.state {
-			if p := panes[pmin]; p != nil {
-				liveL, liveR := groupCounts(panes)
-				lost += j.paneLoss(p, pmin, liveL, liveR)
-				dropped += j.dropPane(key, pmin, out)
-			}
-		}
+		n += b - a
+		lost += float64(b-a) * partnerBound(live[1-port], j.rate[1-port].perTimeUnit(), timeLeft)
 	}
-	out.AddLostMatches(lost)
-	return dropped
+	j.state.release(key, g, &j.freeRecs)
+	j.recCount -= int64(n)
+	out.AddState(-int64(n))
+	out.AddLostMatches(lost * j.coveringWindows())
+	return int64(n)
 }
 
-// ShedLowestValue implements ValueShedder: panes are dropped in order of
-// ascending completion value instead of age. A pane whose key group
-// holds records on both sides will produce matches with no further
-// arrivals and scores 1; a one-sided group only fires if the missing
-// side arrives before the pane's last covering window closes, so it
-// scores the Poisson completion probability of one such arrival. Ties
-// break oldest-pane-first, matching ShedOldest. Scores are computed
-// once per invocation (shedding is rare; staleness within one sweep
-// only reorders equally doomed panes). The dedup set is never shed.
-func (j *windowJoin) ShedLowestValue(target int64, out *Collector) int64 {
-	type wjVictim struct {
-		key   int64
-		idx   event.Time
-		score float64
+// shedPanes drops whole (key group, pane) victims in ascending rank, the
+// oldest pane first among equal ranks, until at most target accounted
+// units remain. Ranks are computed once per call: shedding is rare, and
+// staleness within one sweep only reorders equally doomed panes. The dedup
+// set is never shed — losing it could re-emit suppressed duplicates,
+// breaking the subset property; a shed pane only removes records from
+// unfired windows, which can only lose matches.
+func (j *windowJoin) shedPanes(target int64, rank func(g *ijGroup, port int, idx event.Time) float64, out *Collector) int64 {
+	type victim struct {
+		rank float64
+		idx  event.Time
+		key  int64
 	}
-	var victims []wjVictim
-	for key, panes := range j.state {
-		liveL, liveR := groupCounts(panes)
-		for idx := range panes {
-			score := 1.0
-			if liveL == 0 || liveR == 0 {
-				rate := j.rRate.perTimeUnit() // group waits on right-side arrivals
-				if liveL == 0 {
-					rate = j.lRate.perTimeUnit()
-				}
-				timeLeft := clampTimeLeft(j.paneDeadline(idx) - j.maxTS)
-				score = overload.CompletionValue(1, timeLeft, int64(j.spec.Window), rate)
+	var victims []victim
+	for key, g := range j.state {
+		for port := range g {
+			for _, r := range g[port].live() {
+				idx := event.PaneIndex(r.TS, j.spec.Slide)
+				victims = append(victims, victim{rank(g, port, idx), idx, key})
 			}
-			victims = append(victims, wjVictim{key, idx, score})
 		}
 	}
-	sort.Slice(victims, func(a, b int) bool {
-		if victims[a].score != victims[b].score {
-			return victims[a].score < victims[b].score
-		}
-		return victims[a].idx < victims[b].idx
+	// Sorting puts the entries of one pane, one per record, side by side.
+	slices.SortFunc(victims, func(a, b victim) int {
+		return cmp.Or(cmp.Compare(a.rank, b.rank), cmp.Compare(a.idx, b.idx), cmp.Compare(a.key, b.key))
 	})
 	var dropped int64
-	var lost float64
-	for _, v := range victims {
+	for _, v := range slices.Compact(victims) {
 		if j.recCount+int64(len(j.seen)) <= target {
 			break
 		}
-		panes := j.state[v.key]
-		if panes == nil || panes[v.idx] == nil {
-			continue
+		if g := j.state[v.key]; g != nil {
+			dropped += j.dropPane(v.key, g, v.idx, out)
 		}
-		liveL, liveR := groupCounts(panes)
-		lost += j.paneLoss(panes[v.idx], v.idx, liveL, liveR)
-		dropped += j.dropPane(v.key, v.idx, out)
 	}
-	out.AddLostMatches(lost)
 	return dropped
+}
+
+// ShedOldest implements Shedder: whole panes are dropped oldest first,
+// across every key group.
+func (j *windowJoin) ShedOldest(target int64, out *Collector) int64 {
+	return j.shedPanes(target, func(*ijGroup, int, event.Time) float64 { return 0 }, out)
+}
+
+// ShedLowestValue implements ValueShedder: panes are dropped in order of
+// ascending completion value instead of age. A pane whose key group holds
+// records on both sides will produce matches with no further arrivals and
+// scores 1; a one-sided group only fires if the missing side arrives
+// before the pane's last covering window closes, so it scores the Poisson
+// completion probability of one such arrival.
+func (j *windowJoin) ShedLowestValue(target int64, out *Collector) int64 {
+	return j.shedPanes(target, func(g *ijGroup, port int, idx event.Time) float64 {
+		if len(g[1-port].live()) > 0 {
+			return 1
+		}
+		timeLeft := clampTimeLeft(j.paneDeadline(idx) - j.maxTS)
+		return overload.CompletionValue(1, timeLeft, int64(j.spec.Window), j.rate[1-port].perTimeUnit())
+	}, out)
 }

@@ -1,13 +1,17 @@
 package asp
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sort"
 	"testing"
 
 	"cep2asp/internal/event"
+	"cep2asp/internal/overload"
 )
 
 // wjCase is one configuration of the window-join contract test.
@@ -125,6 +129,75 @@ func TestWindowJoinFireMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// wjOut is an operator's output edge, drained by the test after each step.
+type wjOut struct {
+	env *Environment
+	col *Collector
+	ch  chan []Record
+}
+
+func newWJOut() *wjOut {
+	o := &wjOut{env: NewEnvironment(Config{}), ch: make(chan []Record, 1024)}
+	o.col = &Collector{
+		env:     o.env,
+		metrics: &NodeMetrics{},
+		senders: []edgeSender{{e: &edge{chans: []chan []Record{o.ch}}, pending: make([][]Record, 1)}},
+		done:    make(chan struct{}),
+		batch:   64,
+		pool:    newBatchPool(64, nil),
+	}
+	return o
+}
+
+// drain returns the pairs emitted since the last call, by key group, in
+// emission order.
+func (o *wjOut) drain(c wjCase) map[int64][]ijPair {
+	o.col.flush()
+	got := make(map[int64][]ijPair)
+	for {
+		select {
+		case b := <-o.ch:
+			for _, r := range b {
+				evs := r.Match.Events
+				key := wjGroup(c, evs)
+				got[key] = append(got[key], ijPair{int(evs[0].Value), int(evs[len(evs)-1].Value)})
+			}
+		default:
+			return got
+		}
+	}
+}
+
+// wjCheckState holds a window join to its layout and accounting between
+// steps: every side ordered by pane, no record below the next window to
+// fire (so none a fired window should have evicted), no emptied key group
+// kept, and the record counter, a recount and the AddState total equal.
+func wjCheckState(t *testing.T, name string, op *windowJoin, env *Environment) {
+	t.Helper()
+	if got, want := op.StateStats().Records, op.BufferedState(); got != want {
+		t.Fatalf("%s: StateStats().Records = %d, BufferedState() = %d", name, got, want)
+	}
+	if got, want := env.StateSize(), op.BufferedState(); got != want {
+		t.Fatalf("%s: AddState total = %d, BufferedState() = %d", name, got, want)
+	}
+	for key, g := range op.state {
+		if len(g[0].live())+len(g[1].live()) == 0 {
+			t.Fatalf("%s: key %d: an emptied group is retained", name, key)
+		}
+		for port := range g {
+			live := g[port].live()
+			for i, r := range live {
+				if i > 0 && event.PaneIndex(r.TS, op.spec.Slide) < event.PaneIndex(live[i-1].TS, op.spec.Slide) {
+					t.Fatalf("%s: key %d port %d: TS %d follows TS %d of a later pane", name, key, port, r.TS, live[i-1].TS)
+				}
+				if r.TS < op.nextFire {
+					t.Fatalf("%s: key %d port %d: TS %d buffered below the next window start %d", name, key, port, r.TS, op.nextFire)
+				}
+			}
+		}
+	}
+}
+
 func wjRun(t *testing.T, name string, c wjCase, rng *rand.Rand, left, right []Record) {
 	spec := WindowJoinSpec{Window: c.window, Slide: c.slide, Predicate: ijPred, DedupEmits: c.dedup}
 	if c.keyed {
@@ -132,32 +205,8 @@ func wjRun(t *testing.T, name string, c wjCase, rng *rand.Rand, left, right []Re
 	}
 	newOp := NewWindowJoin(spec)
 	op := newOp(0).(*windowJoin)
-	env := NewEnvironment(Config{})
-	ch := make(chan []Record, 1024)
-	col := &Collector{
-		env:     env,
-		metrics: &NodeMetrics{},
-		senders: []edgeSender{{e: &edge{chans: []chan []Record{ch}}, pending: make([][]Record, 1)}},
-		done:    make(chan struct{}),
-		batch:   64,
-		pool:    newBatchPool(64, nil),
-	}
-	drain := func() (got map[int64][]ijPair) {
-		col.flush()
-		got = make(map[int64][]ijPair)
-		for {
-			select {
-			case b := <-ch:
-				for _, r := range b {
-					evs := r.Match.Events
-					key := wjGroup(c, evs)
-					got[key] = append(got[key], ijPair{int(evs[0].Value), int(evs[len(evs)-1].Value)})
-				}
-			default:
-				return got
-			}
-		}
-	}
+	o := newWJOut()
+	col := o.col
 
 	in := [2][]Record{left, right}
 	var next [2]int
@@ -202,7 +251,7 @@ func wjRun(t *testing.T, name string, c wjCase, rng *rand.Rand, left, right []Re
 			}
 		}
 		op.OnWatermark(wm, col)
-		got := drain()
+		got := o.drain(c)
 
 		want := wjWindowPairs(c, k*c.slide, fed)
 		for key, pairs := range want {
@@ -228,12 +277,11 @@ func wjRun(t *testing.T, name string, c wjCase, rng *rand.Rand, left, right []Re
 				emitted[p] = true
 			}
 		}
-		if got, want := env.StateSize(), op.BufferedState(); got != want {
-			t.Fatalf("%s: AddState total = %d, BufferedState() = %d", name, got, want)
-		}
+		wjCheckState(t, name, op, o.env)
 	}
 	op.OnWatermark(event.MaxWatermark, col)
-	if got := drain(); len(got) != 0 {
+	wjCheckState(t, name, op, o.env)
+	if got := o.drain(c); len(got) != 0 {
 		t.Fatalf("%s: the end-of-stream watermark emitted %v", name, got)
 	}
 	if len(union) == 0 || len(emitted) != len(union) {
@@ -297,13 +345,14 @@ func TestWindowJoinFireAllocsPerPair(t *testing.T) {
 }
 
 // BenchmarkWindowJoinFire prices one firing of a deduplicating stage with
-// 64 key groups and Window/Slide = 90, with every pane filled (dense) and
-// with one pane in eight (sparse), per emitted pair.
+// 64 key groups and Window/Slide = 90, with every pane filled (dense), with
+// one pane in eight (sparse) and with one pane in 64 (thin: about the 1.6 %
+// of events ITER4's value filter passes), per emitted pair.
 func BenchmarkWindowJoinFire(b *testing.B) {
 	for _, bc := range []struct {
 		name  string
 		every int
-	}{{"dense", 1}, {"sparse", 8}} {
+	}{{"dense", 1}, {"sparse", 8}, {"thin", 64}} {
 		b.Run(bc.name, func(b *testing.B) {
 			step, emitted := wjFireStage(64, bc.every)
 			var m0, m1 runtime.MemStats
@@ -319,5 +368,150 @@ func BenchmarkWindowJoinFire(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/pairs, "ns/pair")
 			b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/pairs, "allocs/pair")
 		})
+	}
+}
+
+// TestWindowJoinRestoresPaneSnapshot restores a snapshot written in the
+// pane-map layout by hand — panes entered out of order, one key group
+// one-sided, and S ∤ W with a record in the ragged last pane of a window —
+// and fires it to the end: every window must emit, per key group, the
+// pairs a join fed the same records uninterrupted emits, in the same order.
+func TestWindowJoinRestoresPaneSnapshot(t *testing.T) {
+	c := wjCase{keyed: true, window: 5, slide: 2}
+	rec := func(typ event.Type, key, seq int, ts event.Time) Record {
+		return EventRecord(event.Event{Type: typ, ID: int64(4*seq + key), TS: ts, Value: float64(seq)})
+	}
+	// Key 1's left pane 2 is the last pane of window [0, 5) and holds ts 5,
+	// past that window's end; it received ts 5 before ts 4, and its right
+	// pane 1 ts 3 before ts 2. Key 2 is left-only. Key 3's right pane 0
+	// arrived after its pane 3.
+	l0, l1, l2 := rec(tQ, 1, 0, 1), rec(tQ, 1, 1, 5), rec(tQ, 1, 2, 4)
+	l3, l4, l5 := rec(tQ, 2, 3, 2), rec(tQ, 2, 4, 7), rec(tQ, 3, 5, 6)
+	r10, r11, r12 := rec(tV, 1, 10, 3), rec(tV, 1, 11, 2), rec(tV, 1, 12, 9)
+	r13, r14 := rec(tV, 3, 13, 7), rec(tV, 3, 14, 0)
+	st := windowJoinState{
+		Panes: map[int64]map[event.Time]*joinPaneState{
+			3: {3: {Left: []Record{l5}, Right: []Record{r13}}, 0: {Right: []Record{r14}}},
+			1: {
+				4: {Right: []Record{r12}},
+				2: {Left: []Record{l1, l2}},
+				0: {Left: []Record{l0}},
+				1: {Right: []Record{r10, r11}},
+			},
+			2: {3: {Left: []Record{l4}}, 1: {Left: []Record{l3}}},
+		},
+		NextFire: -4, // [-4, 1) is the first window holding ts 0
+	}
+	data, err := gobEncode(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	spec := WindowJoinSpec{Window: c.window, Slide: c.slide, Predicate: ijPred, LeftKey: wjKey, RightKey: wjKey}
+	restored, fed := NewWindowJoin(spec)(0).(*windowJoin), NewWindowJoin(spec)(0).(*windowJoin)
+	if err := restored.RestoreState(data); err != nil {
+		t.Fatal(err)
+	}
+	fedOut := newWJOut()
+	for _, a := range []struct {
+		port int
+		r    Record
+	}{{0, l5}, {1, r12}, {0, l1}, {1, r10}, {0, l3}, {1, r13}, {0, l2}, {1, r11}, {0, l0}, {1, r14}, {0, l4}} {
+		fed.OnRecord(a.port, &a.r, fedOut.col)
+	}
+	// The hand-written state is what the fed join snapshots.
+	var wrote, snap windowJoinState
+	again, err := fed.SnapshotState()
+	if err == nil {
+		err = errors.Join(gobDecode(data, &wrote), gobDecode(again, &snap))
+	}
+	if err != nil || !reflect.DeepEqual(snap, wrote) {
+		t.Fatalf("the fed join's snapshot differs from the hand-written state (err %v)", err)
+	}
+
+	fire := func(name string, op *windowJoin, o *wjOut) (steps []string) {
+		for k := event.Time(-2); k*c.slide <= 9; k++ {
+			op.OnWatermark(k*c.slide+c.window-1, o.col)
+			steps = append(steps, fmt.Sprint(o.drain(c)))
+			wjCheckState(t, name, op, o.env)
+		}
+		op.OnWatermark(event.MaxWatermark, o.col)
+		if got := o.drain(c); len(got) != 0 || op.BufferedState() != 0 {
+			t.Fatalf("%s: the end-of-stream watermark emitted %v and left %d buffered", name, got, op.BufferedState())
+		}
+		return steps
+	}
+	// The restored join's state counts start from its snapshot.
+	restoredOut := newWJOut()
+	restoredOut.col.AddState(restored.BufferedState())
+	got, want := fire("restored", restored, restoredOut), fire("fed", fed, fedOut)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("restored join emitted, per window\n%v\nthe uninterrupted join\n%v", got, want)
+	}
+	// Window [0, 5): key 1's left pane 2 in arrival order, (0, 10) failing
+	// the predicate.
+	if w0 := fmt.Sprint(map[int64][]ijPair{1: {{0, 11}, {1, 10}, {1, 11}, {2, 10}, {2, 11}}}); got[2] != w0 {
+		t.Fatalf("window [0, 5) emitted %s, want %s", got[2], w0)
+	}
+}
+
+// TestWindowJoinShedsPanes sheds a window join's key groups pane by pane.
+// ShedOldest must drop exactly the globally oldest pane — key 1's alone —
+// and charge the lost-match bound computed here by hand. ShedLowestValue
+// must take a one-sided group's oldest pane before the equally old panes of
+// two-sided groups. Cutting a pane from the middle of a side, as a victim
+// order not monotone in age would, must keep both sides pane-ordered.
+func TestWindowJoinShedsPanes(t *testing.T) {
+	const window, slide = 10, 2
+	op := NewWindowJoin(WindowJoinSpec{Window: window, Slide: slide, LeftKey: wjKey, RightKey: wjKey})(0).(*windowJoin)
+	o := newWJOut()
+	feed := func(port, key int, tss ...event.Time) {
+		for _, ts := range tss {
+			r := EventRecord(event.Event{Type: [2]event.Type{tQ, tV}[port], ID: int64(key), TS: ts})
+			op.OnRecord(port, &r, o.col)
+		}
+	}
+	tss := func(key int64, port int) (out []event.Time) {
+		if g := op.state[key]; g != nil {
+			for _, r := range g[port].live() {
+				out = append(out, r.TS)
+			}
+		}
+		return out
+	}
+	feed(0, 1, 2, 4) // key 1: left panes 1, 2
+	feed(0, 2, 5)    // key 2: left pane 2
+	feed(1, 1, 3)    // key 1: right pane 1
+	feed(1, 2, 4)    // key 2: right pane 2
+	feed(1, 1, 7)    // key 1: right pane 3
+
+	if dropped := op.ShedOldest(op.BufferedState()-1, o.col); dropped != 2 {
+		t.Fatalf("ShedOldest dropped %d records, want pane 1's 2", dropped)
+	}
+	wjCheckState(t, "ShedOldest", op, o.env)
+	if got := fmt.Sprint(tss(1, 0), tss(1, 1), tss(2, 0), tss(2, 1)); got != "[4] [7] [5] [4]" {
+		t.Fatalf("after ShedOldest key 1 holds %v, %v and key 2 %v, %v; want [4] [7] [5] [4]", tss(1, 0), tss(1, 1), tss(2, 0), tss(2, 1))
+	}
+	// Pane 1 of key 1 held one record a side; the group had two a side.
+	// Rates: left 2 arrivals over [2, 5], right 2 over [3, 7]. The pane's
+	// deadline 1·2+10-1 = 11 lies 4 past the max TS 7; 5 windows cover it.
+	const timeLeft = 4
+	want := (1*(2+overload.LossSafety*(2.0/4)*timeLeft) + 1*(2+overload.LossSafety*(2.0/3)*timeLeft)) * window / slide
+	if got := o.env.LostMatchBound(); math.Abs(got-want) > 1e-9 {
+		t.Fatalf("ShedOldest charged %v lost matches, want %v", got, want)
+	}
+
+	feed(0, 3, 4, 6, 9, 11) // key 3: left-only, panes 2, 3, 4, 5
+	if dropped := op.ShedLowestValue(op.BufferedState()-1, o.col); dropped != 1 || fmt.Sprint(tss(3, 0)) != "[6 9 11]" {
+		t.Fatalf("ShedLowestValue dropped %d, leaving key 3 %v; want key 3's pane 2 alone", dropped, tss(3, 0))
+	}
+	wjCheckState(t, "ShedLowestValue", op, o.env)
+	before := o.env.LostMatchBound()
+	if n := op.dropPane(3, op.state[3], 4, o.col); n != 1 || o.env.LostMatchBound() <= before {
+		t.Fatalf("dropping key 3's middle pane removed %d records and charged %v", n, o.env.LostMatchBound()-before)
+	}
+	wjCheckState(t, "middle pane", op, o.env)
+	if got := fmt.Sprint(tss(3, 0)); got != "[6 11]" {
+		t.Fatalf("after the middle pane key 3 holds %s, want [6 11]", got)
 	}
 }
