@@ -561,7 +561,7 @@ func (env *Environment) Execute(ctx context.Context) error {
 	// Allocate input channels and sender ID ranges. Channels carry whole
 	// batches; their capacity is kept at ~ChannelCapacity records by sizing
 	// them in batches.
-	chanCap := maxIntExec(1, env.cfg.ChannelCapacity/env.cfg.BatchSize)
+	chanCap := max(1, env.cfg.ChannelCapacity/env.cfg.BatchSize)
 	type nodeRuntime struct {
 		in   []chan []Record
 		nSrc int
@@ -681,7 +681,7 @@ func (env *Environment) Execute(ctx context.Context) error {
 				c.senders = append(c.senders, edgeSender{
 					e:         e,
 					srcID:     uint16(e.srcBase + instance),
-					forwardTo: instance % maxIntExec(1, e.to.parallelism),
+					forwardTo: instance % max(1, e.to.parallelism),
 					obsEdge:   e.obs,
 					pending:   make([][]Record, len(e.chans)),
 				})
@@ -910,50 +910,19 @@ func guard(env *Environment, n *node, inst int, source bool, col *Collector) {
 	env.fail(f)
 }
 
-func maxIntExec(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// setupCheckpointing builds the coordinator and, when requested, loads the
-// snapshot to restore. Called by Execute before the dataflow starts.
+// setupCheckpointing loads the snapshot to restore, when requested, and
+// then installs where acknowledgements go: a local checkpoint.Coordinator,
+// or the remote Ack forwarder of a distributed worker. Called by Execute
+// before the dataflow starts.
 func (env *Environment) setupCheckpointing() error {
 	spec := env.cfg.Checkpoint
 	if spec == nil {
 		return nil
 	}
-	fp := env.fingerprint()
-	if spec.Ack != nil {
-		// Remote (distributed-worker) mode: acknowledgements are forwarded
-		// to the coordinator process; completion is decided there. Restores
-		// come from the snapshot shipped in the job spec, not a store.
-		ck := &ckptRuntime{ack: spec.Ack}
-		if spec.Snapshot != nil {
-			if spec.Snapshot.Fingerprint != fp {
-				return fmt.Errorf("asp: shipped snapshot %d was taken on a different graph", spec.Snapshot.ID)
-			}
-			ck.restored = spec.Snapshot
-			ck.base = spec.Snapshot.ID
-		}
-		ck.requested.Store(ck.base)
-		env.ckpt.Store(ck)
-		return nil
-	}
 	if spec.Store == nil {
 		return errors.New("asp: checkpoint spec has no store")
 	}
-	// The task list always spans the FULL graph, even when this process is
-	// a distributed coordinator running only a slice of it: remote workers'
-	// acknowledgements are forwarded into this coordinator, and a
-	// checkpoint completes only once every instance everywhere has acked.
-	var tasks []string
-	for _, n := range env.nodes {
-		for inst := 0; inst < n.parallelism; inst++ {
-			tasks = append(tasks, taskID(n, inst))
-		}
-	}
+	fp := env.fingerprint()
 	ck := &ckptRuntime{onTrigger: spec.OnTrigger}
 	if spec.Restore {
 		var err error
@@ -972,10 +941,25 @@ func (env *Environment) setupCheckpointing() error {
 			ck.base = ck.restored.ID
 		}
 	}
-	ck.coord = checkpoint.NewCoordinator(spec.Store, fp, tasks, ck.base)
-	ck.coord.OnError = env.fail
-	ck.coord.OnComplete = env.onCheckpointComplete
-	ck.ack = ck.coord
+	if spec.Ack != nil {
+		ck.ack = spec.Ack
+	} else {
+		// The task list always spans the FULL graph, even when this process
+		// is a distributed coordinator running only a slice of it: remote
+		// workers' acknowledgements are forwarded into this coordinator, and
+		// a checkpoint completes only once every instance everywhere has
+		// acked.
+		var tasks []string
+		for _, n := range env.nodes {
+			for inst := 0; inst < n.parallelism; inst++ {
+				tasks = append(tasks, taskID(n, inst))
+			}
+		}
+		ck.coord = checkpoint.NewCoordinator(spec.Store, fp, tasks, ck.base)
+		ck.coord.OnError = env.fail
+		ck.coord.OnComplete = env.onCheckpointComplete
+		ck.ack = ck.coord
+	}
 	ck.requested.Store(ck.base)
 	env.ckpt.Store(ck)
 	return nil
@@ -1323,11 +1307,11 @@ func runInstance(env *Environment, n *node, inst int, in chan []Record, nSrc int
 		}
 	}
 	holder, _ := op.(WatermarkHolder)
-	wms := make([]event.Time, maxIntExec(nSrc, 1))
+	wms := make([]event.Time, max(nSrc, 1))
 	for i := range wms {
 		wms[i] = event.MinWatermark
 	}
-	finished := make([]bool, maxIntExec(nSrc, 1))
+	finished := make([]bool, max(nSrc, 1))
 	remaining := nSrc
 	curWM := event.MinWatermark
 	// om is nil without a metrics registry. With one, the instance reads the
@@ -1390,7 +1374,7 @@ func runInstance(env *Environment, n *node, inst int, in chan []Record, nSrc int
 		stash      []Record
 	)
 	if ck != nil {
-		alignGot = make([]bool, maxIntExec(nSrc, 1))
+		alignGot = make([]bool, max(nSrc, 1))
 	}
 	aligned := func() bool {
 		for s := 0; s < nSrc; s++ {

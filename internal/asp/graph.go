@@ -107,18 +107,11 @@ type CheckpointSpec struct {
 	// RestoreID selects the snapshot to restore; zero means the latest.
 	RestoreID int64
 
-	// The three fields below configure the *remote* half of distributed
-	// checkpointing and are mutually exclusive with Store/Interval/Restore:
-	// a worker process acknowledges snapshots into Ack (a network forwarder
-	// to the coordinator process) instead of a local
-	// checkpoint.Coordinator, and restores directly from Snapshot shipped
-	// in the job spec instead of reading a store.
-
-	// Ack, when non-nil, receives this process's task acknowledgements;
-	// checkpoint completion is decided elsewhere (the coordinator process).
+	// Ack, when non-nil, receives this process's task acknowledgements in
+	// place of a local checkpoint.Coordinator: a distributed worker
+	// forwards them to the coordinator process, which decides completion.
+	// Store then only serves the restore, and Interval is unused.
 	Ack checkpoint.AckSink
-	// Snapshot, when non-nil with Ack set, is restored before running.
-	Snapshot *checkpoint.Snapshot
 	// OnTrigger, when set on the coordinating process, observes every
 	// locally triggered checkpoint ID so it can be broadcast to remote
 	// workers (which inject the same barrier via InjectBarrier).

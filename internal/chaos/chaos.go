@@ -196,6 +196,19 @@ func NewInjector(faults ...Fault) *Injector {
 	return inj
 }
 
+// Faults returns the armed faults as configured, for shipping to the
+// processes of a distributed run. Nil-safe.
+func (inj *Injector) Faults() []Fault {
+	if inj == nil {
+		return nil
+	}
+	out := make([]Fault, len(inj.faults))
+	for i, f := range inj.faults {
+		out[i] = f.Fault
+	}
+	return out
+}
+
 // Point is the per-instance handle of an inject site. The engine resolves
 // one Point per operator/source instance at startup; a nil Point (no fault
 // targets the instance) costs one pointer comparison per record.

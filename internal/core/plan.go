@@ -45,28 +45,16 @@ type Options struct {
 	// improve performance"). Types without estimates keep pattern order.
 	Frequencies map[string]float64
 
-	// joinCost estimates the output cardinality of a join from its inputs'
-	// cardinality estimates (events per minute, post-filter). When set —
-	// via WithJoinCost, typically by the optimizer — and the pattern has
-	// no negation, the translator builds a greedy cheapest-pair-first join
-	// tree (possibly bushy) instead of the ascending-frequency left-deep
-	// chain. Unexported so Options stays gob-encodable in distributed job
-	// specs; the optimizer pass is a single-process concern.
-	joinCost func(left, right float64) float64
+	// CostBasedJoins makes the translator price every join of a pattern
+	// without negation at l × r × W (joinCost) and build a greedy
+	// cheapest-pair-first join tree, possibly bushy, instead of the
+	// ascending-frequency left-deep chain. The optimizer sets it.
+	CostBasedJoins bool
 
 	// statsErr is a deferred invalid-statistics error recorded by Advise
 	// (PR-4-style fail-fast validation): Translate surfaces it instead of
 	// building a mispriced plan from silently clamped statistics.
 	statsErr error
-}
-
-// WithJoinCost returns the options with a join-output cardinality model
-// attached, enabling cost-based greedy join-tree construction in the
-// translator. The function receives the two inputs' cardinality estimates
-// (events per minute after filtering) and returns the join's.
-func (o Options) WithJoinCost(fn func(left, right float64) float64) Options {
-	o.joinCost = fn
-	return o
 }
 
 func (o Options) String() string {
@@ -80,7 +68,7 @@ func (o Options) String() string {
 	if o.UsePartitioning {
 		opts = append(opts, "O3")
 	}
-	if o.joinCost != nil {
+	if o.CostBasedJoins {
 		opts = append(opts, "CBO")
 	}
 	if len(opts) == 0 {

@@ -34,8 +34,23 @@ type RunSpec struct {
 	// Replanner switches plans at a checkpoint barrier when it judges a new
 	// plan due (internal/optimizer implements it).
 	Replanner Replanner
+	// Cluster runs every attempt across processes (internal/exchange's
+	// Coordinator implements it); nil runs in-process.
+	Cluster Cluster
 	// OnAttempt observes each attempt's graph before it executes.
 	OnAttempt func(env *asp.Environment, sinks []*asp.Results)
+}
+
+// Cluster is Run's distribution policy. Each attempt's graph is built
+// locally as worker 0 of the cluster; the cluster builds the rest of it in
+// the other processes.
+type Cluster interface {
+	// Prepare readies the cluster for one attempt and returns cfg with the
+	// attempt's distribution splice (Dist) and barrier broadcast filled in.
+	Prepare(ctx context.Context, cfg asp.Config) (asp.Config, error)
+	// Execute ships plans and bc to the other processes, runs env as worker
+	// 0 and returns the first failure of any process.
+	Execute(ctx context.Context, env *asp.Environment, plans []*Plan, bc BuildConfig) error
 }
 
 // Replanner is Run's re-planning policy.
@@ -216,6 +231,12 @@ func (r *runner) attempt(ctx context.Context) (int64, error) {
 		c := *r.ckpt
 		bc.Engine.Checkpoint = &c
 	}
+	var err error
+	if r.spec.Cluster != nil {
+		if bc.Engine, err = r.spec.Cluster.Prepare(ctx, bc.Engine); err != nil {
+			return 0, err
+		}
+	}
 	env, sinks, err := buildMulti(r.rep.Plans, bc, r.sinks)
 	if err != nil {
 		return 0, err
@@ -233,7 +254,7 @@ func (r *runner) attempt(ctx context.Context) (int64, error) {
 		}
 		qc.Start(0)
 	}
-	id, err := r.execute(ctx, env)
+	id, err := r.execute(ctx, env, bc)
 	if qc != nil {
 		qc.Stop()
 		r.rep.QualityActions = append(r.rep.QualityActions, qc.Actions()...)
@@ -252,20 +273,25 @@ func (r *runner) attempt(ctx context.Context) (int64, error) {
 	return id, err
 }
 
-// execute runs env to completion. While a re-plan is allowed it consults
-// the replanner; once one is due it triggers a barrier and, as soon as a
+// execute runs env to completion, as worker 0 of the Cluster, which ships
+// bc, when one is set. While a re-plan is allowed it consults the
+// replanner; once one is due it triggers a barrier and, as soon as a
 // checkpoint at or after it has completed, stops env there and returns that
 // checkpoint's ID.
-func (r *runner) execute(ctx context.Context, env *asp.Environment) (int64, error) {
+func (r *runner) execute(ctx context.Context, env *asp.Environment, bc BuildConfig) (int64, error) {
+	run := env.Execute
+	if cl := r.spec.Cluster; cl != nil {
+		run = func(ctx context.Context) error { return cl.Execute(ctx, env, r.rep.Plans, bc) }
+	}
 	var every time.Duration
 	if r.spec.Replanner != nil {
 		every = r.spec.Replanner.Poll()
 	}
 	if every <= 0 {
-		return 0, env.Execute(ctx)
+		return 0, run(ctx)
 	}
 	done := make(chan error, 1)
-	go func() { done <- env.Execute(ctx) }()
+	go func() { done <- run(ctx) }()
 	tick := time.NewTicker(every)
 	defer tick.Stop()
 	var id int64

@@ -312,9 +312,9 @@ func (t *translator) iter(v *sea.IterNode, root bool) (*sub, error) {
 // nary builds the join tree for a sequence or conjunction. With frequency
 // estimates and no negation, children join in ascending frequency order —
 // the manual reordering the decomposition enables (§4.2.2, §5.1.2) — as a
-// left-deep chain; with a join-cost model attached (Options.WithJoinCost)
-// the tree is instead built greedily cheapest-pair-first, which yields
-// bushy/balanced shapes where they are cheaper. The temporal-order
+// left-deep chain; under Options.CostBasedJoins the tree is instead built
+// greedily cheapest-pair-first, which yields bushy/balanced shapes where
+// they are cheaper. The temporal-order
 // constraints are enforced through θ predicates computed from original
 // pattern positions, so any join order is semantically equivalent.
 func (t *translator) nary(children []sea.Node, seq bool) (*sub, error) {
@@ -348,7 +348,7 @@ func (t *translator) nary(children []sea.Node, seq bool) (*sub, error) {
 		subs[i] = s
 	}
 
-	if !hasNeg && t.opts.joinCost != nil && len(subs) > 1 {
+	if !hasNeg && t.opts.CostBasedJoins && len(subs) > 1 {
 		return t.greedyTree(subs)
 	}
 
@@ -378,7 +378,7 @@ func (t *translator) nary(children []sea.Node, seq bool) (*sub, error) {
 // pairing is legal; the greedy choice re-balances nested SEQ(A, SEQ(B, C))
 // shapes into whatever tree the estimates favour.
 func (t *translator) greedyTree(subs []*sub) (*sub, error) {
-	cost := t.opts.joinCost
+	cost := joinCost(t.pat.Window.Size)
 	pool := append([]*sub{}, subs...)
 	for len(pool) > 1 {
 		bi, bj := 0, 1
@@ -399,6 +399,28 @@ func (t *translator) greedyTree(subs []*sub) (*sub, error) {
 		pool = append(pool[:bj], pool[bj+1:]...)
 	}
 	return pool[0], nil
+}
+
+// joinCost prices a two-way sliding window join from its input rates: with
+// l and r effective events per minute and a window of W minutes, every
+// right event meets l*W left candidates, so the output rate is l * r * W
+// per minute (§3.1.4's per-window cross product, amortized). Unknown rates
+// (<= 0) are priced at one event per minute, keeping them neutral rather
+// than free.
+func joinCost(window event.Time) func(left, right float64) float64 {
+	wmin := float64(window) / float64(event.Minute)
+	if wmin <= 0 {
+		wmin = 1
+	}
+	return func(left, right float64) float64 {
+		if left <= 0 {
+			left = 1
+		}
+		if right <= 0 {
+			right = 1
+		}
+		return left * right * wmin
+	}
 }
 
 // seqElement pairs a positive sequence element with the negation that

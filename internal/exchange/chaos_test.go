@@ -6,37 +6,18 @@ import (
 	"sort"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"cep2asp/internal/chaos"
 	"cep2asp/internal/core"
-	"cep2asp/internal/event"
-	"cep2asp/internal/sea"
+	"cep2asp/internal/supervise"
 )
 
-// killTarget finds a partitioned node in the job's graph whose instance 1
+// killTarget finds a partitioned node in the spec's graph whose instance 1
 // lives on worker 1 under ModuloOwner — the instance whose chaos fault
 // takes the whole worker process down.
-func killTarget(t *testing.T, job Job) string {
+func killTarget(t *testing.T, spec core.RunSpec) string {
 	t.Helper()
-	pat, err := sea.Parse(job.Pattern)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var plan *core.Plan
-	if job.FCEP {
-		plan, err = core.TranslateFCEP(pat, job.Opts)
-	} else {
-		plan, err = core.Translate(pat, job.Opts)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := make(map[event.Type][]event.Event, len(job.Streams))
-	for _, st := range job.Streams {
-		data[event.RegisterType(st.Name)] = st.Events
-	}
-	env, _, err := core.Build(plan, core.BuildConfig{Data: data})
+	env, _, err := core.Build(spec.Plans[0], core.BuildConfig{Data: spec.Build.Data})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,32 +77,32 @@ func TestWorkerKillRecovery(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			job := Job{
-				Pattern:            tc.pattern,
-				FCEP:               tc.fcep,
-				Opts:               o3,
-				Engine:             testEngine(),
-				Streams:            testStreams(t, tc.pm10),
-				DedupSink:          true,
-				KeepMatches:        true,
-				CollectKeys:        true,
-				CheckpointInterval: 20 * time.Millisecond,
-				// Throttled sources stretch the run so checkpoints complete
-				// before the kill and the kill lands mid-stream.
-				SourceRatePerSec: 600,
-				Timeout:          60 * time.Second,
+			policy := supervise.DefaultPolicy()
+			spec := core.RunSpec{
+				Plans: testPlans(t, tc.pattern, tc.fcep, o3),
+				Build: core.BuildConfig{
+					Engine:      testEngine(),
+					Data:        testStreams(t, tc.pm10),
+					DedupSink:   true,
+					KeepMatches: true,
+					// Throttled sources stretch the run so checkpoints complete
+					// before the kill and the kill lands mid-stream.
+					SourceRatePerSec: 600,
+				},
+				Restart: &policy,
 			}
-			want := runSingleProcess(t, job)
+			spec.Build.Engine.Checkpoint = testCheckpoints()
+			want := runSingleProcess(t, spec)
 			if len(want) == 0 {
 				t.Fatal("degenerate case: unfailed run found no matches")
 			}
 
-			job.Faults = []chaos.Fault{{
+			spec.Build.Engine.Chaos = chaos.NewInjector(chaos.Fault{
 				Kind:     chaos.KillWorker,
-				Node:     killTarget(t, job),
+				Node:     killTarget(t, spec),
 				Instance: 1, // 1 mod 2 → worker 1: a remote process dies
 				AtHit:    30,
-			}}
+			})
 
 			// The hook closes over the coordinator address, which exists
 			// only after construction; Respawn first fires on recovery,
@@ -143,17 +124,17 @@ func TestWorkerKillRecovery(t *testing.T) {
 			})
 			coordAddr = coord.ControlAddr()
 
-			res, err := coord.RunJob(context.Background(), job)
+			rep, err := runOn(coord, spec)
 			if err != nil {
 				t.Fatalf("recovered run failed: %v", err)
 			}
-			if res.Restarts == 0 {
+			if rep.Restarts == 0 {
 				t.Fatal("the kill fault never fired: run completed without a restart")
 			}
 			if respawns.Load() == 0 {
 				t.Fatal("recovery never respawned a worker")
 			}
-			got := sortedKeys(res.Keys)
+			got := sortedKeys(rep.Sinks[0].Keys())
 			if len(got) != len(want) {
 				t.Fatalf("recovered match set diverged: unfailed %d unique, recovered %d unique",
 					len(want), len(got))
@@ -163,7 +144,7 @@ func TestWorkerKillRecovery(t *testing.T) {
 					t.Fatalf("recovered match key %d diverged:\nunfailed  %s\nrecovered %s", i, want[i], got[i])
 				}
 			}
-			t.Logf("recovered after %d restart(s), %d checkpoint(s) completed", res.Restarts, res.Checkpoints)
+			t.Logf("recovered after %d restart(s), %d checkpoint(s) completed", rep.Restarts, rep.Env.CompletedCheckpoints())
 		})
 	}
 }

@@ -2,6 +2,7 @@ package exchange
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net"
@@ -10,12 +11,8 @@ import (
 	"time"
 
 	"cep2asp/internal/asp"
-	"cep2asp/internal/chaos"
-	"cep2asp/internal/checkpoint"
 	"cep2asp/internal/core"
-	"cep2asp/internal/event"
 	"cep2asp/internal/obs"
-	"cep2asp/internal/supervise"
 	"cep2asp/internal/trace"
 )
 
@@ -62,7 +59,9 @@ type CoordinatorOptions struct {
 	// Workers is the total worker count including the coordinator; the
 	// coordinator waits for Workers-1 processes to join before running.
 	Workers int
-	// Metrics instruments the coordinator's slice and network peers.
+	// Metrics serves the cluster view (/cluster/*) and instruments worker
+	// 0's slice and network peers when a run's engine config names no
+	// registry of its own.
 	Metrics *obs.Registry
 	// DialTimeout bounds peer dials (default 5s); JoinTimeout bounds
 	// waiting for workers to join or rejoin (default 30s).
@@ -83,9 +82,6 @@ type CoordinatorOptions struct {
 	// fails restartable instead of hanging (default 30s, negative
 	// disables).
 	PhaseTimeout time.Duration
-	// Policy governs restarts after worker deaths and operator failures;
-	// nil uses supervise.DefaultPolicy().
-	Policy *supervise.Policy
 	// Respawn, when set, is invoked once per missing worker before a
 	// recovery attempt — the process-level supervisor hook that starts a
 	// replacement worker (tests spawn one in-process; scripts fork a new
@@ -93,53 +89,6 @@ type CoordinatorOptions struct {
 	Respawn func(attempt int) error
 	// Log, when set, receives structured progress events.
 	Log *slog.Logger
-}
-
-// Job describes one distributed pattern run.
-type Job struct {
-	Pattern string
-	FCEP    bool
-	Opts    core.Options
-
-	Engine  EngineSettings
-	Streams []StreamSpec
-
-	StampIngest      bool
-	Lateness         int64
-	DedupSink        bool
-	KeepMatches      bool
-	SourceRatePerSec float64
-
-	// CheckpointInterval enables distributed checkpointing at the given
-	// period (0 = off; worker kills then restart from scratch).
-	CheckpointInterval time.Duration
-	// Faults arms deterministic chaos injection; each fault fires in
-	// whichever process owns the targeted instance.
-	Faults []chaos.Fault
-	// CollectKeys returns the sink's canonical match keys on the result
-	// (equivalence testing; requires DedupSink).
-	CollectKeys bool
-	// Timeout bounds each attempt (0 = none).
-	Timeout time.Duration
-	// TraceRate samples end-to-end traces at this rate (0 = off, 1 = all).
-	// Sampling is deterministic by event identity, so every worker traces
-	// the same records; workers push their spans to the coordinator, which
-	// merges them into one job-wide trace (Coordinator.Tracer).
-	TraceRate float64
-}
-
-// JobResult summarizes one completed distributed run.
-type JobResult struct {
-	Events        int64
-	Elapsed       time.Duration
-	ThroughputTps float64
-	Total, Unique int64
-	Keys          []string
-	Checkpoints   int64
-	Restarts      int
-	// CheckpointStats lists every completed checkpoint of the final
-	// attempt: wall-clock duration, alignment pause, state size.
-	CheckpointStats []checkpoint.Stat
 }
 
 // workerSlot is the coordinator's view of one worker seat (index 1..W-1).
@@ -177,33 +126,45 @@ func (s *workerSlot) snapshot() (name, addr string, cc *ctrlConn, alive bool) {
 	return s.name, s.dataAddr, s.cc, s.alive
 }
 
-// Coordinator drives distributed jobs: it seats joining workers, ships job
-// specs, wires the data plane, triggers checkpoints, collects results at
-// the local sink (all single-instance nodes — sources, unions, sinks —
-// live on worker 0 under ModuloOwner), and supervises worker deaths with
-// checkpoint-restore recovery.
+// Coordinator is core.Run's Cluster: it seats joining workers, ships each
+// attempt's spec, wires the data plane, broadcasts checkpoint barriers,
+// runs worker 0 — where all single-instance nodes (sources, unions, sinks)
+// live under ModuloOwner, so results are collected locally — and reports
+// worker deaths as restartable failures for Run's restart policy.
 type Coordinator struct {
 	opts CoordinatorOptions
 	ln   net.Listener
 	dl   *dataListener
 
-	mu         sync.Mutex
-	slots      []*workerSlot
-	curEnv     *asp.Environment
-	curAttempt int
-	failCh     chan error
-	closed     bool
+	mu    sync.Mutex
+	slots []*workerSlot
+	// attempts counts the attempts prepared so far; cur is the one in
+	// flight, from Prepare until its Execute returns.
+	attempts int
+	cur      *attempt
+	closed   bool
 
-	// tracer is the current job's merged trace: the coordinator's own spans
-	// plus every worker's pushed spans. Replaced per RunJob; kept after the
-	// job so callers can export the trace. Nil when tracing is off.
+	// tracer receives the spans workers push: the Trace of the attempt most
+	// recently prepared, kept afterwards for late pushes.
 	tracer *trace.Tracer
 
 	joinCh chan struct{}
 }
 
+var _ core.Cluster = (*Coordinator)(nil)
+
+// attempt is one execution attempt across the cluster.
+type attempt struct {
+	n       int
+	slots   []*workerSlot
+	workers []string // data-plane addresses by worker index
+	tr      *Transport
+	failCh  chan error
+	env     *asp.Environment // worker 0's graph, once Execute runs it
+}
+
 // NewCoordinator starts the control and data listeners and begins seating
-// workers. Run jobs with RunJob; Close shuts everything down.
+// workers. Pass it as core.RunSpec.Cluster; Close shuts everything down.
 func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	if opts.Workers < 1 {
 		opts.Workers = 1
@@ -261,15 +222,6 @@ func (c *Coordinator) log() *slog.Logger {
 	return noLog
 }
 
-// Tracer returns the merged job trace (coordinator spans plus every pushed
-// worker span) of the current or most recent traced job; nil when tracing
-// was off.
-func (c *Coordinator) Tracer() *trace.Tracer {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.tracer
-}
-
 // ClusterStatuses assembles the federated per-worker view: the coordinator
 // itself as worker 0 (live registry snapshot) plus each seat's most recent
 // stats push.
@@ -277,7 +229,7 @@ func (c *Coordinator) ClusterStatuses() []obs.WorkerStatus {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	c.mu.Lock()
-	attempt := c.curAttempt
+	attempt := max(c.attempts-1, 0)
 	slots := append([]*workerSlot(nil), c.slots...)
 	c.mu.Unlock()
 	out := []obs.WorkerStatus{{
@@ -402,7 +354,10 @@ func (c *Coordinator) serveSlot(s *workerSlot, cc *ctrlConn) {
 				s.mu.Lock()
 				s.lastStats, s.lastSeen = e.Stats, time.Now()
 				s.mu.Unlock()
-				c.Tracer().AddBatch(e.Stats.Spans)
+				c.mu.Lock()
+				tracer := c.tracer
+				c.mu.Unlock()
+				tracer.AddBatch(e.Stats.Spans)
 			}
 		case MsgReady, MsgConnected, MsgDone:
 			select {
@@ -416,11 +371,11 @@ func (c *Coordinator) serveSlot(s *workerSlot, cc *ctrlConn) {
 // reportFailure delivers a failure to the attempt in flight, if any.
 func (c *Coordinator) reportFailure(err error) {
 	c.mu.Lock()
-	ch := c.failCh
+	a := c.cur
 	c.mu.Unlock()
-	if ch != nil {
+	if a != nil {
 		select {
-		case ch <- err:
+		case a.failCh <- err:
 		default:
 		}
 	}
@@ -430,9 +385,12 @@ func (c *Coordinator) reportFailure(err error) {
 // environment's coordinator (dropping stale attempts).
 func (c *Coordinator) forwardAck(e *Envelope) {
 	c.mu.Lock()
-	env, at := c.curEnv, c.curAttempt
+	var env *asp.Environment
+	if a := c.cur; a != nil && a.n == e.Attempt {
+		env = a.env
+	}
 	c.mu.Unlock()
-	if env == nil || e.Attempt != at {
+	if env == nil {
 		return
 	}
 	sink := env.AckSink()
@@ -501,171 +459,129 @@ func (c *Coordinator) aliveSlots() []*workerSlot {
 	return out
 }
 
-// RunJob executes one distributed job to completion, supervising worker
-// deaths and restartable failures under the configured policy: each
-// recovery attempt replaces missing workers, restores the latest
-// checkpoint, and replays.
-func (c *Coordinator) RunJob(ctx context.Context, job Job) (*JobResult, error) {
-	store := checkpoint.NewMemStore()
-	var inj *chaos.Injector
-	if len(job.Faults) > 0 {
-		// Faults whose instance lives on the coordinator's own slice fire
-		// locally; remote instances get them via the attempt-0 spec.
-		inj = chaos.NewInjector(job.Faults...)
-	}
-	policy := supervise.DefaultPolicy()
-	if c.opts.Policy != nil {
-		policy = *c.opts.Policy
-	}
-	// One merged trace per job: the coordinator's own spans plus everything
-	// the workers push. Kept on the coordinator after the job for export.
+// Prepare readies the cluster for one attempt of core.Run: it replaces dead
+// workers (Respawn), opens the attempt's transport and returns cfg with the
+// distribution splice and the barrier broadcast installed. Workers merge
+// their trace spans into cfg.Trace; cfg.Metrics defaults to the
+// coordinator's registry.
+func (c *Coordinator) Prepare(ctx context.Context, cfg asp.Config) (asp.Config, error) {
 	c.mu.Lock()
-	c.tracer = trace.New(job.TraceRate, 0)
+	n, prev := c.attempts, c.cur
+	c.attempts++
+	c.cur, c.tracer = nil, cfg.Trace
 	c.mu.Unlock()
-	res := &JobResult{}
-	start := time.Now()
-	sup := supervise.Supervisor{
-		Policy: policy,
-		Log:    c.opts.Log,
-		OnRestart: func(restart int, cause error, delay time.Duration) {
-			if c.opts.Metrics != nil {
-				c.opts.Metrics.RecordFailure(cause.Error())
-				c.opts.Metrics.RecordRestart()
-			}
-		},
+	if prev != nil {
+		prev.tr.Close() // its graph failed to build and never executed
 	}
-	restarts, err := sup.Run(ctx, func(ctx context.Context, n int) error {
-		return c.attempt(ctx, job, n, store, inj, res)
-	})
-	res.Restarts = restarts
-	res.Elapsed = time.Since(start)
-	if res.Elapsed > 0 {
-		res.ThroughputTps = float64(res.Events) / res.Elapsed.Seconds()
-	}
-	if err != nil {
-		return res, err
-	}
-	return res, nil
-}
-
-// spec assembles the job spec for one worker index and attempt.
-func (c *Coordinator) spec(job Job, attempt, me int, workers []string, snap *checkpoint.Snapshot) *JobSpec {
-	s := &JobSpec{
-		Attempt:          attempt,
-		Me:               me,
-		Workers:          workers,
-		Pattern:          job.Pattern,
-		FCEP:             job.FCEP,
-		Opts:             job.Opts,
-		Engine:           job.Engine,
-		Streams:          job.Streams,
-		StampIngest:      job.StampIngest,
-		Lateness:         job.Lateness,
-		DedupSink:        job.DedupSink,
-		KeepMatches:      job.KeepMatches,
-		SourceRatePerSec: job.SourceRatePerSec,
-		TraceRate:        job.TraceRate,
-		Checkpointing:    job.CheckpointInterval > 0,
-		Snapshot:         snap,
-	}
-	if attempt == 0 {
-		// Faults ship once: a fault that killed a worker must not re-fire
-		// on its replacement during replay.
-		s.Faults = job.Faults
-	}
-	return s
-}
-
-// attempt runs one execution attempt end to end: ensure workers, prepare,
-// connect, start, await completion.
-func (c *Coordinator) attempt(ctx context.Context, job Job, n int, store checkpoint.Store, inj *chaos.Injector, res *JobResult) (retErr error) {
 	if err := c.ensureWorkers(ctx, n); err != nil {
-		return err
+		return cfg, err
 	}
-	var snap *checkpoint.Snapshot
-	if n > 0 && job.CheckpointInterval > 0 {
-		var err error
-		if snap, err = store.Latest(); err != nil {
-			return err
-		}
-		if snap != nil {
-			c.log().Info("exchange: restoring checkpoint", "attempt", n, "checkpoint", snap.ID)
-		} else {
-			c.log().Info("exchange: no checkpoint; replaying from scratch", "attempt", n)
-		}
+	a := &attempt{
+		n: n, slots: c.aliveSlots(),
+		workers: make([]string, c.opts.Workers),
+		failCh:  make(chan error, c.opts.Workers+2),
 	}
-
-	slots := c.aliveSlots()
-	workers := make([]string, c.opts.Workers)
-	workers[0] = c.dl.Addr()
-	for _, s := range slots {
-		_, addr, _, _ := s.snapshot()
-		workers[s.idx] = addr
+	a.workers[0] = c.dl.Addr()
+	for _, s := range a.slots {
+		_, a.workers[s.idx], _, _ = s.snapshot()
 	}
-	if err := ValidateAddrs(workers); err != nil {
-		return err
+	if err := ValidateAddrs(a.workers); err != nil {
+		return cfg, err
 	}
-
-	attemptCtx, cancel := context.WithCancel(ctx)
-	if job.Timeout > 0 {
-		attemptCtx, cancel = context.WithTimeout(ctx, job.Timeout)
+	if cfg.Metrics == nil {
+		cfg.Metrics = c.opts.Metrics
 	}
-	defer cancel()
-
-	// Build the local (worker 0) slice with the full-graph checkpoint
-	// coordinator: remote acks are forwarded into it by serveSlot.
-	spec0 := c.spec(job, n, 0, workers, snap)
-	table := NewTypeTable(streamNames(spec0))
-	tracer := c.Tracer()
+	if cfg.ShutdownTimeout == 0 {
+		cfg.ShutdownTimeout = 10 * time.Second
+	}
 	nc := defaultNetConfig()
 	nc.dialTimeout = c.opts.DialTimeout
 	if c.opts.WriteTimeout != 0 {
 		nc.writeTimeout = c.opts.WriteTimeout
 	}
-	tr := newTransport(attemptCtx, transportCfg{
-		me: 0, attempt: n, table: table,
-		reg: c.opts.Metrics, tracer: tracer, inj: inj,
+	a.tr = newTransport(ctx, transportCfg{
+		me: 0, attempt: n,
+		reg: cfg.Metrics, tracer: cfg.Trace, inj: cfg.Chaos,
 		net: nc, log: c.log(),
 	})
-	defer tr.Close()
 	// Data-plane integrity faults (checksum, sequence gaps) detected on our
 	// own receive side fail the attempt like any worker-reported failure.
-	tr.OnFail(c.reportFailure)
-	var ck *asp.CheckpointSpec
-	if job.CheckpointInterval > 0 {
-		ck = &asp.CheckpointSpec{
-			Store:     store,
-			Interval:  job.CheckpointInterval,
-			Restore:   n > 0,
-			OnTrigger: func(id int64) { c.broadcastBarrier(n, id) },
-		}
+	a.tr.OnFail(c.reportFailure)
+	if ck := cfg.Checkpoint; ck != nil {
+		cp := *ck
+		cp.OnTrigger = func(id int64) { c.broadcastBarrier(n, id) }
+		cfg.Checkpoint = &cp
 	}
-	env, sink, err := buildJob(spec0, table, ck, inj, c.opts.Metrics, tr, tracer,
-		c.log().With("worker", 0, "attempt", n))
-	if err != nil {
-		return err // build errors are configuration bugs: not restartable
-	}
-	c.dl.setCurrent(tr)
-
-	failCh := make(chan error, c.opts.Workers+2)
+	cfg.Dist = &asp.DistSpec{Worker: 0, Workers: len(a.workers), Owner: ModuloOwner(len(a.workers)), Transport: a.tr}
 	c.mu.Lock()
-	c.curEnv, c.curAttempt, c.failCh = env, n, failCh
+	c.cur = a
 	c.mu.Unlock()
+	return cfg, nil
+}
+
+// Execute runs the prepared attempt: it ships every worker the spec of
+// plans and bc — with the snapshot bc's checkpoint spec restores, and the
+// faults of bc's chaos injector on the first attempt only — walks the
+// Prepare/Connect/Start choreography, runs env as worker 0 and returns the
+// first failure of any process. Worker deaths, stalled phases and
+// transport faults are restartable.
+func (c *Coordinator) Execute(ctx context.Context, env *asp.Environment, plans []*core.Plan, bc core.BuildConfig) error {
+	c.mu.Lock()
+	a := c.cur
+	if a != nil {
+		a.env = env
+	}
+	c.mu.Unlock()
+	if a == nil {
+		return errors.New("exchange: Execute without Prepare")
+	}
+	n, slots := a.n, a.slots
 	defer func() {
+		a.tr.Close()
 		c.mu.Lock()
-		c.curEnv, c.failCh = nil, nil
+		if c.cur == a {
+			c.cur = nil
+		}
 		c.mu.Unlock()
 	}()
+	spec := newJobSpec(plans, bc)
+	spec.Attempt, spec.Workers = n, a.workers
+	if n == 0 {
+		// Faults ship once: a fault that killed a worker must not re-fire
+		// on its replacement during replay.
+		spec.Faults = bc.Engine.Chaos.Faults()
+	}
+	if ck := bc.Engine.Checkpoint; ck != nil && ck.Restore {
+		var err error
+		if ck.RestoreID > 0 {
+			spec.Snapshot, err = ck.Store.Load(ck.RestoreID)
+		} else {
+			spec.Snapshot, err = ck.Store.Latest()
+		}
+		if err != nil {
+			return err
+		}
+		if spec.Snapshot != nil {
+			c.log().Info("exchange: restoring checkpoint", "attempt", n, "checkpoint", spec.Snapshot.ID)
+		}
+	}
+	a.tr.table = NewTypeTable(streamNames(spec))
+	c.dl.setCurrent(a.tr)
+
+	attemptCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
 
 	// Phase 1: Prepare. Workers build the identical graph and install
 	// their attempt transports before anyone dials.
 	for _, s := range slots {
+		ws := *spec
+		ws.Me = s.idx
 		_, _, cc, _ := s.snapshot()
-		if err := cc.send(&Envelope{Kind: MsgPrepare, Attempt: n, Spec: c.spec(job, n, s.idx, workers, snap)}); err != nil {
+		if err := cc.send(&Envelope{Kind: MsgPrepare, Attempt: n, Spec: &ws}); err != nil {
 			return &WorkerFailure{Worker: s.idx, Err: err}
 		}
 	}
-	if err := c.awaitPhase(attemptCtx, slots, n, MsgReady, failCh); err != nil {
+	if err := c.awaitPhase(attemptCtx, slots, n, MsgReady, a.failCh); err != nil {
 		return err
 	}
 
@@ -676,14 +592,14 @@ func (c *Coordinator) attempt(ctx context.Context, job Job, n int, store checkpo
 			return &WorkerFailure{Worker: s.idx, Err: err}
 		}
 	}
-	addrs := make(map[int]string, len(workers))
-	for i, a := range workers {
-		addrs[i] = a
+	addrs := make(map[int]string, len(a.workers))
+	for i, addr := range a.workers {
+		addrs[i] = addr
 	}
-	if err := tr.Dial(addrs, c.opts.DialTimeout); err != nil {
+	if err := a.tr.Dial(addrs, c.opts.DialTimeout); err != nil {
 		return err // DialError: structured fail-fast, not restartable
 	}
-	if err := c.awaitPhase(attemptCtx, slots, n, MsgConnected, failCh); err != nil {
+	if err := c.awaitPhase(attemptCtx, slots, n, MsgConnected, a.failCh); err != nil {
 		return err
 	}
 
@@ -723,7 +639,7 @@ func (c *Coordinator) attempt(ctx context.Context, job Job, n int, store checkpo
 			if d != nil {
 				fail(d)
 			}
-		case err := <-failCh:
+		case err := <-a.failCh:
 			fail(err)
 		}
 	}
@@ -731,29 +647,15 @@ func (c *Coordinator) attempt(ctx context.Context, job Job, n int, store checkpo
 	// arrived during the run, then any late slot death already queued.
 	if firstErr == nil {
 		select {
-		case err := <-failCh:
+		case err := <-a.failCh:
 			fail(err)
 		default:
 		}
 	}
-	if firstErr != nil {
-		return firstErr
+	if firstErr == nil {
+		c.log().Info("exchange: attempt complete", "attempt", n)
 	}
-
-	res.Events = 0
-	for _, st := range job.Streams {
-		res.Events += int64(len(st.Events))
-	}
-	res.Total = sink.Total()
-	res.Unique = sink.Unique()
-	res.Checkpoints += env.CompletedCheckpoints()
-	res.CheckpointStats = env.CheckpointStats()
-	if job.CollectKeys {
-		res.Keys = sink.Keys()
-	}
-	c.log().Info("exchange: attempt complete",
-		"attempt", n, "matches", res.Total, "unique", res.Unique)
-	return nil
+	return firstErr
 }
 
 // monitorLiveness is the coordinator-side failure detector: it watches
@@ -910,32 +812,6 @@ func (c *Coordinator) broadcastBarrier(attempt int, id int64) {
 	for _, s := range slots {
 		if _, _, cc, alive := s.snapshot(); alive {
 			cc.send(&Envelope{Kind: MsgBarrier, Attempt: attempt, CheckpointID: id})
-		}
-	}
-}
-
-// BuildStreams converts a per-type data map into the canonical stream
-// list of a job spec (sorted by type name for a stable wire order).
-func BuildStreams(data map[event.Type][]event.Event) []StreamSpec {
-	names := make([]string, 0, len(data))
-	byName := make(map[string]event.Type, len(data))
-	for t := range data {
-		n := event.TypeName(t)
-		names = append(names, n)
-		byName[n] = t
-	}
-	sortStrings(names)
-	out := make([]StreamSpec, 0, len(names))
-	for _, n := range names {
-		out = append(out, StreamSpec{Name: n, Events: data[byName[n]]})
-	}
-	return out
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
 		}
 	}
 }

@@ -3,11 +3,11 @@ package exchange
 import (
 	"context"
 	"fmt"
-	"sort"
 	"testing"
 	"time"
 
 	"cep2asp/internal/asp"
+	"cep2asp/internal/checkpoint"
 	"cep2asp/internal/core"
 	"cep2asp/internal/event"
 	"cep2asp/internal/obs"
@@ -17,8 +17,8 @@ import (
 
 // testEngine keeps the runs small and fast; tiny channels and batches
 // force real backpressure over the network edges.
-func testEngine() EngineSettings {
-	return EngineSettings{
+func testEngine() asp.Config {
+	return asp.Config{
 		DefaultParallelism: 1,
 		ChannelCapacity:    8,
 		WatermarkInterval:  64,
@@ -27,8 +27,8 @@ func testEngine() EngineSettings {
 }
 
 // testStreams synthesizes the traffic streams (plus PM10 for negation
-// patterns) as a job spec stream list.
-func testStreams(t *testing.T, withPM10 bool) []StreamSpec {
+// patterns).
+func testStreams(t *testing.T, withPM10 bool) map[event.Type][]event.Event {
 	t.Helper()
 	q, v := workload.QnV(workload.QnVConfig{Sensors: 8, Minutes: 30, Seed: 42})
 	data := map[event.Type][]event.Event{
@@ -39,54 +39,54 @@ func testStreams(t *testing.T, withPM10 bool) []StreamSpec {
 		pm10, _, _, _ := workload.AirQuality(workload.AQConfig{Sensors: 8, Minutes: 30, Seed: 42})
 		data[workload.TypePM10] = pm10
 	}
-	return BuildStreams(data)
+	return data
 }
 
-// runSingleProcess executes the job in-process with no distribution layer
-// at all — the ground truth the distributed run must reproduce.
-func runSingleProcess(t *testing.T, job Job) []string {
+// testPlans translates one pattern, decomposed or (fcep) as one NFA.
+func testPlans(t *testing.T, pattern string, fcep bool, opts core.Options) []*core.Plan {
 	t.Helper()
-	pat, err := sea.Parse(job.Pattern)
+	pat, err := sea.Parse(pattern)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	var plan *core.Plan
-	if job.FCEP {
-		plan, err = core.TranslateFCEP(pat, job.Opts)
-	} else {
-		plan, err = core.Translate(pat, job.Opts)
+	translate := core.Translate
+	if fcep {
+		translate = core.TranslateFCEP
 	}
+	plan, err := translate(pat, opts)
 	if err != nil {
 		t.Fatalf("translate: %v", err)
 	}
-	data := make(map[event.Type][]event.Event, len(job.Streams))
-	for _, st := range job.Streams {
-		// Copy: the distributed run shares the same backing slices.
-		data[event.RegisterType(st.Name)] = append([]event.Event(nil), st.Events...)
-	}
-	e := job.Engine
-	env, res, err := core.Build(plan, core.BuildConfig{
-		Engine: asp.Config{
-			DefaultParallelism: e.DefaultParallelism,
-			ChannelCapacity:    e.ChannelCapacity,
-			WatermarkInterval:  e.WatermarkInterval,
-			BatchSize:          e.BatchSize,
-		},
-		Data:        data,
-		DedupSink:   true,
-		KeepMatches: true,
-	})
-	if err != nil {
-		t.Fatalf("build: %v", err)
-	}
+	return []*core.Plan{plan}
+}
+
+// runSingleProcess executes the spec in-process with no distribution layer,
+// checkpoints, faults or restarts — the ground truth the distributed run
+// must reproduce — and returns its sorted match keys.
+func runSingleProcess(t *testing.T, spec core.RunSpec) []string {
+	t.Helper()
+	spec.Restart = nil
+	spec.Build.Engine.Checkpoint, spec.Build.Engine.Chaos = nil, nil
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	if err := env.Execute(ctx); err != nil {
-		t.Fatalf("single-process execute: %v", err)
+	rep, err := core.Run(ctx, spec)
+	if err != nil {
+		t.Fatalf("single-process run: %v", err)
 	}
-	keys := res.Keys()
-	sort.Strings(keys)
-	return keys
+	return sortedKeys(rep.Sinks[0].Keys())
+}
+
+// runOn runs the spec with coord as its cluster under a one-minute deadline.
+func runOn(coord *Coordinator, spec core.RunSpec) (*core.RunReport, error) {
+	spec.Cluster = coord
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	return core.Run(ctx, spec)
+}
+
+// testCheckpoints checkpoints every 20ms into a store of the run's own.
+func testCheckpoints() *asp.CheckpointSpec {
+	return &asp.CheckpointSpec{Store: checkpoint.NewMemStore(), Interval: 20 * time.Millisecond}
 }
 
 // cluster spins up an in-process coordinator plus workers-1 worker
@@ -180,26 +180,23 @@ func TestDistributedEquivalence(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			job := Job{
-				Pattern:     tc.pattern,
-				FCEP:        tc.fcep,
-				Opts:        tc.opts,
-				Engine:      testEngine(),
-				Streams:     testStreams(t, tc.pm10),
-				DedupSink:   true,
-				KeepMatches: true,
-				CollectKeys: true,
-				Timeout:     60 * time.Second,
+			spec := core.RunSpec{
+				Plans: testPlans(t, tc.pattern, tc.fcep, tc.opts),
+				Build: core.BuildConfig{
+					Engine:      testEngine(),
+					Data:        testStreams(t, tc.pm10),
+					DedupSink:   true,
+					KeepMatches: true,
+				},
 			}
-			want := runSingleProcess(t, job)
+			want := runSingleProcess(t, spec)
 
 			coord := cluster(t, 2, CoordinatorOptions{})
-			res, err := coord.RunJob(context.Background(), job)
+			rep, err := runOn(coord, spec)
 			if err != nil {
 				t.Fatalf("distributed run: %v", err)
 			}
-			got := append([]string(nil), res.Keys...)
-			sort.Strings(got)
+			got := sortedKeys(rep.Sinks[0].Keys())
 			if len(want) == 0 {
 				t.Fatalf("degenerate case: single-process run found no matches")
 			}
@@ -219,26 +216,24 @@ func TestDistributedEquivalence(t *testing.T) {
 // coordinator to cover the many-peer wiring (every worker dials every
 // other).
 func TestThreeWorkers(t *testing.T) {
-	job := Job{
-		Pattern: `PATTERN SEQ(QnVQuantity q, QnVVelocity v)
+	spec := core.RunSpec{
+		Plans: testPlans(t, `PATTERN SEQ(QnVQuantity q, QnVVelocity v)
 			WHERE q.value >= 40 AND v.value <= 60 AND q.id == v.id
-			WITHIN 10 MINUTES SLIDE 1 MINUTE`,
-		Opts:        core.Options{UsePartitioning: true, Parallelism: 6},
-		Engine:      testEngine(),
-		Streams:     testStreams(t, false),
-		DedupSink:   true,
-		KeepMatches: true,
-		CollectKeys: true,
-		Timeout:     60 * time.Second,
+			WITHIN 10 MINUTES SLIDE 1 MINUTE`, false, core.Options{UsePartitioning: true, Parallelism: 6}),
+		Build: core.BuildConfig{
+			Engine:      testEngine(),
+			Data:        testStreams(t, false),
+			DedupSink:   true,
+			KeepMatches: true,
+		},
 	}
-	want := runSingleProcess(t, job)
+	want := runSingleProcess(t, spec)
 	coord := cluster(t, 3, CoordinatorOptions{})
-	res, err := coord.RunJob(context.Background(), job)
+	rep, err := runOn(coord, spec)
 	if err != nil {
 		t.Fatalf("distributed run: %v", err)
 	}
-	got := append([]string(nil), res.Keys...)
-	sort.Strings(got)
+	got := sortedKeys(rep.Sinks[0].Keys())
 	if len(got) != len(want) {
 		t.Fatalf("match set diverged: single-process %d unique, distributed %d unique", len(want), len(got))
 	}
@@ -247,26 +242,24 @@ func TestThreeWorkers(t *testing.T) {
 // TestSingleWorkerDegenerate: a 1-worker "cluster" is just the coordinator
 // running everything locally through the distributed code path.
 func TestSingleWorkerDegenerate(t *testing.T) {
-	job := Job{
-		Pattern: `PATTERN SEQ(QnVQuantity q, QnVVelocity v)
+	spec := core.RunSpec{
+		Plans: testPlans(t, `PATTERN SEQ(QnVQuantity q, QnVVelocity v)
 			WHERE q.value >= 40 AND v.value <= 60 AND q.id == v.id
-			WITHIN 10 MINUTES SLIDE 1 MINUTE`,
-		Opts:        core.Options{UsePartitioning: true, Parallelism: 2},
-		Engine:      testEngine(),
-		Streams:     testStreams(t, false),
-		DedupSink:   true,
-		KeepMatches: true,
-		CollectKeys: true,
-		Timeout:     60 * time.Second,
+			WITHIN 10 MINUTES SLIDE 1 MINUTE`, false, core.Options{UsePartitioning: true, Parallelism: 2}),
+		Build: core.BuildConfig{
+			Engine:      testEngine(),
+			Data:        testStreams(t, false),
+			DedupSink:   true,
+			KeepMatches: true,
+		},
 	}
-	want := runSingleProcess(t, job)
+	want := runSingleProcess(t, spec)
 	coord := cluster(t, 1, CoordinatorOptions{})
-	res, err := coord.RunJob(context.Background(), job)
+	rep, err := runOn(coord, spec)
 	if err != nil {
 		t.Fatalf("distributed run: %v", err)
 	}
-	got := append([]string(nil), res.Keys...)
-	sort.Strings(got)
+	got := sortedKeys(rep.Sinks[0].Keys())
 	if len(got) != len(want) {
 		t.Fatalf("match set diverged: single-process %d unique, distributed %d unique", len(want), len(got))
 	}
@@ -276,20 +269,19 @@ func TestSingleWorkerDegenerate(t *testing.T) {
 // both directions on both ends.
 func TestNetworkMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
-	job := Job{
-		Pattern: `PATTERN SEQ(QnVQuantity q, QnVVelocity v)
+	spec := core.RunSpec{
+		Plans: testPlans(t, `PATTERN SEQ(QnVQuantity q, QnVVelocity v)
 			WHERE q.value >= 40 AND v.value <= 60 AND q.id == v.id
-			WITHIN 10 MINUTES SLIDE 1 MINUTE`,
-		Opts:        core.Options{UsePartitioning: true, Parallelism: 4},
-		Engine:      testEngine(),
-		Streams:     testStreams(t, false),
-		DedupSink:   true,
-		KeepMatches: true,
-		CollectKeys: true,
-		Timeout:     60 * time.Second,
+			WITHIN 10 MINUTES SLIDE 1 MINUTE`, false, core.Options{UsePartitioning: true, Parallelism: 4}),
+		Build: core.BuildConfig{
+			Engine:      testEngine(),
+			Data:        testStreams(t, false),
+			DedupSink:   true,
+			KeepMatches: true,
+		},
 	}
 	coord := cluster(t, 2, CoordinatorOptions{Metrics: reg})
-	if _, err := coord.RunJob(context.Background(), job); err != nil {
+	if _, err := runOn(coord, spec); err != nil {
 		t.Fatalf("distributed run: %v", err)
 	}
 	snap := reg.Snapshot()

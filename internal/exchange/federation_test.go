@@ -19,8 +19,8 @@ import (
 // workers, the remote worker's federated snapshot must equal that
 // worker's own registry, the per-worker Prometheus export must carry
 // worker labels whose sink ingress sums to the job's match count, and the
-// coordinator's tracer must hold spans from both processes including
-// network hops.
+// run's tracer must hold spans from both processes including network
+// hops.
 func TestTwoWorkerFederation(t *testing.T) {
 	regC := obs.NewRegistry()
 	regW := obs.NewRegistry()
@@ -44,22 +44,24 @@ func TestTwoWorkerFederation(t *testing.T) {
 		t.Fatalf("waiting for workers: %v", err)
 	}
 
-	job := Job{
-		Pattern: `PATTERN SEQ(QnVQuantity q, QnVVelocity v)
+	tracer := trace.New(1, 0)
+	spec := core.RunSpec{
+		Plans: testPlans(t, `PATTERN SEQ(QnVQuantity q, QnVVelocity v)
 			WHERE q.value >= 40 AND v.value <= 60 AND q.id == v.id
-			WITHIN 10 MINUTES SLIDE 1 MINUTE`,
-		Opts:      core.Options{UsePartitioning: true, Parallelism: 4},
-		Engine:    testEngine(),
-		Streams:   testStreams(t, false),
-		DedupSink: true,
-		Timeout:   60 * time.Second,
-		TraceRate: 1,
+			WITHIN 10 MINUTES SLIDE 1 MINUTE`, false, core.Options{UsePartitioning: true, Parallelism: 4}),
+		Build: core.BuildConfig{
+			Engine:    testEngine(),
+			Data:      testStreams(t, false),
+			DedupSink: true,
+		},
 	}
-	res, err := coord.RunJob(context.Background(), job)
+	spec.Build.Engine.Trace = tracer
+	rep, err := runOn(coord, spec)
 	if err != nil {
 		t.Fatalf("distributed run: %v", err)
 	}
-	if res.Total == 0 {
+	total := rep.Sinks[0].Total()
+	if total == 0 {
 		t.Fatal("degenerate case: no matches")
 	}
 
@@ -131,19 +133,15 @@ func TestTwoWorkerFederation(t *testing.T) {
 		}
 		sinkIn += v
 	}
-	if sinkIn != res.Total {
-		t.Fatalf("sink ingress across cluster sums to %d, run reported %d matches", sinkIn, res.Total)
+	if sinkIn != total {
+		t.Fatalf("sink ingress across cluster sums to %d, run reported %d matches", sinkIn, total)
 	}
 
-	// Trace federation: the coordinator's tracer must hold spans from both
+	// Trace federation: the run's tracer must hold spans from both
 	// processes, including the network hops between them.
-	tr := coord.Tracer()
-	if tr == nil {
-		t.Fatal("no cluster tracer after a traced job")
-	}
 	workersSeen := make(map[int]bool)
 	var nets int
-	for _, s := range tr.Spans() {
+	for _, s := range tracer.Spans() {
 		workersSeen[s.Worker] = true
 		if s.Kind == trace.KindNet {
 			nets++

@@ -59,35 +59,36 @@ func TestFlakyNetworkRecovery(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			job := Job{
-				Pattern:            tc.pattern,
-				Opts:               o3,
-				Engine:             testEngine(),
-				Streams:            testStreams(t, false),
-				DedupSink:          true,
-				KeepMatches:        true,
-				CollectKeys:        true,
-				CheckpointInterval: 20 * time.Millisecond,
-				// Throttled sources stretch the run so the fault lands
-				// mid-stream with checkpoints already completed.
-				SourceRatePerSec: 600,
-				Timeout:          60 * time.Second,
+			policy := supervise.DefaultPolicy()
+			spec := core.RunSpec{
+				Plans: testPlans(t, tc.pattern, false, o3),
+				Build: core.BuildConfig{
+					Engine:      testEngine(),
+					Data:        testStreams(t, false),
+					DedupSink:   true,
+					KeepMatches: true,
+					// Throttled sources stretch the run so the fault lands
+					// mid-stream with checkpoints already completed.
+					SourceRatePerSec: 600,
+				},
+				Restart: &policy,
 			}
-			want := runSingleProcess(t, job)
+			spec.Build.Engine.Checkpoint = testCheckpoints()
+			want := runSingleProcess(t, spec)
 			if len(want) == 0 {
 				t.Fatal("degenerate case: unfailed run found no matches")
 			}
 
-			job.Faults = []chaos.Fault{tc.fault}
+			spec.Build.Engine.Chaos = chaos.NewInjector(tc.fault)
 			coord := cluster(t, 2, CoordinatorOptions{})
-			res, err := coord.RunJob(context.Background(), job)
+			rep, err := runOn(coord, spec)
 			if err != nil {
 				t.Fatalf("recovered run failed: %v", err)
 			}
-			if res.Restarts == 0 {
+			if rep.Restarts == 0 {
 				t.Fatal("the net fault never forced a restart: detection is broken or the fault never fired")
 			}
-			got := sortedKeys(res.Keys)
+			got := sortedKeys(rep.Sinks[0].Keys())
 			if len(got) != len(want) {
 				t.Fatalf("recovered match set diverged: unfailed %d unique, recovered %d unique",
 					len(want), len(got))
@@ -97,7 +98,7 @@ func TestFlakyNetworkRecovery(t *testing.T) {
 					t.Fatalf("recovered match key %d diverged:\nunfailed  %s\nrecovered %s", i, want[i], got[i])
 				}
 			}
-			t.Logf("recovered after %d restart(s), %d checkpoint(s)", res.Restarts, res.Checkpoints)
+			t.Logf("recovered after %d restart(s), %d checkpoint(s)", rep.Restarts, rep.Env.CompletedCheckpoints())
 		})
 	}
 }
@@ -108,37 +109,36 @@ func TestFlakyNetworkRecovery(t *testing.T) {
 // link in place. The job must complete with ZERO restarts, at least one
 // recorded reconnect, and the exact unfailed match set.
 func TestNetResetHealsByReconnect(t *testing.T) {
-	job := Job{
-		Pattern: `PATTERN SEQ(QnVQuantity q, QnVVelocity v)
+	spec := core.RunSpec{
+		Plans: testPlans(t, `PATTERN SEQ(QnVQuantity q, QnVVelocity v)
 			WHERE q.value >= 40 AND v.value <= 60 AND q.id == v.id
-			WITHIN 10 MINUTES SLIDE 1 MINUTE`,
-		Opts:        core.Options{UsePartitioning: true, Parallelism: 4},
-		Engine:      testEngine(),
-		Streams:     testStreams(t, false),
-		DedupSink:   true,
-		KeepMatches: true,
-		CollectKeys: true,
-		Timeout:     60 * time.Second,
-		Faults:      []chaos.Fault{{Kind: chaos.NetReset, From: 0, To: 1, AtHit: 20}},
+			WITHIN 10 MINUTES SLIDE 1 MINUTE`, false, core.Options{UsePartitioning: true, Parallelism: 4}),
+		Build: core.BuildConfig{
+			Engine:      testEngine(),
+			Data:        testStreams(t, false),
+			DedupSink:   true,
+			KeepMatches: true,
+		},
 	}
-	want := runSingleProcess(t, job)
+	want := runSingleProcess(t, spec)
 	if len(want) == 0 {
 		t.Fatal("degenerate case: unfailed run found no matches")
 	}
 
+	spec.Build.Engine.Chaos = chaos.NewInjector(chaos.Fault{Kind: chaos.NetReset, From: 0, To: 1, AtHit: 20})
 	reg := obs.NewRegistry()
 	coord := cluster(t, 2, CoordinatorOptions{Metrics: reg})
-	res, err := coord.RunJob(context.Background(), job)
+	rep, err := runOn(coord, spec)
 	if err != nil {
 		t.Fatalf("run with netreset failed: %v", err)
 	}
-	if res.Restarts != 0 {
-		t.Fatalf("netreset escalated to %d restart(s); a reset must heal by reconnect alone", res.Restarts)
+	if rep.Restarts != 0 {
+		t.Fatalf("netreset escalated to %d restart(s); a reset must heal by reconnect alone", rep.Restarts)
 	}
 	if h := reg.Health(); h.Reconnects < 1 {
 		t.Fatalf("no reconnect recorded (health %+v); the reset fault never fired or healing bypassed the counter", h)
 	}
-	got := sortedKeys(res.Keys)
+	got := sortedKeys(rep.Sinks[0].Keys())
 	if len(got) != len(want) {
 		t.Fatalf("healed match set diverged: unfailed %d unique, healed %d unique", len(want), len(got))
 	}
@@ -156,28 +156,29 @@ func TestNetResetHealsByReconnect(t *testing.T) {
 // within the liveness deadline, restart from the latest checkpoint with a
 // respawned replacement, and still produce the unfailed match set.
 func TestHeartbeatDetectsBlackholedWorker(t *testing.T) {
-	job := Job{
-		Pattern: `PATTERN SEQ(QnVQuantity q, QnVVelocity v)
+	policy := supervise.DefaultPolicy()
+	spec := core.RunSpec{
+		Plans: testPlans(t, `PATTERN SEQ(QnVQuantity q, QnVVelocity v)
 			WHERE q.value >= 40 AND v.value <= 60 AND q.id == v.id
-			WITHIN 10 MINUTES SLIDE 1 MINUTE`,
-		Opts:               core.Options{UsePartitioning: true, Parallelism: 4},
-		Engine:             testEngine(),
-		Streams:            testStreams(t, false),
-		DedupSink:          true,
-		KeepMatches:        true,
-		CollectKeys:        true,
-		CheckpointInterval: 20 * time.Millisecond,
-		SourceRatePerSec:   600,
-		Timeout:            60 * time.Second,
-		// The window never exhausts within the job: worker 1 goes dark
-		// toward the coordinator a few dozen sends into the run and stays
-		// dark. Silence, not an error, is the only signal.
-		Faults: []chaos.Fault{{Kind: chaos.NetPartition, From: 1, To: 0, AtHit: 30, Times: 1 << 40}},
+			WITHIN 10 MINUTES SLIDE 1 MINUTE`, false, core.Options{UsePartitioning: true, Parallelism: 4}),
+		Build: core.BuildConfig{
+			Engine:           testEngine(),
+			Data:             testStreams(t, false),
+			DedupSink:        true,
+			KeepMatches:      true,
+			SourceRatePerSec: 600,
+		},
+		Restart: &policy,
 	}
-	want := runSingleProcess(t, job)
+	spec.Build.Engine.Checkpoint = testCheckpoints()
+	want := runSingleProcess(t, spec)
 	if len(want) == 0 {
 		t.Fatal("degenerate case: unfailed run found no matches")
 	}
+	// The window never exhausts within the job: worker 1 goes dark toward
+	// the coordinator a few dozen sends into the run and stays dark.
+	// Silence, not an error, is the only signal.
+	spec.Build.Engine.Chaos = chaos.NewInjector(chaos.Fault{Kind: chaos.NetPartition, From: 1, To: 0, AtHit: 30, Times: 1 << 40})
 
 	reg := obs.NewRegistry()
 	liveness := 700 * time.Millisecond
@@ -218,11 +219,11 @@ func TestHeartbeatDetectsBlackholedWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := coord.RunJob(context.Background(), job)
+	rep, err := runOn(coord, spec)
 	if err != nil {
 		t.Fatalf("run with blackholed worker failed: %v", err)
 	}
-	if res.Restarts == 0 {
+	if rep.Restarts == 0 {
 		t.Fatal("blackholed worker was never detected: run completed without a restart")
 	}
 	if respawns.Load() == 0 {
@@ -237,7 +238,7 @@ func TestHeartbeatDetectsBlackholedWorker(t *testing.T) {
 	if maxMs := (2 * liveness).Milliseconds(); h.DetectLatencyMs > maxMs {
 		t.Fatalf("detection took %dms; the liveness deadline of %v is not enforced", h.DetectLatencyMs, liveness)
 	}
-	got := sortedKeys(res.Keys)
+	got := sortedKeys(rep.Sinks[0].Keys())
 	if len(got) != len(want) {
 		t.Fatalf("recovered match set diverged: unfailed %d unique, recovered %d unique", len(want), len(got))
 	}
@@ -246,7 +247,7 @@ func TestHeartbeatDetectsBlackholedWorker(t *testing.T) {
 			t.Fatalf("recovered match key %d diverged:\nunfailed  %s\nrecovered %s", i, want[i], got[i])
 		}
 	}
-	t.Logf("detected in %dms (liveness %v), %d restart(s)", h.DetectLatencyMs, liveness, res.Restarts)
+	t.Logf("detected in %dms (liveness %v), %d restart(s)", h.DetectLatencyMs, liveness, rep.Restarts)
 }
 
 // TestWriteDeadlineBoundsBlackholedSend is the regression test for the
@@ -314,7 +315,6 @@ func TestPhaseDeadlineNamesStuckWorker(t *testing.T) {
 		Workers:      2,
 		PhaseTimeout: 300 * time.Millisecond,
 		JoinTimeout:  2 * time.Second,
-		Policy:       &supervise.Policy{MaxRestarts: 0}, // surface the first failure
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -345,17 +345,18 @@ func TestPhaseDeadlineNamesStuckWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	job := Job{
-		Pattern: `PATTERN SEQ(QnVQuantity q, QnVVelocity v)
+	// No restart policy: the first failure surfaces.
+	spec := core.RunSpec{
+		Plans: testPlans(t, `PATTERN SEQ(QnVQuantity q, QnVVelocity v)
 			WHERE q.value >= 40 AND v.value <= 60 AND q.id == v.id
-			WITHIN 10 MINUTES SLIDE 1 MINUTE`,
-		Opts:    core.Options{UsePartitioning: true, Parallelism: 4},
-		Engine:  testEngine(),
-		Streams: testStreams(t, false),
-		Timeout: 20 * time.Second,
+			WITHIN 10 MINUTES SLIDE 1 MINUTE`, false, core.Options{UsePartitioning: true, Parallelism: 4}),
+		Build: core.BuildConfig{
+			Engine: testEngine(),
+			Data:   testStreams(t, false),
+		},
 	}
 	start := time.Now()
-	_, err = coord.RunJob(context.Background(), job)
+	_, err = runOn(coord, spec)
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("job with a wedged worker succeeded")

@@ -5,7 +5,9 @@ import (
 	"io"
 	"log/slog"
 	"net"
+	"slices"
 	"sync"
+	"time"
 
 	"cep2asp/internal/chaos"
 	"cep2asp/internal/checkpoint"
@@ -137,26 +139,33 @@ type StreamSpec struct {
 	Events []event.Event
 }
 
-// EngineSettings carries the asp.Config scalars every worker must share for
+// engineSettings carries the asp.Config scalars every worker must share for
 // the graphs to be identical (same fingerprint, same task IDs).
-type EngineSettings struct {
+type engineSettings struct {
 	DefaultParallelism int
 	ChannelCapacity    int
 	WatermarkInterval  int
 	BatchSize          int
-	FlushTimeoutNs     int64
+	FlushTimeout       time.Duration
 	// StateBudget is the job-wide state budget under the Fail policy
 	// (asp Config.Overload.Budget.PerJob); zero disables it.
 	StateBudget int64
 }
 
-// JobSpec is everything a worker needs to build and run its slice of a job:
-// the pattern (as SEA source — parsed and translated identically
-// everywhere), the translation options, the input streams, and the worker
-// topology. Shipped in Prepare; also used internally by the coordinator to
-// build its own (worker 0) slice.
+// planSpec ships one plan as SEA source plus the options it was translated
+// under; every worker parses and translates it again, so all build the same
+// graph.
+type planSpec struct {
+	Pattern string
+	Opts    core.Options
+	FCEP    bool
+}
+
+// JobSpec is everything a worker needs to build and run its slice of one
+// attempt: the plans, the engine and build settings, the input streams and
+// the worker topology. Shipped in Prepare.
 type JobSpec struct {
-	// Attempt numbers execution attempts of one job, starting at 0; data
+	// Attempt numbers the coordinator's attempts, starting at 0; data
 	// connections and per-attempt control messages are tagged with it.
 	Attempt int
 	// Me is the receiving worker's index; Workers lists every worker's
@@ -164,18 +173,16 @@ type JobSpec struct {
 	Me      int
 	Workers []string
 
-	Pattern string
-	FCEP    bool
-	Opts    core.Options
-
-	Engine  EngineSettings
+	Plans   []planSpec
+	Engine  engineSettings
 	Streams []StreamSpec
 
 	StampIngest      bool
-	Lateness         int64
+	Lateness         event.Time
 	DedupSink        bool
 	KeepMatches      bool
 	SourceRatePerSec float64
+	ChainOperators   bool
 
 	// TraceRate is the end-to-end tracing sample rate (0 disables, 1 traces
 	// everything). Sampling is deterministic by event identity, so every
@@ -192,6 +199,47 @@ type JobSpec struct {
 	// Only shipped on attempt 0: a fault that killed a worker must not
 	// re-fire on the replacement during replay.
 	Faults []chaos.Fault
+}
+
+// newJobSpec is the part of a JobSpec every process of one attempt shares:
+// each plan as pattern text and options, the engine scalars and build flags
+// of bc, and bc's streams in type-name order.
+func newJobSpec(plans []*core.Plan, bc core.BuildConfig) *JobSpec {
+	e := bc.Engine
+	s := &JobSpec{
+		Engine: engineSettings{
+			DefaultParallelism: e.DefaultParallelism,
+			ChannelCapacity:    e.ChannelCapacity,
+			WatermarkInterval:  e.WatermarkInterval,
+			BatchSize:          e.BatchSize,
+			FlushTimeout:       e.FlushTimeout,
+			StateBudget:        e.Overload.Budget.PerJob,
+		},
+		StampIngest:      bc.StampIngest,
+		Lateness:         bc.Lateness,
+		DedupSink:        bc.DedupSink,
+		KeepMatches:      bc.KeepMatches,
+		SourceRatePerSec: bc.SourceRatePerSec,
+		ChainOperators:   bc.ChainOperators,
+		TraceRate:        e.Trace.Rate(),
+		Checkpointing:    e.Checkpoint != nil,
+	}
+	for _, p := range plans {
+		_, fcep := p.Root.(*core.CEPPlan)
+		s.Plans = append(s.Plans, planSpec{Pattern: p.Pattern.String(), Opts: p.Opts, FCEP: fcep})
+	}
+	names := make([]string, 0, len(bc.Data))
+	byName := make(map[string]event.Type, len(bc.Data))
+	for t := range bc.Data {
+		n := event.TypeName(t)
+		names = append(names, n)
+		byName[n] = t
+	}
+	slices.Sort(names)
+	for _, n := range names {
+		s.Streams = append(s.Streams, StreamSpec{Name: n, Events: bc.Data[byName[n]]})
+	}
+	return s
 }
 
 // ctrlConn wraps one control-plane connection with gob codecs. Sends are

@@ -22,74 +22,69 @@ import (
 	"cep2asp/internal/trace"
 )
 
-// buildJob constructs one process's slice of a distributed job from its
-// spec: registers the canonical stream types, translates the pattern
-// exactly as every other worker does (identical graph, identical
+// buildSlice constructs this worker's slice of one attempt from its spec:
+// it rewrites the streams' event types to this process's, translates every
+// plan exactly as the coordinator did (identical graph, identical
 // fingerprint), and builds the environment with the distribution splice
-// installed. Both workers and the coordinator (worker 0) use it.
-func buildJob(spec *JobSpec, table *TypeTable, ck *asp.CheckpointSpec, inj *chaos.Injector, reg *obs.Registry, tr *Transport, tracer *trace.Tracer, log *slog.Logger) (*asp.Environment, *asp.Results, error) {
+// installed.
+func buildSlice(spec *JobSpec, table *TypeTable, ck *asp.CheckpointSpec, inj *chaos.Injector, reg *obs.Registry, tr *Transport, tracer *trace.Tracer, log *slog.Logger) (*asp.Environment, error) {
 	if err := ValidateAddrs(spec.Workers); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	data := make(map[event.Type][]event.Event, len(spec.Streams))
 	for i, st := range spec.Streams {
-		lt := table.toLocal[i]
 		// Event Type values are process-local; rewrite the sender's values
-		// to ours. The coordinator's own events already match (no write —
-		// the slices are shared with the caller).
+		// to ours.
+		lt := table.toLocal[i]
 		for j := range st.Events {
-			if st.Events[j].Type != lt {
-				st.Events[j].Type = lt
-			}
+			st.Events[j].Type = lt
 		}
 		data[lt] = st.Events
 	}
-	pat, err := sea.Parse(spec.Pattern)
-	if err != nil {
-		return nil, nil, fmt.Errorf("exchange: parsing pattern: %w", err)
+	plans := make([]*core.Plan, len(spec.Plans))
+	for i, ps := range spec.Plans {
+		pat, err := sea.Parse(ps.Pattern)
+		if err != nil {
+			return nil, fmt.Errorf("exchange: parsing pattern: %w", err)
+		}
+		translate := core.Translate
+		if ps.FCEP {
+			translate = core.TranslateFCEP
+		}
+		if plans[i], err = translate(pat, ps.Opts); err != nil {
+			return nil, fmt.Errorf("exchange: translating pattern: %w", err)
+		}
 	}
-	var plan *core.Plan
-	if spec.FCEP {
-		plan, err = core.TranslateFCEP(pat, spec.Opts)
-	} else {
-		plan, err = core.Translate(pat, spec.Opts)
-	}
-	if err != nil {
-		return nil, nil, fmt.Errorf("exchange: translating pattern: %w", err)
-	}
-	cfg := asp.Config{
-		DefaultParallelism: spec.Engine.DefaultParallelism,
-		ChannelCapacity:    spec.Engine.ChannelCapacity,
-		WatermarkInterval:  spec.Engine.WatermarkInterval,
-		BatchSize:          spec.Engine.BatchSize,
-		FlushTimeout:       time.Duration(spec.Engine.FlushTimeoutNs),
-		Overload:           overload.Spec{Budget: overload.Budget{PerJob: spec.Engine.StateBudget}},
-		Checkpoint:         ck,
-		Metrics:            reg,
-		Chaos:              inj,
-		Trace:              tracer,
-		Log:                log,
-		ShutdownTimeout:    10 * time.Second,
-		Dist: &asp.DistSpec{
-			Worker:    spec.Me,
-			Workers:   len(spec.Workers),
-			Owner:     ModuloOwner(len(spec.Workers)),
-			Transport: tr,
+	env, _, err := core.BuildMulti(plans, core.BuildConfig{
+		Engine: asp.Config{
+			DefaultParallelism: spec.Engine.DefaultParallelism,
+			ChannelCapacity:    spec.Engine.ChannelCapacity,
+			WatermarkInterval:  spec.Engine.WatermarkInterval,
+			BatchSize:          spec.Engine.BatchSize,
+			FlushTimeout:       spec.Engine.FlushTimeout,
+			Overload:           overload.Spec{Budget: overload.Budget{PerJob: spec.Engine.StateBudget}},
+			Checkpoint:         ck,
+			Metrics:            reg,
+			Chaos:              inj,
+			Trace:              tracer,
+			Log:                log,
+			ShutdownTimeout:    10 * time.Second,
+			Dist: &asp.DistSpec{
+				Worker:    spec.Me,
+				Workers:   len(spec.Workers),
+				Owner:     ModuloOwner(len(spec.Workers)),
+				Transport: tr,
+			},
 		},
-	}
-	env, res, err := core.Build(plan, core.BuildConfig{
-		Engine:           cfg,
 		Data:             data,
 		StampIngest:      spec.StampIngest,
-		Lateness:         event.Time(spec.Lateness),
+		Lateness:         spec.Lateness,
 		DedupSink:        spec.DedupSink,
 		KeepMatches:      spec.KeepMatches,
 		SourceRatePerSec: spec.SourceRatePerSec,
+		ChainOperators:   spec.ChainOperators,
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return env, res, nil
+	return env, err
 }
 
 // streamNames extracts the canonical type-name order of a spec.
@@ -149,7 +144,6 @@ type Worker struct {
 type workerAttempt struct {
 	n      int
 	spec   *JobSpec
-	table  *TypeTable
 	env    *asp.Environment
 	tr     *Transport
 	tracer *trace.Tracer
@@ -357,13 +351,20 @@ func (w *Worker) handlePrepare(e *Envelope) {
 	})
 	var ck *asp.CheckpointSpec
 	if spec.Checkpointing {
+		// The coordinator decides completion: acknowledgements go there, and
+		// the store only serves the snapshot it shipped.
+		store := checkpoint.NewMemStore()
 		ck = &asp.CheckpointSpec{
-			Ack:      &ackForwarder{ctrl: w.ctrl, attempt: spec.Attempt, np: ctrlNP},
-			Snapshot: spec.Snapshot,
+			Store: store,
+			Ack:   &ackForwarder{ctrl: w.ctrl, attempt: spec.Attempt, np: ctrlNP},
+		}
+		if snap := spec.Snapshot; snap != nil {
+			_ = store.Save(snap) // a MemStore cannot fail to save
+			ck.Restore, ck.RestoreID = true, snap.ID
 		}
 	}
 	jobLog := w.log().With("worker", spec.Me, "attempt", spec.Attempt)
-	env, _, err := buildJob(spec, table, ck, inj, w.opts.Metrics, tr, tracer, jobLog)
+	env, err := buildSlice(spec, table, ck, inj, w.opts.Metrics, tr, tracer, jobLog)
 	if err != nil {
 		cancel()
 		tr.Close()
@@ -375,7 +376,7 @@ func (w *Worker) handlePrepare(e *Envelope) {
 	// rides the Done reply back to the coordinator as restartable.
 	tr.OnFail(env.Fail)
 	w.mu.Lock()
-	w.cur = &workerAttempt{n: spec.Attempt, spec: spec, table: table, env: env, tr: tr, tracer: tracer, cancel: cancel, ctx: ctx, ctrlNP: ctrlNP}
+	w.cur = &workerAttempt{n: spec.Attempt, spec: spec, env: env, tr: tr, tracer: tracer, cancel: cancel, ctx: ctx, ctrlNP: ctrlNP}
 	w.mu.Unlock()
 	w.dl.setCurrent(tr)
 	w.log().Info("exchange: worker prepared attempt",

@@ -3,12 +3,12 @@ package harness
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"cep2asp/internal/core"
 	"cep2asp/internal/event"
 	"cep2asp/internal/exchange"
 	"cep2asp/internal/obs"
+	"cep2asp/internal/sea"
 	"cep2asp/internal/workload"
 )
 
@@ -19,56 +19,31 @@ import (
 // key-partitioned operator instances spread across the remaining workers,
 // so every run moves real record batches through the network shuffle.
 
-// distPatternSEQ7 is PatternSEQ7's source text (the distributed job spec
-// ships pattern text, not parsed ASTs).
-func distPatternSEQ7(f float64, wMinutes int) string {
-	return fmt.Sprintf(`
-		PATTERN SEQ(QnVQuantity q, QnVVelocity v, PM10 p)
-		WHERE q.id == v.id AND v.id == p.id
-		  AND q.value >= %g AND v.value <= %g AND p.value <= %g
-		WITHIN %d MINUTES SLIDE 1 MINUTE`,
-		100*(1-f), 100*f, 100*f, wMinutes)
-}
-
-// distEngine converts the Scale's engine configuration to the wire form.
-func (sc Scale) distEngine() exchange.EngineSettings {
-	return exchange.EngineSettings{
-		DefaultParallelism: sc.Slots,
-		WatermarkInterval:  256,
-		BatchSize:          sc.BatchSize,
-		StateBudget:        sc.StateBudget,
-	}
-}
-
 // runDistributed executes one pattern on a freshly spawned in-process
-// cluster of the given size and folds the outcome into a RunResult. With
-// DistExternal set, real cep2asp-worker processes are expected to join
-// instead — the coordinator address is printed for them.
-func (sc Scale) runDistributed(ctx context.Context, name, pattern string, fcep bool, opts core.Options, workers int, data map[event.Type][]event.Event) RunResult {
-	approach := "FASP-dist"
-	if fcep {
-		approach = "FCEP-dist"
+// cluster of the given size: harness.Run with the coordinator as its
+// cluster. With DistExternal set, real cep2asp-worker processes are
+// expected to join instead — the coordinator address is printed for them.
+func (sc Scale) runDistributed(ctx context.Context, name string, pat *sea.Pattern, a Approach, workers int, data map[event.Type][]event.Event) RunResult {
+	spec := sc.spec(name, pat, a, data)
+	fail := func(err error) RunResult {
+		return RunResult{Name: name, Approach: a.Name, Failed: true, Err: err}
 	}
-	res := RunResult{Name: name, Approach: approach}
-
 	coord, err := exchange.NewCoordinator(exchange.CoordinatorOptions{
 		ListenAddr: sc.DistListen,
 		Workers:    workers,
 		Metrics:    sc.Metrics,
-		Policy:     sc.RestartPolicy,
 		Liveness:   sc.DistLiveness,
 		Log:        sc.Log,
 	})
 	if err != nil {
-		res.Err = err
-		return res
+		return fail(err)
 	}
 	defer coord.Close()
+	spec.Cluster = coord
 
 	// Spawn in-process workers unless external worker processes are
 	// expected to join (DistExternal: the benchrunner prints the address
 	// and real cep2asp-worker processes connect).
-	var spawned []*exchange.Worker
 	if !sc.DistExternal {
 		for i := 1; i < workers; i++ {
 			// Each in-process worker gets its own registry so the
@@ -80,67 +55,18 @@ func (sc Scale) runDistributed(ctx context.Context, name, pattern string, fcep b
 				Log:     sc.Log,
 			})
 			if err != nil {
-				res.Err = err
-				return res
+				return fail(err)
 			}
-			spawned = append(spawned, w)
+			defer w.Close()
 		}
 	} else {
 		fmt.Printf("coordinator listening on %s; waiting for %d workers to join\n",
 			coord.ControlAddr(), workers-1)
 	}
-	defer func() {
-		for _, w := range spawned {
-			w.Close()
-		}
-	}()
 	if err := coord.WaitForWorkers(ctx); err != nil {
-		res.Err = err
-		return res
+		return fail(err)
 	}
-
-	job := exchange.Job{
-		Pattern: pattern,
-		FCEP:    fcep,
-		Opts:    opts,
-		Engine:  sc.distEngine(),
-		Streams: exchange.BuildStreams(data),
-		// Counts only: retaining millions of matches would swamp the
-		// scale-out measurement with sink memory traffic.
-		DedupSink:          true,
-		CheckpointInterval: sc.CheckpointInterval,
-		Faults:             sc.ChaosFaults,
-		Timeout:            sc.Timeout,
-		TraceRate:          sc.TraceRate,
-	}
-	start := time.Now()
-	jr, err := coord.RunJob(ctx, job)
-	if jr != nil {
-		res.Events = jr.Events
-		res.Elapsed = jr.Elapsed
-		res.ThroughputTps = jr.ThroughputTps
-		res.Matches = jr.Total
-		res.Unique = jr.Unique
-		res.Checkpoints = jr.Checkpoints
-		res.Restarts = jr.Restarts
-		if jr.Events > 0 {
-			res.SelectivityPct = float64(jr.Unique) / float64(jr.Events) * 100
-		}
-		res.foldCheckpoints(jr.CheckpointStats, start)
-	}
-	// The coordinator's tracer holds its own spans plus every span the
-	// workers pushed over the control plane: the cluster-wide trace.
-	if tr := coord.Tracer(); tr != nil {
-		res.Trace = tr.Summarize()
-		if sc.TraceOut != "" {
-			if werr := tr.WriteFile(sc.TraceOut); werr != nil && err == nil {
-				err = fmt.Errorf("trace export: %w", werr)
-			}
-		}
-	}
-	res.Err = err
-	res.Failed = err != nil
-	return res
+	return Run(ctx, spec)
 }
 
 // Fig6Distributed is the multi-process Figure 6: the SEQ7(3) scale-out
@@ -156,21 +82,21 @@ func Fig6Distributed(ctx context.Context, sc Scale) []RunResult {
 	qnv := kc.qnvData()
 	aq := kc.aqData()
 	data := mergedData(qnv, only(aq, workload.TypePM10))
-	pat := distPatternSEQ7(fSeq7, 15)
+	pat := PatternSEQ7(fSeq7, 15)
 	var out []RunResult
 	workerCounts := []int{1, 2, 4}
 	if kc.DistWorkers > 0 {
 		workerCounts = []int{kc.DistWorkers}
 	}
 	for _, workers := range workerCounts {
-		parallelism := workers * maxInt(1, sc.Slots)
+		parallelism := workers * max(1, sc.Slots)
 		name := fmt.Sprintf("fig6dist/SEQ7/workers=%d", workers)
-		for _, fcep := range []bool{true, false} {
-			opts := core.Options{UsePartitioning: true, Parallelism: parallelism}
-			if !fcep {
-				opts.UseIntervalJoin = true // FASP-O1+O3, matching Fig6Scalability
-			}
-			out = append(out, kc.runDistributed(ctx, name, pat, fcep, opts, workers, data))
+		for _, a := range []Approach{
+			{Name: "FCEP-dist", FCEP: true, Opts: core.Options{UsePartitioning: true, Parallelism: parallelism}},
+			// FASP-O1+O3, matching Fig6Scalability.
+			{Name: "FASP-dist", Opts: core.Options{UseIntervalJoin: true, UsePartitioning: true, Parallelism: parallelism}},
+		} {
+			out = append(out, kc.runDistributed(ctx, name, pat, a, workers, data))
 		}
 	}
 	return out
@@ -187,31 +113,22 @@ func DistSmoke(ctx context.Context, sc Scale) []RunResult {
 		kc.QnVMinutes = 60
 	}
 	qnv := kc.qnvData()
-	pattern := `
+	pat := mustParse(`
 		PATTERN SEQ(QnVQuantity q, QnVVelocity v)
 		WHERE q.value >= 40 AND v.value <= 60 AND q.id == v.id
-		WITHIN 10 MINUTES SLIDE 1 MINUTE`
+		WITHIN 10 MINUTES SLIDE 1 MINUTE`)
 	workers := kc.DistWorkers
 	if workers <= 0 {
 		workers = 2
 	}
-	parallelism := maxInt(4, workers)
-
-	single := kc.run(ctx, "distsmoke/single-process", mustParse(pattern), WithO3(FASP, parallelism), qnv)
-
-	opts := core.Options{UsePartitioning: true, Parallelism: parallelism}
-	dist := kc.runDistributed(ctx, fmt.Sprintf("distsmoke/workers=%d", workers), pattern, false, opts, workers, qnv)
+	a := WithO3(FASP, max(4, workers))
+	single := kc.run(ctx, "distsmoke/single-process", pat, a, qnv)
+	a.Name = "FASP-dist"
+	dist := kc.runDistributed(ctx, fmt.Sprintf("distsmoke/workers=%d", workers), pat, a, workers, qnv)
 	if dist.Err == nil && dist.Unique != single.Unique {
 		dist.Err = fmt.Errorf("distsmoke: match sets diverged: single-process %d unique, distributed %d unique",
 			single.Unique, dist.Unique)
 		dist.Failed = true
 	}
 	return []RunResult{single, dist}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -317,6 +317,11 @@ func only(data map[event.Type][]event.Event, types ...event.Type) map[event.Type
 }
 
 func (sc Scale) run(ctx context.Context, name string, pat *sea.Pattern, a Approach, data map[event.Type][]event.Event) RunResult {
+	return Run(ctx, sc.spec(name, pat, a, data))
+}
+
+// spec is the RunSpec of one experiment run under the scale's settings.
+func (sc Scale) spec(name string, pat *sea.Pattern, a Approach, data map[event.Type][]event.Event) RunSpec {
 	spec := RunSpec{
 		Name:               name,
 		Pattern:            pat,
@@ -336,7 +341,7 @@ func (sc Scale) run(ctx context.Context, name string, pat *sea.Pattern, a Approa
 	if len(sc.ChaosFaults) > 0 {
 		spec.Chaos = chaos.NewInjector(sc.ChaosFaults...)
 	}
-	return Run(ctx, spec)
+	return spec
 }
 
 // Fig3aBaseline reproduces Figure 3a: elementary operator throughput for

@@ -115,6 +115,9 @@ type RunSpec struct {
 	Quality overload.QualityDemand
 	// Log receives structured engine lifecycle events; nil discards them.
 	Log *slog.Logger
+	// Cluster runs the spec across processes (an exchange.Coordinator);
+	// nil runs it in-process.
+	Cluster core.Cluster
 }
 
 // RunResult reports one measured execution.
@@ -271,6 +274,7 @@ func Run(ctx context.Context, spec RunSpec) RunResult {
 		Restart:   spec.RestartPolicy,
 		DLQ:       dlq,
 		Quality:   spec.Quality,
+		Cluster:   spec.Cluster,
 		OnAttempt: func(env *asp.Environment, _ []*asp.Results) { curEnv.Store(env) },
 	})
 	res.Elapsed = time.Since(start)

@@ -196,9 +196,11 @@ func (r *Registry) RegisterHistogram(name string, h *Histogram) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, nh := range r.hists {
+	// Entries are never written once listed: Snapshot reads the ones it
+	// copied without the lock.
+	for i, nh := range r.hists {
 		if nh.name == name {
-			nh.h = h
+			r.hists[i] = &namedHist{name: name, h: h}
 			return
 		}
 	}

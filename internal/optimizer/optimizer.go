@@ -92,38 +92,17 @@ func New(cfg Config) (*Optimizer, error) {
 	return &Optimizer{cfg: cfg}, nil
 }
 
-// JoinCostModel prices a two-way sliding window join from its input rates:
-// with l and r effective events per minute and a window of W minutes,
-// every right event meets l*W left candidates, so the output rate is
-// l * r * W per minute (§3.1.4's per-window cross product, amortized).
-// Unknown rates (<= 0) are priced at one event per minute, keeping them
-// neutral rather than free.
-func JoinCostModel(window event.Time) func(left, right float64) float64 {
-	wmin := float64(window) / float64(event.Minute)
-	if wmin <= 0 {
-		wmin = 1
-	}
-	return func(left, right float64) float64 {
-		if left <= 0 {
-			left = 1
-		}
-		if right <= 0 {
-			right = 1
-		}
-		return left * right * wmin
-	}
-}
-
 // Advise derives cost-based Options for the pattern from the configured
-// statistics: core.Advise's O1/O2/O3 selection plus the join cost model
-// that switches the translator to greedy cheapest-pair-first join trees.
+// statistics: core.Advise's O1/O2/O3 selection plus CostBasedJoins, which
+// switches the translator to greedy cheapest-pair-first join trees.
 func (o *Optimizer) Advise(p *sea.Pattern) core.Options {
 	return o.adviseWith(p, o.cfg.Stats)
 }
 
 func (o *Optimizer) adviseWith(p *sea.Pattern, stats map[string]core.StreamStats) core.Options {
 	opts := core.Advise(p, stats, o.cfg.Parallelism)
-	return opts.WithJoinCost(JoinCostModel(p.Window.Size))
+	opts.CostBasedJoins = true
+	return opts
 }
 
 // Plan translates the pattern under cost-based Options.
@@ -144,7 +123,7 @@ func (o *Optimizer) Explain(p *sea.Pattern) (string, error) {
 // ExplainPlan renders a plan tree with each node annotated with its
 // estimated output rate (events per minute) under the given statistics —
 // the "estimated vs. observed" half of plan diagnostics. Unknown leaf
-// rates are priced at 1/min, matching JoinCostModel.
+// rates are priced at 1/min, as the translator's join cost does.
 func ExplainPlan(plan *core.Plan, stats map[string]core.StreamStats) string {
 	name := plan.Pattern.Name
 	if name == "" {

@@ -1,7 +1,9 @@
 package optimizer
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"math/rand"
 	"sort"
 	"strings"
@@ -341,5 +343,43 @@ func TestNewRejectsInvalidConfig(t *testing.T) {
 	}
 	if _, err := New(Config{Parallelism: -1}); err == nil {
 		t.Fatal("negative parallelism accepted")
+	}
+}
+
+// TestAdvisedOptionsSurviveGob: a distributed run ships a plan as its
+// pattern text plus its Options, gob-encoded, and every worker translates
+// it again. The advised Options must carry the cost-based join order
+// across that round trip, or the workers would build another graph.
+func TestAdvisedOptionsSurviveGob(t *testing.T) {
+	p := mustPattern(t, `PATTERN SEQ(OPA a, OPB b, OPC c, OPD d) WITHIN 8 MIN SLIDE 1 MIN`)
+	o, err := New(Config{Parallelism: 2, Stats: map[string]core.StreamStats{
+		"OPA": {Frequency: 40}, "OPB": {Frequency: 10},
+		"OPC": {Frequency: 10, FilterSelectivity: 0.5}, "OPD": {Frequency: 40},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := o.Advise(p)
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(opts); err != nil {
+		t.Fatal(err)
+	}
+	var shipped core.Options
+	if err := gob.NewDecoder(&buf).Decode(&shipped); err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.Translate(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := core.Translate(p, shipped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Explain() != want.Explain() {
+		t.Fatalf("plan changed across gob:\nsent\n%s\nrebuilt\n%s", want.Explain(), got.Explain())
+	}
+	if !strings.Contains(got.Explain(), "CBO") {
+		t.Fatalf("shipped plan is not cost-based:\n%s", got.Explain())
 	}
 }

@@ -240,18 +240,6 @@ func TestCompileUnknownAttr(t *testing.T) {
 	}
 }
 
-func TestPatternStringRoundTrip(t *testing.T) {
-	src := `PATTERN SEQ(T1 e1, T2 e2) WHERE e1.value <= e2.value WITHIN 4 MINUTES`
-	p := mustParse(t, src)
-	p2, err := Parse(p.String())
-	if err != nil {
-		t.Fatalf("reparse of %q: %v", p.String(), err)
-	}
-	if p2.String() != p.String() {
-		t.Fatalf("round trip mismatch:\n%s\nvs\n%s", p.String(), p2.String())
-	}
-}
-
 func TestLayout(t *testing.T) {
 	p := mustParse(t, `PATTERN SEQ(T1 a, !T2 b, ITER(T3 c, 3), T4 d) WITHIN 10 MIN`)
 	layout := p.Layout()

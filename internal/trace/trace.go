@@ -99,6 +99,7 @@ const DefaultMaxSpans = 1 << 20
 // state everywhere: every hot-path call site gates on one pointer
 // comparison before touching it.
 type Tracer struct {
+	rate      float64
 	threshold uint64 // sample iff ID(e) < threshold
 	worker    int
 	maxSpans  int
@@ -116,7 +117,7 @@ func New(rate float64, worker int) *Tracer {
 	if rate <= 0 || math.IsNaN(rate) {
 		return nil
 	}
-	t := &Tracer{worker: worker, maxSpans: DefaultMaxSpans}
+	t := &Tracer{rate: rate, worker: worker, maxSpans: DefaultMaxSpans}
 	f := rate * float64(math.MaxUint64)
 	if rate >= 1 || f >= float64(math.MaxUint64) {
 		t.threshold = math.MaxUint64
@@ -124,6 +125,15 @@ func New(rate float64, worker int) *Tracer {
 		t.threshold = uint64(f)
 	}
 	return t
+}
+
+// Rate is the sample rate the tracer was created with; 0 for the nil
+// tracer. New(t.Rate(), w) samples exactly the events t samples.
+func (t *Tracer) Rate() float64 {
+	if t == nil {
+		return 0
+	}
+	return t.rate
 }
 
 // Sample decides whether an event is traced and returns its trace ID.
