@@ -183,15 +183,16 @@ func TestCheckpointCompletesWhileRunning(t *testing.T) {
 	if !sawState {
 		t.Fatal("no checkpoint captured any serialized state")
 	}
-	// The join node must have recorded per-checkpoint snapshot metrics.
-	var joinCkpts int64
+	// The join node and both sources must have recorded per-checkpoint
+	// snapshot metrics: a source snapshots its replay position.
+	ckpts := map[string]int64{}
 	for _, m := range env.NodeStats() {
-		if m.Name == "join" {
-			joinCkpts = m.Ckpts.Load()
-		}
+		ckpts[m.Name] = m.Ckpts.Load()
 	}
-	if joinCkpts == 0 {
-		t.Fatal("join recorded no snapshots")
+	for _, name := range []string{"q", "v", "join"} {
+		if ckpts[name] == 0 {
+			t.Errorf("%s recorded no snapshots", name)
+		}
 	}
 }
 

@@ -100,3 +100,75 @@ func (env *Environment) Nodes() []NodeInfo {
 	}
 	return out
 }
+
+// splice wires this worker's slice of a distributed execution as described
+// above: a locally owned instance's input channel becomes a network
+// ingress, and a remote-owned one fed by local senders is replaced by a
+// proxy channel (senders see it through the aliased e.chans slices) that an
+// egress pump drains.
+func (x *execution) splice() error {
+	dist := x.env.cfg.Dist
+	if dist == nil {
+		return nil
+	}
+	for _, n := range x.env.nodes {
+		// Local sender instances feeding this node: each one delivers
+		// exactly one EOS marker per target instance, which is how an egress
+		// pump knows its local upstreams are done.
+		localSenders := 0
+		for _, e := range n.inEdges {
+			for s := 0; s < e.from.parallelism; s++ {
+				if x.local(e.from, s) {
+					localSenders++
+				}
+			}
+		}
+		for t := 0; t < len(n.in); t++ {
+			owner := dist.Owner(n.name, t)
+			if owner == dist.Worker {
+				dist.Transport.Ingress(n.name, n.id, t, n.in[t], n.queued)
+				continue
+			}
+			if localSenders == 0 {
+				continue // nothing local ever writes to this input
+			}
+			send, err := dist.Transport.Egress(owner, n.name, n.id, t)
+			if err != nil {
+				return fmt.Errorf("asp: no egress to worker %d for %s/%d: %w", owner, n.name, t, err)
+			}
+			proxy := make(chan []Record, x.chanCap)
+			n.in[t] = proxy
+			x.start(fmt.Sprintf("net:%s/%d>w%d", n.name, t, owner), func() {
+				x.pump(n, t, owner, proxy, localSenders, send)
+			})
+		}
+	}
+	return nil
+}
+
+// pump drains the proxy channel of instance t of n, owned by worker owner,
+// into the transport until the EOS markers of its expect local senders have
+// passed, or the run ends.
+func (x *execution) pump(n *node, t, owner int, proxy chan []Record, expect int, send func([]Record) error) {
+	for eos := 0; eos < expect; {
+		select {
+		case batch := <-proxy:
+			for k := range batch {
+				if batch[k].Kind == KindEOS {
+					eos++
+				}
+			}
+			err := send(batch)
+			if n.queued != nil {
+				n.queued.Add(int64(-len(batch)))
+			}
+			x.pool.put(batch)
+			if err != nil {
+				x.env.fail(&NetworkFailure{Node: n.name, Target: t, Worker: owner, Err: err})
+				return
+			}
+		case <-x.done:
+			return
+		}
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,9 +38,9 @@ type Collector struct {
 	obsOp *obs.OperatorMetrics
 	// cur/curSet track the data record currently inside OnRecord (or being
 	// emitted by a source), so the instance's panic-recovery wrapper can
-	// attribute a failure to the offending record. cur points at the
-	// instance loop's record variable — valid whenever curSet is true, and
-	// only read by guard on the same goroutine after a panic.
+	// attribute a failure to the offending record. cur points into the
+	// batch, the stash or the source's own record — valid whenever curSet
+	// is true, and only read by guard on the same goroutine after a panic.
 	cur    *Record
 	curSet bool
 	// in/out/late/matches count this instance's data records (late ones,
@@ -249,6 +248,28 @@ func (c *Collector) flush() bool {
 		}
 	}
 	return true
+}
+
+// wait flushes every pending partial batch, then waits for a batch on in or
+// for d to pass, whichever comes first; a nil in or a zero d never comes. It
+// reports false when the run is cancelled meanwhile.
+func (c *Collector) wait(in chan []Record, d time.Duration) ([]Record, bool) {
+	if !c.flush() {
+		return nil, false
+	}
+	var timeout <-chan time.Time
+	if d > 0 {
+		timeout = time.After(d)
+	}
+	select {
+	case b := <-in:
+		return b, true
+	case <-timeout:
+		return nil, true
+	case <-c.done:
+		c.aborted = true
+		return nil, false
+	}
 }
 
 // EmitEvent sends a single event timestamped with its event time.
@@ -539,375 +560,260 @@ func (env *Environment) Execute(ctx context.Context) error {
 	if pending != nil {
 		cancel(pending)
 	}
-	done := ctx.Done()
 
 	if err := env.setupCheckpointing(); err != nil {
 		return err
 	}
-
-	// Bounded-state execution: the admission gate and heap controller
-	// exist only when overload is configured, keeping ordinary runs at
-	// nil comparisons.
-	ov := env.cfg.Overload
-	if ov.Budget.Enabled() || ov.Memory.SoftLimitBytes > 0 {
-		if env.gate == nil {
-			env.gate = new(overload.Gate)
-		}
-		env.memCtl = overload.NewController(ov.Memory, env.gate)
+	// Bounded-state execution: the admission gate (see NewEnvironment) and
+	// heap controller exist only when overload is configured, keeping
+	// ordinary runs at nil comparisons.
+	if env.gate != nil {
+		env.memCtl = overload.NewController(env.cfg.Overload.Memory, env.gate)
 		env.memCtl.Start()
 		defer env.memCtl.Stop()
 	}
-
-	// Allocate input channels and sender ID ranges. Channels carry whole
-	// batches; their capacity is kept at ~ChannelCapacity records by sizing
-	// them in batches.
-	chanCap := max(1, env.cfg.ChannelCapacity/env.cfg.BatchSize)
-	type nodeRuntime struct {
-		in   []chan []Record
-		nSrc int
-		// queued counts records buffered across this node's input channels
-		// (allocated only when a metrics registry is attached).
-		queued *atomic.Int64
-	}
-	rts := make([]nodeRuntime, len(env.nodes))
-	for i, n := range env.nodes {
-		rt := &rts[i]
-		if len(n.inEdges) > 0 {
-			rt.in = make([]chan []Record, n.parallelism)
-			for j := range rt.in {
-				rt.in[j] = make(chan []Record, chanCap)
-			}
-		}
-		for _, e := range n.inEdges {
-			e.srcBase = rt.nSrc
-			rt.nSrc += e.from.parallelism
-			e.chans = rt.in
-		}
-	}
-
-	// Attach the observability registry: one handle per operator instance,
-	// one per edge with a live queue-depth probe over the receiver channels.
-	// The registry is reset first so a long-lived registry (live HTTP
-	// endpoint across runs) always describes the executing graph.
-	reg := env.cfg.Metrics
-	var obsOps [][]*obs.OperatorMetrics
-	if reg != nil {
-		reg.ResetGraph()
-		// Job-level overload counters are pulled from the environment at
-		// snapshot time, so /metrics and /cluster/metrics expose shed
-		// totals, peak state and the live recall estimate while running.
-		armed := ov.Budget.Enabled() || ov.Memory.SoftLimitBytes > 0
-		reg.SetOverloadSource(func() obs.OverloadStats {
-			return obs.OverloadStats{
-				Armed:          armed,
-				ShedRecords:    env.shedRecords.Load(),
-				PeakState:      env.peakState.Load(),
-				Matches:        env.matchesEmitted.Load(),
-				LostBound:      env.LostMatchBound(),
-				RecallEstimate: env.RecallEstimate(),
-			}
-		})
-		obsOps = make([][]*obs.OperatorMetrics, len(env.nodes))
-		for i, n := range env.nodes {
-			obsOps[i] = make([]*obs.OperatorMetrics, n.parallelism)
-			for inst := 0; inst < n.parallelism; inst++ {
-				obsOps[i][inst] = reg.Operator(n.name, inst)
-			}
-		}
-		for i, n := range env.nodes {
-			to := n.name
-			if len(n.inEdges) > 0 {
-				rts[i].queued = new(atomic.Int64)
-			}
-			for _, e := range n.inEdges {
-				// Channels hold batches, so len(chan) no longer measures
-				// records; senders and receivers maintain a shared record
-				// counter instead. Both updates trail their channel operation,
-				// so it may transiently dip below zero (a batch drained before
-				// its sender's increment lands) or pass the capacity (a batch
-				// sent before the receiver's decrement for the previous one
-				// lands), hence the clamps.
-				e.queued = rts[i].queued
-				q := rts[i].queued
-				capacity := chanCap * env.cfg.BatchSize * len(e.chans)
-				e.obs = reg.Edge(e.from.name, to, capacity, func() int {
-					return min(max(int(q.Load()), 0), capacity)
-				})
-			}
-		}
-	}
-
-	// Barrier/checkpoint observability: named histograms for barrier
-	// propagation, alignment stall and checkpoint duration, exported through
-	// the registry alongside the operator metrics.
-	if ckr := env.ckpt.Load(); ckr != nil && reg != nil {
-		ckr.propHist = new(obs.Histogram)
-		ckr.alignHist = new(obs.Histogram)
-		ckr.durHist = new(obs.Histogram)
-		reg.RegisterHistogram("barrier_propagation", ckr.propHist)
-		reg.RegisterHistogram("barrier_alignment", ckr.alignHist)
-		reg.RegisterHistogram("checkpoint_duration", ckr.durHist)
-	}
-
 	if l := env.cfg.Log; l != nil {
 		l.Debug("asp: executing graph",
 			"nodes", len(env.nodes), "batch", env.cfg.BatchSize,
 			"distributed", env.cfg.Dist != nil)
 	}
 
-	// The environment-wide batch buffer pool; hit/miss counters are
-	// published through the registry when one is attached.
-	pool := newBatchPool(env.cfg.BatchSize, reg.Pool("batch"))
-
-	newCollector := func(n *node) func(instance int) *Collector {
-		return func(instance int) *Collector {
-			c := &Collector{
-				env: env, metrics: n.metrics, done: done,
-				lastWM: event.MinWatermark,
-				batch:  env.cfg.BatchSize, pool: pool,
-				node: n.name, instance: instance,
-				tracer: env.cfg.Trace,
-			}
-			if obsOps != nil {
-				c.obsOp = obsOps[n.id][instance]
-			}
-			if ov.Budget.Enabled() {
-				c.budgeted = true
-				c.failPolicy = ov.Policy == overload.Fail
-				c.perOp = ov.Budget.PerOperator
-				c.perJob = ov.Budget.PerJob
-			}
-			for _, e := range n.outEdges {
-				c.senders = append(c.senders, edgeSender{
-					e:         e,
-					srcID:     uint16(e.srcBase + instance),
-					forwardTo: instance % max(1, e.to.parallelism),
-					obsEdge:   e.obs,
-					pending:   make([][]Record, len(e.chans)),
-				})
-			}
-			return c
-		}
+	x := &execution{env: env, done: ctx.Done()}
+	x.channels()
+	x.registry()
+	// The environment-wide batch buffer pool publishes its hit/miss counters
+	// through the registry, once registry has reset it.
+	x.pool = newBatchPool(env.cfg.BatchSize, env.cfg.Metrics.Pool("batch"))
+	if err := x.splice(); err != nil {
+		return err
 	}
-
-	// Distributed splicing. Every worker builds the identical graph; the
-	// placement function decides which instances run here. Remote-owned
-	// instances fed by at least one local sender get their input channel
-	// replaced by a proxy channel (visible to senders through the aliased
-	// e.chans slices) drained by an egress pump that hands batches to the
-	// transport; locally-owned instances register their input channel as a
-	// network ingress so remote senders' frames are delivered into it.
-	// Watermarks, barriers and EOS markers ride along unchanged.
-	dist := env.cfg.Dist
-	localInst := func(n *node, inst int) bool {
-		return dist == nil || dist.Owner(n.name, inst) == dist.Worker
-	}
-	var wg sync.WaitGroup
-	var live []*liveInstance
-	if dist != nil {
-		for i, n := range env.nodes {
-			rt := &rts[i]
-			if len(n.inEdges) == 0 {
-				continue
-			}
-			// Local sender instances feeding this node, counted per edge:
-			// each one delivers exactly one EOS marker per target instance,
-			// which is how an egress pump knows its local upstreams are done.
-			localSenders := 0
-			for _, e := range n.inEdges {
-				for s := 0; s < e.from.parallelism; s++ {
-					if localInst(e.from, s) {
-						localSenders++
-					}
-				}
-			}
-			for t := 0; t < n.parallelism; t++ {
-				owner := dist.Owner(n.name, t)
-				if owner == dist.Worker {
-					dist.Transport.Ingress(n.name, n.id, t, rt.in[t], rt.queued)
-					continue
-				}
-				if localSenders == 0 {
-					continue // nothing local ever writes to this input
-				}
-				send, err := dist.Transport.Egress(owner, n.name, n.id, t)
-				if err != nil {
-					return fmt.Errorf("asp: no egress to worker %d for %s/%d: %w", owner, n.name, t, err)
-				}
-				proxy := make(chan []Record, chanCap)
-				rt.in[t] = proxy
-				wg.Add(1)
-				ir := &liveInstance{task: fmt.Sprintf("net:%s/%d>w%d", n.name, t, owner)}
-				live = append(live, ir)
-				nq := rt.queued
-				go func(n *node, t, expect int, ir *liveInstance) {
-					defer wg.Done()
-					defer ir.done.Store(true)
-					eos := 0
-					for eos < expect {
-						select {
-						case batch := <-proxy:
-							for _, r := range batch {
-								if r.Kind == KindEOS {
-									eos++
-								}
-							}
-							err := send(batch)
-							if nq != nil {
-								nq.Add(int64(-len(batch)))
-							}
-							pool.put(batch)
-							if err != nil {
-								env.fail(&NetworkFailure{Node: n.name, Target: t, Worker: owner, Err: err})
-								return
-							}
-						case <-done:
-							return
-						}
-					}
-				}(n, t, localSenders, ir)
-			}
-		}
-	}
-
-	// Every instance goroutine runs under a panic-recovery guard that
-	// converts a panic in operator or user code into a structured
-	// OperatorFailure and cancels the run, draining the rest of the graph
-	// through the shared done channel instead of crashing the process. The
-	// liveness flags let a shutdown deadline name instances that refuse to
-	// drain.
-	for i, n := range env.nodes {
-		rt := &rts[i]
-		mkCol := newCollector(n)
-		for inst := 0; inst < n.parallelism; inst++ {
-			if !localInst(n, inst) {
-				continue
-			}
-			wg.Add(1)
-			ir := &liveInstance{task: taskID(n, inst)}
-			live = append(live, ir)
-			if n.source != nil {
-				go func(n *node, inst int, ir *liveInstance) {
-					defer wg.Done()
-					defer ir.done.Store(true)
-					col := mkCol(inst)
-					defer guard(env, n, inst, true, col)
-					defer col.settle()
-					runSource(env, n, inst, col)
-				}(n, inst, ir)
-			} else {
-				go func(n *node, inst int, in chan []Record, nSrc int, nq *atomic.Int64, ir *liveInstance) {
-					defer wg.Done()
-					defer ir.done.Store(true)
-					col := mkCol(inst)
-					defer guard(env, n, inst, false, col)
-					defer col.settle()
-					runInstance(env, n, inst, in, nSrc, nq, col, done)
-				}(n, inst, rt.in[inst], rt.nSrc, rt.queued, ir)
-			}
-		}
-	}
-
-	// Periodic checkpoint triggering: one checkpoint in flight at a time;
-	// the ticker simply retries while the previous one completes.
-	var tickerDone, tickerStop chan struct{}
-	if spec := env.cfg.Checkpoint; spec != nil && spec.Interval > 0 {
-		tickerDone = make(chan struct{})
-		tickerStop = make(chan struct{})
-		go func() {
-			defer close(tickerDone)
-			ticker := time.NewTicker(spec.Interval)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-ticker.C:
-					env.TriggerCheckpoint()
-				case <-done:
-					return
-				case <-tickerStop:
-					return
-				}
-			}
-		}()
-	}
-	// Wait for the dataflow, bounding teardown by the shutdown deadline:
-	// once the run is cancelled or fails, a wedged instance (stuck in user
-	// code, a chaos stall) must not hang Execute forever — after the
-	// deadline the stuck goroutines are abandoned and named in the error.
-	waitDone := make(chan struct{})
-	go func() { wg.Wait(); close(waitDone) }()
-	var stuck *ErrShutdownTimeout
-	select {
-	case <-waitDone:
-	case <-done:
-		if to := env.cfg.ShutdownTimeout; to > 0 {
-			timer := time.NewTimer(to)
-			select {
-			case <-waitDone:
-				timer.Stop()
-			case <-timer.C:
-				var names []string
-				for _, ir := range live {
-					if !ir.done.Load() {
-						names = append(names, ir.task)
-					}
-				}
-				stuck = &ErrShutdownTimeout{Timeout: to, Stuck: names, Cause: context.Cause(ctx)}
-				if l := env.cfg.Log; l != nil {
-					l.Warn("asp: shutdown deadline exceeded, abandoning stuck instances",
-						"timeout", to, "stuck", names)
-				}
-			}
-		} else {
-			<-waitDone
-		}
-	}
-	if tickerDone != nil {
-		close(tickerStop)
-		<-tickerDone
-	}
-	if stuck != nil {
-		return stuck
-	}
-
-	// A non-nil cause is either a failure raised through env.fail (state
-	// budget, isolated panic, snapshot error) or the parent context's
-	// cancellation; normal completion never cancels before this point.
-	if cause := context.Cause(ctx); cause != nil {
-		return cause
-	}
-	return nil
+	x.spawn()
+	return x.wait(ctx)
 }
 
-// liveInstance tracks one instance goroutine's liveness for the shutdown
-// deadline's stuck-instance report.
+// execution is one Execute call's wiring: the channel capacity, the batch
+// pool and the goroutines to wait for.
+type execution struct {
+	env     *Environment
+	done    <-chan struct{}
+	chanCap int
+	pool    *batchPool
+	wg      sync.WaitGroup
+	live    []*liveInstance
+}
+
+// liveInstance tracks one goroutine's liveness for the shutdown deadline's
+// stuck-instance report.
 type liveInstance struct {
 	task string
 	done atomic.Bool
 }
 
-// guard is deferred around every instance goroutine: it converts a panic
-// into a structured OperatorFailure — attributed to the record under
-// processing when one is — and fails the run, which drains the remaining
-// instances cleanly via cancellation.
-func guard(env *Environment, n *node, inst int, source bool, col *Collector) {
-	p := recover()
-	if p == nil {
+// channels allocates the input channels and sender ID ranges. Channels
+// carry whole batches; their capacity is kept at ~ChannelCapacity records
+// by sizing them in batches.
+func (x *execution) channels() {
+	env := x.env
+	x.chanCap = max(1, env.cfg.ChannelCapacity/env.cfg.BatchSize)
+	for _, n := range env.nodes {
+		if len(n.inEdges) > 0 {
+			n.in = make([]chan []Record, n.parallelism)
+			for j := range n.in {
+				n.in[j] = make(chan []Record, x.chanCap)
+			}
+		}
+		for _, e := range n.inEdges {
+			e.srcBase = n.nSrc
+			n.nSrc += e.from.parallelism
+			e.chans = n.in
+		}
+	}
+}
+
+// registry attaches the observability registry: one handle per operator
+// instance, one per edge with a live queue-depth probe over the receiver
+// channels, and the barrier and checkpoint histograms. The registry is
+// reset first so a long-lived registry (live HTTP endpoint across runs)
+// always describes the executing graph.
+func (x *execution) registry() {
+	env, reg := x.env, x.env.cfg.Metrics
+	if reg == nil {
 		return
 	}
-	f := &OperatorFailure{
-		Node:     n.name,
-		Instance: inst,
-		Task:     taskID(n, inst),
-		Source:   source,
-		Panic:    p,
-		Stack:    debug.Stack(),
+	reg.ResetGraph()
+	// Job-level overload counters are pulled from the environment at
+	// snapshot time, so /metrics and /cluster/metrics expose shed totals,
+	// peak state and the live recall estimate while running.
+	reg.SetOverloadSource(func() obs.OverloadStats {
+		return obs.OverloadStats{
+			Armed:          env.gate != nil,
+			ShedRecords:    env.shedRecords.Load(),
+			PeakState:      env.peakState.Load(),
+			Matches:        env.matchesEmitted.Load(),
+			LostBound:      env.LostMatchBound(),
+			RecallEstimate: env.RecallEstimate(),
+		}
+	})
+	for _, n := range env.nodes {
+		n.obs = make([]*obs.OperatorMetrics, n.parallelism)
+		for inst := range n.obs {
+			n.obs[inst] = reg.Operator(n.name, inst)
+		}
+		if len(n.inEdges) > 0 {
+			n.queued = new(atomic.Int64)
+		}
+		for _, e := range n.inEdges {
+			// Channels hold batches, so len(chan) does not measure records;
+			// senders and receivers maintain a shared record counter instead.
+			// Both updates trail their channel operation, so it may
+			// transiently dip below zero (a batch drained before its sender's
+			// increment lands) or pass the capacity (a batch sent before the
+			// receiver's decrement for the previous one lands), hence the
+			// clamps.
+			q := n.queued
+			e.queued = q
+			capacity := x.chanCap * env.cfg.BatchSize * len(e.chans)
+			e.obs = reg.Edge(e.from.name, n.name, capacity, func() int {
+				return min(max(int(q.Load()), 0), capacity)
+			})
+		}
 	}
-	if col.curSet && col.cur != nil {
-		f.RecordSummary = summarize(col.cur)
-		f.RecordKey = poisonKey(col.cur)
+	// Barrier/checkpoint observability: named histograms for barrier
+	// propagation, alignment stall and checkpoint duration.
+	if ckr := env.ckpt.Load(); ckr != nil {
+		ckr.propHist, ckr.alignHist, ckr.durHist = new(obs.Histogram), new(obs.Histogram), new(obs.Histogram)
+		reg.RegisterHistogram("barrier_propagation", ckr.propHist)
+		reg.RegisterHistogram("barrier_alignment", ckr.alignHist)
+		reg.RegisterHistogram("checkpoint_duration", ckr.durHist)
 	}
-	env.fail(f)
+}
+
+// local reports whether this process runs instance inst of n: always,
+// unless a distributed placement assigns it to another worker.
+func (x *execution) local(n *node, inst int) bool {
+	d := x.env.cfg.Dist
+	return d == nil || d.Owner(n.name, inst) == d.Worker
+}
+
+// spawn starts every local instance, source or operator alike.
+func (x *execution) spawn() {
+	env := x.env
+	for _, n := range env.nodes {
+		for inst := 0; inst < n.parallelism; inst++ {
+			if !x.local(n, inst) {
+				continue
+			}
+			i := &instance{
+				Collector: x.collector(n, inst), n: n, task: taskID(n, inst), ck: env.ckpt.Load(),
+				pt: env.cfg.Chaos.Point(n.name, inst), qkeys: env.cfg.Quarantine.keysFor(n.name),
+			}
+			if n.in != nil {
+				i.input, i.box = n.in[inst], newInbox(n.nSrc)
+			}
+			x.start(i.task, i.run)
+		}
+	}
+}
+
+// start runs body on a goroutine of its own, which wait waits for and the
+// shutdown deadline names by task should it refuse to drain.
+func (x *execution) start(task string, body func()) {
+	ir := &liveInstance{task: task}
+	x.live = append(x.live, ir)
+	x.wg.Add(1)
+	go func() {
+		defer x.wg.Done()
+		defer ir.done.Store(true)
+		body()
+	}()
+}
+
+// collector builds the emission context of instance inst of n.
+func (x *execution) collector(n *node, inst int) Collector {
+	env := x.env
+	c := Collector{
+		env: env, metrics: n.metrics, done: x.done,
+		lastWM: event.MinWatermark,
+		batch:  env.cfg.BatchSize, pool: x.pool,
+		node: n.name, instance: inst,
+		tracer: env.cfg.Trace,
+	}
+	if n.obs != nil {
+		c.obsOp = n.obs[inst]
+	}
+	if ov := env.cfg.Overload; ov.Budget.Enabled() {
+		c.budgeted = true
+		c.failPolicy = ov.Policy == overload.Fail
+		c.perOp = ov.Budget.PerOperator
+		c.perJob = ov.Budget.PerJob
+	}
+	for _, e := range n.outEdges {
+		c.senders = append(c.senders, edgeSender{
+			e:         e,
+			srcID:     uint16(e.srcBase + inst),
+			forwardTo: inst % max(1, e.to.parallelism),
+			obsEdge:   e.obs,
+			pending:   make([][]Record, len(e.chans)),
+		})
+	}
+	return c
+}
+
+// wait waits for the dataflow while triggering periodic checkpoints, one in
+// flight at a time: the ticker simply retries while the previous one
+// completes. Teardown is bounded by the shutdown deadline: once the run is
+// cancelled or fails, a wedged instance (stuck in user code, a chaos stall)
+// must not hang Execute forever, so after the deadline the stuck
+// goroutines are abandoned and named in the error.
+func (x *execution) wait(ctx context.Context) error {
+	waitDone := make(chan struct{})
+	go func() { x.wg.Wait(); close(waitDone) }()
+	var tick <-chan time.Time
+	if spec := x.env.cfg.Checkpoint; spec != nil && spec.Interval > 0 {
+		ticker := time.NewTicker(spec.Interval)
+		defer ticker.Stop()
+		tick = ticker.C
+	}
+	for {
+		select {
+		case <-waitDone:
+			// A non-nil cause is either a failure raised through env.fail
+			// (state budget, isolated panic, snapshot error) or the parent
+			// context's cancellation; normal completion never cancels
+			// before this point.
+			return context.Cause(ctx)
+		case <-tick:
+			x.env.TriggerCheckpoint()
+		case <-x.done:
+			if to := x.env.cfg.ShutdownTimeout; to > 0 {
+				return x.drain(ctx, waitDone, to)
+			}
+			<-waitDone
+			return context.Cause(ctx)
+		}
+	}
+}
+
+// drain waits for the goroutines of a cancelled run for at most the
+// shutdown deadline to.
+func (x *execution) drain(ctx context.Context, waitDone <-chan struct{}, to time.Duration) error {
+	timer := time.NewTimer(to)
+	defer timer.Stop()
+	select {
+	case <-waitDone:
+		return context.Cause(ctx)
+	case <-timer.C:
+	}
+	var names []string
+	for _, ir := range x.live {
+		if !ir.done.Load() {
+			names = append(names, ir.task)
+		}
+	}
+	if l := x.env.cfg.Log; l != nil {
+		l.Warn("asp: shutdown deadline exceeded, abandoning stuck instances", "timeout", to, "stuck", names)
+	}
+	return &ErrShutdownTimeout{Timeout: to, Stuck: names, Cause: context.Cause(ctx)}
 }
 
 // setupCheckpointing loads the snapshot to restore, when requested, and
@@ -984,666 +890,5 @@ func (env *Environment) onCheckpointComplete(st checkpoint.Stat) {
 		l.Debug("asp: checkpoint complete",
 			"id", st.ID, "duration", st.Duration,
 			"align_pause", st.AlignPause, "bytes", st.Bytes, "tasks", st.Tasks)
-	}
-}
-
-// sourceState is the serialized state of a source instance: the offset of
-// the next event to emit and the maximum event time seen, so replayed
-// watermarks keep the same disorder bound.
-type sourceState struct {
-	Offset int
-	MaxTS  event.Time
-}
-
-func runSource(env *Environment, n *node, inst int, col *Collector) {
-	events := n.source.events[inst]
-	interval := env.cfg.WatermarkInterval
-	maxTS := event.MinWatermark
-	start := 0
-	ck := env.ckpt.Load()
-	var task string
-	var lastBarrier int64
-	if ck != nil {
-		task = taskID(n, inst)
-		lastBarrier = ck.base
-		if ck.restored != nil {
-			if data := ck.restored.Tasks[task]; len(data) > 0 {
-				var st sourceState
-				if err := gobDecode(data, &st); err != nil {
-					env.fail(fmt.Errorf("asp: restoring source %s: %w", task, err))
-					return
-				}
-				start, maxTS = st.Offset, st.MaxTS
-				if start > len(events) {
-					start = len(events)
-				}
-			}
-		}
-	}
-	// snapshotAt serializes the source position with offset events emitted.
-	snapshotAt := func(offset int) []byte {
-		data, err := gobEncode(sourceState{Offset: offset, MaxTS: maxTS})
-		if err != nil {
-			env.fail(fmt.Errorf("asp: snapshotting source %s: %w", task, err))
-		}
-		return data
-	}
-	// Fault-injection point and quarantined key set for this instance; both
-	// are nil in ordinary runs, keeping the per-event overhead at two
-	// pointer comparisons.
-	pt := env.cfg.Chaos.Point(n.name, inst)
-	qkeys := env.cfg.Quarantine.keysFor(n.name)
-	// stamp is the ingest time given to emitted events, from the source's
-	// last clock reading. A paced source reads the clock for every event
-	// anyway (and again after it slept); a full-speed source reads it after
-	// every batch hand-off — which may have blocked on backpressure — and at
-	// least every BatchSize events.
-	var stamp int64
-	var pace func(i int)
-	if rate := n.source.ratePerSec; rate > 0 {
-		startAt := time.Now()
-		perEvent := float64(time.Second) / rate
-		pace = func(i int) {
-			due := startAt.Add(time.Duration(float64(i) * perEvent))
-			now := time.Now()
-			if d := due.Sub(now); d > 0 {
-				// Idle flush: a paced source must not sit on a partial
-				// batch while downstream waits for it.
-				if !col.flush() {
-					return
-				}
-				select {
-				case <-time.After(d):
-					now = time.Now()
-				case <-col.done:
-					col.aborted = true
-				}
-			}
-			stamp = now.UnixNano()
-		}
-	}
-	// gate is the overload admission switch (Pause policy / heap
-	// controller); nil on ordinary runs — one pointer comparison per event.
-	gate := env.gate
-	emitted := 0
-	// readHandoffs/readAt are col.handoffs and emitted at the last clock
-	// reading of a full-speed source; -1 forces a reading.
-	readHandoffs, readAt := -1, 0
-	// rec is hoisted so panic attribution can point at it without copying
-	// the record on every emit.
-	var rec Record
-	col.cur = &rec
-	for i := start; i < len(events); i++ {
-		if gate != nil && gate.Paused() {
-			// Intake is suspended: trickle instead of halting outright —
-			// watermarks must keep advancing or downstream state would
-			// never drain and the pause would deadlock. One short sleep
-			// per event throttles the source by ~3 orders of magnitude.
-			if !col.flush() {
-				return
-			}
-			select {
-			case <-time.After(time.Millisecond):
-				readHandoffs = -1
-			case <-col.done:
-				col.aborted = true
-				return
-			}
-		}
-		if ck != nil {
-			// Barrier injection: snapshot the replay position, ack the
-			// coordinator and emit the barrier before the next event, so
-			// everything before the barrier is pre-checkpoint.
-			if id := ck.requested.Load(); id > lastBarrier {
-				lastBarrier = id
-				ck.ack.Ack(id, task, snapshotAt(i), 0)
-				col.forwardBarrier(id)
-				if col.aborted {
-					return
-				}
-			}
-		}
-		// Filled field by field: a whole-Record assignment goes through a
-		// temporary, one more copy per event.
-		rec.Event = events[i]
-		e := &rec.Event
-		rec.TS, rec.TraceNs = e.TS, 0
-		if pace != nil {
-			pace(emitted)
-			if col.aborted {
-				return
-			}
-		} else if n.source.stampIngest && (col.handoffs != readHandoffs || emitted-readAt >= col.batch) {
-			stamp, readHandoffs, readAt = time.Now().UnixNano(), col.handoffs, emitted
-		}
-		emitted++
-		if n.source.stampIngest {
-			e.Ingest = stamp
-		}
-		if qkeys != nil {
-			// Quarantined records leave the stream here, before they can
-			// advance the watermark — the replayed run behaves as if the
-			// poison event never existed.
-			if k := poisonKey(&rec); hasQuarantined(qkeys, k) {
-				if cb := env.cfg.Quarantine.OnDrop; cb != nil {
-					cb(n.name, inst, k, summarize(&rec))
-				}
-				continue
-			}
-		}
-		if e.TS > maxTS {
-			maxTS = e.TS
-			// Publish the stream-wide max event time: the reference point
-			// for every operator's watermark lag (nil-safe, no-op when no
-			// metrics registry is attached).
-			col.obsOp.ObserveEventTime(int64(e.TS))
-		}
-		if tr := col.tracer; tr != nil {
-			// Deterministic sampling decision: the same event is sampled in
-			// every run and on every worker, so traces stay reproducible.
-			if id, ok := tr.Sample(*e); ok {
-				rec.TraceNs = time.Now().UnixNano()
-				tr.Add(trace.Span{
-					Trace: id, Kind: trace.KindSource,
-					Name: n.name, Instance: inst, StartNs: rec.TraceNs,
-				})
-			}
-		}
-		col.curSet = true
-		if pt != nil {
-			var k string
-			if pt.NeedKey {
-				k = poisonKey(&rec)
-			}
-			pt.Hit(k)
-		}
-		col.Emit(&rec)
-		col.curSet = false
-		if col.aborted {
-			return
-		}
-		if (i+1)%interval == 0 {
-			// The watermark trails the maximum seen event time by the
-			// source's disorder bound (zero for time-ordered streams).
-			col.forwardWatermark(sourceWatermark(maxTS, n.source.lateness))
-			if col.aborted {
-				return
-			}
-		}
-	}
-	if ck != nil {
-		if id := ck.requested.Load(); id > lastBarrier {
-			ck.ack.Ack(id, task, snapshotAt(len(events)), 0)
-			col.forwardBarrier(id)
-			if col.aborted {
-				return
-			}
-		}
-		ck.ack.FinishTask(task, snapshotAt(len(events)))
-	}
-	col.eos()
-}
-
-// sourceWatermark computes the watermark a source may emit after seeing a
-// maximum event time of maxTS under the given disorder bound: maxTS -
-// lateness - 1, saturating at MinWatermark instead of wrapping around when
-// no event has been seen yet (maxTS == event.MinWatermark, e.g. a source
-// restored from a pre-first-event checkpoint) or when maxTS sits near the
-// bottom of the time domain. A wrapped watermark would jump ahead of every
-// event time and fire all downstream windows prematurely.
-func sourceWatermark(maxTS, lateness event.Time) event.Time {
-	wm := maxTS - lateness - 1
-	if wm > maxTS { // int64 underflow wrapped around
-		return event.MinWatermark
-	}
-	return wm
-}
-
-func runInstance(env *Environment, n *node, inst int, in chan []Record, nSrc int, nq *atomic.Int64, col *Collector, done <-chan struct{}) {
-	op := n.newOp(inst)
-	// Fault-injection point and quarantined key set for this instance; both
-	// are nil in ordinary runs (two pointer comparisons per data record).
-	pt := env.cfg.Chaos.Point(n.name, inst)
-	qkeys := env.cfg.Quarantine.keysFor(n.name)
-	// st is nil for stateless operators. A State's gauges (Partials,
-	// StateBytes) are published after every watermark, its restored units
-	// re-accounted and its late records dropped. checkState enforces the
-	// Shed/Pause overload policies after every record and watermark; it is
-	// nil on ordinary runs — one nil comparison each on the hot path.
-	st, _ := op.(State)
-	snap, _ := op.(Snapshotter)
-	var checkState func()
-	if ov := env.cfg.Overload; ov.Budget.Enabled() && ov.Policy != overload.Fail {
-		perOp, perJob := ov.Budget.PerOperator, ov.Budget.PerJob
-		lw := ov.Budget.EffectiveLowWater()
-		switch {
-		case ov.Policy == overload.Shed && st != nil:
-			// The live strategy may be switched mid-run by a quality
-			// controller; every check reads it on this instance's own
-			// goroutine.
-			strategy := env.ShedStrategy
-			if ss, ok := op.(SelfShedder); ok {
-				// Operators whose state can multiply within a single call
-				// (the NFA under skip-till-any-match) cap themselves at
-				// insertion time; post-call checks cannot bound that growth.
-				eff := perOp
-				if eff <= 0 || (perJob > 0 && perJob < eff) {
-					eff = perJob
-				}
-				if eff > 0 {
-					ss.SetStateBudget(eff, int64(lw*float64(eff)), col.recordShed)
-				}
-				strategy = func() overload.ShedStrategy {
-					by := env.ShedStrategy()
-					ss.SetShedStrategy(by == overload.PatternAware)
-					return by
-				}
-				strategy()
-			}
-			checkState = func() {
-				by := strategy()
-				if perOp > 0 && col.instState >= perOp {
-					col.recordShed(st.Shed(int64(lw*float64(perOp)), by, col))
-				}
-				if perJob <= 0 || col.instState == 0 {
-					return
-				}
-				if total := env.totalState.Load(); total >= perJob {
-					// The noticing instance sheds the job-wide excess from
-					// its own state (it cannot reach the others'); every
-					// stateful instance runs this check, so pressure lands
-					// where state actually sits.
-					target := max(col.instState-(total-int64(lw*float64(perJob))), 0)
-					col.recordShed(st.Shed(target, by, col))
-				}
-			}
-		case ov.Policy == overload.Pause:
-			gate := env.gate
-			lowOp := int64(lw * float64(perOp))
-			lowJob := int64(lw * float64(perJob))
-			raised := false
-			checkState = func() {
-				if !raised {
-					if (perOp > 0 && col.instState >= perOp) ||
-						(perJob > 0 && env.totalState.Load() >= perJob) {
-						raised = true
-						gate.Raise()
-					}
-					return
-				}
-				if (perOp <= 0 || col.instState <= lowOp) &&
-					(perJob <= 0 || env.totalState.Load() <= lowJob) {
-					raised = false
-					gate.Lower()
-				}
-			}
-			defer func() {
-				if raised {
-					gate.Lower()
-				}
-			}()
-		}
-	}
-	ck := env.ckpt.Load()
-	var task string
-	if ck != nil {
-		task = taskID(n, inst)
-		if ck.restored != nil {
-			if data := ck.restored.Tasks[task]; len(data) > 0 {
-				if snap == nil {
-					env.fail(fmt.Errorf("asp: snapshot carries state for non-snapshottable %s", task))
-					return
-				}
-				if err := snap.RestoreState(data); err != nil {
-					env.fail(fmt.Errorf("asp: restoring %s: %w", task, err))
-					return
-				}
-				if st != nil {
-					// Restored units count against the budget as if this
-					// run had built them up.
-					col.AddState(st.StateStats().Records)
-				}
-			}
-		}
-	}
-	holder, _ := op.(WatermarkHolder)
-	wms := make([]event.Time, max(nSrc, 1))
-	for i := range wms {
-		wms[i] = event.MinWatermark
-	}
-	finished := make([]bool, max(nSrc, 1))
-	remaining := nSrc
-	curWM := event.MinWatermark
-	// om is nil without a metrics registry. With one, the instance reads the
-	// clock around each consumed batch and around each OnWatermark call —
-	// never around a record: wmNs is the OnWatermark time inside the batch
-	// under way, which the batch's data time excludes.
-	om := col.obsOp
-	var wmNs int64
-
-	advance := func(src uint16, wm event.Time) {
-		if wm <= wms[src] {
-			return
-		}
-		wms[src] = wm
-		min := wms[0]
-		for _, w := range wms[1:] {
-			if w < min {
-				min = w
-			}
-		}
-		if min > curWM {
-			curWM = min
-			if om != nil {
-				t0 := time.Now()
-				op.OnWatermark(curWM, col)
-				wmNs += time.Since(t0).Nanoseconds()
-			} else {
-				op.OnWatermark(curWM, col)
-			}
-			if checkState != nil {
-				checkState()
-			}
-			if st != nil && om != nil {
-				// Publish the state gauges on watermark cadence: often
-				// enough for /debug/topology to show hotspots, cheap
-				// enough to stay off the per-record path.
-				stats := st.StateStats()
-				om.Partials.Store(stats.Records)
-				om.StateBytes.Store(stats.Bytes)
-			}
-			fw := curWM
-			if holder != nil {
-				if h := holder.Hold(); h < fw {
-					fw = h
-				}
-			}
-			col.forwardWatermark(fw)
-		}
-	}
-
-	// Aligned-barrier checkpointing state. While a checkpoint is aligning,
-	// records from senders whose barrier already arrived are stashed and
-	// replayed after the snapshot, so the captured state reflects exactly
-	// the pre-barrier prefix of every input. A sender's EOS counts as its
-	// barrier for the current and all future checkpoints.
-	var (
-		alignID    int64 // checkpoint being aligned; 0 = none
-		alignGot   []bool
-		alignStart time.Time
-		stash      []Record
-	)
-	if ck != nil {
-		alignGot = make([]bool, max(nSrc, 1))
-	}
-	aligned := func() bool {
-		for s := 0; s < nSrc; s++ {
-			if !alignGot[s] && !finished[s] {
-				return false
-			}
-		}
-		return true
-	}
-	completeAlignment := func() {
-		var data []byte
-		if snap != nil {
-			t0 := time.Now()
-			var err error
-			data, err = snap.SnapshotState()
-			if err != nil {
-				env.fail(fmt.Errorf("asp: snapshotting %s: %w", task, err))
-				col.aborted = true
-				return
-			}
-			n.metrics.Ckpts.Add(1)
-			n.metrics.CkptBytes.Add(int64(len(data)))
-			n.metrics.CkptNanos.Add(time.Since(t0).Nanoseconds())
-		}
-		pause := time.Since(alignStart)
-		ck.ack.Ack(alignID, task, data, pause)
-		if ck.alignHist != nil {
-			ck.alignHist.Record(pause.Nanoseconds())
-		}
-		if col.tracer != nil {
-			col.tracer.Add(trace.Span{
-				Trace: uint64(alignID), Kind: trace.KindBarrier,
-				Name: "align:" + n.name, Instance: inst,
-				StartNs: alignStart.UnixNano(), DurNs: pause.Nanoseconds(),
-			})
-		}
-		col.forwardBarrier(alignID)
-		alignID = 0
-	}
-	maybeAlign := func() {
-		if alignID != 0 && aligned() {
-			completeAlignment()
-		}
-	}
-
-	// process handles one in-order record; it returns false when the
-	// instance is done (all inputs exhausted or the run aborted). It takes a
-	// pointer so panic attribution and the fault/quarantine checks avoid
-	// copying the record on the hot path.
-	process := func(r *Record) bool {
-		switch r.Kind {
-		case KindEOS:
-			remaining--
-			finished[r.Src] = true
-			advance(r.Src, event.MaxWatermark)
-			if ck != nil {
-				maybeAlign()
-			}
-			if remaining == 0 {
-				// No stashed record can remain here: a sender's EOS is
-				// stashed, not processed, while that sender is aligned.
-				op.OnClose(col)
-				col.forwardWatermark(event.MaxWatermark)
-				if ck != nil {
-					// Post-flush state is the task's implicit ack for all
-					// future checkpoints (nil for stateless operators).
-					var final []byte
-					if snap != nil {
-						var err error
-						if final, err = snap.SnapshotState(); err != nil {
-							env.fail(fmt.Errorf("asp: snapshotting finished %s: %w", task, err))
-							col.aborted = true
-							return false
-						}
-					}
-					ck.ack.FinishTask(task, final)
-				}
-				col.eos()
-				return false
-			}
-		case KindWatermark:
-			advance(r.Src, r.TS)
-		case KindBarrier:
-			if ck == nil {
-				return true
-			}
-			if r.TraceNs != 0 {
-				// Barrier propagation latency: sender's forwardBarrier stamp
-				// to receipt here, covering queue wait (and the network hop
-				// on spliced edges).
-				if d := time.Now().UnixNano() - r.TraceNs; d >= 0 {
-					if ck.propHist != nil {
-						ck.propHist.Record(d)
-					}
-					if col.tracer != nil {
-						col.tracer.Add(trace.Span{
-							Trace: uint64(r.TS), Kind: trace.KindBarrier,
-							Name: "barrier:" + n.name, Instance: inst,
-							StartNs: r.TraceNs, DurNs: d,
-						})
-					}
-				}
-			}
-			if alignID == 0 {
-				alignID = r.TS
-				alignStart = time.Now()
-				for i := range alignGot {
-					alignGot[i] = false
-				}
-			}
-			if r.TS == alignID {
-				alignGot[r.Src] = true
-				maybeAlign()
-			}
-		default:
-			if qkeys != nil {
-				if k := poisonKey(r); hasQuarantined(qkeys, k) {
-					if cb := env.cfg.Quarantine.OnDrop; cb != nil {
-						cb(n.name, inst, k, summarize(r))
-					}
-					return true
-				}
-			}
-			// Track the record under processing so a panic inside OnRecord
-			// (or an injected fault) is attributed to it.
-			col.cur, col.curSet = r, true
-			if pt != nil {
-				var k string
-				if pt.NeedKey {
-					k = poisonKey(r)
-				}
-				pt.Hit(k)
-			}
-			col.in++
-			late := r.TS <= curWM
-			if late && col.obsOp != nil {
-				// Arrived at or below the merged watermark: over-disordered
-				// input (or a restore/replay race).
-				col.late++
-			}
-			if late && st != nil {
-				// A State's event-time bookkeeping takes no record at or
-				// below its merged watermark (see State). The Late counter
-				// above is the drop count.
-				col.curSet = false
-				return true
-			}
-			if r.Kind == KindMatch && len(col.senders) == 0 {
-				// A match reaching a terminal node is a detected match;
-				// the count feeds the live recall estimate.
-				col.matches++
-			}
-			if col.obsOp != nil {
-				col.reached++
-			}
-			if col.tracer != nil && r.TraceNs != 0 {
-				// A sampled record keeps a clock pair of its own for its span;
-				// its time is part of the batch's like any other record's.
-				t0 := time.Now()
-				op.OnRecord(int(r.Port), r, col)
-				d := time.Since(t0).Nanoseconds()
-				start := t0.UnixNano()
-				q := start - r.TraceNs
-				if q < 0 {
-					q = 0
-				}
-				col.tracer.Add(trace.Span{
-					Trace: traceIDOf(r), Kind: trace.KindOp,
-					Name: n.name, Instance: inst,
-					StartNs: start, DurNs: d, QueueNs: q,
-				})
-			} else {
-				op.OnRecord(int(r.Port), r, col)
-			}
-			if checkState != nil {
-				checkState()
-			}
-			col.curSet = false
-		}
-		return !col.aborted
-	}
-
-	// Records are processed in place in the batch buffer: stashing copies
-	// them out and panic attribution (col.cur) reads its record before the
-	// goroutine unwinds, so the buffer can be recycled right after the loop.
-	// The flush timer bounds how long this instance's own partial output
-	// batches can age while input keeps arriving.
-	flushEvery := env.cfg.FlushTimeout
-	var lastFlush time.Time
-	if flushEvery > 0 {
-		lastFlush = time.Now()
-	}
-	for {
-		var batch []Record
-		select {
-		case batch = <-in:
-		default:
-			// Input drained: flush pending output (idle flush) so partial
-			// batches and coalesced watermarks never wait on further
-			// input, then block.
-			if !col.flush() {
-				return
-			}
-			select {
-			case batch = <-in:
-			case <-done:
-				return
-			}
-		}
-		if nq != nil {
-			nq.Add(-int64(len(batch)))
-		}
-		var t0 time.Time
-		if om != nil {
-			t0 = time.Now()
-		}
-		more := true
-	records:
-		for bi := range batch {
-			r := &batch[bi]
-			if alignID != 0 && alignGot[r.Src] {
-				stash = append(stash, *r)
-				continue
-			}
-			if more = process(r); !more {
-				break
-			}
-			// Replay stashed records once the alignment completed. A
-			// stashed barrier may start the next alignment mid-replay, in
-			// which case records from its already-aligned senders are
-			// re-stashed in scan order, preserving per-sender FIFO.
-			for alignID == 0 && len(stash) > 0 {
-				replay := stash
-				stash = nil
-				for i := range replay {
-					rr := &replay[i]
-					if alignID != 0 && alignGot[rr.Src] {
-						stash = append(stash, *rr)
-						continue
-					}
-					if more = process(rr); !more {
-						break records
-					}
-				}
-			}
-		}
-		if om != nil {
-			// The batch's data time — its wall time less its OnWatermark
-			// calls — goes to the records that reached OnRecord in it, at
-			// their mean.
-			if k := col.reached; k > 0 {
-				om.Proc.RecordN((time.Since(t0).Nanoseconds()-wmNs)/k, k)
-				col.reached = 0
-			}
-			if wmNs != 0 {
-				om.WatermarkNanos.Add(wmNs)
-				wmNs = 0
-			}
-		}
-		col.settle()
-		col.pool.put(batch)
-		if !more {
-			return
-		}
-		if flushEvery > 0 && time.Since(lastFlush) >= flushEvery {
-			if !col.flush() {
-				return
-			}
-			lastFlush = time.Now()
-		}
 	}
 }

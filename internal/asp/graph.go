@@ -348,6 +348,13 @@ type node struct {
 	outEdges    []*edge
 	source      *sourceSpec
 	metrics     *NodeMetrics
+	// Filled at execution time: the input channels, one per instance; the
+	// sender count over all in-edges; the record count buffered in the
+	// input channels and the per-instance handles (registry only).
+	in     []chan []Record
+	nSrc   int
+	queued *atomic.Int64
+	obs    []*obs.OperatorMetrics
 }
 
 type edge struct {

@@ -73,7 +73,7 @@ func ijOracle(c ijCase, left, right []Record) map[ijPair]bool {
 
 func ijKey(r *Record) int64 { return r.Events()[0].ID }
 
-// ijDriver feeds one intervalJoin the way runInstance does — runs of
+// ijDriver feeds one intervalJoin the way an instance's step does — runs of
 // records per input, per-input watermarks merged by minimum, OnWatermark
 // when the merged watermark advances — and collects what it emits.
 type ijDriver struct {

@@ -174,3 +174,20 @@ func TestResultsLatencyPercentiles(t *testing.T) {
 		t.Fatalf("max latency %v below the largest recorded value", res.MaxLatency())
 	}
 }
+
+// TestSourcePublishesMaxEventTime: a source publishes its maximum event time
+// before each watermark and once more before its EOS, so after the run the
+// registry's stream-wide maximum is the largest TS of any source — here one
+// that no watermark interval boundary follows.
+func TestSourcePublishesMaxEventTime(t *testing.T) {
+	reg := obs.NewRegistry()
+	env := NewEnvironment(Config{Metrics: reg, WatermarkInterval: 7})
+	q, v := mkEvents(tQ, 1, minutesUpTo(100), nil), mkEvents(tV, 2, minutesUpTo(60), nil)
+	env.Source("q", q, false).Union("u", env.Source("v", v, false)).
+		Sink("sink", func(int) Operator { return passOperator{} })
+	run(t, env)
+	want := q[len(q)-1].TS
+	if got := reg.Snapshot().MaxEventTime; got != int64(want) {
+		t.Fatalf("MaxEventTime = %d, want the streams' max TS %d", got, want)
+	}
+}

@@ -40,21 +40,13 @@ func SourceOffsets(snap *checkpoint.Snapshot) (map[string]SourceProgress, error)
 			continue
 		}
 		var st sourceState
-		if err := gobDecode(data, &st); err != nil {
+		if err := st.RestoreState(data); err != nil {
 			return nil, fmt.Errorf("asp: decoding source state of %s: %w", task, err)
 		}
-		cur, ok := out[name]
-		if !ok {
-			out[name] = SourceProgress{Offset: st.Offset, MaxTS: st.MaxTS}
-			continue
+		if cur, ok := out[name]; ok {
+			st.Offset, st.MaxTS = min(st.Offset, cur.Offset), max(st.MaxTS, cur.MaxTS)
 		}
-		if st.Offset < cur.Offset {
-			cur.Offset = st.Offset
-		}
-		if st.MaxTS > cur.MaxTS {
-			cur.MaxTS = st.MaxTS
-		}
-		out[name] = cur
+		out[name] = SourceProgress(st)
 	}
 	return out, nil
 }

@@ -68,7 +68,7 @@ func noCount(n *nextOccurrence, pending bool) int64 {
 }
 
 // TestStateContract drives each ASP State over a seeded, keyed two-port
-// stream with interleaved per-port watermarks, as runInstance does, and
+// stream with interleaved per-port watermarks, as an instance's step does, and
 // holds it to the State contract after every step: StateStats().Records
 // equals the AddState total and a recount of the operator's groups; a
 // snapshot restored into a fresh instance reports the same StateStats; and
