@@ -173,13 +173,12 @@ func benchEngine(sc harness.Scale) EngineConfig {
 
 // Ablation benchmarks for the design choices DESIGN.md calls out.
 
-// BenchmarkAblationDedupIntermediate quantifies the intermediate-join
-// duplicate suppression: SEQ(4) with and without it (the exponential
-// blow-up analysis in DESIGN.md).
+// BenchmarkAblationDedupIntermediate quantifies the duplicates of the
+// plain mapping on SEQ(4) (the exponential blow-up analysis in DESIGN.md).
 func BenchmarkAblationDedupIntermediate(b *testing.B) {
-	// The public Options always dedup intermediates; the ablation contrast
-	// is the O1 plan (interval joins, inherently duplicate-free) vs the
-	// plain plan (deduped intermediates, duplicated final stage).
+	// Intermediate window joins always emit each pair once; the ablation
+	// contrast is the O1 plan (interval joins, duplicate-free) vs the plain
+	// plan (once-per-pair intermediates, duplicated final stage).
 	sc := benchScale()
 	pat := harness.PatternSEQN(4, 0.05, 15)
 	data := map[Type][]Event{}

@@ -152,6 +152,11 @@ func (w *windowAggregate) OnRecord(_ int, r *Record, out *Collector) {
 	}
 }
 
+// alignUp rounds ts up to the next multiple of step.
+func alignUp(ts, step event.Time) event.Time {
+	return event.FloorDiv(ts+step-1, step) * step
+}
+
 func (w *windowAggregate) OnWatermark(wm event.Time, out *Collector) {
 	for w.nextFire <= wm-w.spec.Window+1 {
 		pmin, ok := w.minPane()

@@ -33,7 +33,6 @@ func seqTopology(env *Environment, n int) *Results {
 		Predicate: func(l, r []event.Event) bool {
 			return l[0].TS < r[0].TS
 		},
-		DedupEmits: true,
 	})).Sink("sink", res.Operator())
 	return res
 }

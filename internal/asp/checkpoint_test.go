@@ -104,7 +104,6 @@ func TestKillRestoreWindowJoin(t *testing.T) {
 			Predicate: func(l, r []event.Event) bool {
 				return l[0].TS < r[0].TS
 			},
-			DedupEmits: true,
 		})).Sink("sink", res.Operator())
 		return res
 	})

@@ -88,6 +88,7 @@ func TestWindowJoinBasic(t *testing.T) {
 		Predicate: func(l, r []event.Event) bool {
 			return l[0].TS < r[0].TS // sequence order
 		},
+		PerWindow: true, // a root join, as the translator configures it
 	})).Sink("sink", res.Operator())
 	run(t, env)
 	// q@0 with v@2 is the only pair within a 5-minute window in order.

@@ -43,10 +43,10 @@ func NewIntervalJoin(spec IntervalJoinSpec) func(int) Operator {
 }
 
 // ijSide is one input's buffer within a key group: recs[head:] are the
-// buffered records, sorted by TS in the interval join and by pane in the
-// window join (see insert). Eviction advances head instead of moving the
-// survivors down; the slots before head are reclaimed when the buffer
-// empties or an insert finds the array full.
+// buffered records, sorted by TS, equal timestamps in arrival order.
+// Eviction advances head instead of moving the survivors down; the slots
+// before head are reclaimed when the buffer empties or an insert finds the
+// array full.
 type ijSide struct {
 	recs []Record
 	head int
@@ -91,7 +91,10 @@ func (gs ijGroups) records() int64 {
 }
 
 type intervalJoin struct {
-	spec  IntervalJoinSpec
+	spec IntervalJoinSpec
+	// win, when set, is the window join's partner rule, which replaces the
+	// bounds of spec.
+	win   *windowRule
 	pred  JoinPredicate
 	state ijGroups
 	elems int64 // records buffered across groups (mirrors AddState)
@@ -123,18 +126,29 @@ func groupKey(left, right KeyFn, port int, r *Record) int64 {
 // are a prefix. Probe, eviction and the shedders all take their bounds from
 // here.
 func (j *intervalJoin) partnerRange(ts event.Time, port int) (lo, hi event.Time) {
-	if port == 0 {
-		return ts + j.spec.Lower, ts + j.spec.Upper
+	switch {
+	case j.win != nil:
+		lo = j.win.firstPartner(ts) - 1
+	case port == 0:
+		lo = ts + j.spec.Lower
+	default:
+		lo = ts - j.spec.Upper
 	}
-	return ts - j.spec.Upper, ts - j.spec.Lower
+	return lo, j.deathTime(ts, port) + 1
 }
 
-// deathTime is the last timestamp that can still partner a record at ts.
-// Future arrivals lie above the watermark, so the record is dead once the
-// watermark reaches it.
+// deathTime is the last timestamp that can still partner a record at ts:
+// partnerRange's upper bound minus one, kept apart so that the eviction
+// loops inline it. Future arrivals lie above the watermark, so the record
+// is dead once the watermark reaches it.
 func (j *intervalJoin) deathTime(ts event.Time, port int) event.Time {
-	_, hi := j.partnerRange(ts, port)
-	return hi - 1
+	switch {
+	case j.win != nil:
+		return j.win.lastPartner(ts)
+	case port == 0:
+		return ts + j.spec.Upper - 1
+	}
+	return ts - j.spec.Lower - 1
 }
 
 // firstAfter returns the index of the first record of a TS-sorted buffer
@@ -144,16 +158,13 @@ func firstAfter(buf []Record, ts event.Time) int {
 }
 
 // insert places a copy of r behind every buffered record whose timestamp is
-// at most bound, where a binary search finds the first later one. The
-// interval join passes r.TS, which keeps the buffer TS-sorted; the window
-// join passes the last timestamp of r's pane, which keeps it ordered by
-// pane and by arrival within a pane.
-func (s *ijSide) insert(r *Record, bound event.Time) {
+// at most r's, where a binary search finds the first later one.
+func (s *ijSide) insert(r *Record) {
 	if s.head > 0 && len(s.recs) == cap(s.recs) {
 		s.recs = s.recs[:copy(s.recs, s.live())]
 		s.head = 0
 	}
-	i := s.head + firstAfter(s.live(), bound)
+	i := s.head + firstAfter(s.live(), r.TS)
 	s.recs = append(s.recs, Record{})
 	copy(s.recs[i+1:], s.recs[i:])
 	s.recs[i] = *r
@@ -178,24 +189,33 @@ func (j *intervalJoin) OnRecord(port int, r *Record, out *Collector) {
 	partners := g[opp].live()
 	for i := firstAfter(partners, lo); i < len(partners) && partners[i].TS < hi; i++ {
 		pair[opp] = partners[i].Events()
-		j.emit(max(r.TS, partners[i].TS), pair[0], pair[1], out)
+		j.emit(r.TS, partners[i].TS, pair[0], pair[1], out)
 	}
-	g[port].insert(r, r.TS)
-	j.nextDeath = min(j.nextDeath, j.deathTime(r.TS, port))
+	g[port].insert(r)
+	j.nextDeath = min(j.nextDeath, hi-1) // r's deathTime
 	j.rate[port].observe(r.TS)
 	j.maxTS = max(j.maxTS, r.TS)
 	j.elems++
 	out.AddState(1)
 }
 
-// emit joins the pair with constituents l (left) and r (right).
-func (j *intervalJoin) emit(ts event.Time, l, r []event.Event, out *Collector) {
+// emit joins the pair of records at a and b with constituents l (left) and
+// r (right), timestamped with the later of a and b. The window rule's
+// copies are pointer copies of one match.
+func (j *intervalJoin) emit(a, b event.Time, l, r []event.Event, out *Collector) {
 	if j.pred != nil && !j.pred(l, r) {
 		return
 	}
 	// The match takes ownership of the new slice: one allocation per pair.
 	evs := make([]event.Event, 0, len(l)+len(r))
-	out.EmitMatch(ts, event.WrapMatch(append(append(evs, l...), r...)))
+	m := event.WrapMatch(append(append(evs, l...), r...))
+	ts, n := max(a, b), 1
+	if j.win != nil {
+		n = j.win.copies(min(a, b), ts)
+	}
+	for ; n > 0; n-- {
+		out.EmitMatch(ts, m)
+	}
 }
 
 // evictDead drops the records of one side that are dead at wm and returns
@@ -288,13 +308,18 @@ func (j *intervalJoin) recordLife(r Record, port int) int64 {
 }
 
 // recordLoss bounds the matches a dropped buffered record could still
-// have produced. The interval join emits at insertion time, so a
-// buffered record's only future value is joining opposite-side records
-// that have not arrived yet: the expected arrivals within its remaining
-// partner range (padded by overload.LossSafety, floored at 1).
-// Over-counting is safe; under-counting is not.
-func (j *intervalJoin) recordLoss(r Record, port int) float64 {
-	return overload.ExpectedArrivals(j.rate[1-port].perTimeUnit(), j.recordLife(r, port))
+// have produced, given the live records on the opposite side of its group.
+// The join emits at insertion time, so a buffered record's only future
+// value is joining opposite-side records that have not arrived yet: the
+// expected arrivals within its remaining partner range (padded by
+// overload.LossSafety, floored at 1). The window rule charges more (see
+// windowRule.recordLoss). Over-counting is safe; under-counting is not.
+func (j *intervalJoin) recordLoss(r Record, port, liveOpposite int) float64 {
+	arrivals := overload.ExpectedArrivals(j.rate[1-port].perTimeUnit(), j.recordLife(r, port))
+	if j.win != nil {
+		return j.win.recordLoss(liveOpposite, arrivals)
+	}
+	return arrivals
 }
 
 // recordScore is the completion probability of a buffered record: at
@@ -330,12 +355,13 @@ func shedByRank[T cmp.Ordered](j *intervalJoin, target int64, rank func(r Record
 	before := j.elems
 	j.nextDeath = event.MaxWatermark
 	for key, g := range j.state {
+		live := [2]int{len(g[0].live()), len(g[1].live())}
 		for port := range g {
 			s := &g[port]
 			kept := s.recs[:0]
 			for _, r := range s.live() {
 				if rank(r, port) <= cutoff {
-					lost += j.recordLoss(r, port)
+					lost += j.recordLoss(r, port, live[1-port])
 					j.elems--
 				} else {
 					kept = append(kept, r)

@@ -10,16 +10,34 @@ import (
 	"cep2asp/internal/overload"
 )
 
-// ijCase is one configuration of the interval-join property test.
+// ijCase is one configuration of the interval-join property test, or of
+// the window join's when slide is set.
 type ijCase struct {
-	keyed        bool
-	lower, upper event.Time
-	batch        int // records taken from one input before switching, as an edge batch delivers them
-	wmEvery      int // records between two watermarks of one input
+	keyed         bool
+	lower, upper  event.Time
+	window, slide event.Time // the window rule instead of the bounds
+	perWindow     bool
+	batch         int // records taken from one input before switching, as an edge batch delivers them
+	wmEvery       int // records between two watermarks of one input
 }
 
 func (c ijCase) String() string {
+	if c.slide > 0 {
+		return fmt.Sprintf("keyed=%v/W=%d/S=%d/perWindow=%v/batch=%d/wm=%d", c.keyed, c.window, c.slide, c.perWindow, c.batch, c.wmEvery)
+	}
 	return fmt.Sprintf("keyed=%v/bounds=(%d,%d)/batch=%d/wm=%d", c.keyed, c.lower, c.upper, c.batch, c.wmEvery)
+}
+
+// newOp returns the case's operator factory.
+func (c ijCase) newOp() func(int) Operator {
+	var key KeyFn
+	if c.keyed {
+		key = ijKey
+	}
+	if c.slide > 0 {
+		return NewWindowJoin(WindowJoinSpec{Window: c.window, Slide: c.slide, LeftKey: key, RightKey: key, Predicate: ijPred, PerWindow: c.perWindow})
+	}
+	return NewIntervalJoin(IntervalJoinSpec{Lower: c.lower, Upper: c.upper, LeftKey: key, RightKey: key, Predicate: ijPred})
 }
 
 // ijPair names an emitted or expected pair by the sequence numbers its two
@@ -86,17 +104,14 @@ type ijDriver struct {
 	ch     chan []Record
 	wm     event.Time // last merged watermark handed to the operator
 	got    map[ijPair]int
+	seq    []ijPair // every emission, in order
 	calls  int
 	atCall map[int]func(*ijDriver) // mid-stream actions, by OnRecord count
 }
 
 func newIJDriver(t *testing.T, c ijCase) *ijDriver {
-	spec := IntervalJoinSpec{Lower: c.lower, Upper: c.upper, Predicate: ijPred}
-	if c.keyed {
-		spec.LeftKey, spec.RightKey = ijKey, ijKey
-	}
 	d := &ijDriver{
-		t: t, c: c, newOp: NewIntervalJoin(spec), env: NewEnvironment(Config{}),
+		t: t, c: c, newOp: c.newOp(), env: NewEnvironment(Config{}),
 		ch: make(chan []Record, 1024), wm: event.MinWatermark,
 		got: make(map[ijPair]int), atCall: make(map[int]func(*ijDriver)),
 	}
@@ -113,9 +128,10 @@ func newIJDriver(t *testing.T, c ijCase) *ijDriver {
 }
 
 // drain collects the operator's output since the last call, holding each
-// record to the emission contract: timestamped with its later constituent
-// and above every watermark already forwarded.
-func (d *ijDriver) drain() {
+// record to the emission contract: timestamped with its later constituent,
+// above every watermark already forwarded, and emitted by the OnRecord call
+// of one of its records (arriving, on port), never by a watermark (nil).
+func (d *ijDriver) drain(port int, arriving *Record) {
 	d.col.flush()
 	for {
 		select {
@@ -130,7 +146,12 @@ func (d *ijDriver) drain() {
 				if r.TS <= d.wm {
 					d.t.Fatalf("%v: emitted TS %d at or below forwarded watermark %d", d.c, r.TS, d.wm)
 				}
-				d.got[ijPair{int(l.Value), int(rt.Value)}]++
+				p := ijPair{int(l.Value), int(rt.Value)}
+				if arriving == nil || p[port] != int(arriving.Events()[0].Value) {
+					d.t.Fatalf("%v: pair %v emitted outside the OnRecord call of its later record", d.c, p)
+				}
+				d.got[p]++
+				d.seq = append(d.seq, p)
 			}
 		default:
 			return
@@ -166,13 +187,23 @@ func (d *ijDriver) checkState() {
 
 func (d *ijDriver) run(rng *rand.Rand, left, right []Record) {
 	in := [2][]Record{left, right}
+	// rest[port][i] is the earliest timestamp of in[port][i:]: a watermark
+	// stays below it, so records out of order within an input are not late.
+	var rest [2][]event.Time
+	for port := range in {
+		rest[port] = make([]event.Time, len(in[port])+1)
+		rest[port][len(in[port])] = event.MaxWatermark
+		for i := len(in[port]) - 1; i >= 0; i-- {
+			rest[port][i] = min(in[port][i].TS, rest[port][i+1])
+		}
+	}
 	var next [2]int
 	wms := [2]event.Time{event.MinWatermark, event.MinWatermark}
 	watermark := func(port int, wm event.Time) {
 		wms[port] = wm
 		if merged := min(wms[0], wms[1]); merged > d.wm {
 			d.op.OnWatermark(merged, d.col)
-			d.drain()
+			d.drain(0, nil)
 			d.wm = merged
 			d.checkState()
 		}
@@ -186,14 +217,14 @@ func (d *ijDriver) run(rng *rand.Rand, left, right []Record) {
 			r := in[port][next[port]]
 			next[port]++
 			d.op.OnRecord(port, &r, d.col)
-			d.drain()
+			d.drain(port, &r)
 			d.calls++
 			if act := d.atCall[d.calls]; act != nil {
 				act(d)
 				d.checkState()
 			}
 			if next[port]%d.c.wmEvery == 0 {
-				watermark(port, sourceWatermark(r.TS, 0))
+				watermark(port, sourceWatermark(min(r.TS, rest[port][next[port]]), 0))
 			}
 		}
 		if next[port] == len(in[port]) {

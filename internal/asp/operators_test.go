@@ -5,10 +5,12 @@ import (
 	"testing"
 
 	"cep2asp/internal/event"
+	"cep2asp/internal/obs"
 )
 
 // Focused operator-level tests complementing engine_test.go: state
-// accounting, eviction, watermark holds, dedup, and aggregation details.
+// accounting, eviction, watermarks, per-window copies and aggregation
+// details.
 
 func TestWindowJoinStateEvicted(t *testing.T) {
 	env := NewEnvironment(Config{WatermarkInterval: 1})
@@ -42,44 +44,54 @@ func TestNextOccurrenceStateEvicted(t *testing.T) {
 	}
 }
 
+// TestWindowJoinDedupEmits runs one pair through a window join as an
+// intermediate stage and as a branch root: the intermediate stage emits the
+// pair once, the root once per window that holds both records.
 func TestWindowJoinDedupEmits(t *testing.T) {
-	runJoin := func(dedup bool) (total int64) {
+	runJoin := func(perWindow bool) (total int64) {
 		env := NewEnvironment(Config{WatermarkInterval: 1})
 		res := NewResults(false, false)
 		left := env.Source("q", mkEvents(tQ, 1, []int64{10}, nil), false)
 		right := env.Source("v", mkEvents(tV, 1, []int64{11}, nil), false)
 		left.Connect2("join", right, 1, nil, nil, NewWindowJoin(WindowJoinSpec{
-			Window:     5 * event.Minute,
-			Slide:      event.Minute,
-			DedupEmits: dedup,
+			Window:    5 * event.Minute,
+			Slide:     event.Minute,
+			PerWindow: perWindow,
 		})).Sink("sink", res.Operator())
 		run(t, env)
 		return res.Total()
 	}
-	withDup := runJoin(false)
-	deduped := runJoin(true)
-	if deduped != 1 {
-		t.Fatalf("deduped emissions = %d, want 1", deduped)
+	once := runJoin(false)
+	withDup := runJoin(true)
+	if once != 1 {
+		t.Fatalf("intermediate emissions = %d, want 1", once)
 	}
 	// The pair co-occurs in 4 windows (starts 7..10 contain both ts=10,11).
 	if withDup != 4 {
-		t.Fatalf("duplicate emissions = %d, want 4", withDup)
+		t.Fatalf("per-window emissions = %d, want 4", withDup)
 	}
 }
 
+// TestWindowJoinHoldReleasesWatermark chains two window joins: the join
+// holds no watermark back, so the downstream join receives every
+// intermediate pair above its merged watermark, drops none as late, and the
+// pipeline completes with both triples.
 func TestWindowJoinHoldReleasesWatermark(t *testing.T) {
-	// A chained pipeline would deadlock at EOS if the hold never released;
-	// completing at all proves the release path.
-	env := NewEnvironment(Config{WatermarkInterval: 1})
+	reg := obs.NewRegistry()
+	env := NewEnvironment(Config{WatermarkInterval: 1, Metrics: reg})
 	res := NewResults(true, true)
 	w := 5 * event.Minute
+	j1Spec := WindowJoinSpec{
+		Window: w, Slide: event.Minute,
+		Predicate: func(l, r []event.Event) bool { return l[0].TS < r[0].TS },
+	}
+	if _, held := NewWindowJoin(j1Spec)(0).(WatermarkHolder); held {
+		t.Fatal("the window join holds the watermark back")
+	}
 	q := env.Source("q", mkEvents(tQ, 1, []int64{0, 30}, nil), false)
 	v := env.Source("v", mkEvents(tV, 1, []int64{1, 31}, nil), false)
 	p := env.Source("p", mkEvents(tP, 1, []int64{2, 32}, nil), false)
-	j1 := q.Connect2("j1", v, 1, nil, nil, NewWindowJoin(WindowJoinSpec{
-		Window: w, Slide: event.Minute, DedupEmits: true,
-		Predicate: func(l, r []event.Event) bool { return l[0].TS < r[0].TS },
-	}))
+	j1 := q.Connect2("j1", v, 1, nil, nil, NewWindowJoin(j1Spec))
 	j1.Connect2("j2", p, 1, nil, nil, NewWindowJoin(WindowJoinSpec{
 		Window: w, Slide: event.Minute,
 		Predicate: func(l, r []event.Event) bool {
@@ -87,9 +99,14 @@ func TestWindowJoinHoldReleasesWatermark(t *testing.T) {
 		},
 	})).Sink("sink", res.Operator())
 	run(t, env)
-	// Two disjoint triples, both must be found despite the hold.
+	// Two disjoint triples, both must be found.
 	if got := res.Unique(); got != 2 {
-		t.Fatalf("chained join with holds found %d matches, want 2", got)
+		t.Fatalf("chained join found %d matches, want 2", got)
+	}
+	for _, op := range reg.Snapshot().Operators {
+		if op.Late != 0 {
+			t.Fatalf("%s dropped %d records as late", op.Node, op.Late)
+		}
 	}
 }
 

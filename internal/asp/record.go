@@ -66,9 +66,10 @@ func EventRecord(e event.Event) Record {
 }
 
 // MatchRecord wraps a composite with an explicitly assigned event time.
-// After a decomposed join the assigned time is the firing window's end
-// (watermark-safe); ordering constraints between constituents are expressed
-// as predicates over the constituents themselves (§4.2.2).
+// After a decomposed join the assigned time is the later of the two joined
+// records' times (above the input watermark); ordering constraints between
+// constituents are expressed as predicates over the constituents themselves
+// (§4.2.2).
 func MatchRecord(ts event.Time, m *event.Match) Record {
 	return Record{Kind: KindMatch, TS: ts, Match: m}
 }

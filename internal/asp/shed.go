@@ -50,14 +50,6 @@ func clampTimeLeft(t event.Time) int64 {
 	return int64(t)
 }
 
-// partnerBound bounds the matches one dropped buffered record could
-// still have produced: every live opposite-side record it had not yet
-// been joined with, plus the expected opposite-side arrivals within its
-// remaining lifetime (rate padded by overload.LossSafety, floored at 1).
-func partnerBound(liveOpposite int, oppositeRate float64, timeLeft int64) float64 {
-	return float64(liveOpposite) + overload.ExpectedArrivals(oppositeRate, timeLeft)
-}
-
 // overloadCheck builds the Shed/Pause policy check an operator instance runs
 // after every record and watermark, and the release its exit runs. Both are
 // nil on ordinary runs and under the Fail policy, whose checks sit in

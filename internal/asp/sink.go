@@ -26,6 +26,7 @@ type Results struct {
 	mu      sync.Mutex
 	matches []*event.Match
 	seen    map[string]struct{}
+	keyBuf  []byte // add's scratch: the key of the record under test
 	total   int64
 	unique  int64
 	// lat is the detection-latency histogram (nanoseconds): log-bucketed,
@@ -116,17 +117,18 @@ func (r *Results) add(rec *Record) {
 	if ing := rec.Ingest(); ing > 0 {
 		r.lat.Record(now - ing)
 	}
-	m := rec.ToMatch()
 	if r.Dedup {
-		k := m.Key()
-		if _, dup := r.seen[k]; dup {
+		// Indexing by string(bytes) does not allocate: only a new key
+		// becomes a string.
+		r.keyBuf = event.AppendKey(r.keyBuf[:0], rec.Events())
+		if _, dup := r.seen[string(r.keyBuf)]; dup {
 			return
 		}
-		r.seen[k] = struct{}{}
+		r.seen[string(r.keyBuf)] = struct{}{}
 	}
 	r.unique++
 	if r.Keep {
-		r.matches = append(r.matches, m)
+		r.matches = append(r.matches, rec.ToMatch())
 	}
 }
 

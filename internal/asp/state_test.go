@@ -25,9 +25,9 @@ func stateCases() []stateCase {
 	none := func(State) int64 { return 0 }
 	return []stateCase{{
 		name:    "windowJoin",
-		newOp:   NewWindowJoin(WindowJoinSpec{Window: 12, Slide: 3, LeftKey: byID, RightKey: byID, Predicate: ijPred, DedupEmits: true}),
-		recount: func(s State) int64 { return wjRecount(s.(*windowJoin)) },
-		unshed:  func(s State) int64 { return int64(len(s.(*windowJoin).seen)) },
+		newOp:   NewWindowJoin(WindowJoinSpec{Window: 12, Slide: 3, LeftKey: byID, RightKey: byID, Predicate: ijPred}),
+		recount: func(s State) int64 { return s.(*intervalJoin).state.records() },
+		unshed:  none,
 	}, {
 		name:    "intervalJoin",
 		newOp:   NewIntervalJoin(IntervalJoinSpec{Lower: -4, Upper: 10, LeftKey: byID, RightKey: byID, Predicate: ijPred}),

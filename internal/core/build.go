@@ -241,7 +241,7 @@ func (b *builder) join(v *JoinPlan) (*asp.Stream, []string, error) {
 			Window: w, Slide: v.Window.Slide,
 			LeftKey: leftKey, RightKey: rightKey,
 			NewPredicate: newPred,
-			DedupEmits:   v.Dedup,
+			PerWindow:    v.PerWindow,
 		})
 	}
 	s := left.Connect2(b.name(kind), right, parallelism, leftKey, rightKey, op)

@@ -165,12 +165,12 @@ type JoinPlan struct {
 	Equi *EquiSpec
 	// AuxChecks are negated-sequence selections bound at this join.
 	AuxChecks []AuxCheck
-	// Dedup suppresses this stage's per-window duplicate emissions.
-	// Translate sets it on every non-root join: duplicates multiply by
-	// ~W/slide per chained stage, so only the final stage's duplicates
-	// remain observable (matching the single-join duplicate discussion of
-	// §3.1.4 while keeping decomposed chains linear).
-	Dedup bool
+	// PerWindow makes a window join emit each match once per window that
+	// holds both its records (§3.1.4). Translate sets it on a branch's root
+	// join only: every other stage emits each pair once, so the duplicates
+	// do not multiply down a chain and only the final stage's remain
+	// observable.
+	PerWindow bool
 }
 
 // Aliases implements PlanNode.

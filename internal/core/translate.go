@@ -59,7 +59,9 @@ func Translate(p *sea.Pattern, opts Options) (*Plan, error) {
 		if pend := t.unassignedAux(); pend != "" {
 			return nil, fmt.Errorf("core: negated-sequence selection for alias %q was never bound", pend)
 		}
-		markIntermediateDedup(s.node, true)
+		if j, ok := s.node.(*JoinPlan); ok {
+			j.PerWindow = true
+		}
 		roots = append(roots, s.node)
 	}
 	root := roots[0]
@@ -67,19 +69,6 @@ func Translate(p *sea.Pattern, opts Options) (*Plan, error) {
 		root = &UnionPlan{Branches: roots}
 	}
 	return &Plan{Pattern: p, Root: root, Opts: opts}, nil
-}
-
-// markIntermediateDedup enables duplicate suppression on every join except
-// the branch root: intermediate duplicates would multiply exponentially
-// down a chain; the final stage keeps the paper's observable duplicates.
-func markIntermediateDedup(n PlanNode, isRoot bool) {
-	j, ok := n.(*JoinPlan)
-	if !ok {
-		return
-	}
-	j.Dedup = !isRoot
-	markIntermediateDedup(j.Left, false)
-	markIntermediateDedup(j.Right, false)
 }
 
 // orFree expands a pattern structure into OR-free alternatives by
