@@ -225,48 +225,6 @@ func BenchmarkAblationParallelism(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationChaining contrasts standalone filter nodes against
-// edge-fused selections (operator chaining): same results, one fewer
-// channel hop per event — the knob addressing the single-core pipeline
-// tax discussed in EXPERIMENTS.md.
-func BenchmarkAblationChaining(b *testing.B) {
-	pattern, err := Parse(`
-		PATTERN SEQ(QnVQuantity q, QnVVelocity v)
-		WHERE q.value >= 95 AND v.value <= 5
-		WITHIN 15 MINUTES`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	q, v := GenerateQnV(20, 240, 1)
-	for _, chain := range []bool{false, true} {
-		chain := chain
-		name := "filter-nodes"
-		if chain {
-			name = "chained"
-		}
-		b.Run(name, func(b *testing.B) {
-			var events int64
-			for i := 0; i < b.N; i++ {
-				job := NewJob(pattern).
-					DiscardMatches().
-					AddStream("QnVQuantity", q).
-					AddStream("QnVVelocity", v)
-				if chain {
-					job.ChainOperators()
-				}
-				stats, err := job.Run(context.Background())
-				if err != nil {
-					b.Fatal(err)
-				}
-				events = stats.Events
-			}
-			if sec := b.Elapsed().Seconds(); sec > 0 {
-				b.ReportMetric(float64(events)*float64(b.N)/sec, "tps")
-			}
-		})
-	}
-}
-
 // BenchmarkAblationWatermarkInterval sweeps the watermark cadence: sparser
 // watermarks mean larger batches between window firings.
 func BenchmarkAblationWatermarkInterval(b *testing.B) {

@@ -399,7 +399,6 @@ type Job struct {
 	data        map[Type][]Event
 	keep        bool
 	lateness    event.Time
-	chain       bool
 	batchSize   int
 	rate        float64
 	metrics     *MetricsRegistry
@@ -597,11 +596,6 @@ func (j *Job) WithTracing(rate float64, out string) *Job {
 	return j
 }
 
-// ChainOperators fuses pushed-down selections into the source edges
-// (operator chaining): filters run inside the producing instance, saving
-// one channel hop per event. Results are identical; topology is tighter.
-func (j *Job) ChainOperators() *Job { j.chain = true; return j }
-
 // AddStream supplies the time-ordered events of one input type.
 func (j *Job) AddStream(typeName string, events []Event) *Job {
 	t, ok := event.LookupType(typeName)
@@ -746,7 +740,6 @@ func (j *Job) run(ctx context.Context, plans []*core.Plan, replanner core.Replan
 			SourceRatePerSec: j.rate,
 			DedupSink:        true,
 			KeepMatches:      j.keep,
-			ChainOperators:   j.chain,
 		},
 		Restart:   j.restart,
 		DLQ:       &DeadLetterQueue{OnLetter: j.onLetter},

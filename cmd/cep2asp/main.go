@@ -28,7 +28,6 @@ func main() {
 		o2          = flag.Bool("o2", false, "use aggregation for iterations (optimization O2)")
 		o3          = flag.Bool("o3", false, "partition by equi-join keys (optimization O3)")
 		auto        = flag.Bool("auto", false, "let the advisor pick optimizations from measured stream statistics")
-		chain       = flag.Bool("chain", false, "fuse pushed-down filters into source edges (operator chaining)")
 		parallelism = flag.Int("parallelism", 4, "task slots for partitioned operators (with -o3/-auto)")
 		fcep        = flag.Bool("fcep", false, "use the single-operator NFA baseline instead of the mapping")
 		run         = flag.Bool("run", false, "run the pattern against synthetic data and report metrics")
@@ -102,9 +101,6 @@ func main() {
 	job := cep2asp.NewJob(pattern).WithOptions(opts)
 	if *fcep {
 		job.UseFCEP()
-	}
-	if *chain {
-		job.ChainOperators()
 	}
 	needed := map[string]bool{}
 	for _, l := range pattern.Leaves() {

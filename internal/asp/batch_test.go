@@ -84,7 +84,7 @@ func TestBatchEquivalenceAcrossSizes(t *testing.T) {
 // watermarks pushed into one pending batch must collapse to the newest one,
 // and a record in between must keep both.
 func TestWatermarkCoalescingInBatch(t *testing.T) {
-	e := &edge{chans: []chan []Record{make(chan []Record, 4)}}
+	e := &edge{partition: SinglePartition(), chans: []chan []Record{make(chan []Record, 4)}}
 	c := &Collector{
 		metrics: &NodeMetrics{},
 		senders: []edgeSender{{e: e, pending: make([][]Record, 1)}},

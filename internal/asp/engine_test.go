@@ -36,10 +36,9 @@ func run(t *testing.T, env *Environment) {
 	}
 }
 
-// apply appends a stateless stage running fn, forward-connected like every
-// other stateless stage.
+// apply appends a single-instance stage running fn.
 func apply(s *Stream, name string, fn func(port int, r *Record, out *Collector)) *Stream {
-	return s.chainStateless(name, func(int) Operator { return &funcOperator{fn: fn} })
+	return s.Process(name, 1, nil, func(int) Operator { return &funcOperator{fn: fn} })
 }
 
 // forward passes every record on unchanged.

@@ -151,8 +151,11 @@ const DefaultWatermarkInterval = 64
 // Environment assembles a dataflow graph and executes it. It is not safe
 // for concurrent construction; Execute may be called once.
 type Environment struct {
-	cfg      Config
-	nodes    []*node
+	cfg   Config
+	nodes []*node
+	// stats holds the counters of every node and selection, in
+	// construction order.
+	stats    []*NodeMetrics
 	executed bool
 	// buildErr records the first graph-construction misuse (e.g. Throttle
 	// on a non-source stream); Execute surfaces it instead of running a
@@ -361,12 +364,9 @@ type edge struct {
 	from, to  *node
 	port      uint8
 	partition PartitionFn
-	// filter, when set, drops single-event records failing the predicate
-	// before they cross the channel — operator chaining in the style of
-	// Flink's chained tasks: the selection executes inside the upstream
-	// instance, saving one channel hop per event. It reads the event as a
-	// one-constituent view of the record being emitted.
-	filter func([]event.Event) bool
+	// sel, when set, is the selection a record must pass to cross this
+	// edge; the sending instance tests it before the record is copied.
+	sel *selection
 	// Filled at execution time:
 	chans   []chan []Record
 	srcBase int
@@ -403,13 +403,27 @@ func SinglePartition() PartitionFn { return func(*Record, int) int { return 0 } 
 type Stream struct {
 	env  *Environment
 	node *node
-	// edgeFilter is applied on the edges this stream handle creates
-	// (FilterFused); nil passes everything.
-	edgeFilter func([]event.Event) bool
+	// sel is the selection the node's records pass on the edges this
+	// handle creates; nil passes everything.
+	sel *selection
 }
 
-// Metrics returns the record counters of the stream's producing node.
+// Metrics returns the record counters of the stream's producing node; a
+// selection's are in NodeStats.
 func (s *Stream) Metrics() *NodeMetrics { return s.node.metrics }
+
+// selection is a σ over a node's output. It has no instance: every instance
+// of the producing node tests it in Collector.Emit, before a record is copied
+// into an edge batch, so a rejected record costs no copy and no hop. It keeps
+// a node's name and counters (metrics): In counts the records offered, Out
+// those that passed, each once however many edges the stream feeds.
+type selection struct {
+	pred func([]event.Event) bool
+	// parent is the selection applied before this one on the same stream;
+	// a record it rejects is not offered to this one.
+	parent  *selection
+	metrics *NodeMetrics
+}
 
 type sourceSpec struct {
 	events [][]event.Event // one slice per instance
@@ -436,35 +450,16 @@ func (env *Environment) addNode(name string, parallelism int, newOp func(int) Op
 		metrics:     &NodeMetrics{Name: name},
 	}
 	env.nodes = append(env.nodes, n)
+	env.stats = append(env.stats, n.metrics)
 	return n
 }
 
-func (env *Environment) connect(from, to *node, port uint8, part PartitionFn) *edge {
-	e := &edge{from: from, to: to, port: port, partition: part}
-	from.outEdges = append(from.outEdges, e)
+// connect wires the output of stream s, through its selection, into port
+// of to.
+func (env *Environment) connect(s *Stream, to *node, port uint8, part PartitionFn) {
+	e := &edge{from: s.node, to: to, port: port, partition: part, sel: s.sel}
+	s.node.outEdges = append(s.node.outEdges, e)
 	to.inEdges = append(to.inEdges, e)
-	return e
-}
-
-// connectFrom wires a stream handle, carrying its fused edge filter.
-func (env *Environment) connectFrom(s *Stream, to *node, port uint8, part PartitionFn) {
-	e := env.connect(s.node, to, port, part)
-	e.filter = s.edgeFilter
-}
-
-// FilterFused attaches a selection to the stream's future edges instead of
-// creating a filter node: the predicate runs inside the upstream operator
-// instance (operator chaining), eliminating one channel hop per event.
-// Semantically identical to FilterMatch over single events; composes with an
-// existing fused filter. pred is shared by every sending instance, so it
-// must keep no state of its own.
-func (s *Stream) FilterFused(pred func([]event.Event) bool) *Stream {
-	prev := s.edgeFilter
-	combined := pred
-	if prev != nil {
-		combined = func(es []event.Event) bool { return prev(es) && pred(es) }
-	}
-	return &Stream{env: s.env, node: s.node, edgeFilter: combined}
 }
 
 // Source adds a single-instance source emitting the given pre-generated,
@@ -480,7 +475,7 @@ func (env *Environment) Source(name string, events []event.Event, stampIngest bo
 // rate in events per second. Only valid on source streams with a positive
 // rate; misuse is recorded and surfaces as an error from Execute.
 func (s *Stream) Throttle(ratePerSec float64) *Stream {
-	if s.node.source == nil {
+	if s.node.source == nil || s.sel != nil {
 		s.env.recordBuildErr(fmt.Errorf("asp: Throttle on %q: only source streams can be throttled", s.node.name))
 		return s
 	}
@@ -523,28 +518,20 @@ func (env *Environment) ParallelSource(name string, perInstance [][]event.Event,
 	return &Stream{env: env, node: n}
 }
 
-// Filter appends a selection operator (stateless, same parallelism,
-// forward-connected).
+// Filter appends a selection over single events.
 func (s *Stream) Filter(name string, pred func(event.Event) bool) *Stream {
 	return s.FilterMatch(name, func(es []event.Event) bool { return pred(es[0]) })
 }
 
-// FilterMatch appends a predicate over a record's constituents: one for a
-// single event, all of them for a composite. pred reads them where they lie
-// and must not write them; it is shared by every instance and must keep no
-// state.
+// FilterMatch appends a selection σ_θ (§2) over a record's constituents: one
+// for a single event, all of them for a composite. It runs in the producing
+// instances (see selection) and reports its counts under name. pred reads
+// the constituents where they lie and must not write them; it is shared by
+// every producing instance and must keep no state.
 func (s *Stream) FilterMatch(name string, pred func([]event.Event) bool) *Stream {
-	return s.chainStateless(name, func(int) Operator {
-		return &filterOperator{pred: pred}
-	})
-}
-
-func (s *Stream) chainStateless(name string, newOp func(int) Operator) *Stream {
-	n := s.env.addNode(name, s.node.parallelism, newOp)
-	// Stateless stages preserve partitioning: instance i feeds instance i;
-	// a nil partitioner marks forwarding, resolved per sender in exec.go.
-	s.env.connectFrom(s, n, 0, nil)
-	return &Stream{env: s.env, node: n}
+	sel := &selection{pred: pred, parent: s.sel, metrics: &NodeMetrics{Name: name}}
+	s.env.stats = append(s.env.stats, sel.metrics)
+	return &Stream{env: s.env, node: s.node, sel: sel}
 }
 
 // Union merges this stream with others into one logical stream (the ∪
@@ -553,9 +540,9 @@ func (s *Stream) chainStateless(name string, newOp func(int) Operator) *Stream {
 // channels through a pass-through node.
 func (s *Stream) Union(name string, others ...*Stream) *Stream {
 	n := s.env.addNode(name, 1, func(int) Operator { return passOperator{} })
-	s.env.connectFrom(s, n, 0, SinglePartition())
+	s.env.connect(s, n, 0, SinglePartition())
 	for _, o := range others {
-		s.env.connectFrom(o, n, 0, SinglePartition())
+		s.env.connect(o, n, 0, SinglePartition())
 	}
 	return &Stream{env: s.env, node: n}
 }
@@ -571,7 +558,7 @@ func (s *Stream) Process(name string, parallelism int, key KeyFn, newOp func(int
 	if key != nil {
 		part = HashPartition(key)
 	}
-	s.env.connectFrom(s, n, 0, part)
+	s.env.connect(s, n, 0, part)
 	return &Stream{env: s.env, node: n}
 }
 
@@ -588,15 +575,15 @@ func (s *Stream) Connect2(name string, right *Stream, parallelism int, leftKey, 
 	if leftKey != nil && rightKey != nil {
 		lp, rp = HashPartition(leftKey), HashPartition(rightKey)
 	}
-	s.env.connectFrom(s, n, 0, lp)
-	s.env.connectFrom(right, n, 1, rp)
+	s.env.connect(s, n, 0, lp)
+	s.env.connect(right, n, 1, rp)
 	return &Stream{env: s.env, node: n}
 }
 
 // Sink terminates the stream in a single-instance consumer.
 func (s *Stream) Sink(name string, newOp func(int) Operator) *Stream {
 	n := s.env.addNode(name, 1, newOp)
-	s.env.connectFrom(s, n, 0, SinglePartition())
+	s.env.connect(s, n, 0, SinglePartition())
 	return &Stream{env: s.env, node: n}
 }
 

@@ -14,7 +14,7 @@ import (
 	"cep2asp/internal/obs"
 )
 
-// Record-path contract tests: what a source -> filter hop may allocate, what
+// Record-path contract tests: what a source -> selection hop may allocate, what
 // an ingest stamp means now that a full-speed source reads the clock per
 // batch hand-off, that the batch-settled counters — the node's and an attached
 // registry's — are exact however an instance exits and read the last batch
@@ -83,9 +83,9 @@ func mallocsDuring(f func()) uint64 {
 
 func TestSourceFilterHopDoesNotAllocatePerEvent(t *testing.T) {
 	const perInstance = 100_000
-	// Two source instances feed two filter instances sharing one predicate:
-	// under -race this is also the proof that no evaluation state lives in
-	// the shared closure.
+	// Two source instances run one selection's shared predicate: under
+	// -race this is also the proof that no evaluation state lives in the
+	// shared closure.
 	streams := [][]event.Event{hopEvents(perInstance), hopEvents(perInstance)}
 	env := NewEnvironment(Config{})
 	res := NewResults(false, false)
@@ -102,20 +102,24 @@ func TestSourceFilterHopDoesNotAllocatePerEvent(t *testing.T) {
 }
 
 // TestEmitDoesNotAllocate: an emitted record costs one copy into the pending
-// batch and nothing on the heap, through a partitioner and a fused edge
-// filter alike. Both are calls through func values, so the record
-// EmitEvent and EmitMatch assemble must live in the Collector: a local whose
-// address reached them would be moved to the heap on every call.
+// batch and nothing on the heap, through a partitioner and a selection
+// alike. Both are calls through func values, so the record EmitEvent and
+// EmitMatch assemble must live in the Collector: a local whose address
+// reached them would be moved to the heap on every call.
 func TestEmitDoesNotAllocate(t *testing.T) {
 	const runs = 100
 	e := &edge{
 		partition: HashPartition(func(r *Record) int64 { return r.Events()[0].ID }),
-		filter:    func(es []event.Event) bool { return es[0].Value >= 0 },
 		chans:     []chan []Record{make(chan []Record, 1), make(chan []Record, 1)},
 	}
+	sel := &selTest{selection: &selection{
+		pred:    func(es []event.Event) bool { return es[0].Value >= 0 },
+		metrics: &NodeMetrics{},
+	}}
 	c := &Collector{
 		metrics: &NodeMetrics{},
-		senders: []edgeSender{{e: e, pending: make([][]Record, len(e.chans))}},
+		sels:    []*selTest{sel},
+		senders: []edgeSender{{e: e, sel: sel, pending: make([][]Record, len(e.chans))}},
 		done:    make(chan struct{}),
 		// Every record goes to one target; its batch never fills, so no
 		// hand-off happens inside the measurement.
@@ -437,12 +441,14 @@ func TestRegistryCountsDoNotDependOnBatchSize(t *testing.T) {
 			t.Errorf("%s: in/out/late/procCount %+v at batch 1, %+v at batch 64", name, a, b)
 		}
 	}
-	// The stale events all pass the filter, which counts them and hands them
-	// on; each then reaches one join instance, once per port, and is dropped
-	// at its input: counted in In and Late there, not in Proc.
+	// The selection runs in the source, so it has no input watermark: it
+	// offers every event to its predicate, late or not, and times none. The
+	// stale events pass it; each then reaches one join instance, once per
+	// port, and is dropped at its input: counted in In and Late there, not
+	// in Proc.
 	stale := lateAmong(n, n/3)
-	if f := one["σ/0"]; f.late != stale || f.procCount != f.in {
-		t.Errorf("σ: late %d of %d records, %d reached OnRecord; want %d late, all reaching", f.late, f.in, f.procCount, stale)
+	if f := one["σ/0"]; f.in != n || f.late != 0 || f.procCount != 0 {
+		t.Errorf("σ: in %d, late %d, proc count %d; want %d, 0, 0", f.in, f.late, f.procCount, n)
 	}
 	j0, j1 := one["join/0"], one["join/1"]
 	if j0.late+j1.late != 2*stale {
@@ -502,16 +508,17 @@ func TestSnapshotWhileRunningReadsLastBatchBoundary(t *testing.T) {
 	}
 }
 
-// stampedHop runs a full-speed, ingest-stamped source -> pass-all filter ->
-// sink of n events at the default config with a registry attached, and
-// returns how many distinct ingest stamps reached the sink and the
-// registry's edges.
+// stampedHop runs a full-speed, ingest-stamped source -> pass-all selection
+// -> stage -> sink of n events at the default config with a registry
+// attached, and returns how many distinct ingest stamps reached the sink and
+// the registry's edges: one from the source, one from an operator.
 func stampedHop(t *testing.T, n int) (stamps int, edges []obs.EdgeSnapshot) {
 	reg := obs.NewRegistry()
 	env := NewEnvironment(Config{Metrics: reg})
 	seen := map[int64]bool{}
-	env.Source("src", hopEvents(n), true).
-		FilterMatch("σ", func([]event.Event) bool { return true }).
+	src := env.Source("src", hopEvents(n), true).
+		FilterMatch("σ", func([]event.Event) bool { return true })
+	apply(src, "stage", forward).
 		Sink("sink", func(int) Operator {
 			return &funcOperator{fn: func(_ int, r *Record, _ *Collector) { seen[r.Event.Ingest] = true }}
 		})
@@ -551,10 +558,38 @@ func TestEdgesHandOffPerBatch(t *testing.T) {
 	}
 }
 
-// BenchmarkSourceFilterHop measures the source -> edge -> filter hop alone:
-// the filter discards all but 0.1 % of the events, or none, records cross one
-// at a time or in the default batches of 64, and a metrics registry is
-// attached or not.
+// TestRejectedEventCostsNoCopy: a selection runs before the record is copied
+// into an edge batch, so the events it rejects never cross the source's edge:
+// besides the events that pass it carries only watermarks and the EOS.
+func TestRejectedEventCostsNoCopy(t *testing.T) {
+	const n = 20_000
+	reg := obs.NewRegistry()
+	env := NewEnvironment(Config{Metrics: reg})
+	res := NewResults(false, false)
+	env.Source("src", hopEvents(n), false).
+		FilterMatch("σ", func(es []event.Event) bool { return es[0].Value < 1 }).
+		Sink("sink", res.Operator())
+	run(t, env)
+	passed := res.Total()
+	if passed != n/1000 {
+		t.Fatalf("sink saw %d events, want %d", passed, n/1000)
+	}
+	control := int64(n/DefaultWatermarkInterval + 1)
+	for _, e := range reg.Snapshot().Edges {
+		if e.From != "src" {
+			continue
+		}
+		t.Logf("%s -> %s: %d records sent for %d passed events", e.From, e.To, e.Sent, passed)
+		if e.Sent > passed+control {
+			t.Errorf("%s -> %s: %d records sent, want <= %d passed events + %d control records", e.From, e.To, e.Sent, passed, control)
+		}
+	}
+}
+
+// BenchmarkSourceFilterHop measures the source -> selection -> edge -> sink
+// hop alone: the selection, run in the source, discards all but 0.1 % of the
+// events, or none, records cross one at a time or in the default batches of
+// 64, and a metrics registry is attached or not.
 func BenchmarkSourceFilterHop(b *testing.B) {
 	const n = 100_000
 	events := hopEvents(n)
@@ -589,8 +624,8 @@ func BenchmarkSourceFilterHop(b *testing.B) {
 }
 
 // BenchmarkKeyedHop measures the source -> keyed edge -> filter hop: the
-// same 0.1 % selection as BenchmarkSourceFilterHop, behind a partitioner that
-// spreads the events over two filter instances, batches of 64.
+// same 0.1 % selection as BenchmarkSourceFilterHop, but as an operator behind
+// a partitioner that spreads the events over two instances, batches of 64.
 func BenchmarkKeyedHop(b *testing.B) {
 	const n = 100_000
 	events := hopEvents(n)
@@ -602,7 +637,11 @@ func BenchmarkKeyedHop(b *testing.B) {
 		res := NewResults(false, false)
 		env.Source("src", events, true).
 			Process("σ", 2, byKey, func(int) Operator {
-				return &filterOperator{pred: func(es []event.Event) bool { return es[0].Value < 1 }}
+				return &funcOperator{fn: func(_ int, r *Record, out *Collector) {
+					if r.Event.Value < 1 {
+						out.Emit(r)
+					}
+				}}
 			}).
 			Sink("sink", res.Operator())
 		allocs += mallocsDuring(func() {

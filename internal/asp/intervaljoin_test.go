@@ -119,7 +119,7 @@ func newIJDriver(t *testing.T, c ijCase) *ijDriver {
 	d.col = &Collector{
 		env:     d.env,
 		metrics: &NodeMetrics{},
-		senders: []edgeSender{{e: &edge{chans: []chan []Record{d.ch}}, pending: make([][]Record, 1)}},
+		senders: []edgeSender{{e: &edge{partition: SinglePartition(), chans: []chan []Record{d.ch}}, pending: make([][]Record, 1)}},
 		done:    make(chan struct{}),
 		batch:   64,
 		pool:    newBatchPool(64, nil),

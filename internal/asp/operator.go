@@ -56,22 +56,6 @@ func (BaseOperator) OnWatermark(event.Time, *Collector) {}
 // OnClose implements Operator.
 func (BaseOperator) OnClose(*Collector) {}
 
-// filterOperator drops records whose constituents fail the predicate:
-// the selection σ_θ of §2, the target of filter pushdown (one constituent)
-// and the residual multi-alias predicate after a join (all of them). The
-// predicate reads the constituents where they lie, so evaluating allocates
-// and copies nothing.
-type filterOperator struct {
-	BaseOperator
-	pred func([]event.Event) bool
-}
-
-func (f *filterOperator) OnRecord(_ int, r *Record, out *Collector) {
-	if f.pred(r.Events()) {
-		out.Emit(r)
-	}
-}
-
 // passOperator forwards records unchanged; union nodes use it, the actual
 // merge being performed by the engine's multi-sender channels.
 type passOperator struct{ BaseOperator }

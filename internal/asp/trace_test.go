@@ -22,8 +22,7 @@ func TestTraceSpanCausality(t *testing.T) {
 		minutes[i] = int64(i)
 	}
 	res := NewResults(false, false)
-	env.Source("src", mkEvents(tQ, 1, minutes, nil), false).
-		Filter("filter", func(e event.Event) bool { return e.Value >= 0 }).
+	apply(env.Source("src", mkEvents(tQ, 1, minutes, nil), false), "stage", forward).
 		Sink("sink", res.Operator())
 	run(t, env)
 	if res.Total() != n {
@@ -33,7 +32,7 @@ func TestTraceSpanCausality(t *testing.T) {
 	spans := tr.Spans()
 	var sources int
 	srcStart := make(map[uint64]int64) // trace -> source span start
-	filterSpan := make(map[uint64]trace.Span)
+	stageSpan := make(map[uint64]trace.Span)
 	var sinkSpans []trace.Span
 	for _, s := range spans {
 		if s.DurNs < 0 || s.QueueNs < 0 {
@@ -47,8 +46,8 @@ func TestTraceSpanCausality(t *testing.T) {
 			}
 			srcStart[s.Trace] = s.StartNs
 		case trace.KindOp:
-			if s.Name == "filter" {
-				filterSpan[s.Trace] = s
+			if s.Name == "stage" {
+				stageSpan[s.Trace] = s
 			} else {
 				sinkSpans = append(sinkSpans, s)
 			}
@@ -57,33 +56,33 @@ func TestTraceSpanCausality(t *testing.T) {
 	if sources != n {
 		t.Fatalf("rate-1 sampling produced %d source spans for %d events", sources, n)
 	}
-	if len(filterSpan) != n || len(sinkSpans) != n {
-		t.Fatalf("%d filter and %d sink spans for %d events", len(filterSpan), len(sinkSpans), n)
+	if len(stageSpan) != n || len(sinkSpans) != n {
+		t.Fatalf("%d stage and %d sink spans for %d events", len(stageSpan), len(sinkSpans), n)
 	}
 	// Causality: an op span's queue wait starts at the upstream hand-off
-	// (StartNs - QueueNs). The filter's hand-off is the source's emit: after
-	// the source span opened and strictly before the filter took the record —
+	// (StartNs - QueueNs). The stage's hand-off is the source's emit: after
+	// the source span opened and strictly before the stage took the record —
 	// a queue wait clamped to zero means the stamp was overwritten while the
-	// filter ran. The filter forwards the record it was lent; the sink's
-	// hand-off is the filter's emit, after the filter took the record and
+	// stage ran. The stage forwards the record it was lent; the sink's
+	// hand-off is the stage's emit, after the stage took the record and
 	// before the sink did. (Span ends are not compared: StartNs is a wall
 	// clock reading, DurNs a monotonic one.)
-	for tid, f := range filterSpan {
+	for tid, f := range stageSpan {
 		start, ok := srcStart[tid]
 		if !ok {
-			t.Fatalf("filter span for unknown trace %x: %+v", tid, f)
+			t.Fatalf("stage span for unknown trace %x: %+v", tid, f)
 		}
 		if handoff := f.StartNs - f.QueueNs; handoff < start || handoff >= f.StartNs {
-			t.Fatalf("filter hand-off %d outside [source start %d, filter start %d) (%+v)", handoff, start, f.StartNs, f)
+			t.Fatalf("stage hand-off %d outside [source start %d, stage start %d) (%+v)", handoff, start, f.StartNs, f)
 		}
 	}
 	for _, s := range sinkSpans {
-		f, ok := filterSpan[s.Trace]
+		f, ok := stageSpan[s.Trace]
 		if !ok {
-			t.Fatalf("sink span for a trace the filter did not see: %+v", s)
+			t.Fatalf("sink span for a trace the stage did not see: %+v", s)
 		}
 		if handoff := s.StartNs - s.QueueNs; handoff < f.StartNs || handoff >= s.StartNs {
-			t.Fatalf("sink hand-off %d outside [filter start %d, sink start %d) (%+v)", handoff, f.StartNs, s.StartNs, s)
+			t.Fatalf("sink hand-off %d outside [stage start %d, sink start %d) (%+v)", handoff, f.StartNs, s.StartNs, s)
 		}
 	}
 	sum := tr.Summarize()
@@ -100,7 +99,7 @@ func TestTraceSpanCausality(t *testing.T) {
 // an operator forwards is the one the instance loop lent it, whose own
 // stamp the loop reads after OnRecord for the span's queue wait.
 func TestTracedEmitLeavesRecordUntouched(t *testing.T) {
-	e := &edge{port: 1, chans: []chan []Record{make(chan []Record, 1)}}
+	e := &edge{port: 1, partition: SinglePartition(), chans: []chan []Record{make(chan []Record, 1)}}
 	c := &Collector{
 		metrics: &NodeMetrics{},
 		senders: []edgeSender{{e: e, srcID: 3, pending: make([][]Record, 1)}},

@@ -327,7 +327,7 @@ func (inj *Injector) ReleaseStalls() {
 //	panic:⋈w#1/0@100      kill instance 0 of node ⋈w#1 on its 100th record
 //	delay=5ms:src:A/0     sleep 5ms before the source's first event
 //	stall:sink#0/*        wedge any sink instance on its first record
-//	panic:σ:q#1/0x9%e:3:7 panic every attempt (up to 9) at record e:3:7
+//	panic:⋈i#3/0x9%e:3:7 panic every attempt (up to 9) at record e:3:7
 //	killworker:⋈w#1/1@50  kill the worker process hosting instance 1 of
 //	                      node ⋈w#1 on that instance's 50th record
 //

@@ -35,12 +35,6 @@ type BuildConfig struct {
 	// under which detection latency is meaningful (§5.1.3's metric is
 	// measured at the maximum sustainable throughput, not beyond it).
 	SourceRatePerSec float64
-	// ChainOperators fuses pushed-down selections into the source edges
-	// (the analogue of Flink's operator chaining): the filter runs inside
-	// the producing instance, saving one channel hop per event. Off by
-	// default to keep the paper-faithful topology; see the chaining
-	// ablation benchmark.
-	ChainOperators bool
 }
 
 // Build constructs the physical dataflow for a translated plan and returns
@@ -177,11 +171,8 @@ func (b *builder) scan(v *ScanPlan) (*asp.Stream, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: compiling filters of %s: %w", v.Alias, err)
 	}
-	// pred is shared by every parallel instance; each evaluates it on a
+	// pred is shared by every source instance; each evaluates it on a
 	// one-constituent slice of its own.
-	if b.bc.ChainOperators {
-		return s.FilterFused(pred), nil
-	}
 	return s.FilterMatch(b.name("σ:"+v.Alias), pred), nil
 }
 

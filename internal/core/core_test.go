@@ -501,48 +501,3 @@ func TestBuildMissingDataFails(t *testing.T) {
 		t.Fatal("Build without data should fail")
 	}
 }
-
-// Operator chaining must not change results, only topology.
-func TestChainedOperatorsEquivalent(t *testing.T) {
-	pat := mustPattern(t, `
-		PATTERN SEQ(TEA a, TEB b)
-		WHERE a.value >= 40 AND b.value <= 60 AND a.value <= b.value
-		WITHIN 6 MINUTES SLIDE 1 MINUTE`)
-	rng := rand.New(rand.NewSource(77))
-	ta, _ := event.LookupType("TEA")
-	tb, _ := event.LookupType("TEB")
-	data := map[event.Type][]event.Event{
-		ta: genStream(rng, ta, 20, 60, 1),
-		tb: genStream(rng, tb, 20, 60, 1),
-	}
-	run := func(chain bool) []string {
-		plan, err := Translate(pat, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		env, res, err := Build(plan, BuildConfig{
-			Engine:         asp.Config{WatermarkInterval: 1},
-			Data:           data,
-			DedupSink:      true,
-			KeepMatches:    true,
-			ChainOperators: chain,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := env.Execute(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		if chain {
-			// Chained plans must not contain standalone filter nodes.
-			for _, m := range env.NodeStats() {
-				if strings.HasPrefix(m.Name, "σ:") {
-					t.Fatalf("chained build still has filter node %s", m.Name)
-				}
-			}
-		}
-		return sortedKeys(res.Matches())
-	}
-	unchained, chained := run(false), run(true)
-	equalSets(t, "chaining", unchained, chained)
-}

@@ -125,7 +125,9 @@ func TestNetResetHealsByReconnect(t *testing.T) {
 		t.Fatal("degenerate case: unfailed run found no matches")
 	}
 
-	spec.Build.Engine.Chaos = chaos.NewInjector(chaos.Fault{Kind: chaos.NetReset, From: 0, To: 1, AtHit: 20})
+	// The 0→1 link carries about a dozen frames of this run; the sixth is
+	// mid-stream.
+	spec.Build.Engine.Chaos = chaos.NewInjector(chaos.Fault{Kind: chaos.NetReset, From: 0, To: 1, AtHit: 6})
 	reg := obs.NewRegistry()
 	coord := cluster(t, 2, CoordinatorOptions{Metrics: reg})
 	rep, err := runOn(coord, spec)

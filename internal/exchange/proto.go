@@ -182,7 +182,6 @@ type JobSpec struct {
 	DedupSink        bool
 	KeepMatches      bool
 	SourceRatePerSec float64
-	ChainOperators   bool
 
 	// TraceRate is the end-to-end tracing sample rate (0 disables, 1 traces
 	// everything). Sampling is deterministic by event identity, so every
@@ -220,7 +219,6 @@ func newJobSpec(plans []*core.Plan, bc core.BuildConfig) *JobSpec {
 		DedupSink:        bc.DedupSink,
 		KeepMatches:      bc.KeepMatches,
 		SourceRatePerSec: bc.SourceRatePerSec,
-		ChainOperators:   bc.ChainOperators,
 		TraceRate:        e.Trace.Rate(),
 		Checkpointing:    e.Checkpoint != nil,
 	}

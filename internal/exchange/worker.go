@@ -82,7 +82,6 @@ func buildSlice(spec *JobSpec, table *TypeTable, ck *asp.CheckpointSpec, inj *ch
 		DedupSink:        spec.DedupSink,
 		KeepMatches:      spec.KeepMatches,
 		SourceRatePerSec: spec.SourceRatePerSec,
-		ChainOperators:   spec.ChainOperators,
 	})
 	return env, err
 }

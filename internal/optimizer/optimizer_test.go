@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"cep2asp/internal/asp"
 	"cep2asp/internal/core"
 	"cep2asp/internal/event"
+	"cep2asp/internal/obs"
 	"cep2asp/internal/sea"
 	"cep2asp/internal/workload"
 )
@@ -381,5 +383,63 @@ func TestAdvisedOptionsSurviveGob(t *testing.T) {
 	}
 	if !strings.Contains(got.Explain(), "CBO") {
 		t.Fatalf("shipped plan is not cost-based:\n%s", got.Explain())
+	}
+}
+
+// TestObservedSelectivityFromSelections: the re-planner's live statistics
+// read each filtered alias' pass rate from its selection's counters. A
+// selection runs inside its source's instances, yet it reports under its own
+// σ name: it is offered every event its source emits, and its pass rate is
+// the one Measure computes offline.
+func TestObservedSelectivityFromSelections(t *testing.T) {
+	p := mustPattern(t, `PATTERN SEQ(OPA a, OPB b) WHERE a.value < 30 AND b.value >= 80 WITHIN 5 MIN SLIDE 1 MIN`)
+	data := patternData(t, p, 2000, 5)
+	want, err := Measure(p, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := core.Translate(p, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	env, _, err := core.Build(plan, core.BuildConfig{Engine: asp.Config{Metrics: reg}, Data: data})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := env.Execute(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	got := observedFrom(snap, p)
+	for _, typ := range []string{"OPA", "OPB"} {
+		g, w := got[typ].FilterSelectivity, want[typ].FilterSelectivity
+		t.Logf("%s: observed selectivity %.4f, measured %.4f", typ, g, w)
+		if math.Abs(g-w) > 0.05 {
+			t.Errorf("%s: observed selectivity %.4f, measured %.4f; want within 0.05", typ, g, w)
+		}
+	}
+	offered := map[string]int64{}
+	for _, op := range snap.Operators {
+		switch {
+		case strings.HasPrefix(op.Node, "σ:a#"):
+			offered["OPA"] += op.In
+		case strings.HasPrefix(op.Node, "σ:b#"):
+			offered["OPB"] += op.In
+		}
+	}
+	sources := 0
+	for _, op := range snap.Operators {
+		typ, ok := strings.CutPrefix(op.Node, "src:")
+		if !ok {
+			continue
+		}
+		sources++
+		if offered[typ] != op.Out || op.Out == 0 {
+			t.Errorf("%s: its selection was offered %d events, the source emitted %d", typ, offered[typ], op.Out)
+		}
+	}
+	if sources != 2 {
+		t.Errorf("%d sources in the snapshot, want 2", sources)
 	}
 }

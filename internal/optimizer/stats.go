@@ -110,7 +110,7 @@ func typeAliases(p *sea.Pattern, typeName string) []string {
 
 // observedFrom reads live per-stream statistics from a snapshot of a running
 // plan's metrics registry: source operators ("src:<Type>") give relative
-// frequencies (events emitted so far), filter operators ("σ:<alias>")
+// frequencies (events emitted so far), selections ("σ:<alias>")
 // give selectivities (out/in). Relative frequencies are what join
 // reordering and the cost model need — only ratios matter.
 func observedFrom(snap obs.Snapshot, p *sea.Pattern) map[string]core.StreamStats {
