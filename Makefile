@@ -46,11 +46,11 @@ chaos:
 
 # Bounded-state soak: budgets, shed/pause policies, the State contract,
 # memory admission and the DLQ cap, with the NFA operator's shedding and
-# core's recall accounting, under the race detector with a real GOMEMLIMIT
-# in force.
+# core's recall accounting, and a distributed run shedding on a remote
+# worker, under the race detector with a real GOMEMLIMIT in force.
 overload:
 	GOMEMLIMIT=1GiB $(GO) test -race -run 'Overload|Shed|Pause|Budget|DLQ|State|MemController|Gate|Recall|Quality' \
-		. ./internal/asp/ ./internal/nfa/ ./internal/overload/ ./internal/supervise/ ./internal/harness/ ./internal/cep/ ./internal/core/
+		. ./internal/asp/ ./internal/nfa/ ./internal/overload/ ./internal/supervise/ ./internal/harness/ ./internal/cep/ ./internal/core/ ./internal/exchange/
 
 # Multi-process smoke: a coordinator plus two real cep2asp-worker
 # processes (race-enabled binaries) run a short keyed SEQ workload over

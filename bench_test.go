@@ -126,7 +126,7 @@ func BenchmarkApproachesSEQ1(b *testing.B) {
 				Pattern:  harness.PatternSEQ1(0.02, 15),
 				Approach: a,
 				Data:     benchQnV(sc),
-				Engine:   benchEngine(sc),
+				Engine:   sc.Engine,
 			})
 			return &r
 		})
@@ -143,7 +143,7 @@ func BenchmarkApproachesITER3(b *testing.B) {
 				Pattern:  harness.PatternITER(3, 0.05, 15, true, false),
 				Approach: a,
 				Data:     benchVelocity(sc),
-				Engine:   benchEngine(sc),
+				Engine:   sc.Engine,
 			})
 			return &r
 		})
@@ -161,14 +161,6 @@ func benchQnV(sc harness.Scale) map[Type][]Event {
 func benchVelocity(sc harness.Scale) map[Type][]Event {
 	_, v := GenerateQnV(sc.QnVSensors, sc.QnVMinutes, sc.Seed)
 	return map[Type][]Event{RegisterType("QnVVelocity"): v}
-}
-
-func benchEngine(sc harness.Scale) EngineConfig {
-	return EngineConfig{
-		DefaultParallelism: sc.Slots,
-		WatermarkInterval:  256,
-		Overload:           OverloadSpec{Budget: StateBudget{PerJob: sc.StateBudget}},
-	}
 }
 
 // Ablation benchmarks for the design choices DESIGN.md calls out.
@@ -193,7 +185,7 @@ func BenchmarkAblationDedupIntermediate(b *testing.B) {
 		runBenchCase(b, a.Name, func() *harness.RunResult {
 			r := harness.Run(context.Background(), harness.RunSpec{
 				Name: "ablation/SEQ4", Pattern: pat, Approach: a,
-				Data: data, Engine: benchEngine(sc),
+				Data: data, Engine: sc.Engine,
 			})
 			return &r
 		})
@@ -218,7 +210,7 @@ func BenchmarkAblationParallelism(b *testing.B) {
 					Opts: Options{UsePartitioning: true, Parallelism: par},
 				},
 				Data:   data,
-				Engine: benchEngine(sc),
+				Engine: sc.Engine,
 			})
 			return &r
 		})
@@ -234,7 +226,7 @@ func BenchmarkAblationWatermarkInterval(b *testing.B) {
 	for _, wi := range []int{16, 64, 256, 1024} {
 		wi := wi
 		runBenchCase(b, fmt.Sprintf("wm=%d", wi), func() *harness.RunResult {
-			eng := benchEngine(sc)
+			eng := sc.Engine
 			eng.WatermarkInterval = wi
 			r := harness.Run(context.Background(), harness.RunSpec{
 				Name: "ablation/wm", Pattern: pat,

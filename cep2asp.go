@@ -735,10 +735,8 @@ func (j *Job) run(ctx context.Context, plans []*core.Plan, replanner core.Replan
 		Build: core.BuildConfig{
 			Engine:           engineCfg,
 			Data:             j.data,
-			StampIngest:      true,
 			Lateness:         j.lateness,
 			SourceRatePerSec: j.rate,
-			DedupSink:        true,
 			KeepMatches:      j.keep,
 		},
 		Restart:   j.restart,

@@ -83,14 +83,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchrunner: -batch-size must be >= 0")
 		os.Exit(2)
 	}
-	sc.BatchSize = *batchSz
+	sc.Engine.BatchSize = *batchSz
 	// The effective value, for the CSV: 0 means the engine default applies.
-	effBatch := sc.BatchSize
+	effBatch := sc.Engine.BatchSize
 	if effBatch == 0 {
 		effBatch = asp.DefaultBatchSize
 	}
 	if *budget >= 0 {
-		sc.StateBudget = *budget
+		sc.Engine.Overload.Budget.PerJob = *budget
 	}
 	if *policy != "" {
 		p, err := overload.ParsePolicy(*policy)
@@ -98,7 +98,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "benchrunner:", err)
 			os.Exit(2)
 		}
-		sc.OverloadPolicy = p
+		sc.Engine.Overload.Policy = p
 	}
 	if *shedPolicy != "" {
 		s, err := overload.ParseShedStrategy(*shedPolicy)
@@ -106,7 +106,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "benchrunner:", err)
 			os.Exit(2)
 		}
-		sc.ShedStrategy = s
+		sc.Engine.Overload.Shedding = s
 	}
 	if *qualRecall < 0 || *qualRecall > 1 {
 		fmt.Fprintln(os.Stderr, "benchrunner: -quality-recall must be in [0, 1]")
@@ -142,7 +142,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "benchrunner: bad -log-level (want debug, info, warn, or error)")
 			os.Exit(2)
 		}
-		sc.Log = slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
+		sc.Engine.Log = slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 	}
 	if *clusterCheck && *metAddr == "" {
 		fmt.Fprintln(os.Stderr, "benchrunner: -cluster-check requires -metrics-addr")
@@ -161,13 +161,13 @@ func main() {
 		}
 		sc.ChaosFaults = faults
 		// Chaos stalls must not hang the suite: bound every teardown.
-		sc.StopTimeout = 30 * time.Second
+		sc.Engine.ShutdownTimeout = 30 * time.Second
 	}
 
 	var metricsAddr string
 	if *metAddr != "" {
-		sc.Metrics = obs.NewRegistry()
-		srv, addr, err := obs.Serve(*metAddr, sc.Metrics)
+		sc.Engine.Metrics = obs.NewRegistry()
+		srv, addr, err := obs.Serve(*metAddr, sc.Engine.Metrics)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchrunner: metrics endpoint:", err)
 			os.Exit(1)
@@ -219,7 +219,7 @@ func main() {
 	// Per-operator CSV, written next to the results CSV when the
 	// observability registry is attached.
 	var opsWriter *csv.Writer
-	if *csvPath != "" && sc.Metrics != nil {
+	if *csvPath != "" && sc.Engine.Metrics != nil {
 		opsPath := opsCSVPath(*csvPath)
 		f, err := os.OpenFile(opsPath, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
 		if err != nil {
@@ -251,7 +251,7 @@ func main() {
 		start := time.Now()
 		rows := harness.Experiments[name](ctx, sc)
 		printRows(rows)
-		if sc.Metrics != nil {
+		if sc.Engine.Metrics != nil {
 			printOperators(rows)
 		}
 		if name == "fig5" {

@@ -34,15 +34,9 @@ type Config struct {
 	// channel synchronization the way Flink's network buffers do. Barriers
 	// and EOS markers flush immediately; partial batches flush whenever an
 	// instance drains its input (idle flush) and at least every
-	// FlushTimeout. 1 disables batching (every record crosses alone);
+	// flushTimeout. 1 disables batching (every record crosses alone);
 	// values <= 0 select the default of 64.
 	BatchSize int
-	// FlushTimeout bounds how long a partial output batch may sit in a
-	// busy instance before being flushed, keeping downstream progress (and
-	// coalesced watermarks) flowing when an operator emits far fewer
-	// records than it consumes. Zero selects the default of 5ms; negative
-	// disables the timer (idle and full-batch flushes still apply).
-	FlushTimeout time.Duration
 	// Overload configures bounded-state execution (internal/overload):
 	// per-operator and per-job state budgets, the policy applied when a
 	// budget is reached (Fail / Shed / Pause), and the heap admission
@@ -131,11 +125,14 @@ func (c Config) withDefaults() Config {
 	if c.BatchSize <= 0 {
 		c.BatchSize = DefaultBatchSize
 	}
-	if c.FlushTimeout == 0 {
-		c.FlushTimeout = 5 * time.Millisecond
-	}
 	return c
 }
+
+// flushTimeout bounds how long a partial output batch may sit in a busy
+// instance before being flushed, keeping downstream progress (and coalesced
+// watermarks) flowing when an operator emits far fewer records than it
+// consumes.
+const flushTimeout = 5 * time.Millisecond
 
 // DefaultBatchSize is the edge batch size used when Config.BatchSize is
 // unset: large enough to amortize channel synchronization, small enough to

@@ -359,7 +359,6 @@ func sourceWatermark(maxTS, lateness event.Time) event.Time {
 // so partial batches and coalesced watermarks never wait on further input;
 // the flush timer bounds how long they age while input keeps arriving.
 func (i *instance) consume() {
-	flushEvery := i.env.cfg.FlushTimeout
 	lastFlush := time.Now()
 	for {
 		var batch []Record
@@ -379,7 +378,7 @@ func (i *instance) consume() {
 		if !more {
 			return
 		}
-		if flushEvery > 0 && time.Since(lastFlush) >= flushEvery {
+		if time.Since(lastFlush) >= flushTimeout {
 			if !i.flush() {
 				return
 			}

@@ -223,7 +223,6 @@ func TestAdvisedOptionsEquivalent(t *testing.T) {
 	env, res, err := Build(plan, BuildConfig{
 		Engine:      asp.Config{WatermarkInterval: 1},
 		Data:        data,
-		DedupSink:   true,
 		KeepMatches: true,
 	})
 	if err != nil {

@@ -11,24 +11,21 @@ import (
 
 // BuildConfig supplies the physical construction inputs: the engine
 // configuration, the per-type input streams (each time-ordered, as produced
-// by one source/sensor feed), and sink behaviour.
+// by one source/sensor feed), and sink behaviour. Every source stamps
+// wall-clock creation times, which detection-latency measurement needs
+// (§5.1.3), and every sink eliminates duplicate matches (overlapping sliding
+// windows emit duplicates, §3.1.4).
 type BuildConfig struct {
 	Engine asp.Config
 	// Data holds one time-ordered event slice per event type; every type
 	// the pattern references must be present.
 	Data map[event.Type][]event.Event
-	// StampIngest assigns wall-clock creation times at the sources, which
-	// enables detection-latency measurement (§5.1.3).
-	StampIngest bool
 	// Lateness bounds the event-time disorder of the input streams:
 	// watermarks trail the maximum seen timestamp by this much, letting
 	// windows wait for stragglers (ASP event-time processing, §2's time
 	// model). Zero expects time-ordered streams.
 	Lateness event.Time
-	// DedupSink eliminates duplicate matches at the sink (overlapping
-	// sliding windows emit duplicates, §3.1.4); KeepMatches retains match
-	// values for inspection.
-	DedupSink   bool
+	// KeepMatches retains match values for inspection.
 	KeepMatches bool
 	// SourceRatePerSec throttles every source to the given wall-clock
 	// emission rate (0 = full speed): the controlled-ingestion setting
@@ -81,7 +78,7 @@ func buildMulti(plans []*Plan, bc BuildConfig, sinks []*asp.Results) (*asp.Envir
 			res = sinks[i]
 		}
 		if res == nil {
-			res = asp.NewResults(bc.DedupSink, bc.KeepMatches)
+			res = asp.NewResults(true, bc.KeepMatches)
 		}
 		stream.Sink(fmt.Sprintf("sink#%d", i), res.Operator())
 		results[i] = res
@@ -114,9 +111,9 @@ func (b *builder) source(t event.Type, typeName string) (*asp.Stream, error) {
 	if b.bc.Lateness != 0 {
 		// Negative lateness flows through so the engine's graph validation
 		// rejects it with a descriptive error instead of silently clamping.
-		s = b.env.SourceOutOfOrder("src:"+typeName, data, b.bc.StampIngest, b.bc.Lateness)
+		s = b.env.SourceOutOfOrder("src:"+typeName, data, true, b.bc.Lateness)
 	} else {
-		s = b.env.Source("src:"+typeName, data, b.bc.StampIngest)
+		s = b.env.Source("src:"+typeName, data, true)
 	}
 	if b.bc.SourceRatePerSec != 0 {
 		// Same: non-positive rates are rejected at graph validation.

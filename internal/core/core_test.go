@@ -30,7 +30,6 @@ func runPlan(t *testing.T, pat *sea.Pattern, opts Options, data map[event.Type][
 	env, res, err := Build(plan, BuildConfig{
 		Engine:      asp.Config{WatermarkInterval: 1},
 		Data:        data,
-		DedupSink:   true,
 		KeepMatches: true,
 	})
 	if err != nil {
@@ -445,7 +444,6 @@ func TestFCEPvsFASPEquivalence(t *testing.T) {
 		env, res, err := Build(plan, BuildConfig{
 			Engine:      asp.Config{WatermarkInterval: 1},
 			Data:        data,
-			DedupSink:   true,
 			KeepMatches: true,
 		})
 		if err != nil {

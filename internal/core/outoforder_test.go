@@ -32,7 +32,6 @@ func runPlanLate(t *testing.T, pat *sea.Pattern, opts Options, fcep bool, data m
 		Engine:      asp.Config{WatermarkInterval: 1},
 		Data:        data,
 		Lateness:    lateness,
-		DedupSink:   true,
 		KeepMatches: true,
 	})
 	if err != nil {
@@ -144,7 +143,6 @@ func TestFCEPDropsLateRecords(t *testing.T) {
 		Engine:      asp.Config{WatermarkInterval: 1, Metrics: reg},
 		Data:        map[event.Type][]event.Event{typ: at(10, 20, 12, 30)},
 		Lateness:    event.Minute,
-		DedupSink:   true,
 		KeepMatches: true,
 	})
 	if err != nil {

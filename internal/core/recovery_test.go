@@ -31,7 +31,6 @@ func buildReplay(t *testing.T, translate translateFn, pat *sea.Pattern, data map
 	env, res, err := Build(plan, BuildConfig{
 		Engine:           asp.Config{WatermarkInterval: 1, Checkpoint: ck},
 		Data:             data,
-		DedupSink:        true,
 		KeepMatches:      true,
 		SourceRatePerSec: ratePerSec,
 	})

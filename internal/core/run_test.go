@@ -85,7 +85,7 @@ func TestReplanRestartCompose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bc := BuildConfig{Engine: asp.Config{WatermarkInterval: 8}, Data: data, DedupSink: true, KeepMatches: true}
+	bc := BuildConfig{Engine: asp.Config{WatermarkInterval: 8}, Data: data, KeepMatches: true}
 	oracle, err := Run(context.Background(), RunSpec{Plans: []*Plan{plain}, Build: bc})
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +145,7 @@ func TestRecallBoundSpansAttempts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bc := BuildConfig{Engine: asp.Config{WatermarkInterval: 8}, Data: data, DedupSink: true}
+	bc := BuildConfig{Engine: asp.Config{WatermarkInterval: 8}, Data: data}
 	full, err := Run(context.Background(), RunSpec{Plans: []*Plan{plan}, Build: bc})
 	if err != nil {
 		t.Fatal(err)

@@ -83,7 +83,6 @@ func TestWorkerKillRecovery(t *testing.T) {
 				Build: core.BuildConfig{
 					Engine:      testEngine(),
 					Data:        testStreams(t, tc.pm10),
-					DedupSink:   true,
 					KeepMatches: true,
 					// Throttled sources stretch the run so checkpoints complete
 					// before the kill and the kill lands mid-stream.

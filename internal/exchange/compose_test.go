@@ -50,7 +50,6 @@ func TestDistributedPoliciesCompose(t *testing.T) {
 		Build: core.BuildConfig{
 			Engine:      testEngine(),
 			Data:        testStreams(t, true),
-			DedupSink:   true,
 			KeepMatches: true,
 			// Throttled sources keep the run in flight through the kill, the
 			// recovery and the re-plan barrier.

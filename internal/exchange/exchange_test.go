@@ -185,7 +185,6 @@ func TestDistributedEquivalence(t *testing.T) {
 				Build: core.BuildConfig{
 					Engine:      testEngine(),
 					Data:        testStreams(t, tc.pm10),
-					DedupSink:   true,
 					KeepMatches: true,
 				},
 			}
@@ -223,7 +222,6 @@ func TestThreeWorkers(t *testing.T) {
 		Build: core.BuildConfig{
 			Engine:      testEngine(),
 			Data:        testStreams(t, false),
-			DedupSink:   true,
 			KeepMatches: true,
 		},
 	}
@@ -249,7 +247,6 @@ func TestSingleWorkerDegenerate(t *testing.T) {
 		Build: core.BuildConfig{
 			Engine:      testEngine(),
 			Data:        testStreams(t, false),
-			DedupSink:   true,
 			KeepMatches: true,
 		},
 	}
@@ -276,7 +273,6 @@ func TestNetworkMetrics(t *testing.T) {
 		Build: core.BuildConfig{
 			Engine:      testEngine(),
 			Data:        testStreams(t, false),
-			DedupSink:   true,
 			KeepMatches: true,
 		},
 	}

@@ -50,9 +50,8 @@ func TestTwoWorkerFederation(t *testing.T) {
 			WHERE q.value >= 40 AND v.value <= 60 AND q.id == v.id
 			WITHIN 10 MINUTES SLIDE 1 MINUTE`, false, core.Options{UsePartitioning: true, Parallelism: 4}),
 		Build: core.BuildConfig{
-			Engine:    testEngine(),
-			Data:      testStreams(t, false),
-			DedupSink: true,
+			Engine: testEngine(),
+			Data:   testStreams(t, false),
 		},
 	}
 	spec.Build.Engine.Trace = tracer

@@ -65,7 +65,6 @@ func TestFlakyNetworkRecovery(t *testing.T) {
 				Build: core.BuildConfig{
 					Engine:      testEngine(),
 					Data:        testStreams(t, false),
-					DedupSink:   true,
 					KeepMatches: true,
 					// Throttled sources stretch the run so the fault lands
 					// mid-stream with checkpoints already completed.
@@ -116,7 +115,6 @@ func TestNetResetHealsByReconnect(t *testing.T) {
 		Build: core.BuildConfig{
 			Engine:      testEngine(),
 			Data:        testStreams(t, false),
-			DedupSink:   true,
 			KeepMatches: true,
 		},
 	}
@@ -166,7 +164,6 @@ func TestHeartbeatDetectsBlackholedWorker(t *testing.T) {
 		Build: core.BuildConfig{
 			Engine:           testEngine(),
 			Data:             testStreams(t, false),
-			DedupSink:        true,
 			KeepMatches:      true,
 			SourceRatePerSec: 600,
 		},

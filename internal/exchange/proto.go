@@ -7,13 +7,14 @@ import (
 	"net"
 	"slices"
 	"sync"
-	"time"
 
+	"cep2asp/internal/asp"
 	"cep2asp/internal/chaos"
 	"cep2asp/internal/checkpoint"
 	"cep2asp/internal/core"
 	"cep2asp/internal/event"
 	"cep2asp/internal/obs"
+	"cep2asp/internal/overload"
 	"cep2asp/internal/trace"
 )
 
@@ -139,17 +140,29 @@ type StreamSpec struct {
 	Events []event.Event
 }
 
-// engineSettings carries the asp.Config scalars every worker must share for
-// the graphs to be identical (same fingerprint, same task IDs).
+// engineSettings carries the asp.Config values every worker must share for
+// the graphs to be identical (same fingerprint, same task IDs) and to run
+// under the same overload spec (budgets, policy, shed strategy, memory
+// admission). The rest of asp.Config is process-local: each worker supplies
+// its own registry, injector, tracer, logger, checkpoint wiring and
+// distribution splice.
 type engineSettings struct {
 	DefaultParallelism int
 	ChannelCapacity    int
 	WatermarkInterval  int
 	BatchSize          int
-	FlushTimeout       time.Duration
-	// StateBudget is the job-wide state budget under the Fail policy
-	// (asp Config.Overload.Budget.PerJob); zero disables it.
-	StateBudget int64
+	Overload           overload.Spec
+}
+
+// config is the shared part of a worker's asp.Config.
+func (e engineSettings) config() asp.Config {
+	return asp.Config{
+		DefaultParallelism: e.DefaultParallelism,
+		ChannelCapacity:    e.ChannelCapacity,
+		WatermarkInterval:  e.WatermarkInterval,
+		BatchSize:          e.BatchSize,
+		Overload:           e.Overload,
+	}
 }
 
 // planSpec ships one plan as SEA source plus the options it was translated
@@ -177,9 +190,7 @@ type JobSpec struct {
 	Engine  engineSettings
 	Streams []StreamSpec
 
-	StampIngest      bool
 	Lateness         event.Time
-	DedupSink        bool
 	KeepMatches      bool
 	SourceRatePerSec float64
 
@@ -201,8 +212,8 @@ type JobSpec struct {
 }
 
 // newJobSpec is the part of a JobSpec every process of one attempt shares:
-// each plan as pattern text and options, the engine scalars and build flags
-// of bc, and bc's streams in type-name order.
+// each plan as pattern text and options, the shared engine settings and the
+// build settings of bc, and bc's streams in type-name order.
 func newJobSpec(plans []*core.Plan, bc core.BuildConfig) *JobSpec {
 	e := bc.Engine
 	s := &JobSpec{
@@ -211,12 +222,9 @@ func newJobSpec(plans []*core.Plan, bc core.BuildConfig) *JobSpec {
 			ChannelCapacity:    e.ChannelCapacity,
 			WatermarkInterval:  e.WatermarkInterval,
 			BatchSize:          e.BatchSize,
-			FlushTimeout:       e.FlushTimeout,
-			StateBudget:        e.Overload.Budget.PerJob,
+			Overload:           e.Overload,
 		},
-		StampIngest:      bc.StampIngest,
 		Lateness:         bc.Lateness,
-		DedupSink:        bc.DedupSink,
 		KeepMatches:      bc.KeepMatches,
 		SourceRatePerSec: bc.SourceRatePerSec,
 		TraceRate:        e.Trace.Rate(),

@@ -16,7 +16,6 @@ import (
 	"cep2asp/internal/core"
 	"cep2asp/internal/event"
 	"cep2asp/internal/obs"
-	"cep2asp/internal/overload"
 	"cep2asp/internal/sea"
 	"cep2asp/internal/supervise"
 	"cep2asp/internal/trace"
@@ -55,31 +54,23 @@ func buildSlice(spec *JobSpec, table *TypeTable, ck *asp.CheckpointSpec, inj *ch
 			return nil, fmt.Errorf("exchange: translating pattern: %w", err)
 		}
 	}
+	cfg := spec.Engine.config()
+	cfg.Checkpoint = ck
+	cfg.Metrics = reg
+	cfg.Chaos = inj
+	cfg.Trace = tracer
+	cfg.Log = log
+	cfg.ShutdownTimeout = 10 * time.Second
+	cfg.Dist = &asp.DistSpec{
+		Worker:    spec.Me,
+		Workers:   len(spec.Workers),
+		Owner:     ModuloOwner(len(spec.Workers)),
+		Transport: tr,
+	}
 	env, _, err := core.BuildMulti(plans, core.BuildConfig{
-		Engine: asp.Config{
-			DefaultParallelism: spec.Engine.DefaultParallelism,
-			ChannelCapacity:    spec.Engine.ChannelCapacity,
-			WatermarkInterval:  spec.Engine.WatermarkInterval,
-			BatchSize:          spec.Engine.BatchSize,
-			FlushTimeout:       spec.Engine.FlushTimeout,
-			Overload:           overload.Spec{Budget: overload.Budget{PerJob: spec.Engine.StateBudget}},
-			Checkpoint:         ck,
-			Metrics:            reg,
-			Chaos:              inj,
-			Trace:              tracer,
-			Log:                log,
-			ShutdownTimeout:    10 * time.Second,
-			Dist: &asp.DistSpec{
-				Worker:    spec.Me,
-				Workers:   len(spec.Workers),
-				Owner:     ModuloOwner(len(spec.Workers)),
-				Transport: tr,
-			},
-		},
+		Engine:           cfg,
 		Data:             data,
-		StampIngest:      spec.StampIngest,
 		Lateness:         spec.Lateness,
-		DedupSink:        spec.DedupSink,
 		KeepMatches:      spec.KeepMatches,
 		SourceRatePerSec: spec.SourceRatePerSec,
 	})

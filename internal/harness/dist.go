@@ -31,9 +31,9 @@ func (sc Scale) runDistributed(ctx context.Context, name string, pat *sea.Patter
 	coord, err := exchange.NewCoordinator(exchange.CoordinatorOptions{
 		ListenAddr: sc.DistListen,
 		Workers:    workers,
-		Metrics:    sc.Metrics,
+		Metrics:    sc.Engine.Metrics,
 		Liveness:   sc.DistLiveness,
-		Log:        sc.Log,
+		Log:        sc.Engine.Log,
 	})
 	if err != nil {
 		return fail(err)
@@ -52,7 +52,7 @@ func (sc Scale) runDistributed(ctx context.Context, name string, pat *sea.Patter
 			w, err := exchange.StartWorker(ctx, coord.ControlAddr(), exchange.WorkerOptions{
 				Name:    fmt.Sprintf("inproc-%d", i),
 				Metrics: obs.NewRegistry(),
-				Log:     sc.Log,
+				Log:     sc.Engine.Log,
 			})
 			if err != nil {
 				return fail(err)

@@ -3,7 +3,6 @@ package harness
 import (
 	"context"
 	"fmt"
-	"log/slog"
 	"math"
 	"os"
 	"path/filepath"
@@ -14,14 +13,15 @@ import (
 	"cep2asp/internal/asp"
 	"cep2asp/internal/cep"
 	"cep2asp/internal/chaos"
+	"cep2asp/internal/checkpoint"
 	"cep2asp/internal/core"
 	"cep2asp/internal/event"
 	"cep2asp/internal/nfa"
-	"cep2asp/internal/obs"
 	"cep2asp/internal/optimizer"
 	"cep2asp/internal/overload"
 	"cep2asp/internal/sea"
 	"cep2asp/internal/supervise"
+	"cep2asp/internal/trace"
 	"cep2asp/internal/workload"
 )
 
@@ -36,32 +36,23 @@ type Scale struct {
 	AQMinutes  int
 	// Slots is the per-worker task-slot count (parallelism unit).
 	Slots int
-	// StateBudget bounds total buffered elements; what happens at the bound
-	// is selected by OverloadPolicy. Zero disables.
-	StateBudget int64
-	// OverloadPolicy selects the reaction to a reached StateBudget: the
-	// zero value (overload.Fail) aborts the run — the memory-exhaustion
-	// analogue (§5.2.3) — while overload.Shed evicts oldest state and
-	// overload.Pause throttles the sources.
-	OverloadPolicy overload.Policy
-	// ShedStrategy selects the Shed policy's victim order: the zero value
-	// evicts oldest-first, overload.PatternAware evicts the state least
-	// likely to still complete into a match.
-	ShedStrategy overload.ShedStrategy
+	// Engine is the engine configuration every run starts from: batch
+	// size, state budget and overload policy, teardown bound, metrics
+	// registry and logger. Its per-run parts — Chaos, Checkpoint and
+	// Trace — are built fresh for each run from ChaosFaults,
+	// CheckpointInterval and TraceRate. A shared Metrics registry resets
+	// its graph on each run, so it always reflects the executing run.
+	Engine asp.Config
 	// QualityRecall / QualityLatency declare per-run quality demands (a
 	// MinRecall floor and a p99 detection-latency ceiling); zero values
 	// disable the quality controller.
 	QualityRecall  float64
 	QualityLatency time.Duration
 	Seed           int64
-	// CheckpointInterval enables aligned-barrier checkpointing during every
-	// experiment run, measuring its overhead (0 = off).
+	// CheckpointInterval enables aligned-barrier checkpointing into a
+	// fresh in-memory store during every experiment run, measuring its
+	// overhead (0 = off).
 	CheckpointInterval time.Duration
-	// Metrics, when set, attaches the per-operator observability registry
-	// to every experiment run (live /metrics endpoint, per-operator rows in
-	// results). Each run resets the registry's graph, so a shared registry
-	// always reflects the currently executing run.
-	Metrics *obs.Registry
 	// Timeout per run; zero means unbounded.
 	Timeout time.Duration
 	// RestartPolicy runs every experiment supervised (restart from the
@@ -71,12 +62,6 @@ type Scale struct {
 	// injector so hit counters do not leak between experiments (within one
 	// supervised run the injector is shared across restarts).
 	ChaosFaults []chaos.Fault
-	// StopTimeout bounds each run's teardown after cancellation or failure.
-	StopTimeout time.Duration
-	// BatchSize overrides the engine's edge batch size for every run
-	// (records per inter-operator channel transfer); 0 keeps the engine
-	// default, 1 disables batching.
-	BatchSize int
 	// DistWorkers overrides the worker-count sweep of the distributed
 	// experiments (fig6dist, distsmoke) with a single fixed cluster size;
 	// 0 keeps each experiment's default.
@@ -102,9 +87,6 @@ type Scale struct {
 	// each traced run there (an experiment with several runs overwrites;
 	// the last run's trace wins).
 	TraceOut string
-	// Log receives structured engine and control-plane events; nil
-	// discards them.
-	Log *slog.Logger
 }
 
 // BenchScale is small enough for unit benchmarks.
@@ -112,7 +94,8 @@ func BenchScale() Scale {
 	return Scale{
 		QnVSensors: 20, QnVMinutes: 120,
 		AQSensors: 20, AQMinutes: 120,
-		Slots: 4, StateBudget: 2_000_000, Seed: 1,
+		Slots: 4, Seed: 1,
+		Engine:  scaleEngine(2_000_000),
 		Timeout: 2 * time.Minute,
 	}
 }
@@ -124,21 +107,18 @@ func FullScale() Scale {
 	return Scale{
 		QnVSensors: 500, QnVMinutes: 2000,
 		AQSensors: 500, AQMinutes: 2000,
-		Slots: 16, StateBudget: 30_000_000, Seed: 1,
+		Slots: 16, Seed: 1,
+		Engine:  scaleEngine(30_000_000),
 		Timeout: 10 * time.Minute,
 	}
 }
 
-func (sc Scale) engine() asp.Config {
+// scaleEngine is the experiments' engine template: watermarks every 256
+// records and a per-job state budget under the Fail policy.
+func scaleEngine(perJob int64) asp.Config {
 	return asp.Config{
-		DefaultParallelism: sc.Slots,
-		WatermarkInterval:  256,
-		BatchSize:          sc.BatchSize,
-		Overload: overload.Spec{
-			Budget:   overload.Budget{PerJob: sc.StateBudget},
-			Policy:   sc.OverloadPolicy,
-			Shedding: sc.ShedStrategy,
-		},
+		WatermarkInterval: 256,
+		Overload:          overload.Spec{Budget: overload.Budget{PerJob: perJob}},
 	}
 }
 
@@ -320,28 +300,29 @@ func (sc Scale) run(ctx context.Context, name string, pat *sea.Pattern, a Approa
 	return Run(ctx, sc.spec(name, pat, a, data))
 }
 
-// spec is the RunSpec of one experiment run under the scale's settings.
+// spec is the RunSpec of one experiment run under the scale's settings:
+// the Engine template plus this run's own injector, checkpoint store and
+// tracer.
 func (sc Scale) spec(name string, pat *sea.Pattern, a Approach, data map[event.Type][]event.Event) RunSpec {
-	spec := RunSpec{
-		Name:               name,
-		Pattern:            pat,
-		Approach:           a,
-		Data:               data,
-		Engine:             sc.engine(),
-		CheckpointInterval: sc.CheckpointInterval,
-		Metrics:            sc.Metrics,
-		Timeout:            sc.Timeout,
-		RestartPolicy:      sc.RestartPolicy,
-		StopTimeout:        sc.StopTimeout,
-		TraceRate:          sc.TraceRate,
-		TraceOut:           sc.TraceOut,
-		Log:                sc.Log,
-		Quality:            overload.QualityDemand{MinRecall: sc.QualityRecall, MaxP99Latency: sc.QualityLatency},
-	}
+	eng := sc.Engine
 	if len(sc.ChaosFaults) > 0 {
-		spec.Chaos = chaos.NewInjector(sc.ChaosFaults...)
+		eng.Chaos = chaos.NewInjector(sc.ChaosFaults...)
 	}
-	return spec
+	if sc.CheckpointInterval > 0 {
+		eng.Checkpoint = &asp.CheckpointSpec{Store: checkpoint.NewMemStore(), Interval: sc.CheckpointInterval}
+	}
+	eng.Trace = trace.New(sc.TraceRate, 0)
+	return RunSpec{
+		Name:          name,
+		Pattern:       pat,
+		Approach:      a,
+		Data:          data,
+		Engine:        eng,
+		Timeout:       sc.Timeout,
+		RestartPolicy: sc.RestartPolicy,
+		TraceOut:      sc.TraceOut,
+		Quality:       overload.QualityDemand{MinRecall: sc.QualityRecall, MaxP99Latency: sc.QualityLatency},
+	}
 }
 
 // Fig3aBaseline reproduces Figure 3a: elementary operator throughput for
@@ -569,17 +550,10 @@ func Fig5Resources(ctx context.Context, sc Scale) []RunResult {
 		}
 		for _, c := range cases {
 			for _, a := range c.as {
-				out = append(out, Run(ctx, RunSpec{
-					Name:            fmt.Sprintf("fig5/%s/k=%d", c.name, keys),
-					Pattern:         c.pat,
-					Approach:        a,
-					Data:            c.data,
-					Engine:          kc.engine(),
-					Timeout:         kc.Timeout,
-					Metrics:         kc.Metrics,
-					SampleResources: true,
-					SamplePeriod:    100 * time.Millisecond,
-				}))
+				spec := kc.spec(fmt.Sprintf("fig5/%s/k=%d", c.name, keys), c.pat, a, c.data)
+				spec.SampleResources = true
+				spec.SamplePeriod = 100 * time.Millisecond
+				out = append(out, Run(ctx, spec))
 			}
 		}
 	}
@@ -632,16 +606,9 @@ func LatencyAtSustainableRate(ctx context.Context, sc Scale, fraction float64) [
 		}
 		// Split the sustainable rate across the pattern's sources.
 		perSource := full.ThroughputTps * fraction / 2
-		throttled := Run(ctx, RunSpec{
-			Name:             fmt.Sprintf("latency/%d%%-rate", int(fraction*100)),
-			Pattern:          pat,
-			Approach:         a,
-			Data:             qnv,
-			Engine:           sc.engine(),
-			Timeout:          sc.Timeout,
-			Metrics:          sc.Metrics,
-			SourceRatePerSec: perSource,
-		})
+		spec := sc.spec(fmt.Sprintf("latency/%d%%-rate", int(fraction*100)), pat, a, qnv)
+		spec.SourceRatePerSec = perSource
+		throttled := Run(ctx, spec)
 		out = append(out, throttled)
 	}
 	return out
@@ -664,8 +631,8 @@ func LatencyAtSustainableRate(ctx context.Context, sc Scale, fraction float64) [
 // streams interleave; see OverloadCurve for the sweep.
 func OverloadSurvival(ctx context.Context, sc Scale) []RunResult {
 	kc := sc
-	kc.StateBudget = 256
-	kc.OverloadPolicy = overload.Shed
+	kc.Engine.Overload.Budget.PerJob = 256
+	kc.Engine.Overload.Policy = overload.Shed
 	data := only(kc.qnvData(), workload.TypeVelocity)
 	// A generous filter fraction keeps many relevant events per window, so
 	// the NFA's stage buffers grow well past the budget.
@@ -673,7 +640,7 @@ func OverloadSurvival(ctx context.Context, sc Scale) []RunResult {
 	var out []RunResult
 	for _, strat := range []overload.ShedStrategy{overload.OldestFirst, overload.PatternAware} {
 		sk := kc
-		sk.ShedStrategy = strat
+		sk.Engine.Overload.Shedding = strat
 		out = append(out, sk.run(ctx, "overload/ITER3/budget=256/shed="+strat.String(), pat, FCEP, data))
 	}
 	out = append(out, kc.run(ctx, "overload/ITER3/budget=256", pat, FASPO2, data))
@@ -687,7 +654,7 @@ func OverloadSurvival(ctx context.Context, sc Scale) []RunResult {
 // shed_records, recall_estimate) for plotting.
 func OverloadCurve(ctx context.Context, sc Scale) []RunResult {
 	kc := sc
-	kc.OverloadPolicy = overload.Shed
+	kc.Engine.Overload.Policy = overload.Shed
 	data := only(kc.qnvData(), workload.TypeVelocity)
 	pat := PatternITER(3, 0.3, 15, false, false)
 	budgets := []int64{256, 512, 1024, 2048, 4096}
@@ -697,8 +664,8 @@ func OverloadCurve(ctx context.Context, sc Scale) []RunResult {
 	for _, budget := range budgets {
 		for _, strat := range []overload.ShedStrategy{overload.OldestFirst, overload.PatternAware} {
 			sk := kc
-			sk.StateBudget = budget
-			sk.ShedStrategy = strat
+			sk.Engine.Overload.Budget.PerJob = budget
+			sk.Engine.Overload.Shedding = strat
 			r := sk.run(ctx, fmt.Sprintf("overloadcurve/ITER3/budget=%d/shed=%s", budget, strat), pat, FCEP, data)
 			out = append(out, r)
 			fmt.Fprintf(&b, "%d,%s,%d,%d,%d,%.6f\n",
@@ -706,8 +673,8 @@ func OverloadCurve(ctx context.Context, sc Scale) []RunResult {
 		}
 	}
 	if err := os.MkdirAll("results", 0o755); err == nil {
-		if werr := os.WriteFile(filepath.Join("results", "overload_curve.csv"), []byte(b.String()), 0o644); werr != nil && sc.Log != nil {
-			sc.Log.Warn("harness: overload curve export failed", "err", werr)
+		if werr := os.WriteFile(filepath.Join("results", "overload_curve.csv"), []byte(b.String()), 0o644); werr != nil && sc.Engine.Log != nil {
+			sc.Engine.Log.Warn("harness: overload curve export failed", "err", werr)
 		}
 	}
 	return out

@@ -10,14 +10,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log/slog"
 	"sort"
 	"time"
 
 	"sync/atomic"
 
 	"cep2asp/internal/asp"
-	"cep2asp/internal/chaos"
 	"cep2asp/internal/checkpoint"
 	"cep2asp/internal/core"
 	"cep2asp/internal/event"
@@ -66,7 +64,12 @@ type RunSpec struct {
 	Pattern  *sea.Pattern
 	Approach Approach
 	Data     map[event.Type][]event.Event
-	Engine   asp.Config
+	// Engine is the run's engine configuration, used as given: its
+	// Metrics registry's final per-operator snapshot lands on the result
+	// (the sink's detection-latency histogram is registered under
+	// "sink_detection_latency"), its Checkpoint stats fill the result's
+	// checkpoint overhead, and its Trace summary the result's Trace.
+	Engine asp.Config
 	// SampleResources records a memory/CPU time series (Figure 5).
 	SampleResources bool
 	SamplePeriod    time.Duration
@@ -76,45 +79,22 @@ type RunSpec struct {
 	// (0 = full speed). Latency measured under throttling reflects
 	// detection delay rather than backpressure queueing.
 	SourceRatePerSec float64
-	// CheckpointInterval enables aligned-barrier checkpointing at the given
-	// period (0 = off), measuring its overhead alongside the run.
-	CheckpointInterval time.Duration
-	// CheckpointStore receives the snapshots; nil defaults to an in-memory
-	// store discarded with the run.
-	CheckpointStore checkpoint.Store
-	// Metrics attaches the per-operator observability registry: operator
-	// and edge series become available live (obs.Serve) and as a final
-	// snapshot on the result. The sink's detection-latency histogram is
-	// registered under "sink_detection_latency".
-	Metrics *obs.Registry
 	// Timeout bounds the run; zero means none.
 	Timeout time.Duration
 	// RestartPolicy, when set, runs the spec supervised: isolated operator
 	// panics restart the job from the latest checkpoint under the policy's
-	// backoff and budget. Without a configured CheckpointStore an in-memory
-	// store with a short trigger interval is installed automatically.
+	// backoff and budget. Without Engine.Checkpoint an in-memory store
+	// with a short trigger interval is installed automatically.
 	RestartPolicy *supervise.Policy
-	// Chaos arms deterministic fault-injection points for the run (shared
-	// across supervised restarts, so hit counters stay monotonic).
-	Chaos *chaos.Injector
-	// StopTimeout bounds teardown after cancellation or failure; a wedged
-	// instance is abandoned and named in the error instead of hanging the
-	// run. Zero waits forever.
-	StopTimeout time.Duration
-	// TraceRate samples end-to-end traces: the fraction of source events
-	// followed through operator hops and match derivations (0 = off).
-	// The trace summary lands on the result; TraceOut, when non-empty,
-	// additionally writes the Chrome trace-event JSON there.
-	TraceRate float64
-	TraceOut  string
+	// TraceOut, when non-empty, writes the Chrome trace-event JSON of
+	// Engine.Trace's spans there.
+	TraceOut string
 	// Quality declares per-job quality demands: a controller polls the
 	// run's recall estimate, p99 latency and live heap, switching the shed
 	// strategy or pausing intake to hold them — one controller per
 	// execution attempt, so it composes with RestartPolicy. Decisions land
 	// on RunResult.QualityActions.
 	Quality overload.QualityDemand
-	// Log receives structured engine lifecycle events; nil discards them.
-	Log *slog.Logger
 	// Cluster runs the spec across processes (an exchange.Coordinator);
 	// nil runs it in-process.
 	Cluster core.Cluster
@@ -147,7 +127,7 @@ type RunResult struct {
 	Err    error
 	// Resources is the sampled memory/CPU series when requested.
 	Resources []metrics.Sample
-	// Checkpoint overhead (populated when CheckpointInterval > 0):
+	// Checkpoint overhead (populated when Engine.Checkpoint is set):
 	// completed checkpoints, the largest serialized snapshot, the worst
 	// single-instance alignment stall, and the per-checkpoint series.
 	Checkpoints      int64
@@ -155,7 +135,7 @@ type RunResult struct {
 	CheckpointPause  time.Duration
 	CheckpointSeries []metrics.CheckpointPoint
 	// Operators / OperatorEdges are the end-of-run per-operator-instance
-	// and per-edge metrics (populated when RunSpec.Metrics is set).
+	// and per-edge metrics (populated when RunSpec.Engine.Metrics is set).
 	Operators     []obs.OperatorSnapshot
 	OperatorEdges []obs.EdgeSnapshot
 	// Restarts counts supervised restarts; DeadLetters the poison records
@@ -183,7 +163,7 @@ type RunResult struct {
 	CkptP50 time.Duration
 	CkptP99 time.Duration
 	// Trace is the end-to-end latency breakdown of the sampled traces
-	// (populated when TraceRate > 0): queue/processing/network time and
+	// (populated when Engine.Trace is set): queue/processing/network time and
 	// per-trace end-to-end percentiles.
 	Trace trace.Summary
 }
@@ -216,35 +196,6 @@ func Run(ctx context.Context, spec RunSpec) RunResult {
 		return res
 	}
 
-	engineCfg := spec.Engine
-	engineCfg.Metrics = spec.Metrics
-	engineCfg.Chaos = spec.Chaos
-	engineCfg.ShutdownTimeout = spec.StopTimeout
-	tracer := trace.New(spec.TraceRate, 0)
-	if engineCfg.Trace == nil {
-		engineCfg.Trace = tracer
-	} else {
-		tracer = engineCfg.Trace
-	}
-	if engineCfg.Log == nil {
-		engineCfg.Log = spec.Log
-	}
-	if spec.CheckpointInterval > 0 {
-		store := spec.CheckpointStore
-		if store == nil {
-			store = checkpoint.NewMemStore()
-		}
-		engineCfg.Checkpoint = &asp.CheckpointSpec{Store: store, Interval: spec.CheckpointInterval}
-	}
-	bc := core.BuildConfig{
-		Engine:           engineCfg,
-		Data:             spec.Data,
-		StampIngest:      true,
-		DedupSink:        true,
-		KeepMatches:      spec.KeepMatches,
-		SourceRatePerSec: spec.SourceRatePerSec,
-	}
-
 	// curEnv tracks the executing attempt: supervised restarts and
 	// re-plans rebuild it, and the sampler must follow.
 	var curEnv atomic.Pointer[asp.Environment]
@@ -269,8 +220,13 @@ func Run(ctx context.Context, spec RunSpec) RunResult {
 	dlq := &supervise.DLQ{}
 	start := time.Now()
 	rep, execErr := core.Run(ctx, core.RunSpec{
-		Plans:     []*core.Plan{plan},
-		Build:     bc,
+		Plans: []*core.Plan{plan},
+		Build: core.BuildConfig{
+			Engine:           spec.Engine,
+			Data:             spec.Data,
+			KeepMatches:      spec.KeepMatches,
+			SourceRatePerSec: spec.SourceRatePerSec,
+		},
 		Restart:   spec.RestartPolicy,
 		DLQ:       dlq,
 		Quality:   spec.Quality,
@@ -292,21 +248,21 @@ func Run(ctx context.Context, spec RunSpec) RunResult {
 	res.DeadLetters = dlq.Depth()
 	res.QualityActions = rep.QualityActions
 
-	if spec.CheckpointInterval > 0 {
+	if spec.Engine.Checkpoint != nil {
 		stats := env.CheckpointStats()
 		res.Checkpoints = int64(len(stats))
 		res.foldCheckpoints(stats, start)
 	}
-	if spec.Metrics != nil {
-		snap := spec.Metrics.Snapshot()
+	if reg := spec.Engine.Metrics; reg != nil {
+		snap := reg.Snapshot()
 		res.Operators = snap.Operators
 		res.OperatorEdges = snap.Edges
 	}
-	if tracer != nil {
+	if tracer := spec.Engine.Trace; tracer != nil {
 		res.Trace = tracer.Summarize()
 		if spec.TraceOut != "" {
-			if werr := tracer.WriteFile(spec.TraceOut); werr != nil && spec.Log != nil {
-				spec.Log.Warn("harness: trace export failed", "path", spec.TraceOut, "err", werr)
+			if werr := tracer.WriteFile(spec.TraceOut); werr != nil && spec.Engine.Log != nil {
+				spec.Engine.Log.Warn("harness: trace export failed", "path", spec.TraceOut, "err", werr)
 			}
 		}
 	}

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"cep2asp/internal/asp"
+	"cep2asp/internal/obs"
 	"cep2asp/internal/workload"
 )
 
@@ -14,7 +16,8 @@ func tinyScale() Scale {
 	return Scale{
 		QnVSensors: 5, QnVMinutes: 60,
 		AQSensors: 5, AQMinutes: 60,
-		Slots: 2, StateBudget: 1_000_000, Seed: 42,
+		Slots: 2, Seed: 42,
+		Engine:  scaleEngine(1_000_000),
 		Timeout: time.Minute,
 	}
 }
@@ -104,7 +107,7 @@ func TestKeyedApproachesAgree(t *testing.T) {
 
 func TestStateBudgetFailureReported(t *testing.T) {
 	sc := tinyScale()
-	sc.StateBudget = 50 // absurdly small: every stateful run must fail
+	sc.Engine.Overload.Budget.PerJob = 50 // absurdly small: every stateful run must fail
 	qnv := sc.qnvData()
 	r := sc.run(context.Background(), "t", PatternSEQ1(0.5, 60), FCEP, qnv)
 	if !r.Failed {
@@ -112,6 +115,27 @@ func TestStateBudgetFailureReported(t *testing.T) {
 	}
 	if r.Err == nil || !strings.Contains(r.Err.Error(), "state") {
 		t.Fatalf("unexpected error: %v", r.Err)
+	}
+}
+
+// TestRunHonoursEngineConfig: Run executes under spec.Engine as given, so
+// a registry attached there — and nowhere else — yields the per-operator
+// snapshot on the result.
+func TestRunHonoursEngineConfig(t *testing.T) {
+	sc := tinyScale()
+	reg := obs.NewRegistry()
+	r := Run(context.Background(), RunSpec{
+		Name:     "t",
+		Pattern:  PatternSEQ1(0.2, 15),
+		Approach: FASP,
+		Data:     sc.qnvData(),
+		Engine:   asp.Config{Metrics: reg},
+	})
+	if r.Failed {
+		t.Fatalf("run failed: %v", r.Err)
+	}
+	if len(r.Operators) == 0 {
+		t.Fatal("no per-operator snapshot: the run ignored Engine.Metrics")
 	}
 }
 

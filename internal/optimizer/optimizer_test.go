@@ -84,7 +84,6 @@ func runOnce(t *testing.T, p *sea.Pattern, opts core.Options, data map[event.Typ
 	env, res, err := core.Build(plan, core.BuildConfig{
 		Engine:      asp.Config{WatermarkInterval: 1},
 		Data:        data,
-		DedupSink:   true,
 		KeepMatches: true,
 	})
 	if err != nil {
@@ -185,7 +184,7 @@ func intermediateTuples(t *testing.T, p *sea.Pattern, opts core.Options, data ma
 	if err != nil {
 		t.Fatalf("Translate: %v", err)
 	}
-	env, res, err := core.Build(plan, core.BuildConfig{Data: data, DedupSink: true})
+	env, res, err := core.Build(plan, core.BuildConfig{Data: data})
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}

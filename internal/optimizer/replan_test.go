@@ -25,7 +25,6 @@ func TestRunWithoutReplan(t *testing.T) {
 		Build: core.BuildConfig{
 			Engine:      asp.Config{WatermarkInterval: 1},
 			Data:        data,
-			DedupSink:   true,
 			KeepMatches: true,
 		},
 		Replanner: o.Replanner(p),
@@ -77,7 +76,6 @@ func TestReplanPreservesMatches(t *testing.T) {
 				// forced trigger fires and the barrier completes — also for
 				// single-source patterns under the race detector.
 				SourceRatePerSec: 500,
-				DedupSink:        true,
 				KeepMatches:      true,
 			},
 			Replanner: o.Replanner(p),
