@@ -18,10 +18,6 @@ import (
 
 // Config tunes the execution environment.
 type Config struct {
-	// DefaultParallelism is the number of instances per stateful node when
-	// a stream is keyed; one worker of the paper's testbed corresponds to
-	// 16 task slots (§5.1.1). Defaults to 1.
-	DefaultParallelism int
 	// ChannelCapacity bounds each inter-instance channel; full channels
 	// block the sender, propagating backpressure to the sources exactly as
 	// Flink's bounded network buffers do (§5.2.4). Defaults to 1024.
@@ -113,9 +109,6 @@ type CheckpointSpec struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.DefaultParallelism <= 0 {
-		c.DefaultParallelism = 1
-	}
 	if c.ChannelCapacity <= 0 {
 		c.ChannelCapacity = 1024
 	}

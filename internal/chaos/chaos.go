@@ -341,7 +341,7 @@ func (inj *Injector) ReleaseStalls() {
 // consecutive frames (default 1). Examples:
 //
 //	netreset:0>1@20          RST worker 0's data link to worker 1 before
-//	                         its 20th frame — heals by reconnect
+//	                         its 20th frame — restarts from checkpoint
 //	netdrop:1>*@5            silently lose worker 1's 5th outbound frame
 //	netcorrupt:*>0@9x2       flip bits in frames 9-10 toward the coordinator
 //	netdelay=50ms:0>2@1x10   delay the first 10 frames on 0>2 by 50ms

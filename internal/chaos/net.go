@@ -1,10 +1,10 @@
 // Network fault injection: directed, frame-counted faults on the links
 // between workers. Unlike node faults — which fire inside an operator
 // instance — net faults fire inside the exchange transport's send path, so
-// a fired fault exercises the real codec, framing, reconnect and failure
-// detection machinery of the receiving side. Faults are scoped by worker
-// pair and direction (`from>to`), so asymmetric partitions — A hears B but
-// B never hears A — are expressible.
+// a fired fault exercises the real codec, framing and failure detection
+// machinery of both ends. Faults are scoped by worker pair and direction
+// (`from>to`), so asymmetric partitions — A hears B but B never hears A —
+// are expressible.
 package chaos
 
 import (
@@ -23,9 +23,8 @@ const (
 	// modelling a congested or lossy-with-retransmit link.
 	NetDelay
 	// NetReset closes the connection immediately before the write,
-	// modelling a mid-stream TCP RST. The frame itself is never lost at
-	// the application layer — the sender still holds it — so a transport
-	// with reconnect support heals this without a restart.
+	// modelling a mid-stream TCP RST. The sender's write fails, which
+	// fails the attempt: the job restarts from the latest checkpoint.
 	NetReset
 	// NetCorrupt flips bits in the encoded frame after the length prefix,
 	// modelling payload corruption the checksum must catch.
@@ -33,7 +32,7 @@ const (
 	// NetPartition blackholes the link for a window of sends: frames (and,
 	// for links toward the coordinator, control-plane messages) vanish
 	// without any error at either end. Use xN to size the window; the
-	// partition heals when the window is exhausted.
+	// first frame after it exposes the sequence gap.
 	NetPartition
 )
 

@@ -65,6 +65,7 @@ type pendingCheckpoint struct {
 	begun    time.Time
 	acks     map[string][]byte
 	maxPause time.Duration
+	saving   bool // every task is in; the snapshot is being stored
 }
 
 // NewCoordinator creates a coordinator expecting acknowledgements from the
@@ -125,10 +126,12 @@ func (c *Coordinator) FinishTask(task string, state []byte) {
 // maybeCompleteLocked assembles and persists the pending checkpoint once
 // every expected task has acked or finished. A task that acked the pending
 // checkpoint and then finished contributes its ack — the state at barrier
-// time — not its final state.
+// time — not its final state. The checkpoint completes only once the store
+// holds it; c.mu is released for the Save, so a slow store keeps the
+// checkpoint in flight (Begin refuses) without blocking other callers.
 func (c *Coordinator) maybeCompleteLocked() {
 	p := c.pending
-	if p == nil {
+	if p == nil || p.saving {
 		return
 	}
 	tasks := make(map[string][]byte, len(c.expected))
@@ -144,7 +147,17 @@ func (c *Coordinator) maybeCompleteLocked() {
 		tasks[task] = st
 	}
 	snap := &Snapshot{ID: p.id, Fingerprint: c.fingerprint, Tasks: tasks}
+	p.saving = true
+	c.mu.Unlock()
+	err := c.store.Save(snap)
+	c.mu.Lock()
 	c.pending = nil
+	if err != nil {
+		if c.OnError != nil {
+			c.OnError(err)
+		}
+		return
+	}
 	c.completed = p.id
 	st := Stat{
 		ID:          p.id,
@@ -157,9 +170,6 @@ func (c *Coordinator) maybeCompleteLocked() {
 	c.stats = append(c.stats, st)
 	if c.OnComplete != nil {
 		c.OnComplete(st)
-	}
-	if err := c.store.Save(snap); err != nil && c.OnError != nil {
-		c.OnError(err)
 	}
 }
 

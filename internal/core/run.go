@@ -275,9 +275,8 @@ func (r *runner) attempt(ctx context.Context) (int64, error) {
 
 // execute runs env to completion, as worker 0 of the Cluster, which ships
 // bc, when one is set. While a re-plan is allowed it consults the
-// replanner; once one is due it triggers a barrier and, as soon as a
-// checkpoint at or after it has completed, stops env there and returns that
-// checkpoint's ID.
+// replanner; once one is due it triggers a barrier and stops env at the
+// first checkpoint completed since, returning that checkpoint's ID.
 func (r *runner) execute(ctx context.Context, env *asp.Environment, bc BuildConfig) (int64, error) {
 	run := env.Execute
 	if cl := r.spec.Cluster; cl != nil {
@@ -294,28 +293,38 @@ func (r *runner) execute(ctx context.Context, env *asp.Environment, bc BuildConf
 	go func() { done <- run(ctx) }()
 	tick := time.NewTicker(every)
 	defer tick.Stop()
-	var id int64
+	var floor int64 // once a re-plan is due: the lowest checkpoint ID that may cut
 	for {
 		select {
 		case err := <-done:
 			return 0, err
 		case <-tick.C:
 		}
-		if id == 0 {
+		st := env.CheckpointStats()
+		if floor == 0 {
 			r.pending = r.pending || r.spec.Replanner.Due(r.engine.Metrics.Snapshot(), r.rep.Plans[0])
-			if r.pending {
-				tick.Reset(5 * time.Millisecond)
-				id = env.TriggerCheckpoint() // 0 while another is in flight
+			if !r.pending {
+				continue
 			}
-			continue
-		}
-		if st := env.CheckpointStats(); len(st) > 0 && st[len(st)-1].ID >= id {
-			env.Fail(errReplan)
-			if err := <-done; !errors.Is(err, errReplan) {
-				return 0, err
+			// Any checkpoint completed from here on is a valid cut: the
+			// runner's own, or the one in flight now, which refuses the
+			// trigger until it completes.
+			floor = 1
+			if len(st) > 0 {
+				floor = st[len(st)-1].ID + 1
 			}
-			return st[len(st)-1].ID, nil
+			tick.Reset(5 * time.Millisecond)
 		}
+		for _, c := range st {
+			if c.ID >= floor {
+				env.Fail(errReplan)
+				if err := <-done; !errors.Is(err, errReplan) {
+					return 0, err
+				}
+				return c.ID, nil
+			}
+		}
+		env.TriggerCheckpoint()
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -127,6 +128,90 @@ func TestReplanRestartCompose(t *testing.T) {
 			equalSets(t, tc.name, want, sortedKeys(rep.Sinks[0].Matches()))
 		})
 	}
+}
+
+// heldStore holds the Save of the first checkpoint until release closes:
+// the checkpoint stays in flight all that time, refusing every trigger.
+type heldStore struct {
+	checkpoint.Store
+	release chan struct{}
+	held    atomic.Int64 // ID of the held Save; 0 until it arrives
+	loaded  atomic.Int64 // ID of the last Load
+}
+
+func (s *heldStore) Save(snap *checkpoint.Snapshot) error {
+	if s.held.CompareAndSwap(0, snap.ID) {
+		<-s.release
+	}
+	return s.Store.Save(snap)
+}
+
+func (s *heldStore) Load(id int64) (*checkpoint.Snapshot, error) {
+	s.loaded.Store(id)
+	return s.Store.Load(id)
+}
+
+// heldReplan falls due on the second poll that finds the store's held
+// checkpoint still in flight, so the runner saw it in flight too, and
+// releases it.
+type heldReplan struct {
+	forcedReplan
+	store *heldStore
+	polls int
+}
+
+func (h *heldReplan) Due(obs.Snapshot, *Plan) bool {
+	if h.store.held.Load() == 0 {
+		return false
+	}
+	if h.polls++; h.polls < 2 {
+		return false
+	}
+	close(h.store.release)
+	return true
+}
+
+// A re-plan that falls due while a periodic checkpoint is in flight cuts at
+// that checkpoint: the trigger is refused until it completes, and it is as
+// consistent a cut as the runner's own.
+func TestReplanCutsAtCheckpointInFlight(t *testing.T) {
+	p := mustPattern(t, `PATTERN SEQ(RHA a, RHB b) WHERE a.value <= b.value WITHIN 6 MINUTES SLIDE 1 MINUTE`)
+	rng := rand.New(rand.NewSource(23))
+	ta, tb := event.RegisterType("RHA"), event.RegisterType("RHB")
+	data := map[event.Type][]event.Event{
+		ta: genStream(rng, ta, 300, 600, 1),
+		tb: genStream(rng, tb, 300, 600, 1),
+	}
+	plain, err := Translate(p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bc := BuildConfig{Engine: asp.Config{WatermarkInterval: 8}, Data: data, KeepMatches: true}
+	oracle, err := Run(context.Background(), RunSpec{Plans: []*Plan{plain}, Build: bc})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	store := &heldStore{Store: checkpoint.NewMemStore(), release: make(chan struct{})}
+	bc.Engine.Checkpoint = &asp.CheckpointSpec{Store: store, Interval: time.Millisecond}
+	bc.SourceRatePerSec = 3000
+	rep, err := Run(context.Background(), RunSpec{
+		Build: bc,
+		Replanner: &heldReplan{
+			forcedReplan: forcedReplan{p: p, opts: []Options{{}, {UseIntervalJoin: true}}},
+			store:        store,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Replans != 1 {
+		t.Fatalf("replans %d, want 1", rep.Replans)
+	}
+	if held, loaded := store.held.Load(), store.loaded.Load(); loaded != held {
+		t.Fatalf("re-plan cut at checkpoint %d; want %d, the one in flight when it fell due", loaded, held)
+	}
+	equalSets(t, "held", sortedKeys(oracle.Sinks[0].Matches()), sortedKeys(rep.Sinks[0].Matches()))
 }
 
 // The recall bound spans attempts: a supervised, shedding run killed once

@@ -65,10 +65,9 @@ func NewTypeTable(names []string) *TypeTable {
 //
 //	version  1 byte
 //	crc32c   4 bytes LE — CRC32-C over every following byte
-//	seq      uvarint    — frame sequence number, continuous per
-//	                      sender/peer stream across reconnects, so the
-//	                      receiver can tell a healed reset (seq continues)
-//	                      from in-flight loss or duplication (seq jumps)
+//	seq      uvarint    — frame sequence number, counted from 0 on each
+//	                      connection, so the receiver sees in-flight loss
+//	                      or duplication as a jump
 //	nodeID   uvarint   — graph node of the receiving instance
 //	target   uvarint   — instance index within the node
 //	count    uvarint   — records in the batch

@@ -19,10 +19,9 @@ import (
 // force real backpressure over the network edges.
 func testEngine() asp.Config {
 	return asp.Config{
-		DefaultParallelism: 1,
-		ChannelCapacity:    8,
-		WatermarkInterval:  64,
-		BatchSize:          16,
+		ChannelCapacity:   8,
+		WatermarkInterval: 64,
+		BatchSize:         16,
 	}
 }
 

@@ -147,21 +147,19 @@ type StreamSpec struct {
 // its own registry, injector, tracer, logger, checkpoint wiring and
 // distribution splice.
 type engineSettings struct {
-	DefaultParallelism int
-	ChannelCapacity    int
-	WatermarkInterval  int
-	BatchSize          int
-	Overload           overload.Spec
+	ChannelCapacity   int
+	WatermarkInterval int
+	BatchSize         int
+	Overload          overload.Spec
 }
 
 // config is the shared part of a worker's asp.Config.
 func (e engineSettings) config() asp.Config {
 	return asp.Config{
-		DefaultParallelism: e.DefaultParallelism,
-		ChannelCapacity:    e.ChannelCapacity,
-		WatermarkInterval:  e.WatermarkInterval,
-		BatchSize:          e.BatchSize,
-		Overload:           e.Overload,
+		ChannelCapacity:   e.ChannelCapacity,
+		WatermarkInterval: e.WatermarkInterval,
+		BatchSize:         e.BatchSize,
+		Overload:          e.Overload,
 	}
 }
 
@@ -218,11 +216,10 @@ func newJobSpec(plans []*core.Plan, bc core.BuildConfig) *JobSpec {
 	e := bc.Engine
 	s := &JobSpec{
 		Engine: engineSettings{
-			DefaultParallelism: e.DefaultParallelism,
-			ChannelCapacity:    e.ChannelCapacity,
-			WatermarkInterval:  e.WatermarkInterval,
-			BatchSize:          e.BatchSize,
-			Overload:           e.Overload,
+			ChannelCapacity:   e.ChannelCapacity,
+			WatermarkInterval: e.WatermarkInterval,
+			BatchSize:         e.BatchSize,
+			Overload:          e.Overload,
 		},
 		Lateness:         bc.Lateness,
 		KeepMatches:      bc.KeepMatches,

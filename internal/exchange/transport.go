@@ -41,7 +41,6 @@ type netConfig struct {
 	dialTimeout  time.Duration // per dial attempt (connect + handshake)
 	writeTimeout time.Duration // per-frame write deadline; <= 0 disables
 	dialRetries  int           // extra attempts per peer at connect time
-	reconnects   int           // mid-run reconnect attempts per frame
 	backoff      supervise.Policy
 }
 
@@ -50,7 +49,6 @@ func defaultNetConfig() netConfig {
 		dialTimeout:  defaultDialTimeout,
 		writeTimeout: defaultWriteTimeout,
 		dialRetries:  2,
-		reconnects:   5,
 		backoff: supervise.Policy{
 			InitialBackoff: 20 * time.Millisecond,
 			MaxBackoff:     500 * time.Millisecond,
@@ -123,10 +121,9 @@ type Transport struct {
 	log    *slog.Logger
 
 	mu       sync.Mutex
-	cond     *sync.Cond // signals ingress registrations, rx handovers, Close
+	cond     *sync.Cond // signals ingress registrations and Close
 	out      map[int]*dataConn
 	ingress  map[ikey]ingressReg
-	rx       map[int]*rxState
 	accepted []net.Conn
 	onFail   func(error)
 	closed   bool
@@ -139,51 +136,18 @@ type ingressReg struct {
 	queued *atomic.Int64
 }
 
-// rxState is the receiver's per-peer frame-stream state. Sequence numbers
-// are continuous across a peer's reconnects, so expect/seen live here —
-// outside any single connection. active serializes serve loops: a
-// replacement connection is not read until the previous connection's serve
-// loop has drained and exited, so frames never interleave across conns.
-// expect/seen are only touched by the goroutine holding active, with the
-// handover through t.mu ordering the accesses.
-type rxState struct {
-	active bool
-	seen   bool
-	expect uint64
-}
-
-// dataConn is one outbound peer link; concurrent egress pumps to the same
-// peer serialize on mu and share the encode buffer. The conn pointer has
-// its own lock so Close never waits behind an in-flight write or backoff.
+// dataConn is one outbound peer link of one attempt; concurrent egress
+// pumps to the same peer serialize on mu and share the encode buffer. c is
+// set once in Dial and only closed afterwards: a failed write ends the
+// attempt, and the restart dials a new transport.
 type dataConn struct {
-	peer int
-	addr string
-	nm   *obs.NetMetrics
-	np   *chaos.NetPoint
-	rng  *rand.Rand
+	c  net.Conn
+	nm *obs.NetMetrics
+	np *chaos.NetPoint
 
-	mu         sync.Mutex
-	buf        []byte
-	seq        uint64
-	blackholed int64
-
-	cmu sync.Mutex
-	c   net.Conn
-}
-
-func (dc *dataConn) conn() net.Conn {
-	dc.cmu.Lock()
-	defer dc.cmu.Unlock()
-	return dc.c
-}
-
-// swapConn installs a replacement connection and returns the old one.
-func (dc *dataConn) swapConn(c net.Conn) net.Conn {
-	dc.cmu.Lock()
-	old := dc.c
-	dc.c = c
-	dc.cmu.Unlock()
-	return old
+	mu  sync.Mutex
+	buf []byte
+	seq uint64
 }
 
 func newTransport(parent context.Context, cfg transportCfg) *Transport {
@@ -196,7 +160,6 @@ func newTransport(parent context.Context, cfg transportCfg) *Transport {
 		reg: cfg.reg, tracer: cfg.tracer, inj: cfg.inj, nc: cfg.net, log: cfg.log,
 		out:     make(map[int]*dataConn),
 		ingress: make(map[ikey]ingressReg),
-		rx:      make(map[int]*rxState),
 	}
 	t.cond = sync.NewCond(&t.mu)
 	return t
@@ -257,10 +220,9 @@ func (t *Transport) Dial(addrs map[int]string, timeout time.Duration) error {
 			return fmt.Errorf("exchange: transport closed during dial")
 		}
 		t.out[w] = &dataConn{
-			peer: w, addr: addr, c: c,
-			nm:  t.reg.Net(fmt.Sprintf("w%d", w)),
-			np:  t.inj.NetPoint(t.me, w),
-			rng: rng,
+			c:  c,
+			nm: t.reg.Net(fmt.Sprintf("w%d", w)),
+			np: t.inj.NetPoint(t.me, w),
 		}
 		t.mu.Unlock()
 	}
@@ -348,100 +310,36 @@ func (t *Transport) Egress(owner int, node string, nodeID, target int) (func(bat
 	}, nil
 }
 
-// send pushes one encoded frame through the chaos site and onto the wire,
-// transparently reconnecting on write failure. Called with dc.mu held.
+// send pushes one encoded frame through the chaos site and onto the wire
+// with one deadline-bounded write. A failed write is returned to the
+// pump, which fails the attempt with a restartable asp.NetworkFailure.
+// Called with dc.mu held.
 func (t *Transport) send(dc *dataConn, buf []byte) error {
-	switch act := dc.np.Frame(); act {
-	case chaos.NetDropFrame:
+	switch dc.np.Frame() {
+	case chaos.NetDropFrame, chaos.NetBlackhole:
 		return nil // the sender believes the write succeeded
-	case chaos.NetBlackhole:
-		dc.blackholed++
-		return nil
 	case chaos.NetResetConn:
-		if c := dc.conn(); c != nil {
-			c.Close() // the write below hits a dead socket: mid-stream RST
-		}
+		dc.c.Close() // the write below hits a dead socket: mid-stream RST
 	case chaos.NetCorruptFrame:
 		// Flip bits inside the payload, never the length prefix: framing
 		// stays synchronized and the receiver's checksum must do the work.
 		buf[4+(len(buf)-4)/2] ^= 0x55
 	}
-	healing := dc.blackholed > 0
-	err := t.writeFrame(dc, buf)
-	if err != nil {
-		err = t.resend(dc, buf, err)
-	}
-	if err == nil && healing {
-		// First frame delivered after a blackhole window: the partition
-		// healed. The receiver decides whether the gap needs a restart.
-		dc.blackholed = 0
-		t.reg.RecordPartitionHealed()
-		t.log.Info("exchange: partition healed", "peer", dc.peer, "addr", dc.addr)
-	}
-	return err
-}
-
-// writeFrame performs one deadline-bounded write of a complete frame.
-func (t *Transport) writeFrame(dc *dataConn, buf []byte) error {
-	c := dc.conn()
-	if c == nil {
-		return fmt.Errorf("exchange: no connection to worker %d", dc.peer)
-	}
 	if t.nc.writeTimeout > 0 {
-		c.SetWriteDeadline(time.Now().Add(t.nc.writeTimeout))
+		dc.c.SetWriteDeadline(time.Now().Add(t.nc.writeTimeout))
 	}
-	_, err := c.Write(buf)
-	if err != nil {
+	if _, err := dc.c.Write(buf); err != nil {
 		return err
 	}
 	if t.nc.writeTimeout > 0 {
-		c.SetWriteDeadline(time.Time{})
+		dc.c.SetWriteDeadline(time.Time{})
 	}
 	dc.nm.SentFrame(len(buf))
 	return nil
 }
 
-// resend re-establishes the peer link with exponential backoff + jitter
-// and retransmits the frame. The sender always closes the old connection
-// before writing on the new one, and sequence numbers are continuous
-// across the reconnect, so the receiver can verify nothing was lost: a
-// torn half-written frame is discarded with the old connection and the
-// retransmit carries the same seq the receiver expects. Transient resets
-// therefore heal exactly-once, with no job restart. Called with dc.mu held.
-func (t *Transport) resend(dc *dataConn, buf []byte, cause error) error {
-	for n := 0; n < t.nc.reconnects; n++ {
-		select {
-		case <-t.ctx.Done():
-			return cause
-		case <-time.After(t.nc.backoff.Backoff(n, dc.rng)):
-		}
-		c, err := t.dialPeer(dc.addr, t.nc.dialTimeout)
-		if err != nil {
-			cause = err
-			continue
-		}
-		if old := dc.swapConn(c); old != nil {
-			old.Close()
-		}
-		t.reg.RecordReconnect()
-		dc.nm.Reconnect()
-		t.log.Info("exchange: data link re-established",
-			"peer", dc.peer, "addr", dc.addr, "dials", n+1, "cause", cause)
-		if err := t.writeFrame(dc, buf); err == nil {
-			return nil
-		} else {
-			cause = err
-		}
-	}
-	return fmt.Errorf("exchange: data link to worker %d at %s: %d reconnect attempts exhausted: %w",
-		dc.peer, dc.addr, t.nc.reconnects, cause)
-}
-
 // accept adopts one inbound peer connection (handshake already consumed)
-// and serves its frames until EOF, error, or transport shutdown. When the
-// peer reconnects mid-run the replacement connection waits here until the
-// previous connection's serve loop has fully drained — cross-connection
-// frame ordering is what makes the sequence check sound.
+// and serves its frames until EOF, error, or transport shutdown.
 func (t *Transport) accept(from int, c net.Conn) {
 	t.mu.Lock()
 	if t.closed {
@@ -450,44 +348,28 @@ func (t *Transport) accept(from int, c net.Conn) {
 		return
 	}
 	t.accepted = append(t.accepted, c)
-	rx := t.rx[from]
-	if rx == nil {
-		rx = &rxState{}
-		t.rx[from] = rx
-	}
-	for rx.active && !t.closed {
-		t.cond.Wait()
-	}
-	if t.closed {
-		t.mu.Unlock()
-		c.Close()
-		return
-	}
-	rx.active = true
 	t.mu.Unlock()
-	go func() {
-		t.serve(from, rx, c)
-		t.mu.Lock()
-		rx.active = false
-		t.cond.Broadcast()
-		t.mu.Unlock()
-	}()
+	t.serve(from, c)
 }
 
 // maxFrameBytes bounds a single frame; larger length prefixes indicate
 // corruption. Generous: a full batch of worst-case matches stays far below.
 const maxFrameBytes = 64 << 20
 
-func (t *Transport) serve(from int, rx *rxState, c net.Conn) {
+// serve reads one connection's frames. Sequence numbers count from 0 on
+// every connection, so any frame out of order — the first one included —
+// proves frames were lost or duplicated in flight.
+func (t *Transport) serve(from int, c net.Conn) {
 	defer c.Close()
 	nm := t.reg.Net(fmt.Sprintf("w%d", from))
 	var lenBuf [4]byte
 	var payload []byte
+	var expect uint64
 	for {
 		if _, err := io.ReadFull(c, lenBuf[:]); err != nil {
-			// Clean EOF (peer done), torn connection (peer reconnecting —
-			// the seq check on the replacement conn audits the handover),
-			// or our own Close. Never a failure by itself.
+			// Clean EOF (peer done), a link the peer lost (its failed
+			// write fails the attempt on its side), or our own Close.
+			// Never a failure by itself.
 			return
 		}
 		n := binary.LittleEndian.Uint32(lenBuf[:])
@@ -508,11 +390,11 @@ func (t *Transport) serve(from int, rx *rxState, c net.Conn) {
 			t.reportRx(from, err)
 			return
 		}
-		if rx.seen && hdr.Seq != rx.expect {
-			t.reportRx(from, fmt.Errorf("frame stream jumped from seq %d to %d: frame(s) lost or duplicated in flight", rx.expect, hdr.Seq))
+		if hdr.Seq != expect {
+			t.reportRx(from, fmt.Errorf("frame stream jumped from seq %d to %d: frame(s) lost or duplicated in flight", expect, hdr.Seq))
 			return
 		}
-		rx.seen, rx.expect = true, hdr.Seq+1
+		expect++
 		if t.tracer != nil {
 			t.traceArrivals(from, batch)
 		}
@@ -586,9 +468,7 @@ func (t *Transport) Close() {
 	t.mu.Unlock()
 	t.cancel()
 	for _, dc := range outs {
-		if c := dc.conn(); c != nil {
-			c.Close()
-		}
+		dc.c.Close()
 	}
 	for _, c := range ins {
 		c.Close()

@@ -179,10 +179,6 @@ func (p *promWriter) snapshot(s Snapshot) {
 		for _, n := range s.Nets {
 			p.line("cep2asp_net_bytes_in_total", fmt.Sprintf(`peer="%s"`, escapeLabel(n.Peer)), d(n.BytesIn))
 		}
-		p.header("cep2asp_net_peer_reconnects_total", "counter", "Mid-run re-dials of the outbound link to a network exchange peer.")
-		for _, n := range s.Nets {
-			p.line("cep2asp_net_peer_reconnects_total", fmt.Sprintf(`peer="%s"`, escapeLabel(n.Peer)), d(n.Reconnects))
-		}
 	}
 
 	if s.MaxEventTime != unset {
@@ -198,12 +194,8 @@ func (p *promWriter) snapshot(s Snapshot) {
 	p.line("cep2asp_job_dead_letters_total", "", d(s.Health.DeadLetters))
 	p.header("cep2asp_job_dead_letters_dropped_total", "counter", "Dead letters evicted from the capped dead-letter queue (drop-oldest).")
 	p.line("cep2asp_job_dead_letters_dropped_total", "", d(s.Health.DeadLettersDropped))
-	p.header("cep2asp_net_reconnects_total", "counter", "Transient network faults healed by transparent data-link reconnects (no restart).")
-	p.line("cep2asp_net_reconnects_total", "", d(s.Health.Reconnects))
 	p.header("cep2asp_heartbeat_timeouts_total", "counter", "Worker liveness deadlines expired by the coordinator's failure detector.")
 	p.line("cep2asp_heartbeat_timeouts_total", "", d(s.Health.HeartbeatTimeouts))
-	p.header("cep2asp_partitions_healed_total", "counter", "Network partition windows healed (first delivery after a blackhole).")
-	p.line("cep2asp_partitions_healed_total", "", d(s.Health.PartitionsHealed))
 	if s.Health.HeartbeatTimeouts > 0 {
 		p.header("cep2asp_failure_detect_ms", "gauge", "Silence duration at which the last liveness expiry fired (detection latency).")
 		p.line("cep2asp_failure_detect_ms", "", d(s.Health.DetectLatencyMs))

@@ -40,14 +40,11 @@ type Registry struct {
 	// deadLettersDropped counts dead letters evicted from a capped DLQ
 	// (drop-oldest): quarantine history lost to the queue bound.
 	deadLettersDropped atomic.Int64
-	// Network fault tolerance counters: transient data-link reconnects
-	// (heals that needed no restart), heartbeat liveness expiries (fatal
-	// detections), partitions healed by a first post-blackhole delivery,
-	// and the latency of the last failure detection.
-	reconnects, heartbeatTimeouts, partitionsHealed atomic.Int64
-	lastDetectNs                                    atomic.Int64
-	lastMu                                          sync.Mutex
-	lastFailure                                     string
+	// Network fault detection: heartbeat liveness expiries and the latency
+	// of the last one.
+	heartbeatTimeouts, lastDetectNs atomic.Int64
+	lastMu                          sync.Mutex
+	lastFailure                     string
 
 	// clusterFn, when set, provides per-worker cluster status for the
 	// /cluster/* endpoints. The distributed coordinator installs it; it
@@ -258,15 +255,6 @@ func (r *Registry) RecordDeadLetterDropped() {
 	r.deadLettersDropped.Add(1)
 }
 
-// RecordReconnect counts one transparent data-link reconnect: a transient
-// network fault healed in place, with no job restart (nil-safe).
-func (r *Registry) RecordReconnect() {
-	if r == nil {
-		return
-	}
-	r.reconnects.Add(1)
-}
-
 // RecordHeartbeatTimeout counts one liveness-deadline expiry and retains
 // the detection latency — how long the peer had been silent when the
 // failure detector fired (nil-safe).
@@ -276,15 +264,6 @@ func (r *Registry) RecordHeartbeatTimeout(latencyNs int64) {
 	}
 	r.heartbeatTimeouts.Add(1)
 	r.lastDetectNs.Store(latencyNs)
-}
-
-// RecordPartitionHealed counts one network partition that healed: the
-// first successful delivery after a blackhole window (nil-safe).
-func (r *Registry) RecordPartitionHealed() {
-	if r == nil {
-		return
-	}
-	r.partitionsHealed.Add(1)
 }
 
 // Health returns the job-level supervision counters.
@@ -300,9 +279,7 @@ func (r *Registry) Health() HealthSnapshot {
 		Failures:           r.failures.Load(),
 		DeadLetters:        r.deadLetters.Load(),
 		DeadLettersDropped: r.deadLettersDropped.Load(),
-		Reconnects:         r.reconnects.Load(),
 		HeartbeatTimeouts:  r.heartbeatTimeouts.Load(),
-		PartitionsHealed:   r.partitionsHealed.Load(),
 		DetectLatencyMs:    r.lastDetectNs.Load() / 1e6,
 		LastFailure:        last,
 	}
@@ -384,9 +361,6 @@ type NetMetrics struct {
 	// FramesOut/BytesOut count frames written to the peer; FramesIn/BytesIn
 	// count frames received from it. Bytes include frame headers.
 	FramesOut, BytesOut, FramesIn, BytesIn atomic.Int64
-	// Reconnects counts mid-run re-dials of the outbound link to this peer
-	// after a write failure — transient faults healed without a restart.
-	Reconnects atomic.Int64
 }
 
 // SentFrame counts one written frame of n bytes (nil-safe).
@@ -402,13 +376,6 @@ func (n *NetMetrics) RecvFrame(bytes int) {
 	if n != nil {
 		n.FramesIn.Add(1)
 		n.BytesIn.Add(int64(bytes))
-	}
-}
-
-// Reconnect counts one mid-run re-dial of the link to this peer (nil-safe).
-func (n *NetMetrics) Reconnect() {
-	if n != nil {
-		n.Reconnects.Add(1)
 	}
 }
 
@@ -498,12 +465,11 @@ type PoolSnapshot struct {
 
 // NetSnapshot is one network peer's traffic counters at a point in time.
 type NetSnapshot struct {
-	Peer       string `json:"peer"`
-	FramesOut  int64  `json:"frames_out"`
-	BytesOut   int64  `json:"bytes_out"`
-	FramesIn   int64  `json:"frames_in"`
-	BytesIn    int64  `json:"bytes_in"`
-	Reconnects int64  `json:"reconnects,omitempty"`
+	Peer      string `json:"peer"`
+	FramesOut int64  `json:"frames_out"`
+	BytesOut  int64  `json:"bytes_out"`
+	FramesIn  int64  `json:"frames_in"`
+	BytesIn   int64  `json:"bytes_in"`
 }
 
 // HistogramSnapshot is one named histogram's summary at a point in time.
@@ -532,12 +498,9 @@ type HealthSnapshot struct {
 	// DeadLettersDropped counts dead letters evicted from a capped DLQ
 	// (drop-oldest).
 	DeadLettersDropped int64 `json:"dead_letters_dropped"`
-	// Network fault tolerance: transparent data-link reconnects, heartbeat
-	// liveness expiries, healed partition windows, and the silence duration
-	// at which the last liveness expiry fired (the detection latency).
-	Reconnects        int64  `json:"reconnects,omitempty"`
+	// Network fault detection: heartbeat liveness expiries and the silence
+	// duration at which the last one fired (the detection latency).
 	HeartbeatTimeouts int64  `json:"heartbeat_timeouts,omitempty"`
-	PartitionsHealed  int64  `json:"partitions_healed,omitempty"`
 	DetectLatencyMs   int64  `json:"detect_latency_ms,omitempty"`
 	LastFailure       string `json:"last_failure,omitempty"`
 }
@@ -622,7 +585,6 @@ func (r *Registry) Snapshot() Snapshot {
 			Peer:      n.Peer,
 			FramesOut: n.FramesOut.Load(), BytesOut: n.BytesOut.Load(),
 			FramesIn: n.FramesIn.Load(), BytesIn: n.BytesIn.Load(),
-			Reconnects: n.Reconnects.Load(),
 		})
 	}
 	for _, nh := range hists {

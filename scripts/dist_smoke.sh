@@ -18,9 +18,10 @@
 #
 # A second phase re-runs the workload under transport chaos: a netreset
 # severs the coordinator→worker data link mid-stream, and the run must
-# heal it by transparent reconnect — zero restarts, reconnects_total >= 1
-# in the /cluster/metrics scrape (-check-reconnects). `make dist-chaos`
-# runs this phase alone.
+# restore from its latest checkpoint — the supervision block's FASP-dist
+# line reports at least one restart and `completed`, the match set still
+# equals the single-process run and the /cluster/metrics cross-check
+# passes. `make dist-chaos` runs this phase alone.
 #
 # Usage: scripts/dist_smoke.sh [extra benchrunner args...]
 #   RACE=0        disable the race detector (default: enabled)
@@ -111,24 +112,34 @@ if [[ " $PHASES " == *" base "* ]]; then
 fi
 
 if [[ " $PHASES " == *" chaos "* ]]; then
-    # The heal-by-reconnect gate: one mid-stream connection reset on the
-    # coordinator→worker-1 data link at frame 3 (early — the smoke workload
-    # only ships a handful of frames per link at the default batch size).
-    # The transport must redial and retransmit — the run completes with
-    # ZERO restarts, the match set still equals the single-process run
-    # (distsmoke's own gate), and the /cluster/metrics scrape shows
-    # cep2asp_net_reconnects_total >= 1.
-    echo "running distsmoke under netreset chaos on $ADDR (heal-by-reconnect gate)..."
-    if "$BIN/benchrunner" -exp distsmoke -scale bench \
+    # The restore-from-checkpoint gate: one mid-stream connection reset on
+    # the coordinator→worker-1 data link at frame 3 (early — the smoke
+    # workload only ships a handful of frames per link at the default batch
+    # size). The coordinator's write fails, the attempt fails, and the
+    # restart policy restores every process from the latest checkpoint —
+    # the run completes after at least one restart, the match set still
+    # equals the single-process run (distsmoke's own gate), and the
+    # /cluster/metrics cross-check passes.
+    echo "running distsmoke under netreset chaos on $ADDR (restore-from-checkpoint gate)..."
+    OUT="${BIN}/chaos.out"
+    status=0
+    "$BIN/benchrunner" -exp distsmoke -scale bench \
         -dist-workers "$WORKERS" -dist-external -dist-listen "$ADDR" \
         -metrics-addr 127.0.0.1:0 -cluster-check \
-        -chaos "netreset:0>1@3" -check-reconnects 1 \
-        -checkpoint-interval 10ms "$@"; then
-        echo "dist-chaos: PASS (netreset healed by reconnect, zero restarts)"
-    else
-        status=$?
+        -chaos "netreset:0>1@3" -restart-policy 3 \
+        -checkpoint-interval 10ms "$@" | tee "$OUT" || status=$?
+    if [[ "$status" != 0 ]]; then
         echo "dist-chaos: FAIL (exit $status); worker log tail:"
         tail -20 "$LOG" || true
         exit "$status"
     fi
+    # The supervision block's distributed line:
+    #   <name> FASP-dist <n> restarts, <d> dead letters, completed
+    line="$(sed -n '/^supervision:/,/^$/p' "$OUT" | grep -E '[[:space:]]FASP-dist[[:space:]]' || true)"
+    restarts="$(sed -nE 's/.*FASP-dist[[:space:]]+([0-9]+) restarts,.*/\1/p' <<<"$line")"
+    if [[ -z "$restarts" || "$restarts" -lt 1 || "$line" != *", completed" ]]; then
+        echo "dist-chaos: FAIL: want the FASP-dist supervision line to report >= 1 restart and completed, got: ${line:-<none>}"
+        exit 1
+    fi
+    echo "dist-chaos: PASS (netreset restored from checkpoint after $restarts restart(s))"
 fi
