@@ -38,11 +38,11 @@ bench:
 # Supervision under fault injection: panic isolation, chaos kills, restart
 # policies and poison-record routing, and core.Run's attempt loop composing
 # them with re-planning and quality demands — in-process and on a loopback
-# cluster (worker kills, blackholed workers, stalled phases) — all under the
-# race detector.
+# cluster (worker kills, blackholed workers, stalled phases), and the
+# harness's report of a restarted run — all under the race detector.
 chaos:
 	$(GO) test -race -run 'Supervised|Chaos|Quarantine|Poison|Restart|Backoff|Budget|DLQ|ShutdownTimeout|Failure|Replan|Compose|Recovery|Heartbeat|PhaseDeadline' \
-		. ./internal/asp/ ./internal/chaos/ ./internal/supervise/ ./internal/cep/ ./internal/checkpoint/ ./internal/core/ ./internal/optimizer/ ./internal/exchange/
+		. ./internal/asp/ ./internal/chaos/ ./internal/supervise/ ./internal/cep/ ./internal/checkpoint/ ./internal/core/ ./internal/optimizer/ ./internal/exchange/ ./internal/harness/
 
 # Bounded-state soak: budgets, shed/pause policies, the State contract,
 # memory admission and the DLQ cap, with the NFA operator's shedding and

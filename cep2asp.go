@@ -607,64 +607,10 @@ func (j *Job) AddStream(typeName string, events []Event) *Job {
 	return j
 }
 
-// RunStats reports a completed job.
-type RunStats struct {
-	// Events is the number of input tuples; Elapsed the wall-clock run
-	// time; ThroughputTps their ratio.
-	Events        int64
-	Elapsed       time.Duration
-	ThroughputTps float64
-	// Total counts emitted matches including duplicates from overlapping
-	// windows; Unique counts distinct matches.
-	Total  int64
-	Unique int64
-	// Matches holds the distinct matches when retained.
-	Matches []*Match
-	// AvgLatency / MaxLatency are detection latencies (creation to sink).
-	AvgLatency time.Duration
-	MaxLatency time.Duration
-	// P50/P90/P99Latency are detection-latency quantiles from the sink's
-	// log-bucketed histogram (~3% bucket resolution).
-	P50Latency time.Duration
-	P90Latency time.Duration
-	P99Latency time.Duration
-	// Restarts is the number of supervised restarts performed (0 without
-	// WithRestartPolicy); DeadLetters lists the poison records quarantined
-	// and routed to the dead-letter queue during the run.
-	Restarts    int
-	DeadLetters []DeadLetter
-	// ShedRecords counts state records evicted under the Shed overload
-	// policy (0 otherwise — shedding is never silent); PeakStateRecords is
-	// the high-water mark of records retained across the job while a budget
-	// was armed; PeakHeapBytes is the peak live heap sampled by the memory
-	// admission controller (0 when it never ran).
-	ShedRecords      int64
-	PeakStateRecords int64
-	PeakHeapBytes    int64
-	// RecallEstimate is the guaranteed lower bound on achieved recall:
-	// Unique / (Unique + RecallLostBound), or 1 when nothing was shed.
-	// RecallLostBound is the accumulated upper bound on the matches
-	// evicted state could still have produced (0 without shedding), summed
-	// over every execution attempt like ShedRecords; the peaks are maxima
-	// over the attempts.
-	RecallEstimate  float64
-	RecallLostBound float64
-	// QualityActions lists the decisions a WithQuality controller took, in
-	// order (empty without WithQuality).
-	QualityActions []string
-	// Trace is the end-to-end latency breakdown of the sampled traces
-	// (zero value unless WithTracing enabled sampling).
-	Trace TraceSummary
-	// Plan is the executed plan, for inspection; for optimized runs
-	// (WithOptimizer) the last plan generation.
-	Plan *Plan
-	// Replans counts the mid-run plan switches an optimized run performed
-	// (0 without WithOptimizer); Plans holds each plan generation's
-	// explanation with estimated per-node cardinalities, in execution
-	// order.
-	Replans int
-	Plans   []string
-}
+// RunStats reports a completed job: one plan's measurements (throughput,
+// match counts, detection latency, selectivity) with the run's recovery,
+// overload, checkpoint and trace accounting.
+type RunStats = core.Report
 
 // Run translates the job, executes it under every policy configured on it
 // — supervision, re-planning, quality demands — and returns its statistics.
@@ -744,44 +690,14 @@ func (j *Job) run(ctx context.Context, plans []*core.Plan, replanner core.Replan
 		Quality:   j.quality,
 		Replanner: replanner,
 	}
-	start := time.Now()
 	rep, err := core.Run(ctx, spec)
 	if err != nil {
 		return nil, err
 	}
-	elapsed := time.Since(start)
-	var events int64
-	for _, evs := range j.data {
-		events += int64(len(evs))
-	}
 	out := make([]*RunStats, len(rep.Sinks))
-	for i, res := range rep.Sinks {
-		st := &RunStats{
-			Events:           events,
-			Elapsed:          elapsed,
-			Total:            res.Total(),
-			Unique:           res.Unique(),
-			Matches:          res.Matches(),
-			AvgLatency:       res.AvgLatency(),
-			MaxLatency:       res.MaxLatency(),
-			Restarts:         rep.Restarts,
-			DeadLetters:      spec.DLQ.Letters(),
-			ShedRecords:      rep.ShedRecords,
-			PeakStateRecords: rep.PeakStateRecords,
-			PeakHeapBytes:    rep.PeakHeapBytes,
-			RecallEstimate:   rep.RecallEstimate(i),
-			RecallLostBound:  rep.LostMatchBound,
-			QualityActions:   rep.QualityActions,
-			Trace:            tracer.Summarize(),
-			Plan:             rep.Plans[i],
-			Replans:          rep.Replans,
-			Plans:            rep.Explains,
-		}
-		st.P50Latency, st.P90Latency, st.P99Latency = res.LatencyPercentiles()
-		if elapsed > 0 {
-			st.ThroughputTps = float64(events) / elapsed.Seconds()
-		}
-		out[i] = st
+	for i := range rep.Sinks {
+		st := rep.Stats(i)
+		out[i] = &st
 	}
 	if tracer != nil && j.traceOut != "" {
 		if werr := tracer.WriteFile(j.traceOut); werr != nil {

@@ -18,11 +18,13 @@ import (
 	"bufio"
 	"context"
 	"encoding/csv"
+	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
 	"net/http"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -30,6 +32,7 @@ import (
 
 	"cep2asp/internal/asp"
 	"cep2asp/internal/chaos"
+	"cep2asp/internal/checkpoint"
 	"cep2asp/internal/harness"
 	"cep2asp/internal/metrics"
 	"cep2asp/internal/obs"
@@ -259,8 +262,8 @@ func main() {
 			printSupervision(rows)
 		}
 		printOverload(rows)
-		if sc.TraceRate > 0 {
-			printTraces(rows, sc.TraceOut)
+		if sc.TraceRate > 0 && !printTraces(rows, sc.TraceOut) {
+			exitCode = 1
 		}
 		// distsmoke is a correctness gate, not a measurement: a failed row
 		// (including a match-set mismatch) must fail the process for CI.
@@ -282,12 +285,13 @@ func main() {
 		fmt.Printf("--- %s finished in %v\n", name, time.Since(start).Round(time.Millisecond))
 		if writer != nil {
 			for _, r := range rows {
+				ckBytes, ckPause, ckP50, ckP99 := ckptOverhead(r.Checkpoints)
 				writer.Write([]string{
 					r.Name, r.Approach,
 					strconv.FormatInt(r.Events, 10),
 					strconv.FormatInt(r.Elapsed.Milliseconds(), 10),
 					strconv.FormatFloat(r.ThroughputTps, 'f', 0, 64),
-					strconv.FormatInt(r.Matches, 10),
+					strconv.FormatInt(r.Total, 10),
 					strconv.FormatInt(r.Unique, 10),
 					strconv.FormatFloat(r.SelectivityPct, 'f', 6, 64),
 					strconv.FormatInt(r.AvgLatency.Microseconds(), 10),
@@ -296,16 +300,16 @@ func main() {
 					strconv.FormatInt(r.P99Latency.Microseconds(), 10),
 					strconv.FormatInt(r.MaxLatency.Microseconds(), 10),
 					strconv.FormatBool(r.Failed),
-					strconv.FormatInt(r.Checkpoints, 10),
-					strconv.FormatInt(r.CheckpointBytes, 10),
-					strconv.FormatInt(r.CheckpointPause.Microseconds(), 10),
+					strconv.Itoa(len(r.Checkpoints)),
+					strconv.FormatInt(ckBytes, 10),
+					strconv.FormatInt(ckPause.Microseconds(), 10),
 					strconv.Itoa(r.Restarts),
-					strconv.Itoa(r.DeadLetters),
+					strconv.Itoa(len(r.DeadLetters)),
 					strconv.Itoa(effBatch),
 					strconv.FormatInt(r.PeakHeapBytes, 10),
 					strconv.FormatInt(r.ShedRecords, 10),
 					strconv.FormatFloat(r.RecallEstimate, 'f', 6, 64),
-					ms(r.CkptP50), ms(r.CkptP99), ms(r.Trace.E2EP99),
+					ms(ckP50), ms(ckP99), ms(r.Trace.E2EP99),
 				})
 			}
 		}
@@ -372,8 +376,9 @@ func ms(d time.Duration) string {
 
 // printTraces reports each traced run's end-to-end latency breakdown:
 // how the traced records' lifetime split across input queues, operator
-// processing, and network hops.
-func printTraces(rows []harness.RunResult, out string) {
+// processing, and network hops. It returns false when writing the Chrome
+// trace to out failed.
+func printTraces(rows []harness.RunResult, out string) bool {
 	fmt.Println("\ntracing (sampled end-to-end):")
 	for _, r := range rows {
 		t := r.Trace
@@ -391,9 +396,17 @@ func printTraces(rows []harness.RunResult, out string) {
 		}
 		fmt.Println()
 	}
-	if out != "" {
-		fmt.Printf("  chrome trace written to %s (load in chrome://tracing or https://ui.perfetto.dev)\n", out)
+	if out == "" {
+		return true
 	}
+	for _, r := range rows {
+		if errors.Is(r.Err, harness.ErrTraceExport) {
+			fmt.Printf("  chrome trace not written: %v\n", r.Err)
+			return false
+		}
+	}
+	fmt.Printf("  chrome trace written to %s (load in chrome://tracing or https://ui.perfetto.dev)\n", out)
+	return true
 }
 
 // checkCluster scrapes the federated /cluster/metrics endpoint after a
@@ -464,8 +477,8 @@ func checkCluster(addr string, rows []harness.RunResult) error {
 			return fmt.Errorf("worker %d missing from /cluster/metrics (saw %d worker labels)", i, len(seen))
 		}
 	}
-	if sinkIn != dist.Matches {
-		return fmt.Errorf("match counters disagree: /cluster/metrics sink ingress sums to %d, run reported %d matches", sinkIn, dist.Matches)
+	if sinkIn != dist.Total {
+		return fmt.Errorf("match counters disagree: /cluster/metrics sink ingress sums to %d, run reported %d matches", sinkIn, dist.Total)
 	}
 	return nil
 }
@@ -493,7 +506,7 @@ func printRows(rows []harness.RunResult) {
 			continue
 		}
 		fmt.Printf("%-24s %-14s %12.0f %12d %10d %12.6f %12v %12v %12v\n",
-			r.Name, r.Approach, r.ThroughputTps, r.Matches, r.Unique,
+			r.Name, r.Approach, r.ThroughputTps, r.Total, r.Unique,
 			r.SelectivityPct, r.P50Latency.Round(time.Microsecond),
 			r.P99Latency.Round(time.Microsecond), r.AvgLatency.Round(time.Microsecond))
 	}
@@ -538,13 +551,32 @@ func lagString(o obs.OperatorSnapshot) string {
 func printCheckpoints(rows []harness.RunResult) {
 	fmt.Println("\ncheckpoint overhead:")
 	for _, r := range rows {
-		if r.Checkpoints == 0 {
+		if len(r.Checkpoints) == 0 {
 			continue
 		}
+		maxBytes, maxPause, _, _ := ckptOverhead(r.Checkpoints)
 		fmt.Printf("  %-24s %-14s %4d checkpoints, max snapshot %6.1f KB, max align pause %v\n",
-			r.Name, r.Approach, r.Checkpoints, float64(r.CheckpointBytes)/1e3,
-			r.CheckpointPause.Round(time.Microsecond))
+			r.Name, r.Approach, len(r.Checkpoints), float64(maxBytes)/1e3,
+			maxPause.Round(time.Microsecond))
 	}
+}
+
+// ckptOverhead folds a run's checkpoints into the CSV's overhead columns:
+// the largest snapshot, the worst single-instance alignment stall, and the
+// p50/p99 trigger-to-complete durations.
+func ckptOverhead(stats []checkpoint.Stat) (maxBytes int64, maxPause, p50, p99 time.Duration) {
+	if len(stats) == 0 {
+		return 0, 0, 0, 0
+	}
+	durs := make([]time.Duration, len(stats))
+	for i, st := range stats {
+		maxBytes = max(maxBytes, st.Bytes)
+		maxPause = max(maxPause, st.AlignPause)
+		durs[i] = st.Duration
+	}
+	slices.Sort(durs)
+	n := float64(len(durs) - 1)
+	return maxBytes, maxPause, durs[int(0.50*n)], durs[int(0.99*n)]
 }
 
 // printSupervision reports recovery activity per supervised run: restarts
@@ -557,7 +589,7 @@ func printSupervision(rows []harness.RunResult) {
 			status = "failed: " + r.Err.Error()
 		}
 		fmt.Printf("  %-24s %-14s %d restarts, %d dead letters, %s\n",
-			r.Name, r.Approach, r.Restarts, r.DeadLetters, status)
+			r.Name, r.Approach, r.Restarts, len(r.DeadLetters), status)
 	}
 }
 

@@ -64,28 +64,18 @@ type Replanner interface {
 	Due(snap obs.Snapshot, cur *Plan) bool
 }
 
-// RunReport is the outcome of Run. Its overload accounting spans every
-// attempt: sums of the shed records and lost-match bounds, maxima of the
-// peaks.
+// RunReport is the outcome of Run: its RunTotals span every attempt, and
+// Stats reads one plan's Report off it.
 type RunReport struct {
 	// Plans are the last generation's plans and Sinks their sinks, which
 	// every generation delivered into; Env is the last attempt's graph.
-	Plans            []*Plan
-	Sinks            []*asp.Results
-	Env              *asp.Environment
-	Explains         []string // one per plan generation (Replanner only)
-	Restarts         int
-	Replans          int
-	QualityActions   []string
-	ShedRecords      int64
-	LostMatchBound   float64
-	PeakStateRecords int64
-	PeakHeapBytes    int64
-}
-
-// RecallEstimate is the guaranteed lower bound on plan i's achieved recall.
-func (r *RunReport) RecallEstimate(i int) float64 {
-	return overload.RecallEstimate(r.Sinks[i].Unique(), r.LostMatchBound)
+	Plans    []*Plan
+	Sinks    []*asp.Results
+	Env      *asp.Environment
+	Explains []string // one per plan generation (Replanner only)
+	// Completed is false when Run returned an error.
+	Completed bool
+	RunTotals
 }
 
 // errReplan stops a generation at the barrier a re-plan cuts it at.
@@ -114,8 +104,16 @@ type runner struct {
 // loop decides: done, restart from the generation's latest checkpoint
 // (Restart), or cut at a barrier and replay the rewound tail into the same
 // sinks under a new plan (Replanner). The report is returned even on error.
-func Run(ctx context.Context, spec RunSpec) (*RunReport, error) {
+func Run(ctx context.Context, spec RunSpec) (_ *RunReport, err error) {
 	r := &runner{spec: spec, rep: &RunReport{Plans: spec.Plans}, engine: spec.Build.Engine, data: spec.Build.Data}
+	for _, evs := range spec.Build.Data {
+		r.rep.Events += int64(len(evs))
+	}
+	start := time.Now()
+	defer func() {
+		r.rep.Elapsed, r.rep.Completed = time.Since(start), err == nil
+		r.rep.Trace = r.engine.Trace.Summarize()
+	}()
 	if spec.Replanner != nil {
 		if err := r.nextPlan(); err != nil {
 			return r.rep, err
@@ -140,20 +138,20 @@ func Run(ctx context.Context, spec RunSpec) (*RunReport, error) {
 	if spec.Restart == nil {
 		return r.rep, r.generations(ctx, 0)
 	}
-	var err error
-	r.rep.Restarts, err = r.supervisor().Run(ctx, r.generations)
+	dlq := spec.DLQ
+	if dlq == nil {
+		dlq = &supervise.DLQ{}
+	}
+	r.rep.Restarts, err = r.supervisor(dlq).Run(ctx, r.generations)
+	r.rep.DeadLetters = dlq.Letters()
 	return r.rep, err
 }
 
 // supervisor wires the restart policy: a record it declares poison is
-// quarantined at its node and dead-lettered on replay; restarts, failures
-// and letters are counted on the registry.
-func (r *runner) supervisor() *supervise.Supervisor {
+// quarantined at its node and dead-lettered on replay into dlq; restarts,
+// failures and letters are counted on the registry.
+func (r *runner) supervisor(dlq *supervise.DLQ) *supervise.Supervisor {
 	reg := r.engine.Metrics // nil-safe: Record* methods no-op
-	dlq := r.spec.DLQ
-	if dlq == nil {
-		dlq = &supervise.DLQ{}
-	}
 	userDropped := dlq.OnDropped
 	dlq.OnDropped = func(l supervise.Letter) {
 		reg.RecordDeadLetterDropped()
@@ -261,11 +259,12 @@ func (r *runner) attempt(ctx context.Context) (int64, error) {
 	}
 	rep := r.rep
 	rep.ShedRecords += env.ShedRecords()
-	rep.LostMatchBound += env.LostMatchBound()
+	rep.RecallLostBound += env.LostMatchBound()
 	rep.PeakStateRecords = max(rep.PeakStateRecords, env.PeakStateRecords())
 	rep.PeakHeapBytes = max(rep.PeakHeapBytes, env.PeakHeapBytes())
 	if st := env.CheckpointStats(); len(st) > 0 {
 		r.latest = st[len(st)-1].ID
+		rep.Checkpoints = append(rep.Checkpoints, st...)
 	}
 	if err != nil && r.spec.Restart != nil {
 		r.engine.Metrics.RecordFailure(err.Error())

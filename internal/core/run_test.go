@@ -261,11 +261,11 @@ func TestRecallBoundSpansAttempts(t *testing.T) {
 	if envs[0].LostMatchBound() <= 0 {
 		t.Fatal("the killed attempt charged no loss; the test is vacuous")
 	}
-	if rep.LostMatchBound != lost || rep.ShedRecords != shed {
-		t.Fatalf("report: bound %g, shed %d; attempts sum to %g, %d", rep.LostMatchBound, rep.ShedRecords, lost, shed)
+	if rep.RecallLostBound != lost || rep.ShedRecords != shed {
+		t.Fatalf("report: bound %g, shed %d; attempts sum to %g, %d", rep.RecallLostBound, rep.ShedRecords, lost, shed)
 	}
 	achieved := float64(rep.Sinks[0].Unique()) / float64(full.Sinks[0].Unique())
-	if est := rep.RecallEstimate(0); est > achieved+1e-9 {
+	if est := rep.Stats(0).RecallEstimate; est > achieved+1e-9 {
 		t.Fatalf("RecallEstimate %g over-reports achieved recall %g", est, achieved)
 	}
 }

@@ -125,7 +125,7 @@ func DistSmoke(ctx context.Context, sc Scale) []RunResult {
 	single := kc.run(ctx, "distsmoke/single-process", pat, a, qnv)
 	a.Name = "FASP-dist"
 	dist := kc.runDistributed(ctx, fmt.Sprintf("distsmoke/workers=%d", workers), pat, a, workers, qnv)
-	if dist.Err == nil && dist.Unique != single.Unique {
+	if !dist.Failed && dist.Unique != single.Unique {
 		dist.Err = fmt.Errorf("distsmoke: match sets diverged: single-process %d unique, distributed %d unique",
 			single.Unique, dist.Unique)
 		dist.Failed = true

@@ -551,7 +551,6 @@ func Fig5Resources(ctx context.Context, sc Scale) []RunResult {
 		for _, c := range cases {
 			for _, a := range c.as {
 				spec := kc.spec(fmt.Sprintf("fig5/%s/k=%d", c.name, keys), c.pat, a, c.data)
-				spec.SampleResources = true
 				spec.SamplePeriod = 100 * time.Millisecond
 				out = append(out, Run(ctx, spec))
 			}
@@ -669,7 +668,7 @@ func OverloadCurve(ctx context.Context, sc Scale) []RunResult {
 			r := sk.run(ctx, fmt.Sprintf("overloadcurve/ITER3/budget=%d/shed=%s", budget, strat), pat, FCEP, data)
 			out = append(out, r)
 			fmt.Fprintf(&b, "%d,%s,%d,%d,%d,%.6f\n",
-				budget, strat, r.Matches, r.Unique, r.ShedRecords, r.RecallEstimate)
+				budget, strat, r.Total, r.Unique, r.ShedRecords, r.RecallEstimate)
 		}
 	}
 	if err := os.MkdirAll("results", 0o755); err == nil {

@@ -2,12 +2,19 @@ package harness
 
 import (
 	"context"
+	"errors"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"cep2asp/internal/asp"
+	"cep2asp/internal/chaos"
+	"cep2asp/internal/checkpoint"
 	"cep2asp/internal/obs"
+	"cep2asp/internal/supervise"
 	"cep2asp/internal/workload"
 )
 
@@ -136,6 +143,68 @@ func TestRunHonoursEngineConfig(t *testing.T) {
 	}
 	if len(r.Operators) == 0 {
 		t.Fatal("no per-operator snapshot: the run ignored Engine.Metrics")
+	}
+}
+
+// countingStore counts the checkpoints saved into it, whichever attempt
+// completed them.
+type countingStore struct {
+	checkpoint.Store
+	saves atomic.Int64
+}
+
+func (s *countingStore) Save(snap *checkpoint.Snapshot) error {
+	s.saves.Add(1)
+	return s.Store.Save(snap)
+}
+
+// TestRestartReportsEveryAttemptsCheckpoints: a supervised run that
+// restarts once reports the checkpoints of both attempts, not only the
+// last attempt's.
+func TestRestartReportsEveryAttemptsCheckpoints(t *testing.T) {
+	sc := tinyScale()
+	sc.CheckpointInterval = 2 * time.Millisecond
+	policy := supervise.DefaultPolicy()
+	sc.RestartPolicy = &policy
+	qnv := sc.qnvData()
+	// Panic 5 records before the end of one source, after the first
+	// attempt has completed checkpoints.
+	sc.ChaosFaults = []chaos.Fault{{Kind: chaos.Panic, Node: "src:QnVVelocity",
+		AtHit: int64(len(qnv[workload.TypeVelocity]) - 5)}}
+	spec := sc.spec("t", PatternSEQ1(0.2, 15), FASP, qnv)
+	store := &countingStore{Store: spec.Engine.Checkpoint.Store}
+	spec.Engine.Checkpoint.Store = store
+	spec.SourceRatePerSec = 3000
+	r := Run(context.Background(), spec)
+	if r.Failed {
+		t.Fatalf("run failed: %v", r.Err)
+	}
+	if r.Restarts != 1 {
+		t.Fatalf("restarts = %d, want 1", r.Restarts)
+	}
+	got, saved := int64(len(r.Checkpoints)), store.saves.Load()
+	t.Logf("%d checkpoints reported, %d completed across both attempts", got, saved)
+	if got != saved || saved == 0 {
+		t.Fatalf("row reports %d checkpoints; the attempts completed %d", got, saved)
+	}
+}
+
+// TestTraceExportFailureReachesRow: a Chrome trace that cannot be written
+// is an error on the row instead of vanishing; the run itself completed.
+func TestTraceExportFailureReachesRow(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sc := tinyScale()
+	sc.TraceRate = 0.01
+	sc.TraceOut = filepath.Join(file, "t.json") // below a regular file
+	r := sc.run(context.Background(), "t", PatternSEQ1(0.2, 15), FASP, sc.qnvData())
+	if r.Failed || !errors.Is(r.Err, ErrTraceExport) {
+		t.Fatalf("failed = %v, err = %v; want a completed run with a trace export error", r.Failed, r.Err)
+	}
+	if r.Unique == 0 {
+		t.Fatal("the row lost the run's counts")
 	}
 }
 

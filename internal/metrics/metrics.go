@@ -20,17 +20,6 @@ type Sample struct {
 	State     int64         // engine-reported buffered elements, if wired
 }
 
-// CheckpointPoint is one completed checkpoint in a run's overhead series:
-// when it completed (offset from run start), how long trigger-to-complete
-// took, the worst per-instance alignment stall, and the serialized size.
-type CheckpointPoint struct {
-	ID         int64
-	At         time.Duration
-	Duration   time.Duration
-	AlignPause time.Duration
-	Bytes      int64
-}
-
 // Sampler periodically records memory and CPU usage. CPU utilization is
 // derived from runtime/metrics CPU-class deltas: (total - idle) cpu-seconds
 // over wall time, normalized by GOMAXPROCS.
