@@ -330,24 +330,29 @@ func (j *intervalJoin) recordScore(r Record, port int) float64 {
 	return overload.CompletionValue(1, j.recordLife(r, port), int64(hi-lo), j.rate[1-port].perTimeUnit())
 }
 
-// shedByRank drops the buffered records ranked lowest until at most target
-// remain: the excess-th smallest rank is the cutoff and everything at or
-// below it goes (ties shed together), each record charging its lost-match
-// bound. Nothing is reordered, so the buffers stay TS-sorted. Dropping
+// shedByRank drops the lowest-ranked records buffered on ports [0, sides)
+// until at most target records remain: the excess-th smallest rank is the
+// cutoff and everything at or below it goes (ties shed together), each
+// record charging its loss given the live records on the opposite side of
+// its group. Nothing is reordered, so the buffers stay TS-sorted. Dropping
 // buffered elements only removes potential join partners, so the shed run's
 // matches are a subset of the unshed run's.
-func shedByRank[T cmp.Ordered](j *intervalJoin, target int64, rank func(r Record, port int) T, out *Collector) int64 {
+func shedByRank[T cmp.Ordered](j *intervalJoin, target int64, sides int, rank func(r Record, port int) T,
+	loss func(r Record, port, liveOpposite int) float64, out *Collector) int64 {
 	excess := j.elems - target
 	if excess <= 0 {
 		return 0
 	}
 	ranks := make([]T, 0, j.elems)
 	for _, g := range j.state {
-		for port := range g {
+		for port := range g[:sides] {
 			for _, r := range g[port].live() {
 				ranks = append(ranks, rank(r, port))
 			}
 		}
+	}
+	if len(ranks) == 0 {
+		return 0
 	}
 	slices.Sort(ranks)
 	cutoff := ranks[min(excess, int64(len(ranks)))-1]
@@ -356,12 +361,12 @@ func shedByRank[T cmp.Ordered](j *intervalJoin, target int64, rank func(r Record
 	j.nextDeath = event.MaxWatermark
 	for key, g := range j.state {
 		live := [2]int{len(g[0].live()), len(g[1].live())}
-		for port := range g {
+		for port := range g[:sides] {
 			s := &g[port]
 			kept := s.recs[:0]
 			for _, r := range s.live() {
 				if rank(r, port) <= cutoff {
-					lost += j.recordLoss(r, port, live[1-port])
+					lost += loss(r, port, live[1-port])
 					j.elems--
 				} else {
 					kept = append(kept, r)
@@ -384,7 +389,7 @@ func shedByRank[T cmp.Ordered](j *intervalJoin, target int64, rank func(r Record
 // missing partner is actually likely to arrive.
 func (j *intervalJoin) Shed(target int64, by overload.ShedStrategy, out *Collector) int64 {
 	if by == overload.PatternAware {
-		return shedByRank(j, target, j.recordScore, out)
+		return shedByRank(j, target, 2, j.recordScore, j.recordLoss, out)
 	}
-	return shedByRank(j, target, func(r Record, _ int) event.Time { return r.TS }, out)
+	return shedByRank(j, target, 2, func(r Record, _ int) event.Time { return r.TS }, j.recordLoss, out)
 }

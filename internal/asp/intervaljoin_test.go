@@ -373,3 +373,45 @@ func BenchmarkIntervalJoinWatermark(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkNextOccurrenceWatermark prices the NSEQ UDF per record (one op is
+// one record): a keyed union with one T2 in four, a blocker that accepts
+// about half of them, and a watermark at the latest timestamp every few
+// records. The op's time is its insert plus its share of the resolving
+// passes; a pass visits every live key group, so with 1 000 keys and a
+// watermark per record the pass is the cost.
+func BenchmarkNextOccurrenceWatermark(b *testing.B) {
+	for _, bc := range []struct {
+		name        string
+		keys, every int
+	}{{"keys=16/every=64", 16, 64}, {"keys=1000/every=64", 1000, 64}, {"keys=1000/every=1", 1000, 1}} {
+		b.Run(bc.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			in := make([]event.Event, 1<<14)
+			for i := range in {
+				in[i] = event.Event{Type: tQ, ID: rng.Int63n(int64(bc.keys)), Value: float64(rng.Intn(100))}
+				if i%4 == 3 {
+					in[i].Type = tV
+				}
+			}
+			op := NewNextOccurrence(NextOccurrenceSpec{
+				T1: tQ, T2: tV, Window: 4096,
+				Key:     func(r *Record) int64 { return r.Event.ID },
+				Blocker: func(pair []event.Event) bool { return pair[1].Value > 50 },
+			})(0)
+			col := &Collector{env: NewEnvironment(Config{}), metrics: &NodeMetrics{}}
+			var r Record // lent to the operator, as an instance lends its batch
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e := in[i%len(in)]
+				e.TS = event.Time(i)
+				r = EventRecord(e)
+				op.OnRecord(0, &r, col)
+				if i%bc.every == bc.every-1 {
+					op.OnWatermark(e.TS, col)
+				}
+			}
+		})
+	}
+}

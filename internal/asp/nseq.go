@@ -1,9 +1,6 @@
 package asp
 
 import (
-	"sort"
-	"unsafe"
-
 	"cep2asp/internal/event"
 	"cep2asp/internal/overload"
 )
@@ -35,209 +32,141 @@ type NextOccurrenceSpec struct {
 }
 
 // NewNextOccurrence returns the operator factory for Stream.Process.
+//
+// The operator keeps its events in an interval join's key groups: pending
+// T1 events on side 0, T2 events on side 1. The join's bounds (-1, Window)
+// give a T1 its deadline TS+Window-1 and a T2 its death once the watermark
+// reaches it, so the join's earliest-death check, eviction, snapshot, state
+// accounting and shed loop are this operator's too; it never probes.
 func NewNextOccurrence(spec NextOccurrenceSpec) func(int) Operator {
-	return func(int) Operator {
-		return &nextOccurrence{spec: spec, groups: make(map[int64]*noGroup)}
+	newJoin := NewIntervalJoin(IntervalJoinSpec{Lower: -1, Upper: spec.Window, LeftKey: spec.Key, RightKey: spec.Key})
+	return func(i int) Operator {
+		return &nextOccurrence{intervalJoin: newJoin(i).(*intervalJoin), spec: spec, hold: event.MaxWatermark}
 	}
-}
-
-type noGroup struct {
-	pending []event.Event // T1 events awaiting resolution, sorted by TS
-	t2      []event.Event // T2 events, sorted by TS
 }
 
 type nextOccurrence struct {
-	spec   NextOccurrenceSpec
-	groups map[int64]*noGroup
-	elems  int64 // pending + t2 events buffered (mirrors AddState)
-	// Shedding statistics: overall input rate and max event time seen. The
-	// downstream SEQ(T1', T3) partner rate is invisible here, so the input
-	// rate is the documented proxy in loss bounds (LossSafety pads it).
-	inRate  arrivalRate
-	maxTS   event.Time
-	hold    event.Time
-	freeEvs [][]event.Event // recycled group buffers
-	pair    [2]event.Event  // the slice Blocker is evaluated on
+	*intervalJoin
+	spec NextOccurrenceSpec
+	// inRate is the overall input rate: the downstream SEQ(T1', T3) partner
+	// rate is invisible here, so it is the documented proxy in loss bounds
+	// (LossSafety pads it).
+	inRate arrivalRate
+	hold   event.Time
+	pair   [2]event.Event // the slice Blocker is evaluated on
 }
 
-// Hold implements WatermarkHolder: the earliest pending T1 event time - 1.
+// Hold implements WatermarkHolder: the earliest pending T1 event time - 1,
+// or MaxWatermark while none is pending.
 func (n *nextOccurrence) Hold() event.Time { return n.hold }
 
-func (n *nextOccurrence) recomputeHold() {
-	h := event.MaxWatermark
-	for _, g := range n.groups {
-		if len(g.pending) > 0 && g.pending[0].TS-1 < h {
-			h = g.pending[0].TS - 1
-		}
+// holdFor lowers the hold to the earliest pending T1 of group g.
+func (n *nextOccurrence) holdFor(g *ijGroup) {
+	if pending := g[0].live(); len(pending) > 0 {
+		n.hold = min(n.hold, pending[0].TS-1)
 	}
-	n.hold = h
 }
 
+func (n *nextOccurrence) recomputeHold() {
+	n.hold = event.MaxWatermark
+	for _, g := range n.state {
+		n.holdFor(g)
+	}
+}
+
+// OnRecord buffers a T1 event on side 0 and a T2 event on side 1 of its key
+// group; nothing is decided before the watermark passes.
 func (n *nextOccurrence) OnRecord(_ int, r *Record, out *Collector) {
-	if r.Kind != KindEvent {
+	port := 0
+	switch {
+	case r.Kind != KindEvent:
+		return
+	case r.Event.Type == n.spec.T2:
+		port = 1
+	case r.Event.Type != n.spec.T1:
 		return
 	}
-	var key int64
-	if n.spec.Key != nil {
-		key = n.spec.Key(r)
-	}
-	g := n.groups[key]
-	if g == nil {
-		g = &noGroup{pending: takeSlice(&n.freeEvs), t2: takeSlice(&n.freeEvs)}
-		n.groups[key] = g
-	}
-	n.inRate.observe(r.Event.TS)
-	if r.Event.TS > n.maxTS {
-		n.maxTS = r.Event.TS
-	}
-	switch r.Event.Type {
-	case n.spec.T1:
-		g.pending = insertEventByTS(g.pending, r.Event)
-		n.elems++
-		out.AddState(1)
-		if r.Event.TS-1 < n.hold {
-			n.hold = r.Event.TS - 1
-		}
-	case n.spec.T2:
-		g.t2 = insertEventByTS(g.t2, r.Event)
-		n.elems++
-		out.AddState(1)
+	n.state.group(groupKey(n.spec.Key, n.spec.Key, port, r), &n.freeRecs)[port].insert(r)
+	n.nextDeath = min(n.nextDeath, n.deathTime(r.TS, port))
+	n.inRate.observe(r.TS)
+	n.maxTS = max(n.maxTS, r.TS)
+	n.elems++
+	out.AddState(1)
+	if port == 0 {
+		n.hold = min(n.hold, r.TS-1)
 	}
 }
 
-func insertEventByTS(buf []event.Event, e event.Event) []event.Event {
-	i := len(buf)
-	for i > 0 && buf[i-1].TS > e.TS {
-		i--
-	}
-	buf = append(buf, event.Event{})
-	copy(buf[i+1:], buf[i:])
-	buf[i] = e
-	return buf
-}
-
+// OnWatermark resolves the pending T1 events whose next occurrence is known,
+// then evicts the T2 events at or below wm: after resolution no pending T1
+// can still need one (it would have been a blocker at or below wm), and a
+// future T1 lies above wm. A watermark below every T1 deadline and every T2
+// resolves nothing and returns at once.
 func (n *nextOccurrence) OnWatermark(wm event.Time, out *Collector) {
-	for key, g := range n.groups {
-		n.resolve(g, wm, out)
-		n.evictT2(g, wm, out)
-		if len(g.pending) == 0 && len(g.t2) == 0 {
-			stashSlice(&n.freeEvs, g.pending)
-			stashSlice(&n.freeEvs, g.t2)
-			delete(n.groups, key)
-		}
+	if wm < n.nextDeath {
+		return
 	}
-	n.recomputeHold()
+	var gone int64
+	n.nextDeath, n.hold = event.MaxWatermark, event.MaxWatermark
+	for key, g := range n.state {
+		gone += n.resolve(g, wm, out)
+		gone += int64(n.evictDead(&g[1], 1, wm))
+		n.holdFor(g)
+		n.closeGroup(key, g)
+	}
+	n.elems -= gone
+	out.AddState(-gone)
 }
 
-// resolve decides pending T1 events whose next-occurrence is known:
-// either a blocker with TS <= wm was found (no earlier T2 can still
-// arrive), or the whole interval (e1.TS, e1.TS+W) is below the watermark.
-func (n *nextOccurrence) resolve(g *noGroup, wm event.Time, out *Collector) {
-	keep := g.pending[:0]
-	for _, e1 := range g.pending {
-		blocker, found := n.earliestBlocker(g, e1)
-		switch {
-		case found && blocker.TS <= wm:
-			e1.AuxTS = blocker.TS
-		case !found && wm >= e1.TS+n.spec.Window-1:
-			e1.AuxTS = e1.TS + n.spec.Window
-		case found && wm >= e1.TS+n.spec.Window-1:
-			// Blocker seen but beyond wm cannot happen here: the interval
-			// is fully below wm, so any seen blocker has TS <= wm and was
-			// handled by the first case. Defensive: resolve with it.
-			e1.AuxTS = blocker.TS
-		default:
-			keep = append(keep, e1)
+// resolve emits the pending T1 events of g whose next occurrence is decided
+// — a blocker at or below wm (no earlier T2 can still arrive), or the whole
+// interval (e1.TS, e1.TS+W) at or below wm — and returns their number. The
+// undecided ones are compacted in place; none moves while nothing resolves.
+func (n *nextOccurrence) resolve(g *ijGroup, wm event.Time, out *Collector) int64 {
+	s, t2 := &g[0], g[1].live()
+	kept := s.head
+	for i := s.head; i < len(s.recs); i++ {
+		e1 := &s.recs[i]
+		if ats := n.nextBlocker(t2, e1.Event); ats <= wm || n.deathTime(e1.TS, 0) <= wm {
+			e1.Event.AuxTS = ats
+			out.EmitEvent(e1.Event)
 			continue
 		}
-		n.elems--
-		out.AddState(-1)
-		out.EmitEvent(e1)
+		if kept != i {
+			s.recs[kept] = *e1
+		}
+		kept++
 	}
-	g.pending = keep
+	gone := len(s.recs) - kept
+	if s.recs = s.recs[:kept]; kept == s.head {
+		s.recs, s.head = s.recs[:0], 0
+	}
+	return int64(gone)
 }
 
-func (n *nextOccurrence) earliestBlocker(g *noGroup, e1 event.Event) (event.Event, bool) {
-	for _, e2 := range g.t2 {
-		if e2.TS <= e1.TS {
-			continue
-		}
-		if e2.TS >= e1.TS+n.spec.Window {
-			break
-		}
+// nextBlocker returns the timestamp of the first T2 event of the TS-sorted
+// buffer t2 within (e1.TS, e1.TS+W) that voids e1, or e1.TS+W when none does.
+func (n *nextOccurrence) nextBlocker(t2 []Record, e1 event.Event) event.Time {
+	end := e1.TS + n.spec.Window
+	for i := firstAfter(t2, e1.TS); i < len(t2) && t2[i].TS < end; i++ {
 		if n.spec.Blocker == nil {
-			return e2, true
+			return t2[i].TS
 		}
-		n.pair[0], n.pair[1] = e1, e2
+		n.pair[0], n.pair[1] = e1, t2[i].Event
 		if n.spec.Blocker(n.pair[:]) {
-			return e2, true
+			return t2[i].TS
 		}
 	}
-	return event.Event{}, false
-}
-
-// evictT2 drops T2 events no pending or future T1 can need: future T1 have
-// TS > wm, and a blocker must satisfy e2.TS > e1.TS.
-func (n *nextOccurrence) evictT2(g *noGroup, wm event.Time, out *Collector) {
-	minPending := event.MaxWatermark
-	if len(g.pending) > 0 {
-		minPending = g.pending[0].TS
-	}
-	cut := 0
-	for _, e2 := range g.t2 {
-		if e2.TS <= wm && e2.TS <= minPending {
-			cut++
-			continue
-		}
-		break
-	}
-	if cut > 0 {
-		n.elems -= int64(cut)
-		out.AddState(-int64(cut))
-		m := copy(g.t2, g.t2[cut:])
-		g.t2 = g.t2[:m]
-	}
-}
-
-func (n *nextOccurrence) OnClose(*Collector) {}
-
-// noState is the gob snapshot DTO of a nextOccurrence instance.
-type noState struct {
-	Groups map[int64]*noGroupState
-}
-
-type noGroupState struct {
-	Pending, T2 []event.Event
-}
-
-// SnapshotState implements Snapshotter.
-func (n *nextOccurrence) SnapshotState() ([]byte, error) {
-	st := noState{Groups: make(map[int64]*noGroupState, len(n.groups))}
-	for key, g := range n.groups {
-		st.Groups[key] = &noGroupState{Pending: g.pending, T2: g.t2}
-	}
-	return gobEncode(st)
+	return end
 }
 
 // RestoreState implements Snapshotter.
 func (n *nextOccurrence) RestoreState(data []byte) error {
-	var st noState
-	if err := gobDecode(data, &st); err != nil {
+	if err := n.intervalJoin.RestoreState(data); err != nil {
 		return err
-	}
-	n.groups = make(map[int64]*noGroup, len(st.Groups))
-	n.elems = 0
-	for key, g := range st.Groups {
-		n.groups[key] = &noGroup{pending: g.Pending, t2: g.T2}
-		n.elems += int64(len(g.Pending) + len(g.T2))
 	}
 	n.recomputeHold()
 	return nil
-}
-
-// StateStats implements State.
-func (n *nextOccurrence) StateStats() StateStats {
-	return StateStats{Records: n.elems, Bytes: n.elems * int64(unsafe.Sizeof(event.Event{}))}
 }
 
 // pendingLoss bounds the matches a dropped pending T1 could still have
@@ -247,9 +176,8 @@ func (n *nextOccurrence) StateStats() StateStats {
 // over-counting (the input mixes T1 and T2 too) is safe, and the
 // LossSafety padding plus floor-at-1 inside ExpectedArrivals covers the
 // already-buffered downstream partners this operator cannot see.
-func (n *nextOccurrence) pendingLoss(e1 event.Event) float64 {
-	return overload.ExpectedArrivals(n.inRate.perTimeUnit(),
-		clampTimeLeft(e1.TS+n.spec.Window-1-n.maxTS))
+func (n *nextOccurrence) pendingLoss(e1 Record, _, _ int) float64 {
+	return overload.ExpectedArrivals(n.inRate.perTimeUnit(), n.recordLife(e1, 0))
 }
 
 // Shed implements State. Only pending T1 events are shed: an undecided T1
@@ -262,51 +190,13 @@ func (n *nextOccurrence) pendingLoss(e1 event.Event) float64 {
 // — its negation interval is nearly closed, so it is about to resolve and
 // feed the downstream join, and it is what the watermark hold waits on —
 // while a fresh T1 must survive a full window of blocker candidates before
-// producing anything. The excess-th oldest (newest) pending timestamp is the
-// cutoff and everything at or before (after) it goes, ties together; every
-// dropped T1 charges its lost-match bound.
+// producing anything. Every dropped T1 charges its lost-match bound.
 func (n *nextOccurrence) Shed(target int64, by overload.ShedStrategy, out *Collector) int64 {
-	excess := n.elems - target
-	if excess <= 0 {
-		return 0
+	rank := func(r Record, _ int) event.Time { return r.TS }
+	if by == overload.PatternAware {
+		rank = func(r Record, _ int) event.Time { return -r.TS }
 	}
-	var ts []event.Time
-	for _, g := range n.groups {
-		for _, e1 := range g.pending {
-			ts = append(ts, e1.TS)
-		}
-	}
-	if excess = min(excess, int64(len(ts))); excess == 0 {
-		return 0
-	}
-	sort.Slice(ts, func(a, b int) bool { return ts[a] < ts[b] })
-	var dropped int64
-	var lost float64
-	for key, g := range n.groups {
-		// The victims are pending[lo:hi]: a prefix oldest-first, a suffix
-		// newest-first.
-		lo, hi := 0, len(g.pending)
-		if by == overload.PatternAware {
-			cutoff := ts[int64(len(ts))-excess]
-			lo = sort.Search(hi, func(k int) bool { return g.pending[k].TS >= cutoff })
-		} else {
-			cutoff := ts[excess-1]
-			hi = sort.Search(hi, func(k int) bool { return g.pending[k].TS > cutoff })
-		}
-		for _, e1 := range g.pending[lo:hi] {
-			lost += n.pendingLoss(e1)
-		}
-		dropped += int64(hi - lo)
-		g.pending = append(g.pending[:lo], g.pending[hi:]...)
-		if len(g.pending) == 0 && len(g.t2) == 0 {
-			stashSlice(&n.freeEvs, g.pending)
-			stashSlice(&n.freeEvs, g.t2)
-			delete(n.groups, key)
-		}
-	}
-	n.elems -= dropped
-	out.AddState(-dropped)
-	out.AddLostMatches(lost)
+	dropped := shedByRank(n.intervalJoin, target, 1, rank, n.pendingLoss, out)
 	n.recomputeHold()
 	return dropped
 }

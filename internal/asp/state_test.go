@@ -58,10 +58,10 @@ func stateCases() []stateCase {
 // pending T1 events too when pending is set.
 func noCount(n *nextOccurrence, pending bool) int64 {
 	var c int64
-	for _, g := range n.groups {
-		c += int64(len(g.t2))
+	for _, g := range n.state {
+		c += int64(len(g[1].live()))
 		if pending {
-			c += int64(len(g.pending))
+			c += int64(len(g[0].live()))
 		}
 	}
 	return c
@@ -185,7 +185,7 @@ func TestNextOccurrenceShedsByStrategy(t *testing.T) {
 			t.Fatalf("%v: shed %d pending T1 events to reach 3 units, want 1", tc.by, dropped)
 		}
 		var left []event.Time
-		for _, e1 := range op.groups[0].pending {
+		for _, e1 := range op.state[0][0].live() {
 			left = append(left, e1.TS)
 		}
 		if got := fmt.Sprint(left); got != tc.left || op.Hold() != left[0]-1 {
@@ -202,5 +202,30 @@ func TestNextOccurrenceShedsByStrategy(t *testing.T) {
 		if dropped := op.Shed(0, tc.by, col); dropped != 2 || op.StateStats().Records != 1 || col.env.StateSize() != 1 || noCount(op, false) != 1 {
 			t.Fatalf("%v: shedding to 0 dropped %d and left %d units, want both pending T1s gone and the T2 blocker kept", tc.by, dropped, op.StateStats().Records)
 		}
+	}
+}
+
+// TestNextOccurrenceEvictsDeadBlocker: a T2 the blocker predicate rejects
+// for the one pending T1 leaves at the first watermark at or above it — no
+// pending T1 needs it and every future T1 lies above it — while the T1,
+// whose interval is still open, stays and holds the watermark. The hold
+// starts open, before any T1 arrives.
+func TestNextOccurrenceEvictsDeadBlocker(t *testing.T) {
+	op := NewNextOccurrence(NextOccurrenceSpec{
+		T1: tQ, T2: tV, Window: 100,
+		Blocker: func(pair []event.Event) bool { return pair[1].Value > 50 },
+	})(0).(*nextOccurrence)
+	if op.Hold() != event.MaxWatermark {
+		t.Fatalf("hold %d before any T1, want MaxWatermark", op.Hold())
+	}
+	col := &Collector{env: NewEnvironment(Config{}), metrics: &NodeMetrics{}}
+	for _, e := range []event.Event{{Type: tQ, TS: 0}, {Type: tV, TS: 50, Value: 10}} {
+		r := EventRecord(e)
+		op.OnRecord(0, &r, col)
+	}
+	op.OnWatermark(60, col)
+	if got := op.StateStats().Records; got != 1 || col.env.StateSize() != 1 || noCount(op, false) != 0 || op.Hold() != -1 {
+		t.Fatalf("after watermark 60: %d units (%d in the environment, %d T2s), hold %d; want the pending T1 alone, hold -1",
+			got, col.env.StateSize(), noCount(op, false), op.Hold())
 	}
 }

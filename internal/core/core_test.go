@@ -157,6 +157,14 @@ func TestTranslationEquivalence(t *testing.T) {
 			types: []string{"TEA", "TEX", "TEB"},
 		},
 		{
+			// A keyed blocker: x voids only the a of its own id.
+			name: "NSEQ correlated",
+			pattern: `PATTERN SEQ(TEA a, !TEX x, TEB b)
+				WHERE x.id == a.id AND x.value > 40
+				WITHIN 8 MINUTES SLIDE 1 MINUTE`,
+			types: []string{"TEA", "TEX", "TEB"},
+		},
+		{
 			name: "SEQ with AND nested",
 			pattern: `PATTERN SEQ(TEA a, AND(TEB b, TEC c))
 				WITHIN 6 MINUTES SLIDE 1 MINUTE`,

@@ -217,7 +217,9 @@ func (t *Tracer) Dropped() int64 {
 // network hops, plus the distribution of per-trace end-to-end latency
 // (first span start to last span end of each trace identity).
 type Summary struct {
-	Spans   int
+	Spans int
+	// Traces counts the trace identities in the end-to-end distribution:
+	// those with a span past their source.
 	Traces  int
 	Dropped int64
 	// Aggregate time across all op/net spans.
@@ -232,11 +234,16 @@ type Summary struct {
 
 // Summarize computes the latency breakdown over the buffered spans.
 // Barrier spans are excluded from the per-trace end-to-end distribution
-// (their Trace field is a checkpoint ID, not a record trace).
+// (their Trace field is a checkpoint ID, not a record trace), and so are
+// traces of records that never left their source (a source span alone: a
+// fused selection dropped the record), which have no end-to-end time.
 func (t *Tracer) Summarize() Summary {
 	spans := t.Spans()
 	sum := Summary{Spans: len(spans), Dropped: t.Dropped()}
-	type bounds struct{ first, last int64 }
+	type bounds struct {
+		first, last int64
+		left        bool // a span past the source
+	}
 	traces := make(map[uint64]*bounds)
 	for _, s := range spans {
 		switch s.Kind {
@@ -251,23 +258,21 @@ func (t *Tracer) Summarize() Summary {
 		}
 		b := traces[s.Trace]
 		if b == nil {
-			traces[s.Trace] = &bounds{first: s.StartNs, last: s.EndNs()}
-			continue
+			b = &bounds{first: s.StartNs, last: s.EndNs()}
+			traces[s.Trace] = b
 		}
-		if s.StartNs < b.first {
-			b.first = s.StartNs
-		}
-		if e := s.EndNs(); e > b.last {
-			b.last = e
-		}
-	}
-	sum.Traces = len(traces)
-	if len(traces) == 0 {
-		return sum
+		b.first = min(b.first, s.StartNs)
+		b.last = max(b.last, s.EndNs())
+		b.left = b.left || s.Kind != KindSource
 	}
 	e2e := make([]int64, 0, len(traces))
 	for _, b := range traces {
-		e2e = append(e2e, b.last-b.first)
+		if b.left {
+			e2e = append(e2e, b.last-b.first)
+		}
+	}
+	if sum.Traces = len(e2e); len(e2e) == 0 {
+		return sum
 	}
 	sort.Slice(e2e, func(i, j int) bool { return e2e[i] < e2e[j] })
 	quant := func(q float64) time.Duration {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"testing"
+	"time"
 
 	"cep2asp/internal/event"
 )
@@ -132,5 +133,19 @@ func TestMatchIDDeterministic(t *testing.T) {
 	}
 	if MatchID(evs) == MatchID(evs[:1]) {
 		t.Fatal("MatchID should depend on the constituent set")
+	}
+}
+
+// TestSummarySkipsSourceOnlyTraces: a record a fused selection drops at its
+// source leaves one source span and no end-to-end time; it is not a trace
+// of the distribution, which holds the 50 µs source→op trace alone.
+func TestSummarySkipsSourceOnlyTraces(t *testing.T) {
+	tr := New(1, 0)
+	tr.Add(Span{Trace: 1, Kind: KindSource, Name: "src", StartNs: 1000})
+	tr.Add(Span{Trace: 2, Kind: KindSource, Name: "src", StartNs: 1000})
+	tr.Add(Span{Trace: 2, Kind: KindOp, Name: "σ", StartNs: 41_000, DurNs: 10_000, QueueNs: 40_000})
+	s := tr.Summarize()
+	if s.Traces != 1 || s.E2EP50 != 50*time.Microsecond {
+		t.Fatalf("got %d traces with e2e p50 %v, want 1 with 50µs", s.Traces, s.E2EP50)
 	}
 }

@@ -33,11 +33,24 @@ func TestJobWithTracing(t *testing.T) {
 	if tr.Spans == 0 || tr.Traces == 0 {
 		t.Fatalf("rate-1 tracing recorded nothing: %+v", tr)
 	}
-	// At rate 1 every event is its own trace identity, and every unique
-	// match contributes one more (its MatchID attribution span).
-	if want := int(stats.Events + stats.Unique); tr.Traces != want {
-		t.Fatalf("traced %d identities, want %d (%d events + %d matches)",
-			tr.Traces, want, stats.Events, stats.Unique)
+	// At rate 1 every event the sources' fused selections pass is its own
+	// trace identity, and every unique match contributes one more (its
+	// MatchID attribution span). An event a selection drops never leaves
+	// its source and is no trace of the summary.
+	passed := 0
+	for _, e := range q {
+		if e.Value >= 80 {
+			passed++
+		}
+	}
+	for _, e := range v {
+		if e.Value <= 20 {
+			passed++
+		}
+	}
+	if want := passed + int(stats.Unique); tr.Traces != want {
+		t.Fatalf("traced %d identities, want %d (%d of %d events passed + %d matches)",
+			tr.Traces, want, passed, stats.Events, stats.Unique)
 	}
 	if tr.E2EP99 < tr.E2EP50 || tr.E2EMax < tr.E2EP99 {
 		t.Fatalf("e2e percentiles not monotone: %+v", tr)
